@@ -94,6 +94,7 @@ from .welfare import (
     evaluate,
     pareto_front,
     planner_bound,
+    sweep_fixture,
     welfare_identities,
 )
 

@@ -22,8 +22,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import demand as dm
 from . import ingest
@@ -119,28 +117,6 @@ def _load_study(args) -> tuple[ingest.Study, wf.BaseAnchors]:
     return study, anchors
 
 
-def _sweep_fixture(study: ingest.Study, mode: str, capacity_kw: float):
-    """Scenario set and integration case for one DER capacity."""
-    config = study.config
-    unit = ingest.storage_unit_spec(config)
-    units_total = config.storage_per_pv_kwh_per_kw * capacity_kw / unit.capacity_kwh
-    if mode == tf.MODE_NONE or capacity_kw == 0.0:
-        if mode == tf.MODE_DECENTRALIZED:
-            return study.scenario_set, tf.decentralized_case(unit, np.zeros(study.model.n_classes))
-        if mode == tf.MODE_CENTRALIZED:
-            return study.scenario_set, tf.centralized_case(unit, 0.0)
-        return study.scenario_set, tf.no_der()
-    if mode == tf.MODE_DECENTRALIZED:
-        kw, _ = wf.allocate_pv(study.model, capacity_kw, config.pv_unit_kw)
-        share = kw / capacity_kw
-        case = tf.decentralized_case(unit, units_total * share)
-        swept = wf.with_pv_capacity(study.scenario_set, customer_kw=kw)
-        return swept, case
-    case = tf.centralized_case(unit, units_total)
-    swept = wf.with_pv_capacity(study.scenario_set, retailer_kw=capacity_kw)
-    return swept, case
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -198,7 +174,7 @@ def cmd_validate(args) -> int:
 
 
 def _assumption1_or_raise(study: ingest.Study) -> dm.Assumption1Report:
-    report = dm.validate_assumption1(study.model, study.scenario_set)
+    report = dm.validate_assumption1(study.model)
     if not report.passed:
         raise tf.ModelAssumptionError(
             f"aggregate demand jacobian not negative definite, max eigenvalue {report.eig_max:.6g}"
@@ -218,7 +194,11 @@ def cmd_optimize(args) -> int:
         family = tf.TariffFamily(kind=args.family, fixed_connection_charge=fixed_a)
     else:
         family = tf.TariffFamily(kind=args.family)
-    swept, case = _sweep_fixture(study, args.mode, args.capacity_kw)
+    config = study.config
+    swept, case = wf.sweep_fixture(
+        study.model, study.scenario_set, args.mode, args.capacity_kw,
+        config.storage_per_pv_kwh_per_kw, ingest.storage_unit_spec(config), config.pv_unit_kw,
+    )
 
     result = tf.optimize_family_report(family, study.model, swept, case, fixed_cost)
     tariff = result.tariff

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .scenario import ScenarioSet, as_price_vector
+from .scenario import as_price_vector
 
 
 def class_sigmas(n_classes: int, sigma_rule: str, class_counts) -> np.ndarray:
@@ -117,11 +117,6 @@ class DemandModel:
         inv = (inv + inv.T) / 2.0
         inv.setflags(write=False)
         return inv
-
-    @property
-    def jacobian_state_independent(self) -> bool:
-        # the price Jacobian -sigma_i B carries no dependence on the local state
-        return True
 
 
 def demand(model: DemandModel, class_id: int, prices, disturbance=None) -> np.ndarray:
@@ -241,12 +236,11 @@ class Assumption1Report:
     passed: bool
 
 
-def validate_assumption1(model: DemandModel, scenario_set: ScenarioSet | None = None) -> Assumption1Report:
+def validate_assumption1(model: DemandModel) -> Assumption1Report:
     """Certify that expected demand is strictly price-monotone.
 
-    The scenario set is accepted for interface symmetry; the Jacobian of
-    this model family does not depend on the state, so the certificate is
-    global.
+    The Jacobian of this model family does not depend on the state, so the
+    certificate is global and needs no scenario set.
     """
     jac = -model.sigma_total * model.slope
     sym = (jac + jac.T) / 2.0

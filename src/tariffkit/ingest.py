@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ import yaml
 
 from . import demand as dm
 from . import tariff as tf
-from .scenario import Scenario, ScenarioSet, split_marginals
+from .scenario import ScenarioSet, split_marginals
 
 MWH_PER_KWH = 1e-3
 
@@ -455,25 +455,18 @@ def build_scenarios(
         )
     if model is None:
         model = build_model(config, load_days)
-    mean_load = np.mean(np.stack(load_days), axis=0)
-    weight = 1.0 / k
-    scenarios = []
-    for lam, load, solar in zip(prices, load_days, solar_days):
-        if lam.size != config.horizon or load.size != config.horizon or solar.size != config.horizon:
-            raise DataError("input day length does not match study.horizon")
-        deviation = (load - mean_load) / model.sigma_total
-        disturbances = np.outer(model.sigma, deviation)
-        scenarios.append(
-            Scenario(
-                probability=weight,
-                prices=lam,
-                disturbances=disturbances,
-                renewable_customer=np.zeros((model.n_classes, config.horizon)),
-                renewable_retailer=np.zeros(config.horizon),
-                solar_unit=solar,
-            )
-        )
-    built = ScenarioSet(tuple(scenarios))
+    if {vec.size for vec in (*prices, *load_days, *solar_days)} != {config.horizon}:
+        raise DataError("input day length does not match study.horizon")
+    loads = np.stack(load_days)
+    deviation = (loads - np.mean(loads, axis=0)) / model.sigma_total  # (K, N)
+    built = ScenarioSet.from_tensors(
+        np.full(k, 1.0 / k),
+        np.stack(prices),
+        model.sigma[None, :, None] * deviation[:, None, :],
+        np.zeros((k, model.n_classes, config.horizon)),
+        np.zeros((k, config.horizon)),
+        np.stack(solar_days),
+    )
     if config.scenario_mode == "product-of-marginals":
         return split_marginals(built)
     return built
@@ -523,7 +516,6 @@ class Study:
     model: dm.DemandModel
     scenario_set: ScenarioSet
     fixed_cost: float
-    input_paths: tuple[str, ...] = field(default_factory=tuple)
 
 
 def build_study(config: StudyConfig) -> Study:
@@ -540,13 +532,7 @@ def build_study(config: StudyConfig) -> Study:
     model = build_model(config, load_days)
     scenario_set = build_scenarios(config, prices, load_days, solar_days, model=model)
     fixed_cost = derive_fixed_cost(config, model, scenario_set)
-    return Study(
-        config=config,
-        model=model,
-        scenario_set=scenario_set,
-        fixed_cost=fixed_cost,
-        input_paths=(config.prices_path, config.load_path, config.solar_path),
-    )
+    return Study(config=config, model=model, scenario_set=scenario_set, fixed_cost=fixed_cost)
 
 
 def resolve_fixed_cost_grid(config: StudyConfig, fixed_cost: float) -> tuple[float, ...]:

@@ -4,6 +4,11 @@ Every expectation in the tariff formulas is an exact probability-weighted sum
 over one of these sets, so the structural identities checked by the test suite
 hold to floating-point accuracy rather than Monte Carlo accuracy.
 
+A :class:`ScenarioSet` stores its data once, as read-only stacked tensors
+with the scenario index first; every library computation is a reduction over
+that leading axis.  :class:`Scenario` is the row view: sets are built from
+rows and iterate as rows, for the oracle, tests and demos.
+
 Conventions
 -----------
 * prices are in $/kWh, energies in kWh, money in $.
@@ -20,9 +25,8 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -49,7 +53,11 @@ def as_price_vector(values, horizon: int | None = None) -> np.ndarray:
 
 
 def _frozen(values, shape: tuple[int, ...], name: str, nonneg: bool = False) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    # read-only float arrays are immutable already and are shared, not copied
+    if isinstance(values, np.ndarray) and values.dtype == float and not values.flags.writeable:
+        arr = values
+    else:
+        arr = np.array(values, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
@@ -58,6 +66,32 @@ def _frozen(values, shape: tuple[int, ...], name: str, nonneg: bool = False) -> 
         raise ValueError(f"{name} must be non-negative")
     arr.setflags(write=False)
     return arr
+
+
+# array fields of a Scenario row and the matching tensors of a ScenarioSet
+_ROW_FIELDS = ("prices", "disturbances", "renewable_customer", "renewable_retailer", "solar_unit")
+_SET_FIELDS = ("price_matrix", "disturbance_tensor", "customer_renewable_tensor",
+               "retailer_renewable_matrix", "solar_unit_matrix")
+
+
+def _checked_arrays(prices, disturbances, renewable_customer, renewable_retailer,
+                    solar_unit, rows: tuple[int, ...] = ()) -> tuple:
+    """Frozen, validated scenario arrays: one scenario (``rows=()``) or a set
+    stacked over ``rows=(S,)``, in the order of the arguments."""
+    prices = np.asarray(prices, dtype=float)
+    if prices.ndim != len(rows) + 1 or prices.shape[-1] == 0:
+        raise ValueError(f"prices have shape {prices.shape}, expected {rows} + (N,) with N >= 1")
+    n = prices.shape[-1]
+    dist = np.asarray(disturbances, dtype=float)
+    dist = dist if rows else np.atleast_2d(dist)
+    c = dist.shape[-2] if dist.ndim >= 2 else 0
+    return (
+        _frozen(prices, rows + (n,), "prices"),
+        _frozen(dist, rows + (c, n), "disturbances"),
+        _frozen(renewable_customer, rows + (c, n), "renewable_customer", nonneg=True),
+        _frozen(renewable_retailer, rows + (n,), "renewable_retailer", nonneg=True),
+        None if solar_unit is None else _frozen(solar_unit, rows + (n,), "solar_unit", nonneg=True),
+    )
 
 
 @dataclass(frozen=True)
@@ -82,26 +116,10 @@ class Scenario:
     def __post_init__(self):
         if not (0.0 <= self.probability <= 1.0) or not math.isfinite(self.probability):
             raise ValueError(f"scenario probability {self.probability} outside [0, 1]")
-        prices = as_price_vector(self.prices)
-        n = prices.size
-        dist = np.atleast_2d(np.array(self.disturbances, dtype=float))
-        c = dist.shape[0]
-        object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "disturbances", _frozen(dist, (c, n), "disturbances"))
-        object.__setattr__(
-            self,
-            "renewable_customer",
-            _frozen(self.renewable_customer, (c, n), "renewable_customer", nonneg=True),
-        )
-        object.__setattr__(
-            self,
-            "renewable_retailer",
-            _frozen(self.renewable_retailer, (n,), "renewable_retailer", nonneg=True),
-        )
-        if self.solar_unit is not None:
-            object.__setattr__(
-                self, "solar_unit", _frozen(self.solar_unit, (n,), "solar_unit", nonneg=True)
-            )
+        arrays = _checked_arrays(self.prices, self.disturbances, self.renewable_customer,
+                                 self.renewable_retailer, self.solar_unit)
+        for name, value in zip(_ROW_FIELDS, arrays):
+            object.__setattr__(self, name, value)
 
     @property
     def horizon(self) -> int:
@@ -154,9 +172,17 @@ def make_scenario(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ScenarioSet:
     """Immutable weighted collection of scenarios on a common horizon.
+
+    Stored once, as read-only tensors over S scenarios, C classes and N
+    periods: ``probabilities`` (S,), ``price_matrix`` (S, N),
+    ``disturbance_tensor`` and ``customer_renewable_tensor`` (S, C, N),
+    ``retailer_renewable_matrix`` (S, N) and ``solar_unit_matrix`` (S, N) or
+    None.  ``ScenarioSet(rows)`` stacks :class:`Scenario` rows and
+    :meth:`from_tensors` takes the tensors; both validate through
+    ``_assign``.
 
     Probabilities must sum to 1 within ``PROBABILITY_TOL``; a violation is a
     construction error, never silently renormalized.  ``independent`` marks
@@ -164,88 +190,94 @@ class ScenarioSet:
     block by construction (see :func:`split_marginals`).
     """
 
-    scenarios: tuple[Scenario, ...]
-    independent: bool = False
+    probabilities: np.ndarray
+    price_matrix: np.ndarray
+    disturbance_tensor: np.ndarray
+    customer_renewable_tensor: np.ndarray
+    retailer_renewable_matrix: np.ndarray
+    solar_unit_matrix: np.ndarray | None
+    independent: bool
 
-    def __post_init__(self):
-        scenarios = tuple(self.scenarios)
-        if not scenarios:
+    def __init__(self, scenarios: Sequence[Scenario], independent: bool = False):
+        rows = tuple(scenarios)
+        if not rows:
             raise ValueError("scenario set must contain at least one scenario")
-        n = scenarios[0].horizon
-        c = scenarios[0].n_classes
-        has_unit = scenarios[0].solar_unit is not None
-        for k, s in enumerate(scenarios):
-            if s.horizon != n:
-                raise ValueError(f"scenario {k} horizon {s.horizon} != {n}")
-            if s.n_classes != c:
-                raise ValueError(f"scenario {k} has {s.n_classes} classes, expected {c}")
-            if (s.solar_unit is not None) != has_unit:
-                raise ValueError("solar_unit must be present on all scenarios or none")
-        total = math.fsum(s.probability for s in scenarios)
+        if len({(s.horizon, s.n_classes, s.solar_unit is None) for s in rows}) > 1:
+            raise ValueError("scenarios must share horizon, class count and solar_unit presence")
+        columns = [
+            None if getattr(rows[0], name) is None else np.stack([getattr(s, name) for s in rows])
+            for name in _ROW_FIELDS
+        ]
+        self._assign([s.probability for s in rows], *columns, independent)
+
+    @classmethod
+    def from_tensors(cls, probabilities, price_matrix, disturbance_tensor,
+                     customer_renewable_tensor, retailer_renewable_matrix,
+                     solar_unit_matrix=None, independent: bool = False) -> ScenarioSet:
+        """Build a set from stacked tensors; read-only inputs are shared, not copied."""
+        built = cls.__new__(cls)
+        built._assign(probabilities, price_matrix, disturbance_tensor, customer_renewable_tensor,
+                      retailer_renewable_matrix, solar_unit_matrix, independent)
+        return built
+
+    def _assign(self, probabilities, prices, disturbances, renewable_customer,
+                renewable_retailer, solar_unit, independent) -> None:
+        probabilities = _frozen(probabilities, np.shape(probabilities), "probabilities")
+        if probabilities.ndim != 1 or probabilities.size == 0:
+            raise ValueError("scenario set must contain at least one scenario")
+        if np.any((probabilities < 0.0) | (probabilities > 1.0)):
+            raise ValueError("scenario probabilities must lie in [0, 1]")
+        total = math.fsum(probabilities)
         if abs(total - 1.0) > PROBABILITY_TOL:
             raise ValueError(f"scenario probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "scenarios", scenarios)
+        arrays = _checked_arrays(prices, disturbances, renewable_customer, renewable_retailer,
+                                 solar_unit, rows=probabilities.shape)
+        for name, value in zip(("probabilities", *_SET_FIELDS, "independent"),
+                               (probabilities, *arrays, bool(independent))):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.scenarios)
+        return self.probabilities.size
 
     def __iter__(self):
-        return iter(self.scenarios)
+        """Scenario rows, in set order."""
+        tensors = [getattr(self, name) for name in _SET_FIELDS]
+        for k, probability in enumerate(self.probabilities):
+            yield Scenario(float(probability), *(None if t is None else t[k] for t in tensors))
 
     @property
     def horizon(self) -> int:
-        return self.scenarios[0].horizon
+        return self.price_matrix.shape[1]
 
     @property
     def n_classes(self) -> int:
-        return self.scenarios[0].n_classes
-
-    # Stacked views used by the vectorized settlement paths.
-
-    @cached_property
-    def probabilities(self) -> np.ndarray:
-        arr = np.array([s.probability for s in self.scenarios])
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def price_matrix(self) -> np.ndarray:
-        arr = np.stack([s.prices for s in self.scenarios])
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def disturbance_tensor(self) -> np.ndarray:
-        arr = np.stack([s.disturbances for s in self.scenarios])
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def customer_renewable_tensor(self) -> np.ndarray:
-        arr = np.stack([s.renewable_customer for s in self.scenarios])
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def retailer_renewable_matrix(self) -> np.ndarray:
-        arr = np.stack([s.renewable_retailer for s in self.scenarios])
-        arr.setflags(write=False)
-        return arr
+        return self.disturbance_tensor.shape[1]
 
     @property
     def has_solar_unit(self) -> bool:
-        return self.scenarios[0].solar_unit is not None
+        return self.solar_unit_matrix is not None
 
 
 def from_prices(price_vectors: Sequence, probabilities=None, n_classes: int = 1) -> ScenarioSet:
     """Scenario set with only price uncertainty (zero local states)."""
-    k = len(price_vectors)
+    prices = np.array(price_vectors, dtype=float)
+    if prices.ndim != 2:
+        raise ValueError(f"price vectors must form an (S, N) matrix, got shape {prices.shape}")
+    s, n = prices.shape
     if probabilities is None:
-        probabilities = [1.0 / k] * k
-    scenarios = [
-        make_scenario(p, v, n_classes=n_classes) for p, v in zip(probabilities, price_vectors)
-    ]
-    return ScenarioSet(tuple(scenarios))
+        probabilities = [1.0 / s] * s
+    zeros = np.zeros((s, n_classes, n))
+    return ScenarioSet.from_tensors(probabilities, prices, zeros, zeros, np.zeros((s, n)))
+
+
+# A per-scenario field: an (S, ...) array, or a callback evaluated on each row.
+Field = Union[np.ndarray, Callable[[Scenario], np.ndarray]]
+
+
+def _stacked(scenario_set: ScenarioSet, field: Field) -> np.ndarray:
+    if callable(field):
+        return np.stack([np.asarray(field(s), dtype=float) for s in scenario_set])
+    return np.asarray(field, dtype=float)
 
 
 def expect_price(scenario_set: ScenarioSet) -> np.ndarray:
@@ -255,72 +287,76 @@ def expect_price(scenario_set: ScenarioSet) -> np.ndarray:
     return mean
 
 
-def expect_vector(scenario_set: ScenarioSet, select: Callable[[Scenario], np.ndarray]) -> np.ndarray:
-    """Probability-weighted mean of an arbitrary per-scenario vector field."""
-    acc = None
-    for s in scenario_set:
-        v = s.probability * np.asarray(select(s), dtype=float)
-        acc = v if acc is None else acc + v
-    return acc
+def expect_vector(scenario_set: ScenarioSet, field: Field) -> np.ndarray:
+    """Probability-weighted mean of a per-scenario field over the leading axis."""
+    return np.tensordot(scenario_set.probabilities, _stacked(scenario_set, field), axes=1)
 
 
-def expect_scalar(scenario_set: ScenarioSet, select: Callable[[Scenario], float]) -> float:
+def expect_scalar(scenario_set: ScenarioSet, field: Field) -> float:
     """Probability-weighted mean of a per-scenario scalar field."""
-    return math.fsum(s.probability * float(select(s)) for s in scenario_set)
+    return float(expect_vector(scenario_set, field))
 
 
-def cov_trace(
-    scenario_set: ScenarioSet,
-    select_a: Callable[[Scenario], np.ndarray],
-    select_b: Callable[[Scenario], np.ndarray],
-) -> float:
+def cov_trace(scenario_set: ScenarioSet, field_a: Field, field_b: Field) -> float:
     """Sum over periods of the population covariance of two vector fields.
 
     Computed in centered form: sum_t E[(a_t - E a_t)(b_t - E b_t)] under the
-    scenario weights.
+    scenario weights.  Each field is an (S, N) array or a per-scenario callback.
     """
-    mean_a = expect_vector(scenario_set, select_a)
-    mean_b = expect_vector(scenario_set, select_b)
-    total = 0.0
-    for s in scenario_set:
-        da = np.asarray(select_a(s), dtype=float) - mean_a
-        db = np.asarray(select_b(s), dtype=float) - mean_b
-        total += s.probability * float(da @ db)
-    return total
+    a = _stacked(scenario_set, field_a)
+    b = _stacked(scenario_set, field_b)
+    da = a - expect_vector(scenario_set, a)
+    db = b - expect_vector(scenario_set, b)
+    return float(scenario_set.probabilities @ np.einsum("sn,sn->s", da, db))
+
+
+def _first_appearance_groups(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``block`` in order of first appearance.
+
+    Returns (index of each distinct row's first appearance, group of each row).
+    """
+    _, first, inverse = np.unique(block, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse.reshape(-1)]
 
 
 def split_marginals(scenario_set: ScenarioSet) -> ScenarioSet:
     """Product-of-marginals reconstruction of a scenario set.
 
-    Identifies the support of the price block and of the local-state block by
-    bitwise equality, accumulates marginal weights, and returns the product
-    distribution (price support x local support) with ``independent=True``.
-    Idempotent on sets that are already products.
+    Identifies the support of the price block and of the local-state block
+    (disturbances, renewables and solar profile) by row equality,
+    accumulates marginal weights, and returns the product distribution
+    (price support x local support, price-major, each in order of first
+    appearance) with ``independent=True``.  Idempotent on sets that are
+    already products.
     """
-    price_support: dict[bytes, tuple[float, Scenario]] = {}
-    local_support: dict[bytes, tuple[float, Scenario]] = {}
-    for s in scenario_set:
-        pk = s.prices.tobytes()
-        weight, rep = price_support.get(pk, (0.0, s))
-        price_support[pk] = (weight + s.probability, rep)
-        lk = s.local_state_key()
-        weight, rep = local_support.get(lk, (0.0, s))
-        local_support[lk] = (weight + s.probability, rep)
+    ss = scenario_set
+    s = len(ss)
+    probs = ss.probabilities
+    local_parts = [
+        ss.disturbance_tensor.reshape(s, -1),
+        ss.customer_renewable_tensor.reshape(s, -1),
+        ss.retailer_renewable_matrix,
+    ]
+    if ss.has_solar_unit:
+        local_parts.append(ss.solar_unit_matrix)
+    price_reps, price_group = _first_appearance_groups(ss.price_matrix)
+    local_reps, local_group = _first_appearance_groups(np.concatenate(local_parts, axis=1))
+    p_price = np.bincount(price_group, weights=probs, minlength=price_reps.size)
+    p_local = np.bincount(local_group, weights=probs, minlength=local_reps.size)
 
-    scenarios = []
-    for p_price, price_rep in price_support.values():
-        for p_local, local_rep in local_support.values():
-            scenarios.append(
-                Scenario(
-                    probability=p_price * p_local,
-                    prices=price_rep.prices,
-                    disturbances=local_rep.disturbances,
-                    renewable_customer=local_rep.renewable_customer,
-                    renewable_retailer=local_rep.renewable_retailer,
-                    solar_unit=local_rep.solar_unit,
-                )
-            )
-    return ScenarioSet(tuple(scenarios), independent=True)
+    n_price, n_local = price_reps.size, local_reps.size
+    price_rows = np.repeat(price_reps, n_local)
+    local_rows = np.tile(local_reps, n_price)
+    return ScenarioSet.from_tensors(
+        np.outer(p_price, p_local).reshape(-1),
+        ss.price_matrix[price_rows],
+        ss.disturbance_tensor[local_rows],
+        ss.customer_renewable_tensor[local_rows],
+        ss.retailer_renewable_matrix[local_rows],
+        ss.solar_unit_matrix[local_rows] if ss.has_solar_unit else None,
+        independent=True,
+    )
 
 
 def with_pv_capacity(
@@ -331,7 +367,8 @@ def with_pv_capacity(
     """Rebuild renewable columns from the per-kW solar profile.
 
     ``customer_kw`` is a per-class capacity vector (kW); ``retailer_kw`` a
-    scalar capacity.  Requires ``solar_unit`` on the set.
+    scalar capacity.  Requires ``solar_unit`` on the set.  Every other
+    tensor is shared with ``scenario_set``.
     """
     if not scenario_set.has_solar_unit:
         raise ValueError("scenario set has no solar_unit profile to scale")
@@ -343,13 +380,13 @@ def with_pv_capacity(
         raise ValueError(f"customer_kw has shape {customer_kw.shape}, expected ({c},)")
     if np.any(customer_kw < 0.0) or retailer_kw < 0.0:
         raise ValueError("PV capacities must be non-negative")
-    scenarios = []
-    for s in scenario_set:
-        scenarios.append(
-            replace(
-                s,
-                renewable_customer=np.outer(customer_kw, s.solar_unit),
-                renewable_retailer=retailer_kw * s.solar_unit,
-            )
-        )
-    return ScenarioSet(tuple(scenarios), independent=scenario_set.independent)
+    solar = scenario_set.solar_unit_matrix
+    return ScenarioSet.from_tensors(
+        scenario_set.probabilities,
+        scenario_set.price_matrix,
+        scenario_set.disturbance_tensor,
+        customer_kw[None, :, None] * solar[:, None, :],
+        retailer_kw * solar,
+        solar,
+        independent=scenario_set.independent,
+    )

@@ -43,6 +43,9 @@ A_AGREEMENT_RTOL = 1e-8
 ADEQUACY_RTOL = 1e-9
 
 _REVENUE_MAX_T = 0.5
+# rounds of the storage-fleet fixed point in the flat and dynamic solvers
+_FLAT_FLEET_ROUNDS = 10
+_DYNAMIC_FLEET_ROUNDS = 20
 
 
 class TariffError(Exception):
@@ -237,9 +240,8 @@ def retailer_renewable_value(case: IntegrationCase, scenario_set: ScenarioSet) -
     """E[lambda^T r_retailer] over the set (zero unless centralized)."""
     if not case.uses_retailer_der:
         return 0.0
-    return math.fsum(
-        s.probability * float(s.prices @ s.renewable_retailer) for s in scenario_set
-    )
+    values = np.einsum("sn,sn->s", scenario_set.price_matrix, scenario_set.retailer_renewable_matrix)
+    return float(scenario_set.probabilities @ values)
 
 
 def retailer_der_offset(case: IntegrationCase, scenario_set: ScenarioSet) -> float:
@@ -331,8 +333,8 @@ def expected_consumer_surplus(
 # optimal two-part tariffs
 
 
-def _require_assumption1(model: dm.DemandModel, scenario_set: ScenarioSet) -> None:
-    report = dm.validate_assumption1(model, scenario_set)
+def _require_assumption1(model: dm.DemandModel) -> None:
+    report = dm.validate_assumption1(model)
     if not report.passed:
         raise ModelAssumptionError(
             f"expected demand is not strictly monotone (max sym eig {report.eig_max})"
@@ -356,13 +358,22 @@ def connection_charge_for(
     return (fixed_cost - margin - retailer_der_offset(case, scenario_set)) / model.customers
 
 
-def _gross_aggregate_selector(model: dm.DemandModel, prices: np.ndarray):
-    fixed = model.sigma_total * (model.base - model.slope @ prices)
-
-    def select(s):
-        return fixed + model.class_counts @ s.disturbances
-
-    return select
+def _agreed_tariff(
+    a_closed: float,
+    prices: np.ndarray,
+    model: dm.DemandModel,
+    scenario_set: ScenarioSet,
+    case: IntegrationCase,
+    fixed_cost: float,
+) -> TwoPartTariff:
+    """The tariff at ``prices`` once the closed-form and generic charges agree."""
+    a_generic = connection_charge_for(prices, model, scenario_set, case, fixed_cost)
+    scale = max(1.0, abs(a_closed), abs(a_generic))
+    if abs(a_closed - a_generic) > A_AGREEMENT_RTOL * scale:
+        raise RevenueAdequacyError(
+            f"connection-charge routes disagree: closed form {a_closed!r}, generic {a_generic!r}"
+        )
+    return TwoPartTariff(a_generic, prices)
 
 
 def optimal_decentralized(
@@ -383,26 +394,19 @@ def optimal_decentralized(
     """
     if case.mode == MODE_CENTRALIZED:
         raise ValueError("use optimal_centralized for retailer-integrated resources")
-    _require_assumption1(model, scenario_set)
+    _require_assumption1(model)
     pi = expect_price(scenario_set)
+    lam = scenario_set.price_matrix
 
-    demand_cov = cov_trace(scenario_set, _gross_aggregate_selector(model, pi), lambda s: s.prices)
-    a_star = (fixed_cost + demand_cov) / model.customers
+    # the deterministic part of D_agg(pi, w) has no covariance with lambda
+    aggregate_disturbance = np.einsum(
+        "c,scn->sn", model.class_counts, scenario_set.disturbance_tensor
+    )
+    a_closed = (fixed_cost + cov_trace(scenario_set, aggregate_disturbance, lam)) / model.customers
     if case.uses_customer_der:
-        renewable_cov = cov_trace(
-            scenario_set, lambda s: s.renewable_customer.sum(axis=0), lambda s: s.prices
-        )
-        a_closed = a_star - renewable_cov / model.customers
-    else:
-        a_closed = a_star
-
-    a_generic = connection_charge_for(pi, model, scenario_set, case, fixed_cost)
-    scale = max(1.0, abs(a_closed), abs(a_generic))
-    if abs(a_closed - a_generic) > A_AGREEMENT_RTOL * scale:
-        raise RevenueAdequacyError(
-            f"connection-charge routes disagree: closed form {a_closed!r}, generic {a_generic!r}"
-        )
-    return TwoPartTariff(a_generic, pi)
+        renewable = scenario_set.customer_renewable_tensor.sum(axis=1)
+        a_closed -= cov_trace(scenario_set, renewable, lam) / model.customers
+    return _agreed_tariff(a_closed, pi, model, scenario_set, case, fixed_cost)
 
 
 def optimal_centralized(
@@ -410,59 +414,27 @@ def optimal_centralized(
     scenario_set: ScenarioSet,
     case: IntegrationCase,
     fixed_cost: float,
-    *,
-    damping: float = 0.5,
-    tol: float = 1e-10,
-    max_iterations: int = 100,
 ) -> TwoPartTariff:
     """Surplus-maximizing revenue-adequate tariff, retailer-integrated resources.
 
-    Prices solve pi = lam_bar + E[grad D]^{-1} E[grad D (lambda - lam_bar)]
-    by damped fixed-point iteration; for this demand family the price
-    Jacobian is state-independent, so the correction vanishes and the
-    iteration terminates at the expected price after one step.  The
+    Prices solve pi = lam_bar + E[grad D]^{-1} E[grad D (lambda - lam_bar)];
+    for this demand family the price Jacobian -sigma_total B is
+    state-independent, so the correction grad D E[lambda - lam_bar]
+    vanishes identically and the prices are the expected price.  The
     resources enter only the connection charge:
 
         A = A* - (fleet value at lam_bar + E[lambda^T r_retailer]) / M.
     """
     if case.mode != MODE_CENTRALIZED:
         raise ValueError("optimal_centralized requires a centralized integration case")
-    _require_assumption1(model, scenario_set)
-    lam_bar = expect_price(scenario_set)
-
-    # E[grad D] = -sigma_total B is state-independent here, so the correction
-    # E[grad D (lambda - lam_bar)] = grad D E[lambda - lam_bar] vanishes
-    # identically and the fixed point is the expected price itself.
-    if model.jacobian_state_independent:
-        pi = lam_bar
-    else:
-        jacobian = -model.sigma_total * model.slope
-        jac_inv = np.linalg.inv(jacobian)
-        deviations = scenario_set.price_matrix - lam_bar[None, :]
-        mean_jac_dev = jacobian @ (scenario_set.probabilities @ deviations)
-        pi = lam_bar.copy()
-        for _ in range(max_iterations):
-            target = lam_bar + jac_inv @ mean_jac_dev
-            pi_next = (1.0 - damping) * pi + damping * target
-            if np.max(np.abs(pi_next - pi)) < tol:
-                pi = pi_next
-                break
-            pi = pi_next
-        else:
-            raise ArithmeticError("centralized price fixed point did not converge")
+    _require_assumption1(model)
+    pi = expect_price(scenario_set)
 
     margin = expected_margin(pi, model, scenario_set, case)
     a_star = (fixed_cost - margin) / model.customers
     offset = retailer_der_offset(case, scenario_set)
     a_closed = a_star - offset / model.customers
-
-    a_generic = connection_charge_for(pi, model, scenario_set, case, fixed_cost)
-    scale = max(1.0, abs(a_closed), abs(a_generic))
-    if abs(a_closed - a_generic) > A_AGREEMENT_RTOL * scale:
-        raise RevenueAdequacyError(
-            f"connection-charge routes disagree: closed form {a_closed!r}, generic {a_generic!r}"
-        )
-    return TwoPartTariff(a_generic, pi)
+    return _agreed_tariff(a_closed, pi, model, scenario_set, case, fixed_cost)
 
 
 def optimal_two_part(
@@ -488,7 +460,8 @@ class FamilyReport:
     when the family is flat and both exist; ``multiplier_t`` is the scalar
     search parameter for dynamic kinds (prices are t * choke + (1-t) *
     expected price); ``residual`` is the settled-revenue error at the
-    returned tariff.
+    returned tariff.  ``notes`` flags a negative connection charge and a
+    storage-fleet fixed point that ended at its round cap unconverged.
     """
 
     tariff: TwoPartTariff
@@ -542,7 +515,8 @@ def _solve_flat(
     n = model.horizon
     fleet = np.zeros(n)
     roots = None
-    for _ in range(10):
+    notes = []
+    for _ in range(_FLAT_FLEET_ROUNDS):
         a2, a1, a0 = _flat_quadratic(model, scenario_set, case, charge, fleet)
         disc = a1 * a1 - 4.0 * a2 * (a0 - fixed_cost)
         if disc < 0.0:
@@ -567,6 +541,8 @@ def _solve_flat(
         if np.array_equal(new_fleet, fleet):
             break
         fleet = new_fleet
+    else:
+        notes.append(f"storage fixed point not converged after {_FLAT_FLEET_ROUNDS} rounds")
 
     candidates = [flat_tariff(charge, p, n) for p in roots]
     surpluses = [
@@ -579,7 +555,6 @@ def _solve_flat(
         raise RevenueAdequacyError(
             f"flat-family revenue residual {residual!r} exceeds tolerance"
         )
-    notes = []
     if tariff.connection_charge < 0.0:
         notes.append("negative connection charge")
     return FamilyReport(
@@ -624,7 +599,8 @@ def _solve_dynamic(
     up to its maximum at t = 1/2, so a monotone bisection on t against the
     exact settled revenue finds the revenue-adequate member.  Customer
     storage schedules are re-solved at every probe and the choke point is
-    refreshed in an outer loop until the fleet response is self-consistent.
+    refreshed in an outer loop until the fleet response is self-consistent;
+    when that loop ends at its round cap the report carries a note.
     """
     charge = family.connection_charge
     lam_bar = expect_price(scenario_set)
@@ -635,7 +611,8 @@ def _solve_dynamic(
 
     fleet = customer_fleet_meter(case, model.n_classes, lam_bar).sum(axis=0)
     t_star = 0.0
-    for _ in range(20):
+    notes = []
+    for _ in range(_DYNAMIC_FLEET_ROUNDS):
         choke = _choke_prices(model, scenario_set, case, fleet)
 
         def price_at(t: float) -> np.ndarray:
@@ -673,13 +650,14 @@ def _solve_dynamic(
         if np.array_equal(new_fleet, fleet):
             break
         fleet = new_fleet
+    else:
+        notes.append(f"storage fixed point not converged after {_DYNAMIC_FLEET_ROUNDS} rounds")
     tariff = TwoPartTariff(charge, pi_star)
     residual = settled(pi_star) - fixed_cost
     if abs(residual) > ADEQUACY_RTOL * max(1.0, abs(fixed_cost)):
         raise RevenueAdequacyError(
             f"dynamic-family revenue residual {residual!r} exceeds tolerance"
         )
-    notes = []
     if charge < 0.0:
         notes.append("negative connection charge")
     return FamilyReport(
@@ -695,7 +673,7 @@ def optimize_family_report(
     fixed_cost: float,
 ) -> FamilyReport:
     """Solve one family for E[rs] = F; returns the solution with diagnostics."""
-    _require_assumption1(model, scenario_set)
+    _require_assumption1(model)
     if family.kind == OPTIMAL_TWO_PART:
         tariff = optimal_two_part(model, scenario_set, case, fixed_cost)
         residual = expected_retailer_surplus(tariff, model, scenario_set, case) - fixed_cost

@@ -1,8 +1,9 @@
 """Welfare accounting by settlement simulation, and the study analyses.
 
-``evaluate`` prices every scenario's bills, energy costs and benefits
-explicitly and takes the probability-weighted sum; it shares the demand and
-storage primitives with the tariff module but none of its closed-form
+``evaluate`` prices every (scenario, class) pair's bills, energy costs and
+benefits explicitly, as tensor passes over the scenario set's (S, C, N)
+arrays, and takes the probability-weighted sum; it shares the demand model
+and storage primitives with the tariff module but none of its closed-form
 accounting, so the decomposition identities verified by
 ``welfare_identities`` are genuine cross-checks rather than restatements.
 
@@ -49,13 +50,30 @@ class SurplusReport:
     negative_demand_pairs: int
 
 
+def _demand(model: dm.DemandModel, sigma: np.ndarray, prices, disturbances) -> np.ndarray:
+    """Per-customer demand sigma_c (b0 - B pi) + w for every (row, class), kWh.
+
+    ``prices`` is (N,) or one vector per row (G, N); ``disturbances`` is
+    (G, C, N) with ``sigma`` the (C,) scales of its classes.  Unclamped.
+    """
+    shortfall = model.base - prices @ model.slope.T
+    return sigma[:, None] * shortfall[..., None, :] + disturbances
+
+
+def _benefit(model: dm.DemandModel, sigma: np.ndarray, q: np.ndarray, disturbances) -> np.ndarray:
+    """Gross benefit (G, C) of consuming ``q`` (G, C, N): demand.gross_benefit per pair."""
+    u = q @ model.slope_inverse
+    shifted = np.einsum("gcn,gcn->gc", disturbances, u) + sigma * (u @ model.base)
+    return (shifted - 0.5 * np.einsum("gcn,gcn->gc", q, u)) / sigma
+
+
 def evaluate(
     tariff: tf.TwoPartTariff,
     model: dm.DemandModel,
     scenario_set: ScenarioSet,
     case: tf.IntegrationCase,
 ) -> SurplusReport:
-    """Simulate settlement of a tariff scenario by scenario.
+    """Simulate settlement of a tariff for every (scenario, class) pair.
 
     Respects the integration case: decentralized cases net the customer
     renewable columns and the tariff-responsive storage fleet behind the
@@ -64,69 +82,48 @@ def evaluate(
     Columns not selected by the case are ignored.
     """
     pi = as_price_vector(tariff.prices, model.horizon)
-    charge = tariff.connection_charge
     counts = model.class_counts
-    n_classes = model.n_classes
+    probs = scenario_set.probabilities
+    lam = scenario_set.price_matrix
+    dist = scenario_set.disturbance_tensor
 
-    fleet_meter = tf.customer_fleet_meter(case, n_classes, pi)  # (C, N), zeros unless dec
+    fleet_meter = tf.customer_fleet_meter(case, model.n_classes, pi)  # (C, N), zeros unless dec
     mean_prices = expect_price(scenario_set)
     retailer_meter = tf.retailer_commitment(case, mean_prices)  # (N,), zeros unless cen
 
-    rs_terms = []
-    revenue_terms = []
-    cost_terms = []
-    cust_ren_terms = []
-    ret_ren_terms = []
-    per_class = [[] for _ in range(n_classes)]
-    negative_pairs = 0
+    q = _demand(model, model.sigma, pi, dist)  # (S, C, N)
+    negative_pairs = int(np.count_nonzero(q.min(axis=2) < 0.0))
+    benefit = _benefit(model, model.sigma, q, dist)  # (S, C)
+    billed = q @ pi  # (S, C)
+    cost = np.einsum("scn,sn->sc", q, lam) @ counts  # lambda^T gross demand, (S,)
 
-    for s in scenario_set:
-        p = s.probability
-        lam = s.prices
-        payments_total = 0.0
-        gross_total = np.zeros(model.horizon)
-        net_total = np.zeros(model.horizon)
-        for i in range(n_classes):
-            q_pc = dm.demand(model, i, pi, s.disturbances[i])
-            if q_pc.min() < 0.0:
-                negative_pairs += 1
-            benefit_pc = dm.gross_benefit(model, i, q_pc, s.disturbances[i])
-            net_class = counts[i] * q_pc
-            if case.uses_customer_der:
-                net_class = net_class - s.renewable_customer[i] - fleet_meter[i]
-            pay_class = counts[i] * charge + float(pi @ net_class)
-            cs_class = counts[i] * benefit_pc - pay_class
-            per_class[i].append(p * cs_class)
-            payments_total += pay_class
-            gross_total += counts[i] * q_pc
-            net_total += net_class
-        if case.uses_retailer_der:
-            served = gross_total - s.renewable_retailer - retailer_meter
-        else:
-            served = net_total
-        cost = float(lam @ served)
-        rs_terms.append(p * (payments_total - cost))
-        revenue_terms.append(p * payments_total)
-        cost_terms.append(p * cost)
-        if case.uses_customer_der:
-            cust_ren_terms.append(p * float(lam @ s.renewable_customer.sum(axis=0)))
-        if case.uses_retailer_der:
-            ret_ren_terms.append(p * float(lam @ s.renewable_retailer))
+    payments = counts * (tariff.connection_charge + billed)  # (S, C)
+    customer_ren = 0.0
+    if case.uses_customer_der:
+        renewable = scenario_set.customer_renewable_tensor
+        payments = payments - renewable @ pi - fleet_meter @ pi
+        renewable_value = np.einsum("sn,sn->s", lam, renewable.sum(axis=1))
+        cost = cost - renewable_value - lam @ fleet_meter.sum(axis=0)
+        customer_ren = float(probs @ renewable_value)
+    if case.uses_retailer_der:
+        retailer_value = np.einsum("sn,sn->s", lam, scenario_set.retailer_renewable_matrix)
+        cost = cost - retailer_value - lam @ retailer_meter
 
-    per_class_cs = np.array([math.fsum(terms) for terms in per_class])
+    per_class_cs = probs @ (counts * benefit - payments)
+    revenue = payments.sum(axis=1)
     consumer_surplus = float(per_class_cs.sum())
-    retailer_surplus = math.fsum(rs_terms)
+    retailer_surplus = float(probs @ (revenue - cost))
     return SurplusReport(
         consumer_surplus=consumer_surplus,
         retailer_surplus=retailer_surplus,
         social_welfare=consumer_surplus + retailer_surplus,
         per_class_consumer_surplus=per_class_cs,
-        expected_revenue=math.fsum(revenue_terms),
-        expected_energy_cost=math.fsum(cost_terms),
+        expected_revenue=float(probs @ revenue),
+        expected_energy_cost=float(probs @ cost),
         customer_fleet_value=tf.customer_fleet_value(case, pi),
         retailer_fleet_value=tf.retailer_fleet_value(case, mean_prices),
-        customer_renewable_value=math.fsum(cust_ren_terms) if cust_ren_terms else 0.0,
-        retailer_renewable_value=math.fsum(ret_ren_terms) if ret_ren_terms else 0.0,
+        customer_renewable_value=customer_ren,
+        retailer_renewable_value=tf.retailer_renewable_value(case, scenario_set),
         negative_demand_pairs=negative_pairs,
     )
 
@@ -137,22 +134,19 @@ def efficient_welfare(model: dm.DemandModel, scenario_set: ScenarioSet) -> float
     sw*_0 = sum_i M_i E[S_i(D_i(lam_bar, w)) - lambda^T D_i(lam_bar, w)];
     the benchmark all DER welfare gains are measured against.
     """
-    lam_bar = expect_price(scenario_set)
-    terms = []
-    for s in scenario_set:
-        for i in range(model.n_classes):
-            q_pc = dm.demand(model, i, lam_bar, s.disturbances[i])
-            value = dm.gross_benefit(model, i, q_pc, s.disturbances[i]) - float(s.prices @ q_pc)
-            terms.append(s.probability * model.class_counts[i] * value)
-    return math.fsum(terms)
+    dist = scenario_set.disturbance_tensor
+    q = _demand(model, model.sigma, expect_price(scenario_set), dist)
+    value = _benefit(model, model.sigma, q, dist) - np.einsum(
+        "scn,sn->sc", q, scenario_set.price_matrix
+    )
+    return float(scenario_set.probabilities @ (value @ model.class_counts))
 
 
 def customer_renewable_value(scenario_set: ScenarioSet) -> float:
     """E[lambda^T sum_i r_i] over the set."""
-    return math.fsum(
-        s.probability * float(s.prices @ s.renewable_customer.sum(axis=0))
-        for s in scenario_set
-    )
+    generation = scenario_set.customer_renewable_tensor.sum(axis=1)
+    values = np.einsum("sn,sn->s", scenario_set.price_matrix, generation)
+    return float(scenario_set.probabilities @ values)
 
 
 @dataclass(frozen=True)
@@ -257,28 +251,28 @@ def planner_bound(
         raise ValueError("planner bound is defined for customer-side integration")
     counts = model.class_counts
     use_der = case.uses_customer_der
+    probs = scenario_set.probabilities
+    lam = scenario_set.price_matrix
     total = 0.0
     for i in range(model.n_classes):
-        groups: dict[bytes, list] = {}
-        for s in scenario_set:
-            key = s.disturbances[i].tobytes()
-            if use_der:
-                key += s.renewable_customer[i].tobytes()
-            groups.setdefault(key, []).append(s)
-        class_terms = []
-        for members in groups.values():
-            weight = math.fsum(m.probability for m in members)
-            if weight == 0.0:
-                continue
-            lam_cond = sum(m.probability * m.prices for m in members) / weight
-            w_i = members[0].disturbances[i]
-            q_pc = dm.demand(model, i, lam_cond, w_i)
-            value = dm.gross_benefit(model, i, q_pc, w_i) - float(lam_cond @ q_pc)
-            class_terms.append(weight * counts[i] * value)
-            if use_der and case.customer_storage is not None:
-                unit_value, _ = st.arbitrage_value(case.customer_storage, lam_cond)
-                class_terms.append(weight * case.customer_storage_units[i] * unit_value)
-        total += math.fsum(class_terms)
+        local = scenario_set.disturbance_tensor[:, i, :]
+        if use_der:
+            local = np.concatenate([local, scenario_set.customer_renewable_tensor[:, i, :]], axis=1)
+        _, first, group = np.unique(local, axis=0, return_index=True, return_inverse=True)
+        group = group.reshape(-1)
+        weight = np.bincount(group, weights=probs, minlength=first.size)
+        keep = weight > 0.0
+        weighted_prices = np.zeros((first.size, model.horizon))
+        np.add.at(weighted_prices, group, probs[:, None] * lam)
+        lam_cond = weighted_prices[keep] / weight[keep, None]  # E[lambda | w_i], (G, N)
+        w_i = scenario_set.disturbance_tensor[first[keep], i : i + 1, :]  # (G, 1, N)
+        sigma = model.sigma[i : i + 1]
+        q = _demand(model, sigma, lam_cond, w_i)
+        value = _benefit(model, sigma, q, w_i)[:, 0] - np.einsum("gn,gn->g", lam_cond, q[:, 0])
+        total += counts[i] * float(weight[keep] @ value)
+        if use_der and case.customer_storage is not None:
+            unit_values = [st.arbitrage_value(case.customer_storage, p)[0] for p in lam_cond]
+            total += case.customer_storage_units[i] * float(weight[keep] @ unit_values)
     if use_der:
         total += customer_renewable_value(scenario_set)
     return total
@@ -409,6 +403,37 @@ class SweepCell:
     reason: str = ""
 
 
+def sweep_fixture(
+    model: dm.DemandModel,
+    scenario_set: ScenarioSet,
+    mode: str,
+    capacity_kw: float,
+    storage_ratio: float,
+    storage_unit: st.StorageSpec,
+    pv_unit_kw: float,
+) -> tuple[ScenarioSet, tf.IntegrationCase]:
+    """Scenario set and integration case for one installed PV capacity.
+
+    Storage is sized at ``storage_ratio`` kWh per kW of PV and integrated
+    as (possibly fractional) counts of ``storage_unit``.  Decentralized PV
+    goes to the largest consumers first (:func:`allocate_pv`) and the fleet
+    is spread over classes in proportion to allocated PV; centralized PV
+    and storage sit with the retailer.  ``MODE_NONE`` ignores the capacity.
+    """
+    if mode == tf.MODE_NONE:
+        return scenario_set, tf.no_der()
+    units_total = storage_ratio * capacity_kw / storage_unit.capacity_kwh
+    if mode == tf.MODE_DECENTRALIZED:
+        kw, _ = allocate_pv(model, capacity_kw, pv_unit_kw)
+        share = kw / capacity_kw if capacity_kw > 0.0 else np.zeros(model.n_classes)
+        case = tf.decentralized_case(storage_unit, units_total * share)
+        return with_pv_capacity(scenario_set, customer_kw=kw), case
+    if mode == tf.MODE_CENTRALIZED:
+        case = tf.centralized_case(storage_unit, units_total)
+        return with_pv_capacity(scenario_set, retailer_kw=capacity_kw), case
+    raise ValueError(f"unknown integration mode {mode!r}")
+
+
 def der_sweep(
     families,
     model: dm.DemandModel,
@@ -424,9 +449,8 @@ def der_sweep(
 ) -> list[SweepCell]:
     """Re-solve each family at each installed PV capacity and report gains.
 
-    Storage is sized at ``storage_ratio`` kWh per kW of PV and integrated
-    as (possibly fractional) counts of ``storage_unit``; decentralized
-    fleets are spread over classes in proportion to allocated PV.
+    Each capacity's scenario set and integration case come from
+    :func:`sweep_fixture`.
     """
     if mode not in (tf.MODE_DECENTRALIZED, tf.MODE_CENTRALIZED):
         raise ValueError(f"sweep mode must be decentralized or centralized, got {mode!r}")
@@ -436,15 +460,9 @@ def der_sweep(
     cells = []
     for capacity in capacity_grid_kw:
         capacity = float(capacity)
-        storage_units_total = storage_ratio * capacity / storage_unit.capacity_kwh
-        if mode == tf.MODE_DECENTRALIZED:
-            kw, _ = allocate_pv(model, capacity, pv_unit_kw)
-            share = kw / capacity if capacity > 0.0 else np.zeros(model.n_classes)
-            case = tf.decentralized_case(storage_unit, storage_units_total * share)
-            swept = with_pv_capacity(scenario_set, customer_kw=kw)
-        else:
-            case = tf.centralized_case(storage_unit, storage_units_total)
-            swept = with_pv_capacity(scenario_set, retailer_kw=capacity)
+        swept, case = sweep_fixture(
+            model, scenario_set, mode, capacity, storage_ratio, storage_unit, pv_unit_kw
+        )
         for family in families:
             try:
                 tariff = tf.optimize_family(family, model, swept, case, fixed_cost)
@@ -515,24 +533,23 @@ def _owner_contributions(
     under separated settlement consumption pays the tariff prices while
     generation is credited at the expected wholesale price.
     """
+    owned = owners > 0.0
+    if not owned.any():
+        return 0.0
     pi = tariff.prices
-    lam_bar = expect_price(scenario_set)
-    charge = tariff.connection_charge
-    terms = []
-    for s in scenario_set:
-        for i in range(model.n_classes):
-            if owners[i] == 0.0:
-                continue
-            q_pc = dm.demand(model, i, pi, s.disturbances[i])
-            r_own = owner_kw[i] * s.solar_unit
-            gross = owners[i] * q_pc
-            physical = gross - r_own
-            if separated:
-                payment = owners[i] * charge + float(pi @ gross) - float(lam_bar @ r_own)
-            else:
-                payment = owners[i] * charge + float(pi @ physical)
-            terms.append(s.probability * (payment - float(s.prices @ physical)))
-    return math.fsum(terms)
+    lam = scenario_set.price_matrix
+    solar = scenario_set.solar_unit_matrix
+    sigma = model.sigma[owned]
+    dist = scenario_set.disturbance_tensor[:, owned, :]
+    q = _demand(model, sigma, pi, dist)  # (S, owner classes, N)
+    owners, owner_kw = owners[owned], owner_kw[owned]
+
+    credit_price = expect_price(scenario_set) if separated else pi
+    payment = owners * (tariff.connection_charge + q @ pi) - np.outer(solar @ credit_price, owner_kw)
+    physical_cost = owners * np.einsum("scn,sn->sc", q, lam) - np.outer(
+        np.einsum("sn,sn->s", solar, lam), owner_kw
+    )
+    return float(scenario_set.probabilities @ (payment - physical_cost).sum(axis=1))
 
 
 def cross_subsidy(
@@ -553,10 +570,13 @@ def cross_subsidy(
     separated settlement the customer response is unchanged while the
     generation credit enters expected revenue as the constant
     tr cov(lambda, r), so the counterpart solve is the no-DER solve at
-    F - tr cov(lambda, r).
+    F - tr cov(lambda, r).  Raises ValueError at F = 0, where the
+    normalized subsidy is undefined.
     """
     if not scenario_set.has_solar_unit:
         raise ValueError("cross-subsidy analysis needs the per-kW solar profile")
+    if fixed_cost == 0.0:
+        raise ValueError("subsidy_norm is normalized by F and is undefined at F = 0")
     cells = []
     for capacity in capacity_grid_kw:
         capacity = float(capacity)
@@ -566,7 +586,7 @@ def cross_subsidy(
         try:
             nm_tariff = tf.optimize_family(family, model, swept, nm_case, fixed_cost)
             generation_cov = cov_trace(
-                swept, lambda s: s.renewable_customer.sum(axis=0), lambda s: s.prices
+                swept, swept.customer_renewable_tensor.sum(axis=1), swept.price_matrix
             )
             sep_tariff = tf.optimize_family(
                 family, model, swept, tf.no_der(), fixed_cost - generation_cov

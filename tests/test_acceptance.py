@@ -227,7 +227,10 @@ def test_criterion_07_revenue_adequacy_resimulated(study, anchors):
         for cell in cells:
             if not cell.feasible:
                 continue
-            swept, case = cli._sweep_fixture(study, mode, cell.capacity_kw)
+            swept, case = wf.sweep_fixture(
+                study.model, study.scenario_set, mode, cell.capacity_kw,
+                config.storage_per_pv_kwh_per_kw, spec, config.pv_unit_kw,
+            )
             report = oracle.settlement_resim(cell.tariff, study.model, swept, case)
             assert_adequate(report.retailer_surplus, study.fixed_cost)
 

@@ -173,6 +173,16 @@ def test_xsub_zero_at_zero_capacity(study_dir, out_dir, capsys):
     assert float(rows[1]["owner_count"]) == 2e4  # one 5 kW unit per owner
 
 
+def test_xsub_at_zero_fixed_cost_exits_2(study_dir, tmp_path, out_dir, capsys):
+    # subsidy_norm is normalized by F, so F = 0 is a configuration error
+    config = rewrite_config(
+        study_dir, tmp_path, fixed_cost={"mode": "explicit", "value_usd_per_day": 0.0}
+    )
+    assert cli.main(["xsub", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "F = 0" in err
+
+
 def test_output_dir_env_override(study_dir, tmp_path, monkeypatch):
     target = tmp_path / "elsewhere"
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(target))

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from tariffkit import demand as dm
 from tariffkit import oracle
@@ -169,3 +171,79 @@ def test_planner_direct_rejects_centralized_and_caps_support():
 def test_storage_brute_force_validation():
     with pytest.raises(ValueError, match="grid_steps"):
         oracle.storage_brute_force(st.idealized(1.0), [1.0, 2.0], grid_steps=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    n_days=hst.integers(min_value=1, max_value=6),
+    n_classes=hst.integers(min_value=1, max_value=4),
+)
+def test_product_sets_settle_like_the_oracle(seed, n_days, n_classes):
+    horizon = 6
+    rng = np.random.default_rng(seed)
+    model = dm.calibrate(
+        target_sales=rng.uniform(8.0, 16.0, size=horizon),
+        target_price=0.2,
+        elasticity=-0.4,
+        n_classes=n_classes,
+        sigma_rule="linear",
+        total_customers=50.0,
+    )
+    price_days = np.clip(0.05 + 0.03 * rng.normal(size=(n_days, horizon)), 0.005, None)
+    load_days = rng.normal(size=(n_days, horizon))
+    solar_days = rng.uniform(0.0, 0.3, size=(n_days, horizon))
+    # joint days draw their price and local day independently, with repeats,
+    # so the split has to merge duplicates on either side
+    price_pick = rng.integers(0, n_days, size=n_days)
+    local_pick = rng.integers(0, n_days, size=n_days)
+    weights = rng.uniform(0.1, 1.0, size=n_days)
+    weights /= weights.sum()
+    rows = [
+        sc.make_scenario(
+            weights[k],
+            price_days[price_pick[k]],
+            np.outer(model.sigma, load_days[local_pick[k]] / model.sigma_total),
+            solar_unit=solar_days[local_pick[k]],
+        )
+        for k in range(n_days)
+    ]
+    joint = sc.ScenarioSet(rows)
+
+    # iteration returns the rows the set was built from
+    assert len(joint) == n_days
+    for built, got in zip(rows, joint):
+        assert got.probability == built.probability
+        for name in ("prices", "disturbances", "renewable_customer", "renewable_retailer",
+                     "solar_unit"):
+            assert np.array_equal(getattr(got, name), getattr(built, name))
+
+    # the product set is price-major, each support in order of first appearance
+    product = sc.split_marginals(joint)
+    price_order = list(dict.fromkeys(price_pick.tolist()))
+    local_order = list(dict.fromkeys(local_pick.tolist()))
+    assert len(product) == len(price_order) * len(local_order)
+    expected = [(a, b) for a in price_order for b in local_order]
+    price_weight = {a: weights[price_pick == a].sum() for a in price_order}
+    local_weight = {b: weights[local_pick == b].sum() for b in local_order}
+    for (a, b), got in zip(expected, product):
+        assert np.array_equal(got.prices, price_days[a])
+        assert np.array_equal(got.solar_unit, solar_days[b])
+        assert got.probability == pytest.approx(price_weight[a] * local_weight[b], rel=1e-12)
+
+    tariff = tf.TwoPartTariff(rng.uniform(-1, 1), rng.uniform(0.05, 0.3, size=horizon))
+    cases = [
+        (tf.no_der(), product),
+        (
+            tf.decentralized_case(st.powerwall(), rng.uniform(0.0, 1.0, size=n_classes)),
+            sc.with_pv_capacity(product, customer_kw=rng.uniform(0.0, 3.0, size=n_classes)),
+        ),
+        (
+            tf.centralized_case(st.powerwall(), rng.uniform(0.0, 2.0)),
+            sc.with_pv_capacity(product, retailer_kw=rng.uniform(0.0, 6.0)),
+        ),
+    ]
+    for case, swept in cases:
+        main = wf.evaluate(tariff, model, swept, case)
+        resim = oracle.settlement_resim(tariff, model, swept, case)
+        assert_reports_agree(resim, main)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from tariffkit import demand as dm
+from tariffkit import ingest
 from tariffkit import scenario as sc
 from tariffkit import storage as st
 from tariffkit import tariff as tf
+from tariffkit import welfare as wf
 
 
 def fixture(correlated=True, n_classes=3, horizon=6, with_solar=True, seed=2):
@@ -256,3 +258,16 @@ def test_fleet_value_linear_in_units():
     v1 = tf.retailer_fleet_value(case1, prices)
     v_frac = tf.retailer_fleet_value(case_frac, prices)
     assert v_frac == pytest.approx(2.5 * v1, rel=1e-12)
+
+
+def test_unconverged_fleet_fixed_point_is_noted(study):
+    # on the shipped 20-day study the dynamic solve's customer fleet keeps
+    # switching schedules at 0.55 GW, so the fleet loop ends at its cap
+    config = study.config
+    swept, case = wf.sweep_fixture(
+        study.model, study.scenario_set, tf.MODE_DECENTRALIZED, 550e3,
+        config.storage_per_pv_kwh_per_kw, ingest.storage_unit_spec(config), config.pv_unit_kw,
+    )
+    family = tf.TariffFamily(kind=tf.DYNAMIC_ZERO_A)
+    report = tf.optimize_family_report(family, study.model, swept, case, study.fixed_cost)
+    assert "storage fixed point not converged after 20 rounds" in report.notes
