@@ -219,8 +219,9 @@ class StudyConfig:
         ):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be >= 0")
-        if self.pv_unit_kw == 0.0:
-            raise ConfigError("der.pv_unit_kw must be positive")
+        for name in ("pv_unit_kw", "storage_capacity_kwh", "storage_power_kw"):
+            if getattr(self, name) == 0.0:
+                raise ConfigError(f"der.{name} must be positive")
         if not 0.0 < self.storage_efficiency <= 1.0:
             raise ConfigError("der.storage_efficiency must be in (0, 1]")
         if self.allocation not in ALLOCATION_RULES:

@@ -129,17 +129,6 @@ class Scenario:
     def n_classes(self) -> int:
         return self.disturbances.shape[0]
 
-    def local_state_key(self) -> bytes:
-        """Bitwise identity of the local (non-price) state block."""
-        parts = [
-            self.disturbances.tobytes(),
-            self.renewable_customer.tobytes(),
-            self.renewable_retailer.tobytes(),
-        ]
-        if self.solar_unit is not None:
-            parts.append(self.solar_unit.tobytes())
-        return b"".join(parts)
-
 
 def make_scenario(
     probability: float,

@@ -70,9 +70,9 @@ def maximize(c, G, h) -> tuple[np.ndarray, float]:
 
         pivot = T[row, j]
         T[row] /= pivot
-        for i in range(m + 1):
-            if i != row and T[i, j] != 0.0:
-                T[i] -= T[i, j] * T[row]
+        factors = T[:, j].copy()
+        factors[row] = 0.0
+        T -= np.outer(factors, T[row])
         basis[row] = j
 
         objective = T[m, -1]

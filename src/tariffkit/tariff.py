@@ -7,6 +7,13 @@ surplus-maximizing volumetric price equals the expected wholesale price,
 with a covariance correction to the connection charge A; distributed
 resources shift A but never the prices.
 
+The restricted families pin A and price along a ray: flat prices p * 1,
+dynamic prices on the Ramsey line from the expected price toward the
+expected net-demand choke price.  While the customer storage fleet holds
+one schedule, expected revenue is exactly quadratic along either ray, so
+both families share one root solver that re-freezes the fleet at its live
+response until that response settles.
+
 Accounting in this module is the closed-form expectation path (per-scenario
 aggregation of analytic margins and surpluses).  The welfare module
 re-derives every quantity by simulating settlement; the two paths share the
@@ -42,9 +49,9 @@ A_AGREEMENT_RTOL = 1e-8
 # settled-revenue residual accepted when solving a family for E[rs] = F
 ADEQUACY_RTOL = 1e-9
 
-_REVENUE_MAX_T = 0.5
-# rounds of the storage-fleet fixed point in the flat and dynamic solvers
-_FLAT_FLEET_ROUNDS = 10
+# rounds of re-freezing the storage fleet within one ray solve
+_RAY_ROUNDS = 10
+# rounds of the dynamic solver's choke-point fixed point
 _DYNAMIC_FLEET_ROUNDS = 20
 
 
@@ -261,22 +268,27 @@ def _net_demand_by_scenario(
     model: dm.DemandModel,
     scenario_set: ScenarioSet,
     case: IntegrationCase,
+    fleet: np.ndarray,
 ) -> np.ndarray:
-    """Metered aggregate demand (S, N): gross minus behind-the-meter resources."""
+    """Metered aggregate demand (S, N): gross minus behind-the-meter resources.
+
+    ``fleet`` is the total meter-side customer storage vector (N,).
+    """
     gross = (
         model.sigma_total * (model.base - model.slope @ prices)[None, :]
         + np.einsum("c,scn->sn", model.class_counts, scenario_set.disturbance_tensor)
     )
     if case.uses_customer_der:
         gross = gross - scenario_set.customer_renewable_tensor.sum(axis=1)
-        gross = gross - customer_fleet_meter(case, model.n_classes, prices).sum(axis=0)[None, :]
+        gross = gross - fleet[None, :]
     return gross
 
 
 def expected_margin(prices, model: dm.DemandModel, scenario_set: ScenarioSet, case: IntegrationCase) -> float:
     """E[(pi - lambda)^T d(pi, xi)] over the set, $ per day."""
     prices = as_price_vector(prices, model.horizon)
-    net = _net_demand_by_scenario(prices, model, scenario_set, case)
+    fleet = customer_fleet_meter(case, model.n_classes, prices).sum(axis=0)
+    net = _net_demand_by_scenario(prices, model, scenario_set, case, fleet)
     gaps = prices[None, :] - scenario_set.price_matrix
     return float(scenario_set.probabilities @ np.einsum("sn,sn->s", gaps, net))
 
@@ -457,11 +469,12 @@ class FamilyReport:
     """Solution record for one family optimization.
 
     ``flat_roots`` carries both revenue-adequate flat prices (low, high)
-    when the family is flat and both exist; ``multiplier_t`` is the scalar
-    search parameter for dynamic kinds (prices are t * choke + (1-t) *
-    expected price); ``residual`` is the settled-revenue error at the
-    returned tariff.  ``notes`` flags a negative connection charge and a
-    storage-fleet fixed point that ended at its round cap unconverged.
+    when the family is flat; ``multiplier_t`` is the dynamic price's
+    coordinate on the Ramsey line t * choke + (1-t) * expected price, the
+    lower root of the revenue quadratic along that line; ``residual`` is the
+    settled-revenue error at the returned tariff.  ``notes`` flags a
+    negative connection charge and a dynamic choke-point fixed point that
+    ended at its round cap unconverged.
     """
 
     tariff: TwoPartTariff
@@ -473,35 +486,79 @@ class FamilyReport:
     notes: tuple[str, ...] = ()
 
 
-def _flat_quadratic(
+def _ray_quadratic(
     model: dm.DemandModel,
     scenario_set: ScenarioSet,
     case: IntegrationCase,
-    connection_charge: float,
+    charge: float,
     frozen_fleet: np.ndarray,
+    origin: np.ndarray,
+    direction: np.ndarray,
 ) -> tuple[float, float, float]:
-    """Coefficients of E[rs](p) = a2 p^2 + a1 p + a0 for a flat price p.
+    """Coefficients of E[rs](origin + x direction) = a2 x^2 + a1 x + a0.
 
     The customer storage response is frozen at ``frozen_fleet`` (the total
-    meter-side fleet vector); for flat positive prices an initially empty
-    unit never cycles, so the freeze is exact there.
+    meter-side fleet vector), so demand is affine in x and revenue exactly
+    quadratic; a2 < 0 because the price response is monotone.
     """
-    one = np.ones(model.horizon)
-    b_one = model.slope @ one
     s_tot = model.sigma_total
     probs = scenario_set.probabilities
-    lam = scenario_set.price_matrix
+    b_dir = model.slope @ direction
+    demand = _net_demand_by_scenario(origin, model, scenario_set, case, frozen_fleet)
+    gaps = origin[None, :] - scenario_set.price_matrix
 
-    g = np.einsum("c,scn->sn", model.class_counts, scenario_set.disturbance_tensor)
-    if case.uses_customer_der:
-        g = g - scenario_set.customer_renewable_tensor.sum(axis=1) - frozen_fleet[None, :]
-    base_term = s_tot * model.base[None, :] + g  # (S, N)
-
-    a2 = -s_tot * float(one @ b_one)
-    a1 = float(probs @ (base_term @ one)) + s_tot * float(probs @ (lam @ b_one))
-    a0 = -float(probs @ np.einsum("sn,sn->s", lam, base_term))
-    a0 += model.customers * connection_charge + retailer_der_offset(case, scenario_set)
+    a2 = -s_tot * float(direction @ b_dir)
+    a1 = float(probs @ (demand @ direction)) - s_tot * float(probs @ (gaps @ b_dir))
+    a0 = float(probs @ np.einsum("sn,sn->s", gaps, demand))
+    a0 += model.customers * charge + retailer_der_offset(case, scenario_set)
     return a2, a1, a0
+
+
+def _ray_roots(
+    family: TariffFamily,
+    model: dm.DemandModel,
+    scenario_set: ScenarioSet,
+    case: IntegrationCase,
+    fixed_cost: float,
+    origin: np.ndarray,
+    direction: np.ndarray,
+    fleet: np.ndarray,
+) -> tuple[float, float]:
+    """Both roots x_lo <= x_hi of E[rs](origin + x direction) = F.
+
+    Starting from ``fleet``, the customer fleet is frozen, the quadratic
+    solved, and the fleet re-frozen at its live response at the lower root
+    until that response stops changing; revenue at the lower root is then
+    settled exactly.  Raises :class:`InfeasibleFamilyError` when settled
+    revenue at the quadratic's vertex falls short of F, and
+    :class:`RevenueAdequacyError` when the response has not settled within
+    ``_RAY_ROUNDS``.
+    """
+    label = "flat" if family.is_flat else "dynamic"
+    charge = family.connection_charge
+    tol = ADEQUACY_RTOL * max(1.0, abs(fixed_cost))
+    for _ in range(_RAY_ROUNDS):
+        a2, a1, a0 = _ray_quadratic(model, scenario_set, case, charge, fleet, origin, direction)
+        vertex = -a1 / (2.0 * a2)
+        peak = expected_retailer_surplus(
+            TwoPartTariff(charge, origin + vertex * direction), model, scenario_set, case
+        )
+        if fixed_cost > peak + tol:
+            raise InfeasibleFamilyError(
+                f"{label} family cannot attain expected revenue {fixed_cost!r}; "
+                f"maximum attainable is {peak!r}",
+                attainable_max=peak,
+            )
+        # a tangency within tolerance of the peak merges the roots at the vertex
+        half_width = math.sqrt(max(0.0, a1 * a1 - 4.0 * a2 * (a0 - fixed_cost))) / (-2.0 * a2)
+        lo = vertex - half_width
+        live = customer_fleet_meter(case, model.n_classes, origin + lo * direction).sum(axis=0)
+        if np.array_equal(live, fleet):
+            return lo, vertex + half_width
+        fleet = live
+    raise RevenueAdequacyError(
+        f"{label}-family storage response did not settle after {_RAY_ROUNDS} rounds"
+    )
 
 
 def _solve_flat(
@@ -511,40 +568,11 @@ def _solve_flat(
     case: IntegrationCase,
     fixed_cost: float,
 ) -> FamilyReport:
-    charge = family.connection_charge
+    """Revenue-adequate flat prices p * 1; returns the root with more surplus."""
     n = model.horizon
-    fleet = np.zeros(n)
-    roots = None
-    notes = []
-    for _ in range(_FLAT_FLEET_ROUNDS):
-        a2, a1, a0 = _flat_quadratic(model, scenario_set, case, charge, fleet)
-        disc = a1 * a1 - 4.0 * a2 * (a0 - fixed_cost)
-        if disc < 0.0:
-            attainable = a0 - a1 * a1 / (4.0 * a2)
-            raise InfeasibleFamilyError(
-                f"flat family cannot attain expected revenue {fixed_cost!r}; "
-                f"maximum attainable is {attainable!r}",
-                attainable_max=attainable,
-            )
-        sq = math.sqrt(disc)
-        # a2 < 0: the smaller root is (-a1 + sq) / (2 a2)
-        lo = (-a1 + sq) / (2.0 * a2)
-        hi = (-a1 - sq) / (2.0 * a2)
-        new_roots = (lo, hi)
-        if roots is not None and max(
-            abs(new_roots[0] - roots[0]), abs(new_roots[1] - roots[1])
-        ) < 1e-13 * max(1.0, abs(new_roots[0])):
-            roots = new_roots
-            break
-        roots = new_roots
-        new_fleet = customer_fleet_meter(case, model.n_classes, np.full(n, roots[0])).sum(axis=0)
-        if np.array_equal(new_fleet, fleet):
-            break
-        fleet = new_fleet
-    else:
-        notes.append(f"storage fixed point not converged after {_FLAT_FLEET_ROUNDS} rounds")
-
-    candidates = [flat_tariff(charge, p, n) for p in roots]
+    zero = np.zeros(n)
+    roots = _ray_roots(family, model, scenario_set, case, fixed_cost, zero, np.ones(n), zero)
+    candidates = [flat_tariff(family.connection_charge, p, n) for p in roots]
     surpluses = [
         expected_consumer_surplus(t, model, scenario_set, case) for t in candidates
     ]
@@ -555,15 +583,14 @@ def _solve_flat(
         raise RevenueAdequacyError(
             f"flat-family revenue residual {residual!r} exceeds tolerance"
         )
-    if tariff.connection_charge < 0.0:
-        notes.append("negative connection charge")
+    notes = ("negative connection charge",) if tariff.connection_charge < 0.0 else ()
     return FamilyReport(
         tariff=tariff,
         kind=family.kind,
         flat_roots=roots,
         root_surpluses=(surpluses[0], surpluses[1]),
         residual=residual,
-        notes=tuple(notes),
+        notes=notes,
     )
 
 
@@ -594,58 +621,22 @@ def _solve_dynamic(
     """Ramsey prices for a pinned connection charge.
 
     The first-order conditions put the optimum on the line
-    pi(t) = t * choke + (1 - t) * lam_bar, where choke is the expected
-    net-demand choke price; settled revenue is quadratic in t and increasing
-    up to its maximum at t = 1/2, so a monotone bisection on t against the
-    exact settled revenue finds the revenue-adequate member.  Customer
-    storage schedules are re-solved at every probe and the choke point is
-    refreshed in an outer loop until the fleet response is self-consistent;
-    when that loop ends at its round cap the report carries a note.
+    pi(t) = lam_bar + t * (choke - lam_bar), where choke is the expected
+    net-demand choke price.  With the fleet frozen at the one the choke
+    point assumes, settled revenue along the line is a quadratic peaking at
+    t = 1/2, and the revenue-adequate member is its lower root
+    (:func:`_ray_roots`).  The choke point is refreshed in an outer loop
+    until the fleet response at that root is the one it assumed; when that
+    loop ends at its round cap the report carries a note.
     """
     charge = family.connection_charge
     lam_bar = expect_price(scenario_set)
-    n = model.horizon
-
-    def settled(pi: np.ndarray) -> float:
-        return expected_retailer_surplus(TwoPartTariff(charge, pi), model, scenario_set, case)
-
     fleet = customer_fleet_meter(case, model.n_classes, lam_bar).sum(axis=0)
-    t_star = 0.0
     notes = []
     for _ in range(_DYNAMIC_FLEET_ROUNDS):
-        choke = _choke_prices(model, scenario_set, case, fleet)
-
-        def price_at(t: float) -> np.ndarray:
-            return t * choke + (1.0 - t) * lam_bar
-
-        rs_max = settled(price_at(_REVENUE_MAX_T))
-        if fixed_cost > rs_max + ADEQUACY_RTOL * max(1.0, abs(fixed_cost)):
-            raise InfeasibleFamilyError(
-                f"dynamic family cannot attain expected revenue {fixed_cost!r}; "
-                f"maximum attainable is {rs_max!r}",
-                attainable_max=rs_max,
-            )
-        t_lo, t_hi = 0.0, _REVENUE_MAX_T
-        rs_lo = settled(price_at(t_lo))
-        step = 0.5
-        while rs_lo > fixed_cost:
-            t_lo -= step
-            step *= 2.0
-            if t_lo < -1e6:
-                raise ArithmeticError("dynamic-family bracket expansion failed")
-            rs_lo = settled(price_at(t_lo))
-        for _ in range(200):
-            mid = 0.5 * (t_lo + t_hi)
-            if mid == t_lo or mid == t_hi:
-                break
-            if settled(price_at(mid)) < fixed_cost:
-                t_lo = mid
-            else:
-                t_hi = mid
-        t_star = t_hi if abs(settled(price_at(t_hi)) - fixed_cost) <= abs(
-            settled(price_at(t_lo)) - fixed_cost
-        ) else t_lo
-        pi_star = price_at(t_star)
+        direction = _choke_prices(model, scenario_set, case, fleet) - lam_bar
+        t_star, _ = _ray_roots(family, model, scenario_set, case, fixed_cost, lam_bar, direction, fleet)
+        pi_star = lam_bar + t_star * direction
         new_fleet = customer_fleet_meter(case, model.n_classes, pi_star).sum(axis=0)
         if np.array_equal(new_fleet, fleet):
             break
@@ -653,7 +644,7 @@ def _solve_dynamic(
     else:
         notes.append(f"storage fixed point not converged after {_DYNAMIC_FLEET_ROUNDS} rounds")
     tariff = TwoPartTariff(charge, pi_star)
-    residual = settled(pi_star) - fixed_cost
+    residual = expected_retailer_surplus(tariff, model, scenario_set, case) - fixed_cost
     if abs(residual) > ADEQUACY_RTOL * max(1.0, abs(fixed_cost)):
         raise RevenueAdequacyError(
             f"dynamic-family revenue residual {residual!r} exceeds tolerance"

@@ -183,6 +183,16 @@ def test_xsub_at_zero_fixed_cost_exits_2(study_dir, tmp_path, out_dir, capsys):
     assert err.startswith("error:") and "F = 0" in err
 
 
+@pytest.mark.parametrize("field", ["storage_capacity_kwh", "storage_power_kw"])
+def test_zero_storage_size_rejected_at_validation(study_dir, tmp_path, out_dir, capsys, field):
+    config = rewrite_config(study_dir, tmp_path, der={field: 0.0})
+    message = f"der.{field} must be positive"
+    assert cli.main(["validate", str(config)]) == 2
+    assert f"FAIL config parses: {message}" in capsys.readouterr().out
+    assert cli.main(["sweep", str(config), "--mode", "decentralized"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_output_dir_env_override(study_dir, tmp_path, monkeypatch):
     target = tmp_path / "elsewhere"
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(target))

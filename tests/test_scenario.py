@@ -182,12 +182,6 @@ def test_with_pv_capacity_requires_solar_profile():
         sc.with_pv_capacity(three_day_set(), customer_kw=[-1.0])
 
 
-def test_local_state_key_distinguishes_solar():
-    a = sc.make_scenario(0.5, [1.0, 2.0], [[0.0, 0.0]], solar_unit=[0.1, 0.0])
-    b = sc.make_scenario(0.5, [1.0, 2.0], [[0.0, 0.0]], solar_unit=[0.2, 0.0])
-    assert a.local_state_key() != b.local_state_key()
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     hst.lists(

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from tariffkit import demand as dm
 from tariffkit import ingest
+from tariffkit import oracle
 from tariffkit import scenario as sc
 from tariffkit import storage as st
 from tariffkit import tariff as tf
@@ -271,3 +274,83 @@ def test_unconverged_fleet_fixed_point_is_noted(study):
     family = tf.TariffFamily(kind=tf.DYNAMIC_ZERO_A)
     report = tf.optimize_family_report(family, study.model, swept, case, study.fixed_cost)
     assert "storage fixed point not converged after 20 rounds" in report.notes
+
+
+def test_dynamic_solve_work_is_bounded(study):
+    # one ray solve per choke round keeps the storage LP count in the tens
+    config = study.config
+    swept, case = wf.sweep_fixture(
+        study.model, study.scenario_set, tf.MODE_DECENTRALIZED, 1100e3,
+        config.storage_per_pv_kwh_per_kw, ingest.storage_unit_spec(config), config.pv_unit_kw,
+    )
+    st._solve.cache_clear()
+    tf.optimize_family_report(
+        tf.TariffFamily(kind=tf.DYNAMIC_ZERO_A), study.model, swept, case, study.fixed_cost
+    )
+    assert st._solve.cache_info().misses <= 40
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=hst.integers(0, 2**16),
+    correlated=hst.booleans(),
+    n_classes=hst.integers(1, 4),
+    horizon=hst.integers(2, 8),
+    mode=hst.sampled_from([tf.MODE_NONE, tf.MODE_DECENTRALIZED, tf.MODE_CENTRALIZED]),
+)
+def test_ray_quadratic_reproduces_settled_revenue(seed, correlated, n_classes, horizon, mode):
+    model, ss = fixture(correlated=correlated, n_classes=n_classes, horizon=horizon, seed=seed)
+    case = {
+        tf.MODE_NONE: tf.no_der(),
+        tf.MODE_DECENTRALIZED: tf.decentralized_case(),
+        tf.MODE_CENTRALIZED: tf.centralized_case(st.powerwall(), 3.0),
+    }[mode]
+    rng = np.random.default_rng(seed)
+    charge = float(rng.uniform(-1.0, 1.0))
+    origin = rng.uniform(-0.1, 0.4, size=horizon)
+    direction = rng.normal(size=horizon)
+    coeffs = tf._ray_quadratic(model, ss, case, charge, np.zeros(horizon), origin, direction)
+    for x in rng.uniform(-2.0, 2.0, size=3):
+        rs = tf.expected_retailer_surplus(
+            tf.TwoPartTariff(charge, origin + x * direction), model, ss, case
+        )
+        assert np.polyval(coeffs, x) == pytest.approx(rs, rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=hst.integers(0, 2**16),
+    correlated=hst.booleans(),
+    n_classes=hst.integers(1, 4),
+    horizon=hst.integers(3, 8),
+    kind=hst.sampled_from([tf.FLAT_FIXED_A, tf.FLAT_ZERO_A, tf.DYNAMIC_FIXED_A, tf.DYNAMIC_ZERO_A]),
+    revenue_share=hst.floats(0.2, 1.5),
+)
+def test_restricted_families_settle_with_customer_fleet(
+    seed, correlated, n_classes, horizon, kind, revenue_share
+):
+    model, ss = fixture(correlated=correlated, n_classes=n_classes, horizon=horizon, seed=seed)
+    rng = np.random.default_rng(seed)
+    spec = st.StorageSpec(
+        capacity_kwh=float(rng.uniform(1.0, 10.0)),
+        charge_rate_kw=float(rng.uniform(0.5, 5.0)),
+        discharge_rate_kw=float(rng.uniform(0.5, 5.0)),
+        efficiency=float(rng.uniform(0.85, 0.99)),
+    )
+    case = tf.decentralized_case(spec, rng.uniform(0.0, 3.0, size=n_classes))
+    family = tf.TariffFamily(
+        kind=kind, fixed_connection_charge=0.3 if kind.endswith("fixed-A") else None
+    )
+    margin = tf.expected_margin(np.full(horizon, 0.2), model, ss, tf.no_der())
+    f = model.customers * family.connection_charge + revenue_share * margin
+    try:
+        report = tf.optimize_family_report(family, model, ss, case, f)
+    except tf.InfeasibleFamilyError:
+        return
+    # at a non-positive flat price the storage optimum is degenerate, and
+    # alternate schedules settle differently scenario by scenario
+    assume(np.all(report.tariff.prices > 0.0))
+    settled = oracle.settlement_resim(report.tariff, model, ss, case).retailer_surplus
+    assert abs(settled - f) <= 1e-7 * max(1.0, abs(f))
+    if report.multiplier_t is not None:
+        assert report.multiplier_t <= 0.5
