@@ -7,8 +7,8 @@ required revenue, base-case anchors).  Floats in tables are formatted at 12
 significant digits and rows are emitted in a fixed order, so re-running a
 command with identical inputs reproduces the files byte for byte.
 
-Exit codes: 0 success, 2 validation failure, 3 infeasible study, 4 I/O
-error.
+Exit codes: 0 success, 2 validation failure or numerical solver failure,
+3 infeasible study, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from pathlib import Path
 from . import __version__
 from . import demand as dm
 from . import ingest
+from . import simplex
 from . import tariff as tf
 from . import welfare as wf
 
@@ -462,7 +463,10 @@ def main(argv=None) -> int:
     except tf.InfeasibleFamilyError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ingest.ConfigError, ingest.DataError, tf.TariffError, ValueError) as exc:
+    except (
+        ingest.ConfigError, ingest.DataError, tf.TariffError, ValueError,
+        ArithmeticError, simplex.UnboundedError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -41,7 +41,8 @@ def maximize(c, G, h) -> tuple[np.ndarray, float]:
     T[:m, n : n + m] = np.eye(m)
     T[:m, -1] = h
     T[m, :n] = -c
-    basis = list(range(n, n + m))
+    rhs = T[:, -1]
+    basis = np.arange(n, n + m)
 
     bland = False
     stalled = 0
@@ -49,33 +50,34 @@ def maximize(c, G, h) -> tuple[np.ndarray, float]:
     for _ in range(MAX_ITERATIONS):
         obj = T[m, : n + m]
         if bland:
-            candidates = np.nonzero(obj < -PIVOT_TOL)[0]
+            candidates = (obj < -PIVOT_TOL).nonzero()[0]
             if candidates.size == 0:
                 break
             j = int(candidates[0])
         else:
-            j = int(np.argmin(obj))
+            j = int(obj.argmin())
             if obj[j] >= -PIVOT_TOL:
                 break
 
         col = T[:m, j]
-        eligible = np.nonzero(col > PIVOT_TOL)[0]
+        eligible = (col > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             raise UnboundedError(f"LP unbounded along column {j}")
-        ratios = T[eligible, -1] / col[eligible]
-        best = np.min(ratios)
+        ratios = rhs[eligible] / col[eligible]
+        best = ratios.min()
         ties = eligible[ratios <= best + PIVOT_TOL * max(1.0, abs(best))]
         # smallest basis index among ties keeps the pivot sequence deterministic
-        row = int(min(ties, key=lambda i: basis[i]))
+        row = int(ties[basis[ties].argmin()])
 
-        pivot = T[row, j]
-        T[row] /= pivot
+        T[row] /= T[row, j]
         factors = T[:, j].copy()
         factors[row] = 0.0
-        T -= np.outer(factors, T[row])
+        # rows with a zero factor would only subtract zeros
+        rows = factors.nonzero()[0]
+        T[rows] -= factors[rows, None] * T[row]
         basis[row] = j
 
-        objective = T[m, -1]
+        objective = rhs[m]
         if objective <= last_objective + PIVOT_TOL:
             stalled += 1
             if stalled >= DEGENERATE_STREAK:
@@ -87,6 +89,5 @@ def maximize(c, G, h) -> tuple[np.ndarray, float]:
         raise ArithmeticError("simplex iteration limit exceeded")
 
     x = np.zeros(n + m)
-    for i, var in enumerate(basis):
-        x[var] = T[i, -1]
-    return x[:n], float(T[m, -1])
+    x[basis] = rhs[:m]
+    return x[:n], float(rhs[m])

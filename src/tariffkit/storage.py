@@ -6,6 +6,10 @@ and maximize the value of energy sold minus energy bought.  With unit
 efficiency, unlimited rates and zero initial charge this reduces exactly to
 maximizing pi^T s over the set of schedules whose running withdrawals stay
 inside [0, capacity].
+
+Only the objective depends on the prices.  The constraint matrix and
+right-hand side are built once per (spec, horizon) and cached as read-only
+arrays; solved schedules are cached per (spec, price bytes).
 """
 
 from __future__ import annotations
@@ -101,6 +105,30 @@ def _caps(spec: StorageSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.full(n, c_cap), np.full(n, d_cap)
 
 
+@lru_cache(maxsize=64)
+def _constraints(spec: StorageSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (G, h) of the unit LP; they do not depend on the prices."""
+    theta = spec.capacity_kwh
+    eta = spec.efficiency
+    soc0 = spec.initial_charge_kwh
+    c_cap, d_cap = _caps(spec, n)
+    # variables x = (charge_1..N, discharge_1..N)
+    lower = np.tri(n)  # prefix-sum operator
+    soc_step = np.hstack([eta * lower, -lower / eta])
+    G = np.vstack(
+        [
+            soc_step,  # soc_k - soc0 <= theta - soc0
+            -soc_step,  # soc0 - soc_k <= soc0
+            np.hstack([np.eye(n), np.zeros((n, n))]),
+            np.hstack([np.zeros((n, n)), np.eye(n)]),
+        ]
+    )
+    h = np.concatenate([np.full(n, theta - soc0), np.full(n, soc0), c_cap, d_cap])
+    G.setflags(write=False)
+    h.setflags(write=False)
+    return G, h
+
+
 @lru_cache(maxsize=1024)
 def _solve(spec: StorageSpec, price_bytes: bytes, n: int) -> StorageSchedule:
     prices = np.frombuffer(price_bytes, dtype=float)
@@ -115,20 +143,8 @@ def _solve(spec: StorageSpec, price_bytes: bytes, n: int) -> StorageSchedule:
         soc.setflags(write=False)
         return StorageSchedule(zero, zero, zero, soc, 0.0)
 
-    c_cap, d_cap = _caps(spec, n)
-    # variables x = (charge_1..N, discharge_1..N)
+    G, h = _constraints(spec, n)
     obj = np.concatenate([-prices, prices])
-    lower = np.tri(n)  # prefix-sum operator
-    soc_step = np.hstack([eta * lower, -lower / eta])
-    G = np.vstack(
-        [
-            soc_step,  # soc_k - soc0 <= theta - soc0
-            -soc_step,  # soc0 - soc_k <= soc0
-            np.hstack([np.eye(n), np.zeros((n, n))]),
-            np.hstack([np.zeros((n, n)), np.eye(n)]),
-        ]
-    )
-    h = np.concatenate([np.full(n, theta - soc0), np.full(n, soc0), c_cap, d_cap])
     x, value = simplex.maximize(obj, G, h)
 
     charge = np.where(np.abs(x[:n]) < _ZERO_TOL, 0.0, x[:n])

@@ -215,13 +215,15 @@ def customer_fleet_meter(case: IntegrationCase, n_classes: int, prices) -> np.nd
     units = case.customer_storage_units
     if units.size != n_classes:
         raise ValueError(f"storage units for {units.size} classes, model has {n_classes}")
+    if not units.any():
+        return np.zeros((n_classes, prices.size))
     _, schedule = st.arbitrage_value(case.customer_storage, prices)
     return np.outer(units, schedule.meter_energy)
 
 
 def customer_fleet_value(case: IntegrationCase, prices) -> float:
     """Total arbitrage value of the customer fleet at the given prices."""
-    if not case.uses_customer_der or case.customer_storage is None:
+    if not case.uses_customer_der or case.customer_storage is None or not case.customer_storage_units.any():
         return 0.0
     value, _ = st.arbitrage_value(case.customer_storage, as_price_vector(prices))
     return float(case.customer_storage_units.sum()) * value
@@ -472,9 +474,13 @@ class FamilyReport:
     when the family is flat; ``multiplier_t`` is the dynamic price's
     coordinate on the Ramsey line t * choke + (1-t) * expected price, the
     lower root of the revenue quadratic along that line; ``residual`` is the
-    settled-revenue error at the returned tariff.  ``notes`` flags a
-    negative connection charge and a dynamic choke-point fixed point that
-    ended at its round cap unconverged.
+    settled-revenue error at the returned tariff.  For the dynamic kinds,
+    ``fleet_rounds`` counts the choke-point rounds solved and
+    ``cycle_length`` is the period of the fleet cycle that ended them: 1
+    when the fixed point converged, 2 or more when the fleet alternated
+    between schedules, 0 when the round cap was hit with no repeat; both
+    are 0 for the other kinds.  ``notes`` flags a negative connection
+    charge, a fleet cycle longer than 1, and a round cap hit.
     """
 
     tariff: TwoPartTariff
@@ -484,6 +490,8 @@ class FamilyReport:
     multiplier_t: float | None = None
     residual: float = 0.0
     notes: tuple[str, ...] = ()
+    fleet_rounds: int = 0
+    cycle_length: int = 0
 
 
 def _ray_quadratic(
@@ -626,23 +634,47 @@ def _solve_dynamic(
     point assumes, settled revenue along the line is a quadratic peaking at
     t = 1/2, and the revenue-adequate member is its lower root
     (:func:`_ray_roots`).  The choke point is refreshed in an outer loop
-    until the fleet response at that root is the one it assumed; when that
-    loop ends at its round cap the report carries a note.
+    that stops as soon as the fleet response at that root repeats a fleet
+    an earlier round assumed.  The rounds from that one on form a cycle;
+    each member is revenue-adequate (its fleet is settled at its own root),
+    and the one with the most expected consumer surplus is returned, the
+    earliest on a tie.  A cycle of length 1 is a converged fixed point.
+    When the loop ends at its round cap with no repeat, the last round's
+    tariff is returned and the report carries a note.
     """
     charge = family.connection_charge
     lam_bar = expect_price(scenario_set)
     fleet = customer_fleet_meter(case, model.n_classes, lam_bar).sum(axis=0)
-    notes = []
+    # fleet bytes -> round that assumed it; + 0.0 folds -0.0 into 0.0
+    assumed = {}
+    rounds = []  # (t, prices) per round
+    cycle_start = None
     for _ in range(_DYNAMIC_FLEET_ROUNDS):
+        assumed[(fleet + 0.0).tobytes()] = len(rounds)
         direction = _choke_prices(model, scenario_set, case, fleet) - lam_bar
-        t_star, _ = _ray_roots(family, model, scenario_set, case, fixed_cost, lam_bar, direction, fleet)
-        pi_star = lam_bar + t_star * direction
-        new_fleet = customer_fleet_meter(case, model.n_classes, pi_star).sum(axis=0)
-        if np.array_equal(new_fleet, fleet):
+        t, _ = _ray_roots(family, model, scenario_set, case, fixed_cost, lam_bar, direction, fleet)
+        rounds.append((t, lam_bar + t * direction))
+        fleet = customer_fleet_meter(case, model.n_classes, rounds[-1][1]).sum(axis=0)
+        cycle_start = assumed.get((fleet + 0.0).tobytes())
+        if cycle_start is not None:
             break
-        fleet = new_fleet
-    else:
+    notes = []
+    if cycle_start is None:
+        cycle = rounds[-1:]
+        cycle_length = 0
         notes.append(f"storage fixed point not converged after {_DYNAMIC_FLEET_ROUNDS} rounds")
+    else:
+        cycle = rounds[cycle_start:]
+        cycle_length = len(cycle)
+    best = 0
+    if len(cycle) > 1:
+        surpluses = [
+            expected_consumer_surplus(TwoPartTariff(charge, pi), model, scenario_set, case)
+            for _, pi in cycle
+        ]
+        best = int(np.argmax(surpluses))
+        notes.append(f"storage fixed point cycles with period {cycle_length}")
+    t_star, pi_star = cycle[best]
     tariff = TwoPartTariff(charge, pi_star)
     residual = expected_retailer_surplus(tariff, model, scenario_set, case) - fixed_cost
     if abs(residual) > ADEQUACY_RTOL * max(1.0, abs(fixed_cost)):
@@ -652,7 +684,13 @@ def _solve_dynamic(
     if charge < 0.0:
         notes.append("negative connection charge")
     return FamilyReport(
-        tariff=tariff, kind=family.kind, multiplier_t=t_star, residual=residual, notes=tuple(notes)
+        tariff=tariff,
+        kind=family.kind,
+        multiplier_t=t_star,
+        residual=residual,
+        notes=tuple(notes),
+        fleet_rounds=len(rounds),
+        cycle_length=cycle_length,
     )
 
 

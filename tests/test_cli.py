@@ -4,7 +4,8 @@ import json
 import pytest
 import yaml
 
-from tariffkit import cli, ingest
+from tariffkit import cli, ingest, simplex
+from tariffkit import storage as st
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +192,22 @@ def test_zero_storage_size_rejected_at_validation(study_dir, tmp_path, out_dir, 
     assert f"FAIL config parses: {message}" in capsys.readouterr().out
     assert cli.main(["sweep", str(config), "--mode", "decentralized"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("failure", [
+    ArithmeticError("simplex iteration limit exceeded"),
+    simplex.UnboundedError("LP unbounded along column 3"),
+])
+def test_numerical_solver_failure_exits_2(study_dir, out_dir, capsys, monkeypatch, failure):
+    def failing(c, G, h):
+        raise failure
+
+    monkeypatch.setattr(simplex, "maximize", failing)
+    st._solve.cache_clear()  # a cached schedule would skip the LP
+    code = cli.main(["optimize", str(study_dir / "study.yaml"), "--mode", "decentralized",
+                     "--capacity-kw", "500"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {failure}\n"
 
 
 def test_output_dir_env_override(study_dir, tmp_path, monkeypatch):

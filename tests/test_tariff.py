@@ -263,26 +263,59 @@ def test_fleet_value_linear_in_units():
     assert v_frac == pytest.approx(2.5 * v1, rel=1e-12)
 
 
-def test_unconverged_fleet_fixed_point_is_noted(study):
-    # on the shipped 20-day study the dynamic solve's customer fleet keeps
-    # switching schedules at 0.55 GW, so the fleet loop ends at its cap
+def _swept(study, capacity_kw):
     config = study.config
-    swept, case = wf.sweep_fixture(
-        study.model, study.scenario_set, tf.MODE_DECENTRALIZED, 550e3,
+    return wf.sweep_fixture(
+        study.model, study.scenario_set, tf.MODE_DECENTRALIZED, capacity_kw,
         config.storage_per_pv_kwh_per_kw, ingest.storage_unit_spec(config), config.pv_unit_kw,
     )
+
+
+def test_dynamic_fleet_cycle_returns_best_member(study):
+    # on the shipped 20-day study the customer fleet alternates between two
+    # schedules at 0.55 GW; the loop stops at the first repeat
+    swept, case = _swept(study, 550e3)
+    model, fixed_cost = study.model, study.fixed_cost
     family = tf.TariffFamily(kind=tf.DYNAMIC_ZERO_A)
-    report = tf.optimize_family_report(family, study.model, swept, case, study.fixed_cost)
-    assert "storage fixed point not converged after 20 rounds" in report.notes
+    report = tf.optimize_family_report(family, model, swept, case, fixed_cost)
+    assert report.cycle_length == 2
+    assert report.fleet_rounds <= 4
+    assert report.notes == ("storage fixed point cycles with period 2",)
+
+    # walk the cycle from the returned member and back
+    lam_bar = sc.expect_price(swept)
+    members = [report.tariff.prices]
+    for _ in range(report.cycle_length):
+        fleet = tf.customer_fleet_meter(case, model.n_classes, members[-1]).sum(axis=0)
+        direction = tf._choke_prices(model, swept, case, fleet) - lam_bar
+        t, _ = tf._ray_roots(family, model, swept, case, fixed_cost, lam_bar, direction, fleet)
+        members.append(lam_bar + t * direction)
+    np.testing.assert_array_equal(members[-1], members[0])
+    assert not np.array_equal(members[1], members[0])
+    best = tf.expected_consumer_surplus(report.tariff, model, swept, case)
+    for prices in members[1:-1]:
+        member = tf.TwoPartTariff(0.0, prices)
+        assert best >= tf.expected_consumer_surplus(member, model, swept, case)
+        residual = tf.expected_retailer_surplus(member, model, swept, case) - fixed_cost
+        assert abs(residual) <= tf.ADEQUACY_RTOL * fixed_cost
+
+
+def test_dynamic_fleet_without_storage_converges_without_lp(study):
+    # at zero capacity every class holds zero storage units
+    swept, case = _swept(study, 0.0)
+    st._solve.cache_clear()
+    report = tf.optimize_family_report(
+        tf.TariffFamily(kind=tf.DYNAMIC_ZERO_A), study.model, swept, case, study.fixed_cost
+    )
+    assert st._solve.cache_info().misses == 0
+    assert report.cycle_length == 1
+    assert report.fleet_rounds == 1
+    assert report.notes == ()
 
 
 def test_dynamic_solve_work_is_bounded(study):
     # one ray solve per choke round keeps the storage LP count in the tens
-    config = study.config
-    swept, case = wf.sweep_fixture(
-        study.model, study.scenario_set, tf.MODE_DECENTRALIZED, 1100e3,
-        config.storage_per_pv_kwh_per_kw, ingest.storage_unit_spec(config), config.pv_unit_kw,
-    )
+    swept, case = _swept(study, 1100e3)
     st._solve.cache_clear()
     tf.optimize_family_report(
         tf.TariffFamily(kind=tf.DYNAMIC_ZERO_A), study.model, swept, case, study.fixed_cost
