@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from . import demand as dm
 from . import ingest
 from . import simplex
 from . import tariff as tf
@@ -83,32 +82,32 @@ def build_manifest(study: ingest.Study, anchors: wf.BaseAnchors, tables: dict[st
     }
 
 
-def _write_manifest(out_dir: Path, name: str, manifest: dict) -> Path:
-    path = out_dir / f"{name}_manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return path
+def _emit(study: ingest.Study, anchors: wf.BaseAnchors, name: str, meta: list[str],
+          header: list[str], rows: list[list[str]]) -> Path:
+    """Write ``<name>.csv`` and ``<name>_manifest.json``; returns the table path.
 
-
-def _write_table(path: Path, kind: str, manifest: dict, meta: list[str],
-                 header: list[str], rows: list[list[str]]) -> None:
+    The directory is ``$TARIFFKIT_OUTPUT_DIR`` if set, else the study's
+    ``output_dir``; it is created when missing.
+    """
+    out = Path(os.environ.get(OUTPUT_DIR_ENV) or study.config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{name}.csv"
+    manifest = build_manifest(study, anchors, {name: path.name})
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# tariffkit {kind}\n")
+        fh.write(f"# tariffkit {name}\n")
         fh.write(f"# version: {__version__}\n")
         fh.write(f"# manifest: {manifest['manifest_hash']}\n")
-        fh.write(f"# fixed_cost_usd_per_day: {_fmt(manifest['fixed_cost_usd_per_day'])}\n")
-        anchors = manifest["anchors"]
-        fh.write(f"# base_revenue_usd_per_day: {_fmt(anchors['revenue_usd_per_day'])}\n")
+        fh.write(f"# fixed_cost_usd_per_day: {_fmt(study.fixed_cost)}\n")
+        fh.write(f"# base_revenue_usd_per_day: {_fmt(anchors.revenue)}\n")
         for line in meta:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _out_dir(config: ingest.StudyConfig) -> Path:
-    out = Path(os.environ.get(OUTPUT_DIR_ENV) or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    (out / f"{name}_manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+    return path
 
 
 def _load_study(args) -> tuple[ingest.Study, wf.BaseAnchors]:
@@ -146,7 +145,7 @@ def cmd_validate(args) -> int:
 
     report = check(
         "assumption 1 (price response negative definite)",
-        lambda: _assumption1_or_raise(study),
+        lambda: tf.require_assumption1(study.model),
     )
     if report is not None:
         print(
@@ -172,15 +171,6 @@ def cmd_validate(args) -> int:
         return 2
     print("validation passed")
     return 0
-
-
-def _assumption1_or_raise(study: ingest.Study) -> dm.Assumption1Report:
-    report = dm.validate_assumption1(study.model)
-    if not report.passed:
-        raise tf.ModelAssumptionError(
-            f"aggregate demand jacobian not negative definite, max eigenvalue {report.eig_max:.6g}"
-        )
-    return report
 
 
 def cmd_optimize(args) -> int:
@@ -219,8 +209,6 @@ def cmd_optimize(args) -> int:
     if result.notes:
         print(f"notes: {'; '.join(result.notes)}")
 
-    out = _out_dir(study.config)
-    manifest = build_manifest(study, anchors, {"optimize": "optimize.csv"})
     header = (
         ["family", "mode", "pv_capacity_kw", "fixed_cost_usd_per_day",
          "connection_charge_usd_per_day", "consumer_surplus_usd_per_day",
@@ -234,9 +222,7 @@ def cmd_optimize(args) -> int:
          _fmt(report.retailer_surplus), _fmt(report.social_welfare), _fmt(residual)]
         + [_fmt(p) for p in tariff.prices]
     )
-    _write_table(out / "optimize.csv", "optimize", manifest,
-                 [f"family: {args.family}", f"mode: {args.mode}"], header, [row])
-    _write_manifest(out, "optimize", manifest)
+    _emit(study, anchors, "optimize", [f"family: {args.family}", f"mode: {args.mode}"], header, [row])
     return 0
 
 
@@ -284,17 +270,14 @@ def cmd_pareto(args) -> int:
     if feasible_cells == 0:
         raise tf.InfeasibleFamilyError("every (family, F) cell is infeasible", math.nan)
 
-    out = _out_dir(study.config)
-    manifest = build_manifest(study, anchors, {"pareto": "pareto.csv"})
-    _write_table(
-        out / "pareto.csv", "pareto", manifest,
+    path = _emit(
+        study, anchors, "pareto",
         ["gains normalized by base revenue"],
         ["family", "fixed_cost_usd_per_day", "rs_gain", "cs_gain",
          "connection_charge_usd_per_day", "mean_price_usd_per_kwh", "reason"],
         rows,
     )
-    _write_manifest(out, "pareto", manifest)
-    print(f"wrote {out / 'pareto.csv'}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -332,17 +315,14 @@ def cmd_sweep(args) -> int:
     if feasible_cells == 0:
         raise tf.InfeasibleFamilyError("every sweep cell is infeasible", math.nan)
 
-    out = _out_dir(study.config)
-    manifest = build_manifest(study, anchors, {"sweep": "sweep.csv"})
-    _write_table(
-        out / "sweep.csv", "sweep", manifest,
+    path = _emit(
+        study, anchors, "sweep",
         [f"mode: {args.mode}", "gains normalized by base revenue"],
         ["capacity_kw", "family", "cs_gain", "sw_gain",
          "connection_charge_usd_per_day", "mean_price_usd_per_kwh", "reason"],
         rows,
     )
-    _write_manifest(out, "sweep", manifest)
-    print(f"wrote {out / 'sweep.csv'}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -374,18 +354,15 @@ def cmd_xsub(args) -> int:
     if feasible_cells == 0:
         raise tf.InfeasibleFamilyError("every cross-subsidy cell is infeasible", math.nan)
 
-    out = _out_dir(study.config)
-    manifest = build_manifest(study, anchors, {"xsub": "xsub.csv"})
-    _write_table(
-        out / "xsub.csv", "xsub", manifest,
+    path = _emit(
+        study, anchors, "xsub",
         ["subsidy normalized by required revenue F"],
         ["family", "capacity_kw", "owner_count",
          "owner_contribution_net_metering_usd_per_day",
          "owner_contribution_separated_usd_per_day", "subsidy_norm", "reason"],
         rows,
     )
-    _write_manifest(out, "xsub", manifest)
-    print(f"wrote {out / 'xsub.csv'}")
+    print(f"wrote {path}")
     return 0
 
 

@@ -90,10 +90,13 @@ class StorageSchedule:
     value: float
 
 
-def _caps(spec: StorageSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Infinite rates are replaced by one-period fill/drain caps, an exact
-    # reformulation at unit efficiency (a period cannot usefully move more
-    # than the capacity).
+def rate_caps(spec: StorageSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-period charge and discharge energy caps, capacity-capped if unrated.
+
+    Infinite rates are replaced by one-period fill/drain caps, an exact
+    reformulation at unit efficiency (a period cannot usefully move more
+    than the capacity).
+    """
     h = spec.period_hours
     eta = spec.efficiency
     c_cap = spec.charge_rate_kw * h
@@ -111,7 +114,7 @@ def _constraints(spec: StorageSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     theta = spec.capacity_kwh
     eta = spec.efficiency
     soc0 = spec.initial_charge_kwh
-    c_cap, d_cap = _caps(spec, n)
+    c_cap, d_cap = rate_caps(spec, n)
     # variables x = (charge_1..N, discharge_1..N)
     lower = np.tri(n)  # prefix-sum operator
     soc_step = np.hstack([eta * lower, -lower / eta])
@@ -174,8 +177,3 @@ def fleet_value(specs, prices) -> float:
     """Total arbitrage value of a collection of units at common prices."""
     prices = as_price_vector(prices)
     return math.fsum(arbitrage_value(spec, prices)[0] for spec in specs)
-
-
-def rate_caps(spec: StorageSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-period charge and discharge energy caps, capacity-capped if unrated."""
-    return _caps(spec, n)

@@ -2,10 +2,15 @@
 
 The retailer recovers a fixed cost F from M customers through an ex-ante
 tariff T(q) = A + pi^T q, with expected revenue pinned to F (revenue
-adequacy) and prices chosen to maximize expected consumer surplus.  The
-surplus-maximizing volumetric price equals the expected wholesale price,
-with a covariance correction to the connection charge A; distributed
-resources shift A but never the prices.
+adequacy) and prices chosen to maximize expected consumer surplus.  In
+every integration mode the surplus-maximizing prices equal the expected
+wholesale price and the connection charge has one closed form,
+
+    A = (F + tr cov(lambda, D_metered) - retailer DER value) / M,
+
+where D_metered is the aggregate class disturbance, less customer
+renewables when they sit behind the meter.  Distributed resources shift A
+but never the prices.
 
 The restricted families pin A and price along a ray: flat prices p * 1,
 dynamic prices on the Ramsey line from the expected price toward the
@@ -23,6 +28,7 @@ suite holds them to each other.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -265,6 +271,23 @@ def retailer_der_offset(case: IntegrationCase, scenario_set: ScenarioSet) -> flo
 # expectation accounting (closed-form path)
 
 
+def _metered_disturbance(
+    model: dm.DemandModel,
+    scenario_set: ScenarioSet,
+    case: IntegrationCase,
+) -> np.ndarray:
+    """Price-independent part of metered aggregate demand (S, N).
+
+    The class disturbances summed over customers, less customer renewables
+    when they sit behind the meter.  This is the one place in the
+    closed-form path that reads the customer side of the integration case.
+    """
+    metered = np.einsum("c,scn->sn", model.class_counts, scenario_set.disturbance_tensor)
+    if case.uses_customer_der:
+        metered = metered - scenario_set.customer_renewable_tensor.sum(axis=1)
+    return metered
+
+
 def _net_demand_by_scenario(
     prices: np.ndarray,
     model: dm.DemandModel,
@@ -274,16 +297,11 @@ def _net_demand_by_scenario(
 ) -> np.ndarray:
     """Metered aggregate demand (S, N): gross minus behind-the-meter resources.
 
-    ``fleet`` is the total meter-side customer storage vector (N,).
+    ``fleet`` is the total meter-side customer storage vector (N,), zero
+    unless customers hold storage.
     """
-    gross = (
-        model.sigma_total * (model.base - model.slope @ prices)[None, :]
-        + np.einsum("c,scn->sn", model.class_counts, scenario_set.disturbance_tensor)
-    )
-    if case.uses_customer_der:
-        gross = gross - scenario_set.customer_renewable_tensor.sum(axis=1)
-        gross = gross - fleet[None, :]
-    return gross
+    response = model.sigma_total * (model.base - model.slope @ prices)
+    return response[None, :] + _metered_disturbance(model, scenario_set, case) - fleet[None, :]
 
 
 def expected_margin(prices, model: dm.DemandModel, scenario_set: ScenarioSet, case: IntegrationCase) -> float:
@@ -315,44 +333,40 @@ def expected_consumer_surplus(
     """Expected consumer surplus of a tariff, $ per day (closed-form path).
 
     Uses the quadratic identity S(D) - pi^T D = v^T B^{-1} v / (2 sigma)
-    + sigma pi^T B pi / 2 - pi^T v with v = sigma b0 + w, instead of
-    evaluating S at the consumption bundle (the welfare module does the
-    latter; the two are held to each other by the tests).
+    + sigma pi^T B pi / 2 - pi^T v with v = sigma b0 + w per customer,
+    instead of evaluating S at the consumption bundle (the welfare module
+    does the latter; the two are held to each other by the tests).  Summed
+    over customers and netted against behind-the-meter resources, the bill
+    term is pi^T (sigma_total b0 + E[metered disturbance] - fleet).
     """
     pi = as_price_vector(tariff.prices, model.horizon)
-    dist = scenario_set.disturbance_tensor  # (S, C, N)
-    v = model.sigma[None, :, None] * model.base[None, None, :] + dist
+    probs = scenario_set.probabilities
+    v = model.sigma[None, :, None] * model.base[None, None, :] + scenario_set.disturbance_tensor
     binv_v = np.einsum("nm,scm->scn", model.slope_inverse, v)
-    quad_v = np.einsum("scn,scn->sc", v, binv_v)
-    pi_b_pi = float(pi @ (model.slope @ pi))
-    net_benefit = (
-        quad_v / (2.0 * model.sigma[None, :])
-        + 0.5 * pi_b_pi * model.sigma[None, :]
-        - np.einsum("n,scn->sc", pi, v)
-    )  # (S, C) per-customer
-    per_scenario = net_benefit @ model.class_counts
-    cs = float(scenario_set.probabilities @ per_scenario)
-    cs -= model.customers * tariff.connection_charge
-    if case.uses_customer_der:
-        renewable_credit = np.einsum(
-            "s,sn,n->", scenario_set.probabilities,
-            scenario_set.customer_renewable_tensor.sum(axis=1), pi,
-        )
-        fleet = customer_fleet_meter(case, model.n_classes, pi).sum(axis=0)
-        cs += float(renewable_credit) + float(pi @ fleet)
-    return cs
+    quad_v = np.einsum("scn,scn->sc", v, binv_v)  # (S, C) per customer
+    gross_benefit = float(probs @ (quad_v @ (model.class_counts / (2.0 * model.sigma))))
+    fleet = customer_fleet_meter(case, model.n_classes, pi).sum(axis=0)
+    billed = model.sigma_total * model.base + probs @ _metered_disturbance(model, scenario_set, case) - fleet
+    return (
+        gross_benefit
+        + 0.5 * model.sigma_total * float(pi @ (model.slope @ pi))
+        - float(pi @ billed)
+        - model.customers * tariff.connection_charge
+    )
 
 
 # ---------------------------------------------------------------------------
 # optimal two-part tariffs
 
 
-def _require_assumption1(model: dm.DemandModel) -> None:
+def require_assumption1(model: dm.DemandModel) -> dm.Assumption1Report:
+    """Certify Assumption 1 or raise :class:`ModelAssumptionError`."""
     report = dm.validate_assumption1(model)
     if not report.passed:
         raise ModelAssumptionError(
-            f"expected demand is not strictly monotone (max sym eig {report.eig_max})"
+            f"aggregate demand jacobian not negative definite, max eigenvalue {report.eig_max:.6g}"
         )
+    return report
 
 
 def connection_charge_for(
@@ -372,22 +386,38 @@ def connection_charge_for(
     return (fixed_cost - margin - retailer_der_offset(case, scenario_set)) / model.customers
 
 
-def _agreed_tariff(
-    a_closed: float,
-    prices: np.ndarray,
+def optimal_two_part(
     model: dm.DemandModel,
     scenario_set: ScenarioSet,
     case: IntegrationCase,
     fixed_cost: float,
 ) -> TwoPartTariff:
-    """The tariff at ``prices`` once the closed-form and generic charges agree."""
-    a_generic = connection_charge_for(prices, model, scenario_set, case, fixed_cost)
-    scale = max(1.0, abs(a_closed), abs(a_generic))
-    if abs(a_closed - a_generic) > A_AGREEMENT_RTOL * scale:
+    """Surplus-maximizing revenue-adequate two-part tariff, any integration mode.
+
+    The price Jacobian -sigma_total B of this demand family is
+    state-independent, so the optimal prices are the expected wholesale
+    price lam_bar in every mode.  The connection charge is computed twice:
+    by the closed form
+
+        A = (F + tr cov(lambda, D_metered) - retailer DER value) / M,
+
+    in which only the metered disturbance covaries with lambda, and by the
+    generic revenue-adequacy solve :func:`connection_charge_for`;
+    disagreement beyond ``A_AGREEMENT_RTOL`` raises
+    :class:`RevenueAdequacyError`.
+    """
+    require_assumption1(model)
+    pi = expect_price(scenario_set)
+    metered_cov = cov_trace(
+        scenario_set, _metered_disturbance(model, scenario_set, case), scenario_set.price_matrix
+    )
+    a_closed = (fixed_cost + metered_cov - retailer_der_offset(case, scenario_set)) / model.customers
+    a_generic = connection_charge_for(pi, model, scenario_set, case, fixed_cost)
+    if abs(a_closed - a_generic) > A_AGREEMENT_RTOL * max(1.0, abs(a_closed), abs(a_generic)):
         raise RevenueAdequacyError(
             f"connection-charge routes disagree: closed form {a_closed!r}, generic {a_generic!r}"
         )
-    return TwoPartTariff(a_generic, prices)
+    return TwoPartTariff(a_generic, pi)
 
 
 def optimal_decentralized(
@@ -396,31 +426,10 @@ def optimal_decentralized(
     case: IntegrationCase,
     fixed_cost: float,
 ) -> TwoPartTariff:
-    """Surplus-maximizing revenue-adequate tariff, resources behind the meter.
-
-    Prices equal the expected wholesale price.  The connection charge is
-    computed twice: the covariance closed form
-
-        A = (F + tr cov(lambda, D_agg) - tr cov(lambda, r_customer)) / M
-
-    and the generic revenue-adequacy solve; disagreement beyond
-    ``A_AGREEMENT_RTOL`` raises :class:`RevenueAdequacyError`.
-    """
+    """:func:`optimal_two_part` for resources behind the meter (or none)."""
     if case.mode == MODE_CENTRALIZED:
         raise ValueError("use optimal_centralized for retailer-integrated resources")
-    _require_assumption1(model)
-    pi = expect_price(scenario_set)
-    lam = scenario_set.price_matrix
-
-    # the deterministic part of D_agg(pi, w) has no covariance with lambda
-    aggregate_disturbance = np.einsum(
-        "c,scn->sn", model.class_counts, scenario_set.disturbance_tensor
-    )
-    a_closed = (fixed_cost + cov_trace(scenario_set, aggregate_disturbance, lam)) / model.customers
-    if case.uses_customer_der:
-        renewable = scenario_set.customer_renewable_tensor.sum(axis=1)
-        a_closed -= cov_trace(scenario_set, renewable, lam) / model.customers
-    return _agreed_tariff(a_closed, pi, model, scenario_set, case, fixed_cost)
+    return optimal_two_part(model, scenario_set, case, fixed_cost)
 
 
 def optimal_centralized(
@@ -429,37 +438,10 @@ def optimal_centralized(
     case: IntegrationCase,
     fixed_cost: float,
 ) -> TwoPartTariff:
-    """Surplus-maximizing revenue-adequate tariff, retailer-integrated resources.
-
-    Prices solve pi = lam_bar + E[grad D]^{-1} E[grad D (lambda - lam_bar)];
-    for this demand family the price Jacobian -sigma_total B is
-    state-independent, so the correction grad D E[lambda - lam_bar]
-    vanishes identically and the prices are the expected price.  The
-    resources enter only the connection charge:
-
-        A = A* - (fleet value at lam_bar + E[lambda^T r_retailer]) / M.
-    """
+    """:func:`optimal_two_part` for retailer-integrated resources."""
     if case.mode != MODE_CENTRALIZED:
         raise ValueError("optimal_centralized requires a centralized integration case")
-    _require_assumption1(model)
-    pi = expect_price(scenario_set)
-
-    margin = expected_margin(pi, model, scenario_set, case)
-    a_star = (fixed_cost - margin) / model.customers
-    offset = retailer_der_offset(case, scenario_set)
-    a_closed = a_star - offset / model.customers
-    return _agreed_tariff(a_closed, pi, model, scenario_set, case, fixed_cost)
-
-
-def optimal_two_part(
-    model: dm.DemandModel,
-    scenario_set: ScenarioSet,
-    case: IntegrationCase,
-    fixed_cost: float,
-) -> TwoPartTariff:
-    if case.mode == MODE_CENTRALIZED:
-        return optimal_centralized(model, scenario_set, case, fixed_cost)
-    return optimal_decentralized(model, scenario_set, case, fixed_cost)
+    return optimal_two_part(model, scenario_set, case, fixed_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -584,21 +566,11 @@ def _solve_flat(
     surpluses = [
         expected_consumer_surplus(t, model, scenario_set, case) for t in candidates
     ]
-    best = int(np.argmax(surpluses))
-    tariff = candidates[best]
-    residual = expected_retailer_surplus(tariff, model, scenario_set, case) - fixed_cost
-    if abs(residual) > ADEQUACY_RTOL * max(1.0, abs(fixed_cost)):
-        raise RevenueAdequacyError(
-            f"flat-family revenue residual {residual!r} exceeds tolerance"
-        )
-    notes = ("negative connection charge",) if tariff.connection_charge < 0.0 else ()
     return FamilyReport(
-        tariff=tariff,
+        tariff=candidates[int(np.argmax(surpluses))],
         kind=family.kind,
         flat_roots=roots,
         root_surpluses=(surpluses[0], surpluses[1]),
-        residual=residual,
-        notes=notes,
     )
 
 
@@ -609,13 +581,7 @@ def _choke_prices(
     frozen_fleet: np.ndarray,
 ) -> np.ndarray:
     """Price vector at which expected net demand vanishes (frozen storage)."""
-    probs = scenario_set.probabilities
-    k = np.einsum(
-        "s,sn->n", probs, np.einsum("c,scn->sn", model.class_counts, scenario_set.disturbance_tensor)
-    )
-    if case.uses_customer_der:
-        k = k - np.einsum("s,sn->n", probs, scenario_set.customer_renewable_tensor.sum(axis=1))
-        k = k - frozen_fleet
+    k = scenario_set.probabilities @ _metered_disturbance(model, scenario_set, case) - frozen_fleet
     return np.linalg.solve(model.slope, model.base + k / model.sigma_total)
 
 
@@ -675,19 +641,10 @@ def _solve_dynamic(
         best = int(np.argmax(surpluses))
         notes.append(f"storage fixed point cycles with period {cycle_length}")
     t_star, pi_star = cycle[best]
-    tariff = TwoPartTariff(charge, pi_star)
-    residual = expected_retailer_surplus(tariff, model, scenario_set, case) - fixed_cost
-    if abs(residual) > ADEQUACY_RTOL * max(1.0, abs(fixed_cost)):
-        raise RevenueAdequacyError(
-            f"dynamic-family revenue residual {residual!r} exceeds tolerance"
-        )
-    if charge < 0.0:
-        notes.append("negative connection charge")
     return FamilyReport(
-        tariff=tariff,
+        tariff=TwoPartTariff(charge, pi_star),
         kind=family.kind,
         multiplier_t=t_star,
-        residual=residual,
         notes=tuple(notes),
         fleet_rounds=len(rounds),
         cycle_length=cycle_length,
@@ -701,16 +658,25 @@ def optimize_family_report(
     case: IntegrationCase,
     fixed_cost: float,
 ) -> FamilyReport:
-    """Solve one family for E[rs] = F; returns the solution with diagnostics."""
-    _require_assumption1(model)
+    """Solve one family for E[rs] = F; returns the solution with diagnostics.
+
+    Every kind's tariff is settled once more here; a residual beyond
+    ``ADEQUACY_RTOL`` raises :class:`RevenueAdequacyError`.
+    """
+    require_assumption1(model)
     if family.kind == OPTIMAL_TWO_PART:
-        tariff = optimal_two_part(model, scenario_set, case, fixed_cost)
-        residual = expected_retailer_surplus(tariff, model, scenario_set, case) - fixed_cost
-        notes = ("negative connection charge",) if tariff.connection_charge < 0.0 else ()
-        return FamilyReport(tariff=tariff, kind=family.kind, residual=residual, notes=notes)
-    if family.is_flat:
-        return _solve_flat(family, model, scenario_set, case, fixed_cost)
-    return _solve_dynamic(family, model, scenario_set, case, fixed_cost)
+        report = FamilyReport(tariff=optimal_two_part(model, scenario_set, case, fixed_cost), kind=family.kind)
+    elif family.is_flat:
+        report = _solve_flat(family, model, scenario_set, case, fixed_cost)
+    else:
+        report = _solve_dynamic(family, model, scenario_set, case, fixed_cost)
+    residual = expected_retailer_surplus(report.tariff, model, scenario_set, case) - fixed_cost
+    if abs(residual) > ADEQUACY_RTOL * max(1.0, abs(fixed_cost)):
+        raise RevenueAdequacyError(f"{family.kind} revenue residual {residual!r} exceeds tolerance")
+    notes = report.notes
+    if report.tariff.connection_charge < 0.0:
+        notes += ("negative connection charge",)
+    return dataclasses.replace(report, residual=residual, notes=notes)
 
 
 def optimize_family(

@@ -152,6 +152,28 @@ def test_optimal_two_part_dispatches_on_mode():
     assert a.connection_charge == b.connection_charge
 
 
+@pytest.mark.parametrize("mode", tf.MODES)
+def test_disagreeing_charge_routes_raise(monkeypatch, mode):
+    # a closed-form charge that drifts from the generic solve is caught in every mode
+    model, ss = fixture()
+    swept, case = {
+        tf.MODE_NONE: (ss, tf.no_der()),
+        tf.MODE_DECENTRALIZED: (
+            sc.with_pv_capacity(ss, customer_kw=np.full(model.n_classes, 2.0)),
+            tf.decentralized_case(st.powerwall(), np.full(model.n_classes, 0.5)),
+        ),
+        tf.MODE_CENTRALIZED: (
+            sc.with_pv_capacity(ss, retailer_kw=5.0),
+            tf.centralized_case(st.powerwall(), 3.0),
+        ),
+    }[mode]
+    tf.optimal_two_part(model, swept, case, 20.0)
+    cov_trace = tf.cov_trace
+    monkeypatch.setattr(tf, "cov_trace", lambda *fields: cov_trace(*fields) + 1.0)
+    with pytest.raises(tf.RevenueAdequacyError, match="disagree"):
+        tf.optimal_two_part(model, swept, case, 20.0)
+
+
 def test_flat_family_settles_and_picks_surplus_maximizing_root():
     model, ss = fixture()
     family = tf.TariffFamily(kind=tf.FLAT_FIXED_A, fixed_connection_charge=0.3)

@@ -36,20 +36,32 @@ def fixture(correlated=True, seed=2, horizon=6, n_classes=3):
     return model, built
 
 
-def test_evaluate_matches_closed_form_surpluses():
+@pytest.mark.parametrize("mode", tf.MODES)
+def test_evaluate_matches_closed_form_surpluses(mode):
     model, ss = fixture()
-    tariff = tf.flat_tariff(0.4, 0.21, model.horizon)
-    for case in (tf.no_der(), tf.decentralized_case(st.powerwall(), np.full(3, 0.2))):
-        swept = sc.with_pv_capacity(ss, customer_kw=np.full(3, 1.0)) if case.uses_customer_der else ss
-        report = wf.evaluate(tariff, model, swept, case)
-        rs = tf.expected_retailer_surplus(tariff, model, swept, case)
-        cs = tf.expected_consumer_surplus(tariff, model, swept, case)
-        assert report.retailer_surplus == pytest.approx(rs, rel=1e-10, abs=1e-10)
-        assert report.consumer_surplus == pytest.approx(cs, rel=1e-10, abs=1e-10)
-        assert report.social_welfare == report.consumer_surplus + report.retailer_surplus
-        assert report.expected_revenue - report.expected_energy_cost == pytest.approx(
-            report.retailer_surplus, rel=1e-10, abs=1e-10
-        )
+    flat = tf.flat_tariff(0.4, 0.21, model.horizon)
+    swept, case, tariff = {
+        tf.MODE_NONE: (ss, tf.no_der(), flat),
+        tf.MODE_DECENTRALIZED: (
+            sc.with_pv_capacity(ss, customer_kw=np.full(3, 1.0)),
+            tf.decentralized_case(st.powerwall(), np.full(3, 0.2)),
+            flat,
+        ),
+        tf.MODE_CENTRALIZED: (
+            sc.with_pv_capacity(ss, retailer_kw=5.0),
+            tf.centralized_case(st.powerwall(), 3.0),
+            tf.TwoPartTariff(-0.3, np.linspace(0.1, 0.3, model.horizon)),
+        ),
+    }[mode]
+    report = wf.evaluate(tariff, model, swept, case)
+    rs = tf.expected_retailer_surplus(tariff, model, swept, case)
+    cs = tf.expected_consumer_surplus(tariff, model, swept, case)
+    assert report.retailer_surplus == pytest.approx(rs, rel=1e-10, abs=1e-10)
+    assert report.consumer_surplus == pytest.approx(cs, rel=1e-10, abs=1e-10)
+    assert report.social_welfare == report.consumer_surplus + report.retailer_surplus
+    assert report.expected_revenue - report.expected_energy_cost == pytest.approx(
+        report.retailer_surplus, rel=1e-10, abs=1e-10
+    )
 
 
 def test_per_class_surplus_sums_to_total():
