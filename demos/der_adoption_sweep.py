@@ -38,11 +38,15 @@ def main():
     parser.add_argument("--data", default=None, help="study directory (default: synthesize)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-
-    data = args.data
-    if data is None:
-        data = tempfile.mkdtemp(prefix="tariffkit_demo_")
+    if args.data is not None:
+        run(args, args.data)
+        return
+    with tempfile.TemporaryDirectory(prefix="tariffkit_demo_") as data:
         ingest.write_synthetic_dataset(data, seed=args.seed)
+        run(args, data)
+
+
+def run(args, data):
     study = ingest.build_study(ingest.load_config(Path(data) / "study.yaml"))
     config = study.config
     anchors = wf.base_anchors(study.model, study.scenario_set, ingest.nominal_tariff(config))

@@ -23,11 +23,15 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--family", default="flat-fixed-A")
     args = parser.parse_args()
-
-    data = args.data
-    if data is None:
-        data = tempfile.mkdtemp(prefix="tariffkit_demo_")
+    if args.data is not None:
+        run(args, args.data)
+        return
+    with tempfile.TemporaryDirectory(prefix="tariffkit_demo_") as data:
         ingest.write_synthetic_dataset(data, seed=args.seed)
+        run(args, data)
+
+
+def run(args, data):
     study = ingest.build_study(ingest.load_config(Path(data) / "study.yaml"))
     config = study.config
     families = dict(ingest.configured_families(config))

@@ -21,22 +21,22 @@ from tariffkit import tariff as tf
 from tariffkit import welfare as wf
 
 
-def load_study(data_dir, seed):
-    if data_dir is None:
-        data_dir = tempfile.mkdtemp(prefix="tariffkit_demo_")
-        ingest.write_synthetic_dataset(data_dir, seed=seed)
-        print(f"wrote synthetic study to {data_dir}")
-    return ingest.build_study(ingest.load_config(Path(data_dir) / "study.yaml"))
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--data", default=None, help="study directory (default: synthesize)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pv-kw", type=float, default=1.1e6, help="installed PV capacity")
     args = parser.parse_args()
+    if args.data is not None:
+        run(args, args.data)
+        return
+    with tempfile.TemporaryDirectory(prefix="tariffkit_demo_") as data:
+        ingest.write_synthetic_dataset(data, seed=args.seed)
+        run(args, data)
 
-    study = load_study(args.data, args.seed)
+
+def run(args, data):
+    study = ingest.build_study(ingest.load_config(Path(data) / "study.yaml"))
     model, base_set, F = study.model, study.scenario_set, study.fixed_cost
     config = study.config
     lam_bar = sc.expect_price(base_set)

@@ -11,16 +11,14 @@ every expectation is an exact finite sum.
 
 __version__ = "0.1.0"
 
-# the per-customer demand function itself stays at tariffkit.demand.demand:
-# re-exporting it here would shadow the submodule attribute of the same name
+# the batched kernels stay at tariffkit.demand.demand and .gross_benefit:
+# re-exporting demand here would shadow the submodule attribute of that name
 from .demand import (
     Assumption1Report,
     DemandModel,
     aggregate_demand,
     calibrate,
     class_sigmas,
-    consumer_net_benefit,
-    gross_benefit,
     validate_assumption1,
 )
 from .ingest import (
@@ -53,7 +51,6 @@ from .storage import (
     StorageSchedule,
     StorageSpec,
     arbitrage_value,
-    fleet_value,
     idealized,
     powerwall,
 )

@@ -13,6 +13,11 @@ so argmax_q { S_i(q) - pi^T q } = D_i(pi, w) exactly (integration constant
 fixed to zero).  Classes are scaled copies of one shape: doubling sigma_i
 doubles both demand and the maximized surplus at fixed prices.
 
+Evaluation API (``oracle`` keeps an independent route; ``tariff``'s closed
+forms read the matrices directly): ``demand`` gives per-customer demand
+(G, C, N) for G rows of C classes, ``gross_benefit`` their benefits (G, C),
+``aggregate_demand`` the population total (N,).
+
 Demand is never clamped inside optimization; negative unclamped values are
 surfaced as diagnostics by the welfare reports.
 """
@@ -119,13 +124,14 @@ class DemandModel:
         return inv
 
 
-def demand(model: DemandModel, class_id: int, prices, disturbance=None) -> np.ndarray:
-    """Per-customer demand of one class at given prices, kWh (unclamped)."""
-    prices = as_price_vector(prices, model.horizon)
-    q = model.sigma[class_id] * (model.base - model.slope @ prices)
-    if disturbance is not None:
-        q = q + np.asarray(disturbance, dtype=float)
-    return q
+def demand(model: DemandModel, sigma: np.ndarray, prices, disturbances) -> np.ndarray:
+    """Per-customer demand sigma_c (b0 - B pi) + w for every (row, class), kWh.
+
+    ``prices`` is (N,) or one vector per row (G, N); ``disturbances`` is
+    (G, C, N) with ``sigma`` the (C,) scales of its classes.  Unclamped.
+    """
+    shortfall = model.base - prices @ model.slope.T
+    return sigma[:, None] * shortfall[..., None, :] + disturbances
 
 
 def aggregate_demand(model: DemandModel, prices, disturbances=None) -> np.ndarray:
@@ -140,28 +146,11 @@ def aggregate_demand(model: DemandModel, prices, disturbances=None) -> np.ndarra
     return q
 
 
-def gross_benefit(model: DemandModel, class_id: int, quantity, disturbance=None) -> float:
-    """Quadratic gross consumption benefit of one customer, $."""
-    q = np.asarray(quantity, dtype=float)
-    s = model.sigma[class_id]
-    w = 0.0 if disturbance is None else np.asarray(disturbance, dtype=float)
-    u = model.slope_inverse @ q
-    return float((s * model.base + w) @ u - 0.5 * q @ u) / s
-
-
-def gross_benefit_gradient(model: DemandModel, class_id: int, quantity, disturbance=None) -> np.ndarray:
-    """Marginal benefit vector at a consumption bundle, $/kWh."""
-    q = np.asarray(quantity, dtype=float)
-    s = model.sigma[class_id]
-    w = 0.0 if disturbance is None else np.asarray(disturbance, dtype=float)
-    return model.slope_inverse @ (s * model.base + w - q) / s
-
-
-def consumer_net_benefit(model: DemandModel, class_id: int, prices, disturbance=None) -> float:
-    """max_q S_i(q) - pi^T q for one customer, attained at q = D_i(pi, w)."""
-    prices = as_price_vector(prices, model.horizon)
-    q = demand(model, class_id, prices, disturbance)
-    return gross_benefit(model, class_id, q, disturbance) - float(prices @ q)
+def gross_benefit(model: DemandModel, sigma: np.ndarray, q: np.ndarray, disturbances) -> np.ndarray:
+    """Gross benefit S_c(q) (G, C) of bundles ``q`` (G, C, N) laid out as in :func:`demand`, $."""
+    u = q @ model.slope_inverse
+    shifted = np.einsum("gcn,gcn->gc", disturbances, u) + sigma * (u @ model.base)
+    return (shifted - 0.5 * np.einsum("gcn,gcn->gc", q, u)) / sigma
 
 
 def calibrate(
@@ -173,6 +162,7 @@ def calibrate(
     *,
     total_customers: float = 1.0,
     class_counts=None,
+    slope=None,
 ) -> DemandModel:
     """Build a model matching aggregate sales and a daily-energy elasticity.
 
@@ -184,6 +174,8 @@ def calibrate(
         point, imposed on a uniform proportional price change; must be negative
     n_classes, sigma_rule : class structure passed to :func:`class_sigmas`
     total_customers : population size (split equally unless class_counts given)
+    slope : optional (N, N) price response replacing the calibrated one; the
+        intercept is refit so sales still match, the elasticity is not imposed
 
     The slope is diagonal with each period's entry proportional to that
     period's sales, which gives every period the same own-price elasticity.
@@ -210,8 +202,9 @@ def calibrate(
     sigma = class_sigmas(n_classes, sigma_rule, class_counts)
     s_tot = float(np.asarray(class_counts, dtype=float) @ sigma)
 
-    slope = np.diag(-elasticity * y / (s_tot * cal))
-    base = y / s_tot + slope @ cal
+    if slope is None:
+        slope = np.diag(-elasticity * y / (s_tot * cal))
+    base = y / s_tot + np.asarray(slope, dtype=float) @ cal
     return DemandModel(
         sigma=sigma,
         base=base,

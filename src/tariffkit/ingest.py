@@ -286,8 +286,16 @@ _STR_FIELDS = {
     "solar_path",
 }
 _STR_TUPLE_FIELDS = {"family_kinds"}
+_NUMBER_TUPLE_FIELDS = {"class_counts", "fixed_connection_charges", "capacity_grid_kw",
+                        "fixed_cost_grid", "fixed_cost_multipliers"}
 _OPTIONAL_FIELDS = {"class_counts", "fixed_cost_value", "fixed_cost_grid",
                     "prices_path", "load_path", "solar_path", "slope_override"}
+
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
 
 
 def _coerce(attr: str, value, where: str):
@@ -298,7 +306,7 @@ def _coerce(attr: str, value, where: str):
     if attr == "slope_override":
         if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
             raise ConfigError(f"{where}: expected a list of rows, got {value!r}")
-        return tuple(tuple(float(v) for v in row) for row in value)
+        return tuple(tuple(_number(v, where) for v in row) for row in value)
     if attr in _INT_FIELDS:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where}: expected an integer, got {value!r}")
@@ -311,16 +319,11 @@ def _coerce(attr: str, value, where: str):
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ConfigError(f"{where}: expected a list of strings, got {value!r}")
         return tuple(value)
-    if isinstance(value, list):
-        out = []
-        for v in value:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"{where}: expected numbers, got {v!r}")
-            out.append(float(v))
-        return tuple(out)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    if attr in _NUMBER_TUPLE_FIELDS:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list of numbers, got {value!r}")
+        return tuple(_number(v, where) for v in value)
+    return _number(value, where)
 
 
 def config_from_mapping(mapping: dict) -> StudyConfig:
@@ -400,37 +403,23 @@ def nominal_tariff(config: StudyConfig) -> tf.TwoPartTariff:
 def build_model(config: StudyConfig, load_days) -> dm.DemandModel:
     """Calibrate the demand system so mean-day sales match the load data.
 
-    A configured slope override replaces the calibrated diagonal price
-    response (the intercept is refit so mean-day sales still match); it
-    must satisfy the model's definiteness requirement.
+    A configured slope override replaces the calibrated price response.
     """
     target = np.mean(np.stack(load_days), axis=0)
     if target.size != config.horizon:
         raise DataError(
             f"load data has {target.size} periods per day, config expects {config.horizon}"
         )
-    counts = np.array(config.class_counts) if config.class_counts is not None else None
-    cal_price = np.full(config.horizon, config.nominal_price)
-    model = dm.calibrate(
+    return dm.calibrate(
         target_sales=target,
-        target_price=cal_price,
+        target_price=np.full(config.horizon, config.nominal_price),
         elasticity=config.elasticity,
         n_classes=config.customer_classes,
         sigma_rule=config.sigma_rule,
         total_customers=config.customer_count,
-        class_counts=counts,
+        class_counts=config.class_counts,
+        slope=config.slope_override,
     )
-    if config.slope_override is not None:
-        slope = np.array(config.slope_override)
-        base = target / model.sigma_total + slope @ cal_price
-        model = dm.DemandModel(
-            sigma=model.sigma,
-            base=base,
-            slope=slope,
-            calibration_price=cal_price,
-            class_counts=model.class_counts,
-        )
-    return model
 
 
 def build_scenarios(

@@ -172,8 +172,3 @@ def arbitrage_value(spec: StorageSpec, prices) -> tuple[float, StorageSchedule]:
     schedule = _solve(spec, prices.tobytes(), prices.size)
     return schedule.value, schedule
 
-
-def fleet_value(specs, prices) -> float:
-    """Total arbitrage value of a collection of units at common prices."""
-    prices = as_price_vector(prices)
-    return math.fsum(arbitrage_value(spec, prices)[0] for spec in specs)

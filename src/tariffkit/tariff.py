@@ -300,8 +300,8 @@ def _net_demand_by_scenario(
     ``fleet`` is the total meter-side customer storage vector (N,), zero
     unless customers hold storage.
     """
-    response = model.sigma_total * (model.base - model.slope @ prices)
-    return response[None, :] + _metered_disturbance(model, scenario_set, case) - fleet[None, :]
+    response = dm.aggregate_demand(model, prices)[None, :]
+    return response + _metered_disturbance(model, scenario_set, case) - fleet[None, :]
 
 
 def expected_margin(prices, model: dm.DemandModel, scenario_set: ScenarioSet, case: IntegrationCase) -> float:

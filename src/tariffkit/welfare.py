@@ -2,9 +2,10 @@
 
 ``evaluate`` prices every (scenario, class) pair's bills, energy costs and
 benefits explicitly, as tensor passes over the scenario set's (S, C, N)
-arrays, and takes the probability-weighted sum; it shares the demand model
-and storage primitives with the tariff module but none of its closed-form
-accounting, so the decomposition identities verified by
+arrays, through the batched kernels ``demand.demand`` and
+``demand.gross_benefit``, and takes the probability-weighted sum; it
+shares the demand model and storage primitives with the tariff module but
+none of its closed-form accounting, so the decomposition identities verified by
 ``welfare_identities`` are genuine cross-checks rather than restatements.
 
 Analyses built on top: planner (ex-post efficient) upper bound, Pareto
@@ -50,23 +51,6 @@ class SurplusReport:
     negative_demand_pairs: int
 
 
-def _demand(model: dm.DemandModel, sigma: np.ndarray, prices, disturbances) -> np.ndarray:
-    """Per-customer demand sigma_c (b0 - B pi) + w for every (row, class), kWh.
-
-    ``prices`` is (N,) or one vector per row (G, N); ``disturbances`` is
-    (G, C, N) with ``sigma`` the (C,) scales of its classes.  Unclamped.
-    """
-    shortfall = model.base - prices @ model.slope.T
-    return sigma[:, None] * shortfall[..., None, :] + disturbances
-
-
-def _benefit(model: dm.DemandModel, sigma: np.ndarray, q: np.ndarray, disturbances) -> np.ndarray:
-    """Gross benefit (G, C) of consuming ``q`` (G, C, N): demand.gross_benefit per pair."""
-    u = q @ model.slope_inverse
-    shifted = np.einsum("gcn,gcn->gc", disturbances, u) + sigma * (u @ model.base)
-    return (shifted - 0.5 * np.einsum("gcn,gcn->gc", q, u)) / sigma
-
-
 def evaluate(
     tariff: tf.TwoPartTariff,
     model: dm.DemandModel,
@@ -91,9 +75,9 @@ def evaluate(
     mean_prices = expect_price(scenario_set)
     retailer_meter = tf.retailer_commitment(case, mean_prices)  # (N,), zeros unless cen
 
-    q = _demand(model, model.sigma, pi, dist)  # (S, C, N)
+    q = dm.demand(model, model.sigma, pi, dist)  # (S, C, N)
     negative_pairs = int(np.count_nonzero(q.min(axis=2) < 0.0))
-    benefit = _benefit(model, model.sigma, q, dist)  # (S, C)
+    benefit = dm.gross_benefit(model, model.sigma, q, dist)  # (S, C)
     billed = q @ pi  # (S, C)
     cost = np.einsum("scn,sn->sc", q, lam) @ counts  # lambda^T gross demand, (S,)
 
@@ -135,8 +119,8 @@ def efficient_welfare(model: dm.DemandModel, scenario_set: ScenarioSet) -> float
     the benchmark all DER welfare gains are measured against.
     """
     dist = scenario_set.disturbance_tensor
-    q = _demand(model, model.sigma, expect_price(scenario_set), dist)
-    value = _benefit(model, model.sigma, q, dist) - np.einsum(
+    q = dm.demand(model, model.sigma, expect_price(scenario_set), dist)
+    value = dm.gross_benefit(model, model.sigma, q, dist) - np.einsum(
         "scn,sn->sc", q, scenario_set.price_matrix
     )
     return float(scenario_set.probabilities @ (value @ model.class_counts))
@@ -267,8 +251,9 @@ def planner_bound(
         lam_cond = weighted_prices[keep] / weight[keep, None]  # E[lambda | w_i], (G, N)
         w_i = scenario_set.disturbance_tensor[first[keep], i : i + 1, :]  # (G, 1, N)
         sigma = model.sigma[i : i + 1]
-        q = _demand(model, sigma, lam_cond, w_i)
-        value = _benefit(model, sigma, q, w_i)[:, 0] - np.einsum("gn,gn->g", lam_cond, q[:, 0])
+        q = dm.demand(model, sigma, lam_cond, w_i)
+        benefit = dm.gross_benefit(model, sigma, q, w_i)[:, 0]
+        value = benefit - np.einsum("gn,gn->g", lam_cond, q[:, 0])
         total += counts[i] * float(weight[keep] @ value)
         if use_der and case.customer_storage is not None:
             unit_values = [st.arbitrage_value(case.customer_storage, p)[0] for p in lam_cond]
@@ -541,7 +526,7 @@ def _owner_contributions(
     solar = scenario_set.solar_unit_matrix
     sigma = model.sigma[owned]
     dist = scenario_set.disturbance_tensor[:, owned, :]
-    q = _demand(model, sigma, pi, dist)  # (S, owner classes, N)
+    q = dm.demand(model, sigma, pi, dist)  # (S, owner classes, N)
     owners, owner_kw = owners[owned], owner_kw[owned]
 
     credit_price = expect_price(scenario_set) if separated else pi

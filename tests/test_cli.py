@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from tariffkit import cli, ingest, simplex
 from tariffkit import storage as st
@@ -226,3 +232,57 @@ def test_repeated_runs_byte_identical(study_dir, tmp_path, monkeypatch):
         outputs.append(target)
     for name in ("optimize.csv", "optimize_manifest.json"):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+
+
+BAD_VALUES = ["", "abc", -1.0, 0, float("nan"), float("inf"), 1e300, [1.0, 2.0]]
+CONFIG_FIELDS = [
+    (section, key)
+    for section, body in ingest.config_to_mapping(ingest.StudyConfig()).items()
+    for key in body
+]
+DATA_FILES = ("prices.csv", "load.csv", "solar.csv")
+MUTATIONS = hst.one_of(
+    hst.none(),
+    hst.tuples(
+        hst.just("study.yaml"), hst.sampled_from(CONFIG_FIELDS), hst.sampled_from(BAD_VALUES)
+    ),
+    hst.tuples(
+        hst.sampled_from(DATA_FILES),
+        hst.tuples(hst.integers(0, 12), hst.integers(0, 2)),  # header + 3 days x 4 periods
+        hst.sampled_from(BAD_VALUES),
+    ),
+)
+
+
+def mutate_study(root, mutation):
+    """Replace one study.yaml field or one CSV cell of the study at ``root``."""
+    name, where, value = mutation
+    path = root / name
+    if name == "study.yaml":
+        mapping = yaml.safe_load(path.read_text())
+        section, key = where
+        mapping.setdefault(section, {})[key] = value
+        path.write_text(yaml.safe_dump(mapping, sort_keys=False))
+        return
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    row, column = where
+    rows[row][column] = str(value)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@example(mutation=None)
+@given(mutation=MUTATIONS)
+def test_mutated_inputs_exit_with_documented_code(mutation):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ingest.write_synthetic_dataset(root, n_days=3, horizon=4)
+        if mutation is not None:
+            mutate_study(root, mutation)
+        with mock.patch.dict(os.environ, {cli.OUTPUT_DIR_ENV: str(root / "results")}):
+            codes = [cli.main([cmd, str(root / "study.yaml")]) for cmd in ("validate", "optimize")]
+    if mutation is None:
+        assert codes == [0, 0]
+    assert set(codes) <= {0, 2, 3, 4}, (mutation, codes)

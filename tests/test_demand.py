@@ -18,6 +18,19 @@ def small_model(n_classes=3, horizon=4):
     )
 
 
+def class_demand(model, i, prices, w=None):
+    """Class i's per-customer demand (N,) through the batched kernel."""
+    w = np.zeros(model.horizon) if w is None else np.asarray(w, dtype=float)
+    return dm.demand(model, model.sigma[i : i + 1], np.asarray(prices), w[None, None, :])[0, 0]
+
+
+def class_benefits(model, i, bundles, w=None):
+    """Class i's gross benefit of each bundle in ``bundles`` (G, N), as (G,)."""
+    q = np.atleast_2d(np.asarray(bundles, dtype=float))[:, None, :]
+    w = np.zeros(model.horizon) if w is None else np.asarray(w, dtype=float)
+    return dm.gross_benefit(model, model.sigma[i : i + 1], q, np.broadcast_to(w, q.shape))[:, 0]
+
+
 def test_class_sigmas_population_mean_one():
     counts = np.array([5.0, 3.0, 2.0])
     for rule in ("constant", "linear"):
@@ -98,7 +111,7 @@ def test_aggregate_is_count_weighted_sum_of_classes():
     w = rng.normal(size=(3, 4))
     total = np.zeros(4)
     for i in range(3):
-        total += model.class_counts[i] * dm.demand(model, i, pi, w[i])
+        total += model.class_counts[i] * class_demand(model, i, pi, w[i])
     agg = dm.aggregate_demand(model, pi, w)
     np.testing.assert_allclose(agg, total, rtol=1e-12)
 
@@ -106,10 +119,10 @@ def test_aggregate_is_count_weighted_sum_of_classes():
 def test_demand_slopes_down_in_every_period():
     model = small_model()
     pi = model.calibration_price.copy()
-    q0 = dm.demand(model, 1, pi)
+    q0 = class_demand(model, 1, pi)
     pi2 = pi.copy()
     pi2[2] += 0.05
-    q1 = dm.demand(model, 1, pi2)
+    q1 = class_demand(model, 1, pi2)
     assert q1[2] < q0[2]
 
 
@@ -117,12 +130,16 @@ def test_gross_benefit_conjugate_foc():
     # the benefit gradient at the demanded bundle equals the price vector
     model = small_model()
     rng = np.random.default_rng(9)
+    h = 0.25
     for _ in range(5):
         pi = rng.uniform(0.05, 0.5, size=4)
         w = rng.normal(scale=0.5, size=4)
         for i in range(model.n_classes):
-            q = dm.demand(model, i, pi, w)
-            grad = dm.gross_benefit_gradient(model, i, q, w)
+            q = class_demand(model, i, pi, w)
+            # central differences are exact for a quadratic up to rounding
+            steps = h * np.eye(q.size)
+            values = class_benefits(model, i, np.concatenate([q + steps, q - steps]), w)
+            grad = (values[: q.size] - values[q.size :]) / (2.0 * h)
             np.testing.assert_allclose(grad, pi, rtol=1e-9, atol=1e-12)
 
 
@@ -133,25 +150,25 @@ def test_demand_maximizes_net_benefit():
     pi = rng.uniform(0.1, 0.3, size=4)
     w = rng.normal(scale=0.3, size=4)
     i = 2
-    best = dm.consumer_net_benefit(model, i, pi, w)
-    q_star = dm.demand(model, i, pi, w)
+    q_star = class_demand(model, i, pi, w)
+    best = float(class_benefits(model, i, q_star, w)[0]) - float(pi @ q_star)
     for _ in range(20):
         q = q_star + rng.normal(scale=0.5, size=4)
-        value = dm.gross_benefit(model, i, q, w) - float(pi @ q)
+        value = float(class_benefits(model, i, q, w)[0]) - float(pi @ q)
         assert value <= best + 1e-12
 
 
 def test_sigma_scales_demand_and_benefit():
     model = small_model()
     pi = np.array([0.1, 0.2, 0.15, 0.25])
-    q1 = dm.demand(model, 0, pi)
-    q3 = dm.demand(model, 2, pi)
+    q1 = class_demand(model, 0, pi)
+    q3 = class_demand(model, 2, pi)
     np.testing.assert_allclose(
         q3, model.sigma[2] / model.sigma[0] * q1, rtol=1e-12
     )
     # benefit is homogeneous alongside: S_i(sigma q) = sigma S_1(q) at w = 0
-    b1 = dm.gross_benefit(model, 0, q1)
-    b3 = dm.gross_benefit(model, 2, q3)
+    b1 = float(class_benefits(model, 0, q1)[0])
+    b3 = float(class_benefits(model, 2, q3)[0])
     assert b3 == pytest.approx(model.sigma[2] / model.sigma[0] * b1, rel=1e-12)
 
 

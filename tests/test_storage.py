@@ -99,14 +99,6 @@ def test_schedule_is_feasible_and_prices_out():
         assert value == pytest.approx(float(prices @ s.meter_energy), abs=1e-8)
 
 
-def test_fleet_value_sums_units():
-    prices = [1.0, 3.0, 0.5, 2.0]
-    one, _ = st.arbitrage_value(st.powerwall(), prices)
-    total = st.fleet_value([st.powerwall()] * 3 + [st.idealized(1.0)], prices)
-    ideal, _ = st.arbitrage_value(st.idealized(1.0), prices)
-    assert total == pytest.approx(3.0 * one + ideal, rel=1e-12)
-
-
 def test_rate_caps_helper():
     c_cap, d_cap = st.rate_caps(st.StorageSpec(capacity_kwh=4.0, charge_rate_kw=2.0,
                                                discharge_rate_kw=3.0), 3)
