@@ -292,10 +292,13 @@ _OPTIONAL_FIELDS = {"class_counts", "fixed_cost_value", "fixed_cost_grid",
                     "prices_path", "load_path", "solar_path", "slope_override"}
 
 
-def _number(value, where: str) -> float:
+def _number(value, where: str, allow_inf: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if math.isnan(number) or (math.isinf(number) and not allow_inf):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
 
 
 def _coerce(attr: str, value, where: str):
@@ -323,7 +326,8 @@ def _coerce(attr: str, value, where: str):
         if not isinstance(value, list):
             raise ConfigError(f"{where}: expected a list of numbers, got {value!r}")
         return tuple(_number(v, where) for v in value)
-    return _number(value, where)
+    # an infinite storage power is an unrated unit, the one number that may be infinite
+    return _number(value, where, allow_inf=attr == "storage_power_kw")
 
 
 def config_from_mapping(mapping: dict) -> StudyConfig:

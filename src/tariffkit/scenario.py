@@ -6,8 +6,10 @@ hold to floating-point accuracy rather than Monte Carlo accuracy.
 
 A :class:`ScenarioSet` stores its data once, as read-only stacked tensors
 with the scenario index first; every library computation is a reduction over
-that leading axis.  :class:`Scenario` is the row view: sets are built from
-rows and iterate as rows, for the oracle, tests and demos.
+that leading axis.  The price-independent reductions that the tariff closed
+forms need (:class:`SetMoments`) are made once per set and cached on it.
+:class:`Scenario` is the row view: sets are built from rows and iterate as
+rows, for the oracle, tests and demos.
 
 Conventions
 -----------
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -161,6 +164,31 @@ def make_scenario(
     )
 
 
+@dataclass(frozen=True)
+class SetMoments:
+    """Price-independent first and cross moments of a scenario set.
+
+    mean_price : (N,) lam_bar = E[lambda]
+    mean_disturbance : (C, N) E[w_c], per customer of class c
+    disturbance_cov : (C,) tr cov(lambda, w_c)
+    mean_customer_renewable : (N,) E[R], R the customer renewables summed
+        over classes
+    customer_renewable_cov : tr cov(lambda, R)
+    retailer_renewable_value : E[lambda^T r_retailer]
+
+    The cross moments are stored centred, E[lambda^T w_c] - lam_bar^T E[w_c],
+    because every closed form reads them in that form and centring both
+    factors keeps the large uncentred terms from cancelling.
+    """
+
+    mean_price: np.ndarray
+    mean_disturbance: np.ndarray
+    disturbance_cov: np.ndarray
+    mean_customer_renewable: np.ndarray
+    customer_renewable_cov: float
+    retailer_renewable_value: float
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class ScenarioSet:
     """Immutable weighted collection of scenarios on a common horizon.
@@ -177,6 +205,13 @@ class ScenarioSet:
     construction error, never silently renormalized.  ``independent`` marks
     sets whose price block is statistically independent of the local state
     block by construction (see :func:`split_marginals`).
+
+    The set's price-independent statistics are reduced once, on first use,
+    and cached on the set: :attr:`moments` (a :class:`SetMoments`) and
+    :attr:`disturbance_second_moment`.  They depend on no demand model or
+    integration case, and a set never changes, so they cannot go stale;
+    every derived set (:func:`with_pv_capacity`, :func:`split_marginals`)
+    is a new set with its own cache.
     """
 
     probabilities: np.ndarray
@@ -245,6 +280,39 @@ class ScenarioSet:
     @property
     def has_solar_unit(self) -> bool:
         return self.solar_unit_matrix is not None
+
+    @cached_property
+    def moments(self) -> SetMoments:
+        """The set's moments, reduced once (see :class:`SetMoments`)."""
+        probs = self.probabilities
+        mean_price = expect_price(self)
+        lam_dev = self.price_matrix - mean_price
+        mean_dist = np.tensordot(probs, self.disturbance_tensor, axes=1)
+        dist_cov = probs @ np.einsum("sn,scn->sc", lam_dev, self.disturbance_tensor - mean_dist)
+        renewable = self.customer_renewable_tensor.sum(axis=1)
+        mean_renewable = probs @ renewable
+        for arr in (mean_dist, dist_cov, mean_renewable):
+            arr.setflags(write=False)
+        return SetMoments(
+            mean_price=mean_price,
+            mean_disturbance=mean_dist,
+            disturbance_cov=dist_cov,
+            mean_customer_renewable=mean_renewable,
+            customer_renewable_cov=float(
+                probs @ np.einsum("sn,sn->s", lam_dev, renewable - mean_renewable)
+            ),
+            retailer_renewable_value=float(
+                probs @ np.einsum("sn,sn->s", self.price_matrix, self.retailer_renewable_matrix)
+            ),
+        )
+
+    @cached_property
+    def disturbance_second_moment(self) -> np.ndarray:
+        """E[w_c w_c^T] per class, (C, N, N), reduced once."""
+        by_class = self.disturbance_tensor.transpose(1, 0, 2)  # (C, S, N)
+        second = (by_class.transpose(0, 2, 1) * self.probabilities) @ by_class
+        second.setflags(write=False)
+        return second
 
 
 def from_prices(price_vectors: Sequence, probabilities=None, n_classes: int = 1) -> ScenarioSet:

@@ -9,7 +9,9 @@ inside [0, capacity].
 
 Only the objective depends on the prices.  The constraint matrix and
 right-hand side are built once per (spec, horizon) and cached as read-only
-arrays; solved schedules are cached per (spec, price bytes).
+arrays; solved schedules are cached per (spec, price bytes).  A unit with
+no capacity, or one that no schedule can profit from (see ``_idle``), gets
+the zero schedule without an LP solve.
 """
 
 from __future__ import annotations
@@ -132,6 +134,21 @@ def _constraints(spec: StorageSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     return G, h
 
 
+def _idle(spec: StorageSpec, prices: np.ndarray) -> bool:
+    """Whether no schedule beats holding still: the unit starts empty, no
+    price is negative, and no price net of the round-trip loss exceeds an
+    earlier price, eta^2 p_j <= min_{i<j} p_i.
+
+    Every discharged kWh then costs at least its sale value to have
+    charged, so the LP optimum is the zero schedule, which the simplex
+    reaches from x = 0 through degenerate pivots only.
+    """
+    if spec.initial_charge_kwh != 0.0 or prices.min() < 0.0:
+        return False
+    earlier_min = np.minimum.accumulate(prices)[:-1]
+    return bool(np.all(spec.efficiency**2 * prices[1:] <= earlier_min))
+
+
 @lru_cache(maxsize=1024)
 def _solve(spec: StorageSpec, price_bytes: bytes, n: int) -> StorageSchedule:
     prices = np.frombuffer(price_bytes, dtype=float)
@@ -139,7 +156,7 @@ def _solve(spec: StorageSpec, price_bytes: bytes, n: int) -> StorageSchedule:
     eta = spec.efficiency
     soc0 = spec.initial_charge_kwh
 
-    if theta <= 0.0:
+    if theta <= 0.0 or _idle(spec, prices):
         zero = np.zeros(n)
         zero.setflags(write=False)
         soc = np.zeros(n + 1)

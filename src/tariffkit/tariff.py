@@ -19,11 +19,18 @@ one schedule, expected revenue is exactly quadratic along either ray, so
 both families share one root solver that re-freezes the fleet at its live
 response until that response settles.
 
-Accounting in this module is the closed-form expectation path (per-scenario
-aggregation of analytic margins and surpluses).  The welfare module
-re-derives every quantity by simulating settlement; the two paths share the
-demand and storage primitives but not the accounting code, and the test
-suite holds them to each other.
+Accounting in this module is the closed-form expectation path.  Demand is
+linear with a state-independent price Jacobian, so every margin, ray
+quadratic, choke price and surplus sees the scenario set only through its
+cached moments (``ScenarioSet.moments`` and
+``ScenarioSet.disturbance_second_moment``), combined with the model's class
+counts and the case's metering in O(C N^2) per call; no call makes a pass
+over the scenarios.  The one exception is :func:`optimal_two_part`'s
+independent check, which sums the metered disturbance's covariance over
+every scenario.  The welfare module re-derives every quantity by
+simulating settlement; the two paths share the demand and storage
+primitives but not the accounting code, and the test suite holds them to
+each other.
 """
 
 from __future__ import annotations
@@ -255,15 +262,14 @@ def retailer_renewable_value(case: IntegrationCase, scenario_set: ScenarioSet) -
     """E[lambda^T r_retailer] over the set (zero unless centralized)."""
     if not case.uses_retailer_der:
         return 0.0
-    values = np.einsum("sn,sn->s", scenario_set.price_matrix, scenario_set.retailer_renewable_matrix)
-    return float(scenario_set.probabilities @ values)
+    return scenario_set.moments.retailer_renewable_value
 
 
-def retailer_der_offset(case: IntegrationCase, scenario_set: ScenarioSet) -> float:
+def _retailer_der_offset(case: IntegrationCase, scenario_set: ScenarioSet) -> float:
     """Expected-revenue contribution of retailer-integrated resources."""
     if not case.uses_retailer_der:
         return 0.0
-    mean = expect_price(scenario_set)
+    mean = scenario_set.moments.mean_price
     return retailer_renewable_value(case, scenario_set) + retailer_fleet_value(case, mean)
 
 
@@ -279,8 +285,9 @@ def _metered_disturbance(
     """Price-independent part of metered aggregate demand (S, N).
 
     The class disturbances summed over customers, less customer renewables
-    when they sit behind the meter.  This is the one place in the
-    closed-form path that reads the customer side of the integration case.
+    when they sit behind the meter.  Only :func:`optimal_two_part`'s
+    independent check reads it; every other closed form reads its moments
+    through :func:`_metered_moments`.
     """
     metered = np.einsum("c,scn->sn", model.class_counts, scenario_set.disturbance_tensor)
     if case.uses_customer_der:
@@ -288,29 +295,37 @@ def _metered_disturbance(
     return metered
 
 
-def _net_demand_by_scenario(
-    prices: np.ndarray,
+def _metered_moments(
     model: dm.DemandModel,
     scenario_set: ScenarioSet,
     case: IntegrationCase,
-    fleet: np.ndarray,
-) -> np.ndarray:
-    """Metered aggregate demand (S, N): gross minus behind-the-meter resources.
+) -> tuple[np.ndarray, float]:
+    """E[metered disturbance] (N,) and tr cov(lambda, metered disturbance).
 
-    ``fleet`` is the total meter-side customer storage vector (N,), zero
-    unless customers hold storage.
+    Built from the set's cached moments, the model's class counts and the
+    case's metering, in O(C N); this is the one place in the closed-form
+    path that reads the customer side of the integration case.
     """
-    response = dm.aggregate_demand(model, prices)[None, :]
-    return response + _metered_disturbance(model, scenario_set, case) - fleet[None, :]
+    moments = scenario_set.moments
+    mean = model.class_counts @ moments.mean_disturbance
+    cov = float(model.class_counts @ moments.disturbance_cov)
+    if case.uses_customer_der:
+        mean = mean - moments.mean_customer_renewable
+        cov -= moments.customer_renewable_cov
+    return mean, cov
 
 
 def expected_margin(prices, model: dm.DemandModel, scenario_set: ScenarioSet, case: IntegrationCase) -> float:
-    """E[(pi - lambda)^T d(pi, xi)] over the set, $ per day."""
+    """E[(pi - lambda)^T d(pi, xi)] over the set, $ per day.
+
+    Only the metered disturbance covaries with lambda, so the margin is
+    (pi - lam_bar)^T E[d] - tr cov(lambda, metered disturbance).
+    """
     prices = as_price_vector(prices, model.horizon)
     fleet = customer_fleet_meter(case, model.n_classes, prices).sum(axis=0)
-    net = _net_demand_by_scenario(prices, model, scenario_set, case, fleet)
-    gaps = prices[None, :] - scenario_set.price_matrix
-    return float(scenario_set.probabilities @ np.einsum("sn,sn->s", gaps, net))
+    mean_metered, metered_cov = _metered_moments(model, scenario_set, case)
+    net = dm.aggregate_demand(model, prices) + mean_metered - fleet
+    return float((prices - scenario_set.moments.mean_price) @ net) - metered_cov
 
 
 def expected_retailer_surplus(
@@ -321,7 +336,7 @@ def expected_retailer_surplus(
 ) -> float:
     """Expected retailer surplus of a tariff, $ per day (closed-form path)."""
     margin = expected_margin(tariff.prices, model, scenario_set, case)
-    return model.customers * tariff.connection_charge + margin + retailer_der_offset(case, scenario_set)
+    return model.customers * tariff.connection_charge + margin + _retailer_der_offset(case, scenario_set)
 
 
 def expected_consumer_surplus(
@@ -335,18 +350,29 @@ def expected_consumer_surplus(
     Uses the quadratic identity S(D) - pi^T D = v^T B^{-1} v / (2 sigma)
     + sigma pi^T B pi / 2 - pi^T v with v = sigma b0 + w per customer,
     instead of evaluating S at the consumption bundle (the welfare module
-    does the latter; the two are held to each other by the tests).  Summed
-    over customers and netted against behind-the-meter resources, the bill
-    term is pi^T (sigma_total b0 + E[metered disturbance] - fleet).
+    does the latter; the two are held to each other by the tests).  Its
+    expectation needs only the set's disturbance moments,
+
+        E[v^T B^{-1} v] = sigma^2 b0^T B^{-1} b0 + 2 sigma b0^T B^{-1} E[w]
+                          + tr(B^{-1} E[w w^T]),
+
+    and, summed over customers and netted against behind-the-meter
+    resources, the bill term is pi^T (sigma_total b0 + E[metered
+    disturbance] - fleet).
     """
     pi = as_price_vector(tariff.prices, model.horizon)
-    probs = scenario_set.probabilities
-    v = model.sigma[None, :, None] * model.base[None, None, :] + scenario_set.disturbance_tensor
-    binv_v = np.einsum("nm,scm->scn", model.slope_inverse, v)
-    quad_v = np.einsum("scn,scn->sc", v, binv_v)  # (S, C) per customer
-    gross_benefit = float(probs @ (quad_v @ (model.class_counts / (2.0 * model.sigma))))
+    sigma, counts = model.sigma, model.class_counts
+    binv_b0 = model.slope_inverse @ model.base
+    quad_w = np.einsum("nm,cmn->c", model.slope_inverse, scenario_set.disturbance_second_moment)
+    quad_v = (  # E[v^T B^-1 v] per customer, (C,)
+        sigma**2 * float(model.base @ binv_b0)
+        + 2.0 * sigma * (scenario_set.moments.mean_disturbance @ binv_b0)
+        + quad_w
+    )
+    gross_benefit = float(quad_v @ (counts / (2.0 * sigma)))
     fleet = customer_fleet_meter(case, model.n_classes, pi).sum(axis=0)
-    billed = model.sigma_total * model.base + probs @ _metered_disturbance(model, scenario_set, case) - fleet
+    mean_metered, _ = _metered_moments(model, scenario_set, case)
+    billed = model.sigma_total * model.base + mean_metered - fleet
     return (
         gross_benefit
         + 0.5 * model.sigma_total * float(pi @ (model.slope @ pi))
@@ -383,7 +409,7 @@ def connection_charge_for(
     """
     prices = as_price_vector(prices, model.horizon)
     margin = expected_margin(prices, model, scenario_set, case)
-    return (fixed_cost - margin - retailer_der_offset(case, scenario_set)) / model.customers
+    return (fixed_cost - margin - _retailer_der_offset(case, scenario_set)) / model.customers
 
 
 def optimal_two_part(
@@ -411,7 +437,7 @@ def optimal_two_part(
     metered_cov = cov_trace(
         scenario_set, _metered_disturbance(model, scenario_set, case), scenario_set.price_matrix
     )
-    a_closed = (fixed_cost + metered_cov - retailer_der_offset(case, scenario_set)) / model.customers
+    a_closed = (fixed_cost + metered_cov - _retailer_der_offset(case, scenario_set)) / model.customers
     a_generic = connection_charge_for(pi, model, scenario_set, case, fixed_cost)
     if abs(a_closed - a_generic) > A_AGREEMENT_RTOL * max(1.0, abs(a_closed), abs(a_generic)):
         raise RevenueAdequacyError(
@@ -492,15 +518,15 @@ def _ray_quadratic(
     quadratic; a2 < 0 because the price response is monotone.
     """
     s_tot = model.sigma_total
-    probs = scenario_set.probabilities
     b_dir = model.slope @ direction
-    demand = _net_demand_by_scenario(origin, model, scenario_set, case, frozen_fleet)
-    gaps = origin[None, :] - scenario_set.price_matrix
+    mean_metered, metered_cov = _metered_moments(model, scenario_set, case)
+    demand = dm.aggregate_demand(model, origin) + mean_metered - frozen_fleet  # E[net demand]
+    gap = origin - scenario_set.moments.mean_price  # E[pi - lambda] at the origin
 
     a2 = -s_tot * float(direction @ b_dir)
-    a1 = float(probs @ (demand @ direction)) - s_tot * float(probs @ (gaps @ b_dir))
-    a0 = float(probs @ np.einsum("sn,sn->s", gaps, demand))
-    a0 += model.customers * charge + retailer_der_offset(case, scenario_set)
+    a1 = float(demand @ direction) - s_tot * float(gap @ b_dir)
+    a0 = float(gap @ demand) - metered_cov
+    a0 += model.customers * charge + _retailer_der_offset(case, scenario_set)
     return a2, a1, a0
 
 
@@ -581,7 +607,8 @@ def _choke_prices(
     frozen_fleet: np.ndarray,
 ) -> np.ndarray:
     """Price vector at which expected net demand vanishes (frozen storage)."""
-    k = scenario_set.probabilities @ _metered_disturbance(model, scenario_set, case) - frozen_fleet
+    mean_metered, _ = _metered_moments(model, scenario_set, case)
+    k = mean_metered - frozen_fleet
     return np.linalg.solve(model.slope, model.base + k / model.sigma_total)
 
 
@@ -609,7 +636,7 @@ def _solve_dynamic(
     tariff is returned and the report carries a note.
     """
     charge = family.connection_charge
-    lam_bar = expect_price(scenario_set)
+    lam_bar = scenario_set.moments.mean_price
     fleet = customer_fleet_meter(case, model.n_classes, lam_bar).sum(axis=0)
     # fleet bytes -> round that assumed it; + 0.0 folds -0.0 into 0.0
     assumed = {}

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -286,3 +287,35 @@ def test_mutated_inputs_exit_with_documented_code(mutation):
     if mutation is None:
         assert codes == [0, 0]
     assert set(codes) <= {0, 2, 3, 4}, (mutation, codes)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("der", "storage_capacity_kwh", NAN),
+        ("der", "storage_capacity_kwh", INF),
+        ("der", "storage_power_kw", NAN),
+        ("der", "pv_unit_kw", NAN),
+        ("grids", "capacity_kw", [NAN]),
+        ("grids", "fixed_cost_multipliers", [NAN]),
+        ("customers", "count", NAN),
+    ],
+)
+def test_validate_rejects_non_finite_numbers(study_dir, tmp_path, capsys, section, key, value):
+    config = rewrite_config(study_dir, tmp_path, **{section: {key: value}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["validate", str(config)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL config parses" in out
+    assert f"{section}.{key}" in out and "finite" in out
+
+
+def test_unrated_storage_power_is_accepted(study_dir, tmp_path, out_dir):
+    config = rewrite_config(study_dir, tmp_path, der={"storage_power_kw": INF})
+    assert ingest.load_config(config).storage_power_kw == INF
+    assert cli.main(["validate", str(config)]) == 0
+    assert cli.main(["sweep", str(config), "--mode", "decentralized"]) == 0

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from tariffkit import oracle
+from tariffkit import oracle, simplex
 from tariffkit import storage as st
 
 
@@ -155,3 +155,69 @@ def test_dp_tight_on_idealized_units(seed):
     lp, _ = st.arbitrage_value(st.idealized(theta), prices)
     dp = oracle.storage_brute_force(st.idealized(theta), prices, grid_steps=1)
     assert dp == pytest.approx(lp, rel=1e-10, abs=1e-10)
+
+
+def _counting_maximize(monkeypatch):
+    calls = []
+    original = simplex.maximize
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(simplex, "maximize", counted)
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    start=hst.floats(min_value=0.0, max_value=5.0),
+    steps=hst.lists(hst.floats(min_value=0.0, max_value=1.0), max_size=23),
+    efficiency=hst.sampled_from([1.0, 0.96, 0.8]),
+    rated=hst.booleans(),
+)
+def test_idle_unit_skips_lp_with_the_lp_schedule(start, steps, efficiency, rated):
+    # each price is at most the running minimum grossed up by the round-trip
+    # loss, so no schedule beats holding still
+    prices = [start]
+    for step in steps:
+        prices.append(step * min(prices) / efficiency**2)
+    prices = np.array(prices)
+    spec = st.StorageSpec(
+        capacity_kwh=6.4,
+        charge_rate_kw=3.3 if rated else math.inf,
+        discharge_rate_kw=3.3 if rated else math.inf,
+        efficiency=efficiency,
+    )
+    assume(st._idle(spec, prices))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _counting_maximize(monkeypatch)
+        st._solve.cache_clear()
+        value, schedule = st.arbitrage_value(spec, prices)
+    assert calls == []
+
+    n = prices.size
+    G, h = st._constraints(spec, n)
+    x, lp_value = simplex.maximize(np.concatenate([-prices, prices]), G, h)
+    charge = np.where(np.abs(x[:n]) < st._ZERO_TOL, 0.0, x[:n])
+    discharge = np.where(np.abs(x[n:]) < st._ZERO_TOL, 0.0, x[n:])
+    soc = np.concatenate([[0.0], np.cumsum(efficiency * charge - discharge / efficiency)])
+    assert value == lp_value
+    np.testing.assert_array_equal(schedule.charge, charge)
+    np.testing.assert_array_equal(schedule.discharge, discharge)
+    np.testing.assert_array_equal(schedule.meter_energy, discharge - charge)
+    np.testing.assert_array_equal(schedule.state_of_charge, soc)
+
+
+def test_profitable_unit_still_solves(monkeypatch):
+    calls = _counting_maximize(monkeypatch)
+    st._solve.cache_clear()
+    # 0.96^2 * 1.1 exceeds the earlier price 1.0, so one cycle pays
+    prices = [1.0, 1.1]
+    assert not st._idle(st.powerwall(), np.array(prices))
+    value, _ = st.arbitrage_value(st.powerwall(), prices)
+    assert len(calls) == 1
+    assert value > 0.0
+    # a unit holding charge, or facing a negative price, is never idle
+    assert not st._idle(st.StorageSpec(capacity_kwh=2.0, initial_charge_kwh=1.0), np.array([2.0, 1.0]))
+    assert not st._idle(st.idealized(2.0), np.array([1.0, -0.5]))

@@ -409,3 +409,122 @@ def test_restricted_families_settle_with_customer_fleet(
     assert abs(settled - f) <= 1e-7 * max(1.0, abs(f))
     if report.multiplier_t is not None:
         assert report.multiplier_t <= 0.5
+
+
+def _metered_by_scenario(model, ss, case):
+    metered = np.einsum("c,scn->sn", model.class_counts, ss.disturbance_tensor)
+    if case.uses_customer_der:
+        metered = metered - ss.customer_renewable_tensor.sum(axis=1)
+    return metered
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=hst.integers(0, 2**16),
+    correlated=hst.booleans(),
+    n_classes=hst.integers(1, 4),
+    horizon=hst.integers(2, 8),
+    mode=hst.sampled_from(tf.MODES),
+)
+def test_closed_forms_match_scenario_sums(seed, correlated, n_classes, horizon, mode):
+    # the closed forms read the set's cached moments; the references below
+    # sum over every scenario instead
+    model, base = fixture(correlated=correlated, n_classes=n_classes, horizon=horizon, seed=seed)
+    base.moments  # a rescaled set must reduce its own moments, not reuse these
+    rng = np.random.default_rng(seed)
+    ss = sc.with_pv_capacity(
+        base, customer_kw=rng.uniform(0.0, 20.0, size=n_classes), retailer_kw=float(rng.uniform(0.0, 50.0))
+    )
+    case = {
+        tf.MODE_NONE: tf.no_der(),
+        tf.MODE_DECENTRALIZED: tf.decentralized_case(st.powerwall(), rng.uniform(0.0, 3.0, size=n_classes)),
+        tf.MODE_CENTRALIZED: tf.centralized_case(st.powerwall(), 3.0),
+    }[mode]
+    probs, lam = ss.probabilities, ss.price_matrix
+    lam_bar = probs @ lam
+    metered = _metered_by_scenario(model, ss, case)
+    offset = 0.0
+    if case.uses_retailer_der:
+        offset = probs @ np.einsum("sn,sn->s", lam, ss.retailer_renewable_matrix)
+        offset += tf.retailer_fleet_value(case, lam_bar)
+
+    def close(value, reference, *terms):
+        scale = max(1.0, *(float(np.abs(t).max()) for t in terms))
+        assert value == pytest.approx(reference, rel=1e-9, abs=1e-9 * scale)
+
+    prices = rng.uniform(0.0, 0.4, size=horizon)
+    live = tf.customer_fleet_meter(case, model.n_classes, prices).sum(axis=0)
+    net = dm.aggregate_demand(model, prices) + metered - live
+    gaps = prices - lam
+    margin = probs @ np.einsum("sn,sn->s", gaps, net)
+    close(tf.expected_margin(prices, model, ss, case), margin, gaps * net)
+
+    fleet = rng.normal(scale=5.0, size=horizon)  # any frozen fleet, not only a response
+    origin, direction = rng.uniform(-0.1, 0.4, size=horizon), rng.normal(size=horizon)
+    charge = float(rng.uniform(-1.0, 1.0))
+    demand = dm.aggregate_demand(model, origin) + metered - fleet
+    gaps = origin - lam
+    b_dir = model.slope @ direction
+    reference = (
+        -model.sigma_total * direction @ b_dir,
+        probs @ (demand @ direction) - model.sigma_total * probs @ (gaps @ b_dir),
+        probs @ np.einsum("sn,sn->s", gaps, demand) + model.customers * charge + offset,
+    )
+    coeffs = tf._ray_quadratic(model, ss, case, charge, fleet, origin, direction)
+    for value, ref in zip(coeffs, reference):
+        close(value, ref, demand * direction, gaps * demand, model.customers * charge, offset)
+
+    choke = np.linalg.solve(model.slope, model.base + (probs @ metered - fleet) / model.sigma_total)
+    np.testing.assert_allclose(tf._choke_prices(model, ss, case, fleet), choke, rtol=1e-9, atol=1e-12)
+
+    tariff = tf.TwoPartTariff(charge, prices)
+    v = model.sigma[None, :, None] * model.base + ss.disturbance_tensor
+    quad = np.einsum("scn,nm,scm->sc", v, model.slope_inverse, v) @ (model.class_counts / (2 * model.sigma))
+    billed = model.sigma_total * model.base + probs @ metered - live
+    surplus = (
+        probs @ quad
+        + 0.5 * model.sigma_total * prices @ model.slope @ prices
+        - prices @ billed
+        - model.customers * charge
+    )
+    close(tf.expected_consumer_surplus(tariff, model, ss, case), surplus, quad)
+
+    rebuilt = sc.ScenarioSet.from_tensors(
+        ss.probabilities, ss.price_matrix, ss.disturbance_tensor, ss.customer_renewable_tensor,
+        ss.retailer_renewable_matrix, ss.solar_unit_matrix, independent=ss.independent,
+    )
+    assert tf.expected_margin(prices, model, rebuilt, case) == tf.expected_margin(prices, model, ss, case)
+
+
+def test_sweep_cell_reduces_each_set_once(study, anchors, monkeypatch):
+    # one decentralized sweep cell: every family's probes read the swept
+    # set's moments, reduced once; only the optimum's independent check
+    # sums the metered disturbance over scenarios
+    calls = {"moments": [], "metered": 0, "optimal": 0, "probes": 0}
+    moments = sc.ScenarioSet.__dict__["moments"]
+    reduce_moments = moments.func
+    metered, optimal, probe = tf._metered_disturbance, tf.optimal_two_part, tf.expected_retailer_surplus
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(moments, "func", lambda s: calls["moments"].append(s) or reduce_moments(s))
+    monkeypatch.setattr(tf, "_metered_disturbance", counted("metered", metered))
+    monkeypatch.setattr(tf, "optimal_two_part", counted("optimal", optimal))
+    monkeypatch.setattr(tf, "expected_retailer_surplus", counted("probes", probe))
+    config = study.config
+    families = [family for _, family in ingest.configured_families(config)]
+    cells = wf.der_sweep(
+        families, study.model, study.scenario_set, tf.MODE_DECENTRALIZED, [1100e3],
+        config.storage_per_pv_kwh_per_kw, study.fixed_cost, anchors,
+        pv_unit_kw=config.pv_unit_kw, storage_unit=ingest.storage_unit_spec(config),
+    )
+    assert len(cells) == len(families)
+    assert len(calls["moments"]) == 1
+    assert calls["moments"][0] is not study.scenario_set
+    assert calls["optimal"] == 1
+    assert calls["metered"] == calls["optimal"]
+    assert calls["probes"] >= len(families)
