@@ -492,6 +492,7 @@ def configured_families(config: StudyConfig) -> list[tuple[str, tf.TariffFamily]
 
 
 def storage_unit_spec(config: StudyConfig):
+    """The configured storage unit; a period lasts 24 / horizon hours."""
     from . import storage as st
 
     return st.StorageSpec(
@@ -499,6 +500,7 @@ def storage_unit_spec(config: StudyConfig):
         charge_rate_kw=config.storage_power_kw,
         discharge_rate_kw=config.storage_power_kw,
         efficiency=config.storage_efficiency,
+        period_hours=24.0 / config.horizon,
     )
 
 

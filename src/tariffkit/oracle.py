@@ -130,17 +130,17 @@ def settlement_resim(
 
     cust_fleet_value = 0.0
     fleet_meter = np.zeros((model.n_classes, n))
-    if case.uses_customer_der and case.customer_storage is not None:
-        unit_value, unit_meter = _linprog_schedule(case.customer_storage, pi)
-        cust_fleet_value = sum(case.customer_storage_units) * unit_value
+    if case.uses_customer_der and case.storage is not None:
+        unit_value, unit_meter = _linprog_schedule(case.storage, pi)
+        cust_fleet_value = sum(case.storage_units) * unit_value
         for i in range(model.n_classes):
-            fleet_meter[i] = case.customer_storage_units[i] * unit_meter
+            fleet_meter[i] = case.storage_units[i] * unit_meter
     ret_fleet_value = 0.0
     retailer_meter = np.zeros(n)
-    if case.uses_retailer_der and case.retailer_storage is not None:
-        unit_value, unit_meter = _linprog_schedule(case.retailer_storage, mean_prices)
-        ret_fleet_value = case.retailer_storage_units * unit_value
-        retailer_meter = case.retailer_storage_units * unit_meter
+    if case.uses_retailer_der and case.storage is not None:
+        unit_value, unit_meter = _linprog_schedule(case.storage, mean_prices)
+        ret_fleet_value = case.storage_units * unit_value
+        retailer_meter = case.storage_units * unit_meter
 
     per_class_cs = np.zeros(model.n_classes)
     demand_by_scenario = np.zeros((len(scen), model.n_classes, n))
@@ -282,9 +282,9 @@ def planner_direct(
             u = np.linalg.solve(slope, q)
             benefit = ((sigma * base + w_i) @ u - 0.5 * q @ u) / sigma
             total += weight * count * (benefit - float(lam_cond @ q))
-            if use_der and case.customer_storage is not None:
-                unit = storage_brute_force(case.customer_storage, lam_cond, grid_steps)
-                total += weight * case.customer_storage_units[i] * unit
+            if use_der and case.storage is not None:
+                unit = storage_brute_force(case.storage, lam_cond, grid_steps)
+                total += weight * case.storage_units[i] * unit
     if use_der:
         for s in scenario_set:
             total += s.probability * float(s.prices @ s.renewable_customer.sum(axis=0))

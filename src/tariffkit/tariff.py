@@ -12,6 +12,12 @@ where D_metered is the aggregate class disturbance, less customer
 renewables when they sit behind the meter.  Distributed resources shift A
 but never the prices.
 
+An :class:`IntegrationCase` holds at most one storage fleet, on the side
+its mode names.  Its response and the DERs' welfare contribution,
+:func:`der_value` (fleet value at the expected price plus E[lambda^T r] of
+the case's renewables, the same in both DER modes), are each defined once;
+the retailer DER value above is der_value when centralized, else zero.
+
 The restricted families pin A and price along a ray: flat prices p * 1,
 dynamic prices on the Ramsey line from the expected price toward the
 expected net-demand choke price.  While the customer storage fleet holds
@@ -157,35 +163,34 @@ class IntegrationCase:
     ``centralized``: the retailer owns the resources; customers are billed
     on gross consumption, the retailer nets the scenario set's retailer
     renewable column and a storage fleet committed ex ante against the
-    expected price.  Unit counts may be fractional (fleet value is exactly
-    linear in the count).
+    expected price.
+
+    ``storage`` is the fleet's unit and ``storage_units`` its read-only
+    unit counts, on the side the mode names: one count per class when
+    decentralized, the retailer's single count when centralized.  Counts
+    may be fractional (fleet value is exactly linear in the count).  A
+    ``none`` case holds no storage.
     """
 
     mode: str = MODE_NONE
-    customer_storage: st.StorageSpec | None = None
-    customer_storage_units: np.ndarray | None = None
-    retailer_storage: st.StorageSpec | None = None
-    retailer_storage_units: float = 0.0
+    storage: st.StorageSpec | None = None
+    storage_units: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown integration mode {self.mode!r}")
-        if (self.customer_storage is None) != (self.customer_storage_units is None):
-            raise ValueError("customer storage spec and unit counts must be given together")
-        if self.customer_storage_units is not None:
-            units = np.atleast_1d(np.asarray(self.customer_storage_units, dtype=float))
-            if np.any(units < 0.0) or not np.all(np.isfinite(units)):
-                raise ValueError("customer storage unit counts must be finite and >= 0")
+        if self.mode == MODE_NONE and (self.storage is not None or self.storage_units is not None):
+            raise ValueError("storage requires a decentralized or centralized mode, not 'none'")
+        if (self.storage is None) != (self.storage_units is None):
+            raise ValueError("storage spec and unit counts must be given together")
+        if self.storage_units is not None:
+            per_class = int(self.mode == MODE_DECENTRALIZED)
+            units = np.array(self.storage_units, dtype=float, ndmin=per_class)
+            if units.ndim != per_class or np.any(units < 0.0) or not np.all(np.isfinite(units)):
+                raise ValueError("storage unit counts must be finite and >= 0: one per class "
+                                 "when decentralized, one when centralized")
             units.setflags(write=False)
-            object.__setattr__(self, "customer_storage_units", units)
-        if self.retailer_storage_units < 0.0:
-            raise ValueError("retailer storage unit count must be >= 0")
-        if self.mode != MODE_DECENTRALIZED and self.customer_storage is not None:
-            raise ValueError(f"customer storage requires decentralized mode, not {self.mode!r}")
-        if self.mode != MODE_CENTRALIZED and (
-            self.retailer_storage is not None or self.retailer_storage_units > 0.0
-        ):
-            raise ValueError(f"retailer storage requires centralized mode, not {self.mode!r}")
+            object.__setattr__(self, "storage_units", units)
 
     @property
     def uses_customer_der(self) -> bool:
@@ -201,76 +206,74 @@ def no_der() -> IntegrationCase:
 
 
 def decentralized_case(storage_spec: st.StorageSpec | None = None, storage_units=None) -> IntegrationCase:
-    return IntegrationCase(
-        mode=MODE_DECENTRALIZED,
-        customer_storage=storage_spec,
-        customer_storage_units=storage_units,
-    )
+    return IntegrationCase(MODE_DECENTRALIZED, storage_spec, storage_units)
 
 
 def centralized_case(storage_spec: st.StorageSpec | None = None, storage_units: float = 0.0) -> IntegrationCase:
-    return IntegrationCase(
-        mode=MODE_CENTRALIZED,
-        retailer_storage=storage_spec,
-        retailer_storage_units=float(storage_units),
-    )
+    units = None if storage_spec is None else float(storage_units)
+    return IntegrationCase(MODE_CENTRALIZED, storage_spec, units)
 
 
 # ---------------------------------------------------------------------------
-# fleet responses
+# the fleet and the DER value
+
+
+def _unit_schedule(case: IntegrationCase, prices: np.ndarray) -> st.StorageSchedule | None:
+    """One unit's optimal schedule at the prices; None, with no LP, for an empty fleet."""
+    if case.storage is None or not case.storage_units.any():
+        return None
+    return st.arbitrage_value(case.storage, prices)[1]
 
 
 def customer_fleet_meter(case: IntegrationCase, n_classes: int, prices) -> np.ndarray:
     """Per-class meter-side storage energy (C, N) at the given prices."""
     prices = as_price_vector(prices)
-    if not case.uses_customer_der or case.customer_storage is None:
+    schedule = _unit_schedule(case, prices) if case.uses_customer_der else None
+    if schedule is None:
         return np.zeros((n_classes, prices.size))
-    units = case.customer_storage_units
+    units = case.storage_units
     if units.size != n_classes:
         raise ValueError(f"storage units for {units.size} classes, model has {n_classes}")
-    if not units.any():
-        return np.zeros((n_classes, prices.size))
-    _, schedule = st.arbitrage_value(case.customer_storage, prices)
     return np.outer(units, schedule.meter_energy)
-
-
-def customer_fleet_value(case: IntegrationCase, prices) -> float:
-    """Total arbitrage value of the customer fleet at the given prices."""
-    if not case.uses_customer_der or case.customer_storage is None or not case.customer_storage_units.any():
-        return 0.0
-    value, _ = st.arbitrage_value(case.customer_storage, as_price_vector(prices))
-    return float(case.customer_storage_units.sum()) * value
 
 
 def retailer_commitment(case: IntegrationCase, mean_prices) -> np.ndarray:
     """Retailer fleet schedule committed ex ante against the expected price."""
     mean_prices = as_price_vector(mean_prices)
-    if not case.uses_retailer_der or case.retailer_storage is None or case.retailer_storage_units == 0.0:
+    schedule = _unit_schedule(case, mean_prices) if case.uses_retailer_der else None
+    if schedule is None:
         return np.zeros(mean_prices.size)
-    _, schedule = st.arbitrage_value(case.retailer_storage, mean_prices)
-    return case.retailer_storage_units * schedule.meter_energy
+    return case.storage_units * schedule.meter_energy
 
 
-def retailer_fleet_value(case: IntegrationCase, mean_prices) -> float:
-    if not case.uses_retailer_der or case.retailer_storage is None:
+def fleet_value(case: IntegrationCase, prices) -> float:
+    """Arbitrage value of the case's storage fleet at the given prices, $ per day."""
+    schedule = _unit_schedule(case, as_price_vector(prices))
+    if schedule is None:
         return 0.0
-    value, _ = st.arbitrage_value(case.retailer_storage, as_price_vector(mean_prices))
-    return case.retailer_storage_units * value
+    return float(case.storage_units.sum()) * schedule.value
 
 
-def retailer_renewable_value(case: IntegrationCase, scenario_set: ScenarioSet) -> float:
-    """E[lambda^T r_retailer] over the set (zero unless centralized)."""
-    if not case.uses_retailer_der:
-        return 0.0
-    return scenario_set.moments.retailer_renewable_value
+def renewable_value(case: IntegrationCase, scenario_set: ScenarioSet) -> float:
+    """E[lambda^T r] of the renewables on the case's side, from the set's moments."""
+    moments = scenario_set.moments
+    if case.uses_customer_der:
+        return moments.customer_renewable_cov + float(
+            moments.mean_price @ moments.mean_customer_renewable
+        )
+    if case.uses_retailer_der:
+        return moments.retailer_renewable_value
+    return 0.0
 
 
-def _retailer_der_offset(case: IntegrationCase, scenario_set: ScenarioSet) -> float:
-    """Expected-revenue contribution of retailer-integrated resources."""
-    if not case.uses_retailer_der:
-        return 0.0
-    mean = scenario_set.moments.mean_price
-    return retailer_renewable_value(case, scenario_set) + retailer_fleet_value(case, mean)
+def der_value(case: IntegrationCase, scenario_set: ScenarioSet) -> float:
+    """Welfare the DERs add: fleet value at the expected price plus :func:`renewable_value`."""
+    return fleet_value(case, scenario_set.moments.mean_price) + renewable_value(case, scenario_set)
+
+
+def _retailer_der_value(case: IntegrationCase, scenario_set: ScenarioSet) -> float:
+    """:func:`der_value` when the retailer holds the resources, else zero."""
+    return der_value(case, scenario_set) if case.uses_retailer_der else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +339,7 @@ def expected_retailer_surplus(
 ) -> float:
     """Expected retailer surplus of a tariff, $ per day (closed-form path)."""
     margin = expected_margin(tariff.prices, model, scenario_set, case)
-    return model.customers * tariff.connection_charge + margin + _retailer_der_offset(case, scenario_set)
+    return model.customers * tariff.connection_charge + margin + _retailer_der_value(case, scenario_set)
 
 
 def expected_consumer_surplus(
@@ -409,7 +412,7 @@ def connection_charge_for(
     """
     prices = as_price_vector(prices, model.horizon)
     margin = expected_margin(prices, model, scenario_set, case)
-    return (fixed_cost - margin - _retailer_der_offset(case, scenario_set)) / model.customers
+    return (fixed_cost - margin - _retailer_der_value(case, scenario_set)) / model.customers
 
 
 def optimal_two_part(
@@ -437,7 +440,7 @@ def optimal_two_part(
     metered_cov = cov_trace(
         scenario_set, _metered_disturbance(model, scenario_set, case), scenario_set.price_matrix
     )
-    a_closed = (fixed_cost + metered_cov - _retailer_der_offset(case, scenario_set)) / model.customers
+    a_closed = (fixed_cost + metered_cov - _retailer_der_value(case, scenario_set)) / model.customers
     a_generic = connection_charge_for(pi, model, scenario_set, case, fixed_cost)
     if abs(a_closed - a_generic) > A_AGREEMENT_RTOL * max(1.0, abs(a_closed), abs(a_generic)):
         raise RevenueAdequacyError(
@@ -526,7 +529,7 @@ def _ray_quadratic(
     a2 = -s_tot * float(direction @ b_dir)
     a1 = float(demand @ direction) - s_tot * float(gap @ b_dir)
     a0 = float(gap @ demand) - metered_cov
-    a0 += model.customers * charge + _retailer_der_offset(case, scenario_set)
+    a0 += model.customers * charge + _retailer_der_value(case, scenario_set)
     return a2, a1, a0
 
 
@@ -688,7 +691,8 @@ def optimize_family_report(
     """Solve one family for E[rs] = F; returns the solution with diagnostics.
 
     Every kind's tariff is settled once more here; a residual beyond
-    ``ADEQUACY_RTOL`` raises :class:`RevenueAdequacyError`.
+    ``ADEQUACY_RTOL``, or a non-finite one, raises
+    :class:`RevenueAdequacyError`.
     """
     require_assumption1(model)
     if family.kind == OPTIMAL_TWO_PART:
@@ -698,7 +702,7 @@ def optimize_family_report(
     else:
         report = _solve_dynamic(family, model, scenario_set, case, fixed_cost)
     residual = expected_retailer_surplus(report.tariff, model, scenario_set, case) - fixed_cost
-    if abs(residual) > ADEQUACY_RTOL * max(1.0, abs(fixed_cost)):
+    if not abs(residual) <= ADEQUACY_RTOL * max(1.0, abs(fixed_cost)):
         raise RevenueAdequacyError(f"{family.kind} revenue residual {residual!r} exceeds tolerance")
     notes = report.notes
     if report.tariff.connection_charge < 0.0:

@@ -24,7 +24,7 @@ import numpy as np
 from . import demand as dm
 from . import storage as st
 from . import tariff as tf
-from .scenario import ScenarioSet, as_price_vector, cov_trace, expect_price, with_pv_capacity
+from .scenario import ScenarioSet, as_price_vector, expect_price, with_pv_capacity
 
 IDENTITY_RTOL = 1e-8
 
@@ -63,17 +63,14 @@ def evaluate(
     renewable columns and the tariff-responsive storage fleet behind the
     meter; centralized cases bill gross consumption while the retailer nets
     its renewable column and a fleet committed against the expected price.
-    Columns not selected by the case are ignored.
+    Columns not selected by the case are ignored.  A non-finite consumer or
+    retailer surplus raises ``ArithmeticError``.
     """
     pi = as_price_vector(tariff.prices, model.horizon)
     counts = model.class_counts
     probs = scenario_set.probabilities
     lam = scenario_set.price_matrix
     dist = scenario_set.disturbance_tensor
-
-    fleet_meter = tf.customer_fleet_meter(case, model.n_classes, pi)  # (C, N), zeros unless dec
-    mean_prices = expect_price(scenario_set)
-    retailer_meter = tf.retailer_commitment(case, mean_prices)  # (N,), zeros unless cen
 
     q = dm.demand(model, model.sigma, pi, dist)  # (S, C, N)
     negative_pairs = int(np.count_nonzero(q.min(axis=2) < 0.0))
@@ -82,21 +79,30 @@ def evaluate(
     cost = np.einsum("scn,sn->sc", q, lam) @ counts  # lambda^T gross demand, (S,)
 
     payments = counts * (tariff.connection_charge + billed)  # (S, C)
-    customer_ren = 0.0
+    customer_fleet = retailer_fleet = customer_ren = retailer_ren = 0.0
     if case.uses_customer_der:
         renewable = scenario_set.customer_renewable_tensor
+        fleet_meter = tf.customer_fleet_meter(case, model.n_classes, pi)  # (C, N)
         payments = payments - renewable @ pi - fleet_meter @ pi
         renewable_value = np.einsum("sn,sn->s", lam, renewable.sum(axis=1))
         cost = cost - renewable_value - lam @ fleet_meter.sum(axis=0)
         customer_ren = float(probs @ renewable_value)
+        customer_fleet = tf.fleet_value(case, pi)
     if case.uses_retailer_der:
+        mean_prices = expect_price(scenario_set)
         retailer_value = np.einsum("sn,sn->s", lam, scenario_set.retailer_renewable_matrix)
-        cost = cost - retailer_value - lam @ retailer_meter
+        cost = cost - retailer_value - lam @ tf.retailer_commitment(case, mean_prices)
+        retailer_ren = float(probs @ retailer_value)
+        retailer_fleet = tf.fleet_value(case, mean_prices)
 
     per_class_cs = probs @ (counts * benefit - payments)
     revenue = payments.sum(axis=1)
     consumer_surplus = float(per_class_cs.sum())
     retailer_surplus = float(probs @ (revenue - cost))
+    if not (math.isfinite(consumer_surplus) and math.isfinite(retailer_surplus)):
+        raise ArithmeticError(
+            f"non-finite surplus in settlement: cs {consumer_surplus!r}, rs {retailer_surplus!r}"
+        )
     return SurplusReport(
         consumer_surplus=consumer_surplus,
         retailer_surplus=retailer_surplus,
@@ -104,10 +110,10 @@ def evaluate(
         per_class_consumer_surplus=per_class_cs,
         expected_revenue=float(probs @ revenue),
         expected_energy_cost=float(probs @ cost),
-        customer_fleet_value=tf.customer_fleet_value(case, pi),
-        retailer_fleet_value=tf.retailer_fleet_value(case, mean_prices),
+        customer_fleet_value=customer_fleet,
+        retailer_fleet_value=retailer_fleet,
         customer_renewable_value=customer_ren,
-        retailer_renewable_value=tf.retailer_renewable_value(case, scenario_set),
+        retailer_renewable_value=retailer_ren,
         negative_demand_pairs=negative_pairs,
     )
 
@@ -126,21 +132,13 @@ def efficient_welfare(model: dm.DemandModel, scenario_set: ScenarioSet) -> float
     return float(scenario_set.probabilities @ (value @ model.class_counts))
 
 
-def customer_renewable_value(scenario_set: ScenarioSet) -> float:
-    """E[lambda^T sum_i r_i] over the set."""
-    generation = scenario_set.customer_renewable_tensor.sum(axis=1)
-    values = np.einsum("sn,sn->s", scenario_set.price_matrix, generation)
-    return float(scenario_set.probabilities @ values)
-
-
 @dataclass(frozen=True)
 class IdentityReport:
     """Cross-check of the optimal tariff's welfare against closed forms.
 
-    ``welfare_gain_identity`` compares simulated sw(T*) with
-    sw*_0 + DER bonus (fleet value at the expected price plus the expected
-    renewable energy value); ``lump_sum`` checks that moving F moves cs and
-    rs one for one and leaves sw unchanged.
+    ``identity_value`` is sw*_0 + ``tariff.der_value``, against which the
+    simulated sw(T*) is compared; ``lump_sum`` checks that moving F by
+    0.1 max(1, |F|) moves cs and rs one for one and leaves sw unchanged.
     """
 
     tariff: tf.TwoPartTariff
@@ -161,24 +159,11 @@ def welfare_identities(
     scenario_set: ScenarioSet,
     case: tf.IntegrationCase,
     fixed_cost: float,
-    *,
-    delta: float | None = None,
 ) -> IdentityReport:
     """Verify the welfare decomposition of the optimal two-part tariff."""
     tariff = tf.optimal_two_part(model, scenario_set, case, fixed_cost)
     report = evaluate(tariff, model, scenario_set, case)
-    sw0 = efficient_welfare(model, scenario_set)
-    lam_bar = expect_price(scenario_set)
-
-    if case.uses_customer_der:
-        bonus = tf.customer_fleet_value(case, lam_bar) + customer_renewable_value(scenario_set)
-    elif case.uses_retailer_der:
-        bonus = tf.retailer_fleet_value(case, lam_bar) + tf.retailer_renewable_value(
-            case, scenario_set
-        )
-    else:
-        bonus = 0.0
-    identity_value = sw0 + bonus
+    identity_value = efficient_welfare(model, scenario_set) + tf.der_value(case, scenario_set)
     scale = max(1.0, abs(identity_value), abs(report.social_welfare))
     identity_err = abs(report.social_welfare - identity_value) / scale
 
@@ -186,8 +171,7 @@ def welfare_identities(
     cs_scale = max(1.0, abs(cs_identity), abs(report.consumer_surplus))
     cs_err = abs(report.consumer_surplus - cs_identity) / cs_scale
 
-    if delta is None:
-        delta = 0.1 * max(1.0, abs(fixed_cost))
+    delta = 0.1 * max(1.0, abs(fixed_cost))
     shifted = tf.optimal_two_part(model, scenario_set, case, fixed_cost + delta)
     shifted_report = evaluate(shifted, model, scenario_set, case)
     sw_err = abs(shifted_report.social_welfare - report.social_welfare) / scale
@@ -255,12 +239,10 @@ def planner_bound(
         benefit = dm.gross_benefit(model, sigma, q, w_i)[:, 0]
         value = benefit - np.einsum("gn,gn->g", lam_cond, q[:, 0])
         total += counts[i] * float(weight[keep] @ value)
-        if use_der and case.customer_storage is not None:
-            unit_values = [st.arbitrage_value(case.customer_storage, p)[0] for p in lam_cond]
-            total += case.customer_storage_units[i] * float(weight[keep] @ unit_values)
-    if use_der:
-        total += customer_renewable_value(scenario_set)
-    return total
+        if use_der and case.storage is not None:
+            unit_values = [st.arbitrage_value(case.storage, p)[0] for p in lam_cond]
+            total += case.storage_units[i] * float(weight[keep] @ unit_values)
+    return total + tf.renewable_value(case, scenario_set)
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +552,8 @@ def cross_subsidy(
         nm_case = tf.IntegrationCase(mode=tf.MODE_DECENTRALIZED)
         try:
             nm_tariff = tf.optimize_family(family, model, swept, nm_case, fixed_cost)
-            generation_cov = cov_trace(
-                swept, swept.customer_renewable_tensor.sum(axis=1), swept.price_matrix
-            )
             sep_tariff = tf.optimize_family(
-                family, model, swept, tf.no_der(), fixed_cost - generation_cov
+                family, model, swept, tf.no_der(), fixed_cost - swept.moments.customer_renewable_cov
             )
         except tf.InfeasibleFamilyError as exc:
             cells.append(

@@ -217,6 +217,21 @@ def test_numerical_solver_failure_exits_2(study_dir, out_dir, capsys, monkeypatc
     assert capsys.readouterr().err == f"error: {failure}\n"
 
 
+def test_non_finite_surplus_exits_2(tmp_path, out_dir, capsys):
+    # validate has no range check on prices, so one 1e300 $/MWh cell passes it
+    root = tmp_path / "study"
+    assert cli.main(["gen-synthetic", "--out", str(root), "--days", "3"]) == 0
+    mutate_study(root, ("prices.csv", (1, 2), 1e300))
+    assert cli.main(["validate", str(root / "study.yaml")]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow on the way to the NaN
+        assert cli.main(["optimize", str(root / "study.yaml")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite surplus" in err
+    assert not (out_dir / "optimize.csv").exists()
+
+
 def test_output_dir_env_override(study_dir, tmp_path, monkeypatch):
     target = tmp_path / "elsewhere"
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(target))

@@ -4,6 +4,7 @@ import pytest
 from tariffkit import demand as dm
 from tariffkit import ingest
 from tariffkit import scenario as sc
+from tariffkit import storage as st
 from tariffkit import tariff as tf
 
 
@@ -103,6 +104,16 @@ def test_config_defaults_match_nominal_study():
     assert config.storage_efficiency == 0.96
     assert config.storage_per_pv_kwh_per_kw == 0.5
     assert config.horizon == 24
+
+
+def test_storage_period_follows_horizon():
+    # a 48-period day has half-hour periods: 3.3 kW moves 1.65 kWh per period
+    spec = ingest.storage_unit_spec(ingest.StudyConfig(horizon=48))
+    assert spec.period_hours == 0.5
+    charge_cap, discharge_cap = st.rate_caps(spec, 48)
+    np.testing.assert_allclose(charge_cap, 1.65, rtol=1e-15)
+    np.testing.assert_allclose(discharge_cap, 1.65, rtol=1e-15)
+    assert ingest.storage_unit_spec(ingest.StudyConfig()).period_hours == 1.0
 
 
 def test_config_validation_errors():

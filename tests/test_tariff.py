@@ -65,13 +65,26 @@ def test_integration_case_validation():
     with pytest.raises(ValueError, match="mode"):
         tf.IntegrationCase(mode="sideways")
     with pytest.raises(ValueError, match="together"):
-        tf.IntegrationCase(mode=tf.MODE_DECENTRALIZED, customer_storage=st.powerwall())
+        tf.IntegrationCase(mode=tf.MODE_DECENTRALIZED, storage=st.powerwall())
     with pytest.raises(ValueError, match="decentralized"):
-        tf.IntegrationCase(customer_storage=st.powerwall(), customer_storage_units=[1.0])
+        tf.IntegrationCase(storage=st.powerwall(), storage_units=[1.0])
     with pytest.raises(ValueError, match="centralized"):
-        tf.IntegrationCase(mode=tf.MODE_NONE, retailer_storage_units=2.0)
+        tf.IntegrationCase(mode=tf.MODE_NONE, storage_units=2.0)
     case = tf.decentralized_case(st.powerwall(), [1.0, 2.0])
     assert case.uses_customer_der and not case.uses_retailer_der
+
+
+def test_integration_case_unit_counts_follow_the_side():
+    with pytest.raises(ValueError, match="one per class"):
+        tf.IntegrationCase(tf.MODE_CENTRALIZED, st.powerwall(), [1.0, 2.0])
+    with pytest.raises(ValueError, match=">= 0"):
+        tf.decentralized_case(st.powerwall(), [1.0, -2.0])
+    units = np.array([1.0, 2.0])
+    case = tf.decentralized_case(st.powerwall(), units)
+    assert not case.storage_units.flags.writeable
+    assert units.flags.writeable  # the caller's array is copied, not frozen
+    assert tf.centralized_case(st.powerwall(), 2.5).storage_units.ndim == 0
+    assert tf.centralized_case().storage is None
 
 
 def test_optimal_prices_equal_expected_wholesale():
@@ -276,12 +289,20 @@ def test_negative_connection_charge_flagged():
     assert "negative connection charge" in report.notes
 
 
+def test_non_finite_residual_raises(monkeypatch):
+    # abs(nan) > tol is False: the adequacy test must reject NaN explicitly
+    model, ss = fixture()
+    monkeypatch.setattr(tf, "expected_retailer_surplus", lambda *args: math.nan)
+    with pytest.raises(tf.RevenueAdequacyError, match="nan"):
+        tf.optimize_family_report(tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), model, ss, tf.no_der(), 20.0)
+
+
 def test_fleet_value_linear_in_units():
     prices = np.array([0.02, 0.09, 0.01, 0.2, 0.05, 0.11])
     case1 = tf.centralized_case(st.powerwall(), 1.0)
     case_frac = tf.centralized_case(st.powerwall(), 2.5)
-    v1 = tf.retailer_fleet_value(case1, prices)
-    v_frac = tf.retailer_fleet_value(case_frac, prices)
+    v1 = tf.fleet_value(case1, prices)
+    v_frac = tf.fleet_value(case_frac, prices)
     assert v_frac == pytest.approx(2.5 * v1, rel=1e-12)
 
 
@@ -446,7 +467,7 @@ def test_closed_forms_match_scenario_sums(seed, correlated, n_classes, horizon, 
     offset = 0.0
     if case.uses_retailer_der:
         offset = probs @ np.einsum("sn,sn->s", lam, ss.retailer_renewable_matrix)
-        offset += tf.retailer_fleet_value(case, lam_bar)
+        offset += tf.fleet_value(case, lam_bar)
 
     def close(value, reference, *terms):
         scale = max(1.0, *(float(np.abs(t).max()) for t in terms))
@@ -494,6 +515,50 @@ def test_closed_forms_match_scenario_sums(seed, correlated, n_classes, horizon, 
         ss.retailer_renewable_matrix, ss.solar_unit_matrix, independent=ss.independent,
     )
     assert tf.expected_margin(prices, model, rebuilt, case) == tf.expected_margin(prices, model, ss, case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=hst.integers(0, 2**16),
+    correlated=hst.booleans(),
+    n_classes=hst.integers(1, 4),
+    horizon=hst.integers(2, 8),
+    mode=hst.sampled_from(tf.MODES),
+)
+def test_der_value_matches_scenario_sums(seed, correlated, n_classes, horizon, mode):
+    # der_value reads the set's moments and one unit LP; the references sum
+    # E[lambda^T r] over every scenario and scale the unit value by the count
+    model, base = fixture(correlated=correlated, n_classes=n_classes, horizon=horizon, seed=seed)
+    rng = np.random.default_rng(seed)
+    ss = sc.with_pv_capacity(
+        base, customer_kw=rng.uniform(0.0, 20.0, size=n_classes), retailer_kw=float(rng.uniform(0.0, 50.0))
+    )
+    spec = st.StorageSpec(
+        capacity_kwh=float(rng.uniform(0.5, 10.0)),
+        charge_rate_kw=float(rng.uniform(0.5, 5.0)),
+        discharge_rate_kw=float(rng.uniform(0.5, 5.0)),
+        efficiency=float(rng.uniform(0.8, 1.0)),
+    )
+    units = rng.uniform(0.0, 3.0, size=n_classes) * (rng.uniform() < 0.8)  # sometimes no fleet
+    case, renewable = {
+        tf.MODE_NONE: (tf.no_der(), np.zeros_like(ss.price_matrix)),
+        tf.MODE_DECENTRALIZED: (tf.decentralized_case(spec, units), ss.customer_renewable_tensor.sum(axis=1)),
+        tf.MODE_CENTRALIZED: (tf.centralized_case(spec, units.sum()), ss.retailer_renewable_matrix),
+    }[mode]
+    probs, lam = ss.probabilities, ss.price_matrix
+    count = 0.0 if mode == tf.MODE_NONE else units.sum()
+    for prices in (rng.uniform(-0.05, 0.4, size=horizon), probs @ lam):
+        fleet_ref = st.arbitrage_value(spec, prices)[0] * count
+        assert tf.fleet_value(case, prices) == pytest.approx(fleet_ref, rel=1e-9, abs=1e-12)
+    # fleet_ref is now the fleet's value at the expected price
+    terms = np.einsum("sn,sn->s", lam, renewable)
+    renewable_ref = probs @ terms
+    tol = 1e-9 * max(1.0, float(np.abs(terms).max()))
+    assert tf.renewable_value(case, ss) == pytest.approx(renewable_ref, rel=1e-9, abs=tol)
+    assert tf.der_value(case, ss) == pytest.approx(fleet_ref + renewable_ref, rel=1e-9, abs=tol)
+    fixed_cost = float(rng.uniform(1.0, 50.0))
+    report = wf.welfare_identities(model, ss, case, fixed_cost)
+    assert report.passed, report
 
 
 def test_sweep_cell_reduces_each_set_once(study, anchors, monkeypatch):
