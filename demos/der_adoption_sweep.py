@@ -8,6 +8,7 @@ family but only ever improve.
 """
 
 import argparse
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -19,12 +20,13 @@ BAR = 48  # character width of the gain bars
 
 def print_mode(title, cells, labels, caps):
     print(f"\n{title}")
-    gains = {(c.family_kind, c.capacity_kw): c for c in cells}
+    # der_sweep returns its cells capacity-major, family-minor
+    by_key = dict(zip(itertools.product(caps, labels), cells, strict=True))
     top = max(abs(c.cs_gain) for c in cells if c.feasible)
     for label in labels:
         print(f"  {label}")
         for cap in caps:
-            cell = gains[(label, cap)]
+            cell = by_key[(cap, label)]
             if not cell.feasible:
                 print(f"    {cap / 1e3:>7.0f} MW  infeasible: {cell.reason}")
                 continue
@@ -51,7 +53,7 @@ def run(args, data):
     config = study.config
     anchors = wf.base_anchors(study.model, study.scenario_set, ingest.nominal_tariff(config))
     families = ingest.configured_families(config)
-    labels = [family.kind for _, family in families]
+    labels = [label for label, _ in families]
     caps = [float(c) for c in config.capacity_grid_kw]
 
     print(f"storage sized at {config.storage_per_pv_kwh_per_kw} kWh per kW of PV;"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -108,6 +109,30 @@ def _emit(study: ingest.Study, anchors: wf.BaseAnchors, name: str, meta: list[st
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     return path
+
+
+def _emit_grid(study: ingest.Study, anchors: wf.BaseAnchors, name: str, summary: str,
+               meta: list[str], header: list[str], rows: list[list[str]]) -> int:
+    """Write a (family, grid point) table with a ``reason`` column.
+
+    A row with a blank reason is a feasible cell.  Prints ``summary`` with
+    the feasible count; a table without one is an infeasible study.
+    """
+    reason_column = header.index("reason")
+    feasible_cells = sum(not row[reason_column] for row in rows)
+    print(f"{summary}, {feasible_cells} feasible cells")
+    if feasible_cells == 0:
+        raise tf.InfeasibleFamilyError(f"every {name} cell is infeasible", math.nan)
+    path = _emit(study, anchors, name, meta, header, rows)
+    print(f"wrote {path}")
+    return 0
+
+
+def _tariff_columns(tariff: tf.TwoPartTariff | None) -> list[str]:
+    """Connection charge and mean price columns; blank without a tariff."""
+    if tariff is None:
+        return ["", ""]
+    return [_fmt(tariff.connection_charge), _fmt(tariff.prices.mean())]
 
 
 def _load_study(args) -> tuple[ingest.Study, wf.BaseAnchors]:
@@ -248,7 +273,6 @@ def cmd_pareto(args) -> int:
         ingest.resolve_fixed_cost_grid(study.config, study.fixed_cost)
 
     rows = []
-    feasible_cells = 0
     for label, family in families:
         front = wf.pareto_front(
             family, study.model, study.scenario_set, tf.no_der(), grid, anchors
@@ -260,25 +284,18 @@ def cmd_pareto(args) -> int:
             if point is None:
                 rows.append([label, _fmt(f), "", "", "", "", reasons.get(float(f), "infeasible")])
                 continue
-            feasible_cells += 1
             rows.append([
                 label, _fmt(f), _fmt(point.rs_gain), _fmt(point.cs_gain),
-                _fmt(point.tariff.connection_charge), _fmt(point.tariff.prices.mean()), "",
+                *_tariff_columns(point.tariff), "",
             ])
-    print(f"pareto: {len(families)} families x {len(grid)} F points, "
-          f"{feasible_cells} feasible cells")
-    if feasible_cells == 0:
-        raise tf.InfeasibleFamilyError("every (family, F) cell is infeasible", math.nan)
-
-    path = _emit(
+    return _emit_grid(
         study, anchors, "pareto",
+        f"pareto: {len(families)} families x {len(grid)} F points",
         ["gains normalized by base revenue"],
         ["family", "fixed_cost_usd_per_day", "rs_gain", "cs_gain",
          "connection_charge_usd_per_day", "mean_price_usd_per_kwh", "reason"],
         rows,
     )
-    print(f"wrote {path}")
-    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -298,32 +315,21 @@ def cmd_sweep(args) -> int:
         pv_unit_kw=study.config.pv_unit_kw,
         storage_unit=ingest.storage_unit_spec(study.config),
     )
-    rows = []
-    feasible_cells = 0
-    for k, cell in enumerate(cells):
-        label = families[k % len(families)][0]  # cells are capacity-major, family-minor
-        if not cell.feasible:
-            rows.append([_fmt(cell.capacity_kw), label, "", "", "", "", cell.reason])
-            continue
-        feasible_cells += 1
-        rows.append([
-            _fmt(cell.capacity_kw), label, _fmt(cell.cs_gain), _fmt(cell.sw_gain),
-            _fmt(cell.connection_charge), _fmt(cell.mean_price), "",
-        ])
-    print(f"sweep ({args.mode}): {len(grid)} capacities x {len(families)} families, "
-          f"{feasible_cells} feasible cells")
-    if feasible_cells == 0:
-        raise tf.InfeasibleFamilyError("every sweep cell is infeasible", math.nan)
-
-    path = _emit(
+    labels = [label for label, _ in families]
+    rows = [
+        [_fmt(cell.capacity_kw), label, _fmt(cell.cs_gain), _fmt(cell.sw_gain),
+         *_tariff_columns(cell.tariff), cell.reason]
+        # der_sweep returns its cells capacity-major, family-minor
+        for (_, label), cell in zip(itertools.product(grid, labels), cells, strict=True)
+    ]
+    return _emit_grid(
         study, anchors, "sweep",
+        f"sweep ({args.mode}): {len(grid)} capacities x {len(families)} families",
         [f"mode: {args.mode}", "gains normalized by base revenue"],
         ["capacity_kw", "family", "cs_gain", "sw_gain",
          "connection_charge_usd_per_day", "mean_price_usd_per_kwh", "reason"],
         rows,
     )
-    print(f"wrote {path}")
-    return 0
 
 
 def cmd_xsub(args) -> int:
@@ -332,38 +338,26 @@ def cmd_xsub(args) -> int:
     grid = tuple(args.capacity_grid) if args.capacity_grid else study.config.capacity_grid_kw
 
     rows = []
-    feasible_cells = 0
     for label, family in families:
         cells = wf.cross_subsidy(
             family, study.model, study.scenario_set, grid, study.fixed_cost,
             pv_unit_kw=study.config.pv_unit_kw,
         )
-        for cell in cells:
-            if not cell.feasible:
-                rows.append([label, _fmt(cell.capacity_kw), _fmt(cell.owner_count),
-                             "", "", "", cell.reason])
-                continue
-            feasible_cells += 1
-            rows.append([
-                label, _fmt(cell.capacity_kw), _fmt(cell.owner_count),
-                _fmt(cell.contribution_net_metering), _fmt(cell.contribution_separated),
-                _fmt(cell.subsidy_norm), "",
-            ])
-    print(f"cross-subsidy: {len(families)} families x {len(grid)} capacities, "
-          f"{feasible_cells} feasible cells")
-    if feasible_cells == 0:
-        raise tf.InfeasibleFamilyError("every cross-subsidy cell is infeasible", math.nan)
-
-    path = _emit(
+        rows.extend(
+            [label, _fmt(cell.capacity_kw), _fmt(cell.owner_count),
+             _fmt(cell.contribution_net_metering), _fmt(cell.contribution_separated),
+             _fmt(cell.subsidy_norm), cell.reason]
+            for cell in cells
+        )
+    return _emit_grid(
         study, anchors, "xsub",
+        f"cross-subsidy: {len(families)} families x {len(grid)} capacities",
         ["subsidy normalized by required revenue F"],
         ["family", "capacity_kw", "owner_count",
          "owner_contribution_net_metering_usd_per_day",
          "owner_contribution_separated_usd_per_day", "subsidy_norm", "reason"],
         rows,
     )
-    print(f"wrote {path}")
-    return 0
 
 
 def cmd_gen_synthetic(args) -> int:

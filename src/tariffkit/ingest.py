@@ -24,6 +24,7 @@ import numpy as np
 import yaml
 
 from . import demand as dm
+from . import storage as st
 from . import tariff as tf
 from .scenario import ScenarioSet, split_marginals
 
@@ -491,10 +492,8 @@ def configured_families(config: StudyConfig) -> list[tuple[str, tf.TariffFamily]
     return out
 
 
-def storage_unit_spec(config: StudyConfig):
+def storage_unit_spec(config: StudyConfig) -> st.StorageSpec:
     """The configured storage unit; a period lasts 24 / horizon hours."""
-    from . import storage as st
-
     return st.StorageSpec(
         capacity_kwh=config.storage_capacity_kwh,
         charge_rate_kw=config.storage_power_kw,

@@ -106,10 +106,6 @@ class TwoPartTariff:
         if not math.isfinite(self.connection_charge):
             raise ValueError("connection charge must be finite")
 
-    @property
-    def horizon(self) -> int:
-        return self.prices.size
-
     def is_flat(self, tol: float = 0.0) -> bool:
         return bool(np.ptp(self.prices) <= tol)
 

@@ -357,17 +357,22 @@ def allocate_pv(
 
 @dataclass(frozen=True)
 class SweepCell:
-    """One (capacity, family) cell of a DER sweep."""
+    """One (capacity, family) cell of a DER sweep.
+
+    A cell whose family cannot reach F has no tariff, NaN gains and the
+    solver's reason.
+    """
 
     capacity_kw: float
     family_kind: str
-    feasible: bool
-    cs_gain: float
-    sw_gain: float
-    connection_charge: float
-    mean_price: float
+    cs_gain: float = math.nan
+    sw_gain: float = math.nan
     tariff: tf.TwoPartTariff | None = None
     reason: str = ""
+
+    @property
+    def feasible(self) -> bool:
+        return self.tariff is not None
 
 
 def sweep_fixture(
@@ -385,9 +390,14 @@ def sweep_fixture(
     as (possibly fractional) counts of ``storage_unit``.  Decentralized PV
     goes to the largest consumers first (:func:`allocate_pv`) and the fleet
     is spread over classes in proportion to allocated PV; centralized PV
-    and storage sit with the retailer.  ``MODE_NONE`` ignores the capacity.
+    and storage sit with the retailer.  ``MODE_NONE`` installs nothing, so
+    it accepts only a zero capacity.
     """
     if mode == tf.MODE_NONE:
+        if capacity_kw != 0.0:
+            raise ValueError(
+                f"mode {tf.MODE_NONE!r} installs no DER; capacity must be 0, got {capacity_kw} kW"
+            )
         return scenario_set, tf.no_der()
     units_total = storage_ratio * capacity_kw / storage_unit.capacity_kwh
     if mode == tf.MODE_DECENTRALIZED:
@@ -434,30 +444,16 @@ def der_sweep(
             try:
                 tariff = tf.optimize_family(family, model, swept, case, fixed_cost)
             except tf.InfeasibleFamilyError as exc:
-                cells.append(
-                    SweepCell(
-                        capacity_kw=capacity,
-                        family_kind=family.kind,
-                        feasible=False,
-                        cs_gain=math.nan,
-                        sw_gain=math.nan,
-                        connection_charge=math.nan,
-                        mean_price=math.nan,
-                        reason=str(exc),
-                    )
-                )
+                cells.append(SweepCell(capacity, family.kind, reason=str(exc)))
                 continue
             report = evaluate(tariff, model, swept, case)
             cells.append(
                 SweepCell(
                     capacity_kw=capacity,
                     family_kind=family.kind,
-                    feasible=True,
                     cs_gain=(report.consumer_surplus - anchors.consumer_surplus)
                     / anchors.revenue,
                     sw_gain=(report.social_welfare - base_sw) / anchors.revenue,
-                    connection_charge=tariff.connection_charge,
-                    mean_price=float(tariff.prices.mean()),
                     tariff=tariff,
                 )
             )
@@ -471,19 +467,22 @@ class CrossSubsidyCell:
     ``subsidy_norm`` is (owner contribution under separated settlement
     minus owner contribution under net metering) / F: the share of the
     fixed cost shifted from PV owners onto other customers by net metering.
-    Cells where either settlement's solve cannot reach F carry
-    ``feasible=False``, a reason, and NaN figures.
+    A cell where either settlement's solve cannot reach F has no tariffs,
+    NaN figures and the solver's reason.
     """
 
     capacity_kw: float
     owner_count: float
-    contribution_net_metering: float
-    contribution_separated: float
-    subsidy_norm: float
-    net_metering_tariff: tf.TwoPartTariff | None
-    separated_tariff: tf.TwoPartTariff | None
-    feasible: bool = True
+    contribution_net_metering: float = math.nan
+    contribution_separated: float = math.nan
+    subsidy_norm: float = math.nan
+    net_metering_tariff: tf.TwoPartTariff | None = None
+    separated_tariff: tf.TwoPartTariff | None = None
     reason: str = ""
+
+    @property
+    def feasible(self) -> bool:
+        return self.net_metering_tariff is not None
 
 
 def _owner_contributions(
@@ -556,19 +555,7 @@ def cross_subsidy(
                 family, model, swept, tf.no_der(), fixed_cost - swept.moments.customer_renewable_cov
             )
         except tf.InfeasibleFamilyError as exc:
-            cells.append(
-                CrossSubsidyCell(
-                    capacity_kw=capacity,
-                    owner_count=float(owners.sum()),
-                    contribution_net_metering=math.nan,
-                    contribution_separated=math.nan,
-                    subsidy_norm=math.nan,
-                    net_metering_tariff=None,
-                    separated_tariff=None,
-                    feasible=False,
-                    reason=str(exc),
-                )
-            )
+            cells.append(CrossSubsidyCell(capacity, float(owners.sum()), reason=str(exc)))
             continue
 
         contribution_nm = _owner_contributions(

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -119,6 +120,14 @@ def test_optimize_fixed_a_family(study_dir, out_dir, capsys):
     assert float(rows[0]["connection_charge_usd_per_day"]) == 0.53
 
 
+def test_optimize_without_der_rejects_a_capacity(study_dir, out_dir, capsys):
+    code = cli.main(["optimize", str(study_dir / "study.yaml"),
+                     "--mode", "none", "--capacity-kw", "1100000"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out_dir.exists()
+
+
 def test_optimize_missing_input_exits_4(study_dir, tmp_path, out_dir, capsys):
     config = rewrite_config(study_dir, tmp_path, inputs={"prices": "gone.csv"})
     (tmp_path / "gone.csv").unlink(missing_ok=True)
@@ -140,11 +149,40 @@ def test_pareto_writes_grid_rows(study_dir, out_dir, capsys):
     assert all(r["reason"] == "" for r in optimal)
 
 
-def test_pareto_all_infeasible_exits_3(study_dir, out_dir, capsys):
-    code = cli.main(["pareto", str(study_dir / "study.yaml"),
-                     "--families", "flat-zero-A", "--F-grid", "1e12"])
-    assert code == 3
+@pytest.mark.parametrize("command", [
+    ["pareto", "--families", "flat-zero-A", "--F-grid", "1e12"],
+    ["sweep", "--mode", "decentralized", "--families", "flat-zero-A", "--capacity-grid", "5e6"],
+    ["xsub", "--families", "flat-zero-A", "--capacity-grid", "5e6"],
+], ids=["pareto", "sweep", "xsub"])
+def test_all_infeasible_grid_exits_3(study_dir, out_dir, capsys, command):
+    name, *options = command
+    assert cli.main([name, str(study_dir / "study.yaml"), *options]) == 3
     assert "infeasible" in capsys.readouterr().err
+    assert not list(out_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, grid_columns", [
+    (["pareto", "--F-grid", "1e6", "1e12"], ["family", "fixed_cost_usd_per_day"]),
+    (["sweep", "--mode", "decentralized", "--capacity-grid", "0", "5e6"],
+     ["capacity_kw", "family"]),
+    (["xsub", "--capacity-grid", "0", "5e6"], ["family", "capacity_kw", "owner_count"]),
+], ids=["pareto", "sweep", "xsub"])
+def test_grid_rows_carry_figures_or_a_reason(study_dir, out_dir, capsys, command, grid_columns):
+    # flat-zero-A cannot reach F at the larger grid point; optimal-two-part always can
+    name, *options = command
+    code = cli.main([name, str(study_dir / "study.yaml"),
+                     "--families", "optimal-two-part", "flat-zero-A", *options])
+    assert code == 0
+    _, header, rows = read_table(out_dir / f"{name}.csv")
+    figures = [h for h in header if h not in grid_columns and h != "reason"]
+    assert len(rows) == 4
+    assert sorted(bool(row["reason"]) for row in rows) == [False, False, False, True]
+    for row in rows:
+        assert all(row[h] for h in grid_columns)
+        if row["reason"]:
+            assert all(row[h] == "" for h in figures)
+        else:
+            assert all(math.isfinite(float(row[h])) for h in figures)
 
 
 def test_unknown_family_label_exits_2(study_dir, out_dir, capsys):

@@ -46,7 +46,7 @@ def fixture(correlated=True, n_classes=3, horizon=6, with_solar=True, seed=2):
 def test_two_part_tariff_basics():
     t = tf.flat_tariff(0.5, 0.2, 4)
     assert t.is_flat()
-    assert t.horizon == 4
+    assert t.prices.shape == (4,)
     with pytest.raises(ValueError):
         tf.TwoPartTariff(math.nan, [0.1, 0.2])
 

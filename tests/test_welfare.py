@@ -288,7 +288,6 @@ def test_der_sweep_cells_carry_their_tariffs():
     )
     for cell in cells:
         assert cell.tariff is not None
-        assert cell.connection_charge == cell.tariff.connection_charge
 
 
 def test_der_sweep_marks_infeasible_cells():
