@@ -135,6 +135,26 @@ def _tariff_columns(tariff: tf.TwoPartTariff | None) -> list[str]:
     return [_fmt(tariff.connection_charge), _fmt(tariff.prices.mean())]
 
 
+def _number_option(config_key: str, nonnegative: bool = False):
+    """argparse ``type=`` for an option that overrides the config number ``config_key``.
+
+    The value follows that field's rule: a finite number
+    (``ingest._number``), and >= 0 when ``nonnegative``.  argparse reports
+    a bad value as a usage error naming the option, with exit code 2.
+    """
+
+    def number(text: str) -> float:
+        try:
+            value = ingest._number(float(text), config_key)
+        except ingest.ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if nonnegative and value < 0.0:
+            raise argparse.ArgumentTypeError(f"{config_key}: expected a number >= 0, got {text}")
+        return value
+
+    return number
+
+
 def _load_study(args) -> tuple[ingest.Study, wf.BaseAnchors]:
     config = ingest.load_config(args.config)
     study = ingest.build_study(config)
@@ -219,7 +239,9 @@ def cmd_optimize(args) -> int:
     result = tf.optimize_family_report(family, study.model, swept, case, fixed_cost)
     tariff = result.tariff
     report = wf.evaluate(tariff, study.model, swept, case)
-    residual = abs(report.retailer_surplus - fixed_cost)
+    # closed-form residual on the set's moments, the route evaluate's rs takes too;
+    # oracle.settlement_resim is the independent re-settlement
+    residual = abs(result.residual)
 
     print(f"family: {args.family}   mode: {args.mode}   pv: {_fmt(args.capacity_kw)} kW")
     print(f"required revenue F: {_fmt(fixed_cost)} $/day")
@@ -394,27 +416,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_study_command("optimize", cmd_optimize, "solve one tariff family at one F")
     p.add_argument("--family", choices=tf.FAMILY_KINDS, default=tf.OPTIMAL_TWO_PART)
     p.add_argument("--mode", choices=tf.MODES, default=tf.MODE_NONE)
-    p.add_argument("--F", dest="fixed_cost", type=float, default=None,
-                   help="required revenue $/day (default: derived from the nominal tariff)")
-    p.add_argument("--capacity-kw", type=float, default=0.0,
-                   help="installed PV capacity for DER modes")
-    p.add_argument("--fixed-A", dest="fixed_connection_charge", type=float, default=None,
-                   help="connection charge for fixed-A families")
+    p.add_argument("--F", dest="fixed_cost", type=_number_option("fixed_cost.value_usd_per_day"),
+                   default=None,
+                   help="required revenue $/day, any sign (default: derived from the nominal tariff)")
+    p.add_argument("--capacity-kw", type=_number_option("grids.capacity_kw", nonnegative=True),
+                   default=0.0, help="installed PV capacity for DER modes, kW >= 0")
+    p.add_argument("--fixed-A", dest="fixed_connection_charge",
+                   type=_number_option("families.fixed_connection_charges_usd_per_day"),
+                   default=None, help="connection charge for fixed-A families")
 
     p = add_study_command("pareto", cmd_pareto, "surplus trade-off across an F grid")
     p.add_argument("--families", nargs="+", default=None,
                    help="family labels (default: all configured)")
-    p.add_argument("--F-grid", dest="fixed_cost_grid", nargs="+", type=float, default=None)
+    p.add_argument("--F-grid", dest="fixed_cost_grid", nargs="+",
+                   type=_number_option("grids.fixed_cost_usd_per_day"), default=None)
 
     p = add_study_command("sweep", cmd_sweep, "re-solve families across PV capacities")
     p.add_argument("--mode", choices=(tf.MODE_DECENTRALIZED, tf.MODE_CENTRALIZED),
                    required=True)
     p.add_argument("--families", nargs="+", default=None)
-    p.add_argument("--capacity-grid", nargs="+", type=float, default=None)
+    p.add_argument("--capacity-grid", nargs="+", default=None,
+                   type=_number_option("grids.capacity_kw", nonnegative=True))
 
     p = add_study_command("xsub", cmd_xsub, "net-metering cross-subsidy by capacity")
     p.add_argument("--families", nargs="+", default=None)
-    p.add_argument("--capacity-grid", nargs="+", type=float, default=None)
+    p.add_argument("--capacity-grid", nargs="+", default=None,
+                   type=_number_option("grids.capacity_kw", nonnegative=True))
 
     p = sub.add_parser("gen-synthetic", help="write the bundled synthetic dataset")
     p.add_argument("--out", default="synthetic", help="output directory")

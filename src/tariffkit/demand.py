@@ -18,8 +18,8 @@ forms read the matrices directly): ``demand`` gives per-customer demand
 (G, C, N) for G rows of C classes, ``gross_benefit`` their benefits (G, C),
 ``aggregate_demand`` the population total (N,).
 
-Demand is never clamped inside optimization; negative unclamped values are
-surfaced as diagnostics by the welfare reports.
+Demand is never clamped inside optimization; ``oracle.settlement_resim``
+counts the (scenario, class) pairs whose unclamped demand goes negative.
 """
 
 from __future__ import annotations

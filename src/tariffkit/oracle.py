@@ -14,6 +14,7 @@ Nothing here is used by the library's own computations.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -102,19 +103,32 @@ def _linprog_schedule(spec: st.StorageSpec, prices: np.ndarray) -> tuple[float, 
     return -float(result.fun), discharge - charge
 
 
+@dataclass(frozen=True)
+class ResimReport(wf.SurplusReport):
+    """A :class:`~tariffkit.welfare.SurplusReport` re-derived by settlement.
+
+    ``negative_demand_pairs`` counts (scenario, class) pairs whose unclamped
+    demand went negative in some period (never clamped, only reported); it
+    needs every pair's demand, so only this per-pair route has it.
+    """
+
+    negative_demand_pairs: int
+
+
 def settlement_resim(
     tariff: tf.TwoPartTariff,
     model: dm.DemandModel,
     scenario_set: ScenarioSet,
     case: tf.IntegrationCase,
-) -> wf.SurplusReport:
+) -> ResimReport:
     """Re-simulate settlement with separate kernels, class-major order.
 
-    Demand, benefits, and storage schedules are recomputed from the model
-    primitives (dense solves and scipy's LP) rather than the library's
-    cached routes.  Alternate optimal storage schedules can legitimately
-    shift the scenario-by-scenario cost split, so comparisons assume the
-    arbitrage optimum is unique (true for generic price vectors).
+    Every (scenario, class) pair is settled on its own: demand, benefits,
+    and storage schedules are recomputed from the model primitives (dense
+    solves and scipy's LP) rather than the library's moment-based closed
+    forms.  Alternate optimal storage schedules can legitimately shift the
+    scenario-by-scenario cost split, so comparisons assume the arbitrage
+    optimum is unique (true for generic price vectors).
     """
     pi = as_price_vector(tariff.prices, model.horizon)
     charge = tariff.connection_charge
@@ -194,7 +208,7 @@ def settlement_resim(
             ret_ren_value += probs[k] * float(s.prices @ s.renewable_retailer)
 
     consumer_surplus = float(per_class_cs.sum())
-    return wf.SurplusReport(
+    return ResimReport(
         consumer_surplus=consumer_surplus,
         retailer_surplus=retailer_surplus,
         social_welfare=consumer_surplus + retailer_surplus,

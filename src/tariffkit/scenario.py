@@ -7,7 +7,8 @@ hold to floating-point accuracy rather than Monte Carlo accuracy.
 A :class:`ScenarioSet` stores its data once, as read-only stacked tensors
 with the scenario index first; every library computation is a reduction over
 that leading axis.  The price-independent reductions that the tariff closed
-forms need (:class:`SetMoments`) are made once per set and cached on it.
+forms need (:class:`SetMoments`) are made once per set and cached on it; a
+PV-rescaled set (:func:`with_pv_capacity`) updates its source's instead.
 :class:`Scenario` is the row view: sets are built from rows and iterate as
 rows, for the oracle, tests and demos.
 
@@ -26,6 +27,7 @@ Conventions
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -171,22 +173,89 @@ class SetMoments:
     mean_price : (N,) lam_bar = E[lambda]
     mean_disturbance : (C, N) E[w_c], per customer of class c
     disturbance_cov : (C,) tr cov(lambda, w_c)
-    mean_customer_renewable : (N,) E[R], R the customer renewables summed
-        over classes
+    mean_class_renewable : (C, N) E[R_c], the class-aggregate customer
+        renewables of class c
+    mean_customer_renewable : (N,) E[R], R = sum_c R_c
     customer_renewable_cov : tr cov(lambda, R)
     retailer_renewable_value : E[lambda^T r_retailer]
+    mean_solar : (N,) E[solar], per kW of PV
+    solar_cov : tr cov(lambda, solar), per kW
+    solar_value : E[lambda^T solar], per kW
 
-    The cross moments are stored centred, E[lambda^T w_c] - lam_bar^T E[w_c],
-    because every closed form reads them in that form and centring both
-    factors keeps the large uncentred terms from cancelling.
+    The three solar moments are None for a set without a per-kW solar
+    profile.  The cross moments are stored centred, E[lambda^T w_c] -
+    lam_bar^T E[w_c], because every closed form reads them in that form and
+    centring both factors keeps the large uncentred terms from cancelling.
     """
 
     mean_price: np.ndarray
     mean_disturbance: np.ndarray
     disturbance_cov: np.ndarray
+    mean_class_renewable: np.ndarray
     mean_customer_renewable: np.ndarray
     customer_renewable_cov: float
     retailer_renewable_value: float
+    mean_solar: np.ndarray | None
+    solar_cov: float | None
+    solar_value: float | None
+
+    def with_pv(self, customer_kw: np.ndarray, retailer_kw: float) -> SetMoments:
+        """Moments of the set with its renewables rebuilt from the solar profile.
+
+        Every renewable moment is linear in capacity, and the price and
+        disturbance moments do not change, so this costs O(C N).
+        """
+        if self.mean_solar is None:
+            raise ValueError("scenario set has no solar_unit profile to scale")
+        total_kw = float(customer_kw.sum())
+        class_renewable = np.outer(customer_kw, self.mean_solar)
+        mean_renewable = total_kw * self.mean_solar
+        for arr in (class_renewable, mean_renewable):
+            arr.setflags(write=False)
+        return dataclasses.replace(
+            self,
+            mean_class_renewable=class_renewable,
+            mean_customer_renewable=mean_renewable,
+            customer_renewable_cov=total_kw * self.solar_cov,
+            retailer_renewable_value=retailer_kw * self.solar_value,
+        )
+
+
+def _reduced_moments(ss: ScenarioSet) -> SetMoments:
+    """One S-sized pass over a set's tensors (see :class:`SetMoments`)."""
+    probs = ss.probabilities
+    mean_price = expect_price(ss)
+    lam_dev = ss.price_matrix - mean_price
+
+    def centred_cov(field: np.ndarray, mean: np.ndarray) -> float:
+        return float(probs @ np.einsum("sn,sn->s", lam_dev, field - mean))
+
+    mean_dist = np.tensordot(probs, ss.disturbance_tensor, axes=1)
+    dist_cov = probs @ np.einsum("sn,scn->sc", lam_dev, ss.disturbance_tensor - mean_dist)
+    class_renewable = np.tensordot(probs, ss.customer_renewable_tensor, axes=1)
+    mean_renewable = class_renewable.sum(axis=0)
+    mean_solar = solar_cov = solar_value = None
+    if ss.has_solar_unit:
+        mean_solar = probs @ ss.solar_unit_matrix
+        solar_cov = centred_cov(ss.solar_unit_matrix, mean_solar)
+        solar_value = float(probs @ np.einsum("sn,sn->s", ss.price_matrix, ss.solar_unit_matrix))
+    for arr in (mean_dist, dist_cov, class_renewable, mean_renewable, mean_solar):
+        if arr is not None:
+            arr.setflags(write=False)
+    return SetMoments(
+        mean_price=mean_price,
+        mean_disturbance=mean_dist,
+        disturbance_cov=dist_cov,
+        mean_class_renewable=class_renewable,
+        mean_customer_renewable=mean_renewable,
+        customer_renewable_cov=centred_cov(ss.customer_renewable_tensor.sum(axis=1), mean_renewable),
+        retailer_renewable_value=float(
+            probs @ np.einsum("sn,sn->s", ss.price_matrix, ss.retailer_renewable_matrix)
+        ),
+        mean_solar=mean_solar,
+        solar_cov=solar_cov,
+        solar_value=solar_value,
+    )
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -199,28 +268,29 @@ class ScenarioSet:
     ``retailer_renewable_matrix`` (S, N) and ``solar_unit_matrix`` (S, N) or
     None.  ``ScenarioSet(rows)`` stacks :class:`Scenario` rows and
     :meth:`from_tensors` takes the tensors; both validate through
-    ``_assign``.
+    ``_assign``.  A :func:`with_pv_capacity` set shares its source's
+    tensors and builds its two renewable tensors only when first read.
 
     Probabilities must sum to 1 within ``PROBABILITY_TOL``; a violation is a
     construction error, never silently renormalized.  ``independent`` marks
     sets whose price block is statistically independent of the local state
     block by construction (see :func:`split_marginals`).
 
-    The set's price-independent statistics are reduced once, on first use,
+    The set's price-independent statistics are computed once, on first use,
     and cached on the set: :attr:`moments` (a :class:`SetMoments`) and
     :attr:`disturbance_second_moment`.  They depend on no demand model or
-    integration case, and a set never changes, so they cannot go stale;
-    every derived set (:func:`with_pv_capacity`, :func:`split_marginals`)
-    is a new set with its own cache.
+    integration case, and a set never changes, so they cannot go stale.  A
+    set built from data reduces them in one pass over its scenarios; a
+    :func:`with_pv_capacity` set takes them from its source's in O(C N).
     """
 
     probabilities: np.ndarray
     price_matrix: np.ndarray
     disturbance_tensor: np.ndarray
-    customer_renewable_tensor: np.ndarray
-    retailer_renewable_matrix: np.ndarray
     solar_unit_matrix: np.ndarray | None
     independent: bool
+    # (source set, customer kW (C,), retailer kW) of a with_pv_capacity set, else None
+    _pv: tuple[ScenarioSet, np.ndarray, float] | None = dataclasses.field(repr=False)
 
     def __init__(self, scenarios: Sequence[Scenario], independent: bool = False):
         rows = tuple(scenarios)
@@ -256,8 +326,9 @@ class ScenarioSet:
             raise ValueError(f"scenario probabilities sum to {total!r}, not 1")
         arrays = _checked_arrays(prices, disturbances, renewable_customer, renewable_retailer,
                                  solar_unit, rows=probabilities.shape)
-        for name, value in zip(("probabilities", *_SET_FIELDS, "independent"),
-                               (probabilities, *arrays, bool(independent))):
+        # the renewable tensors land in the instance dict, ahead of their cached properties
+        for name, value in zip(("probabilities", *_SET_FIELDS, "independent", "_pv"),
+                               (probabilities, *arrays, bool(independent), None)):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
@@ -282,33 +353,34 @@ class ScenarioSet:
         return self.solar_unit_matrix is not None
 
     @cached_property
+    def customer_renewable_tensor(self) -> np.ndarray:
+        """(S, C, N) class-aggregate customer renewables, kWh."""
+        _, customer_kw, _ = self._pv
+        tensor = customer_kw[None, :, None] * self.solar_unit_matrix[:, None, :]
+        tensor.setflags(write=False)
+        return tensor
+
+    @cached_property
+    def retailer_renewable_matrix(self) -> np.ndarray:
+        """(S, N) retailer-side renewables, kWh."""
+        _, _, retailer_kw = self._pv
+        matrix = retailer_kw * self.solar_unit_matrix
+        matrix.setflags(write=False)
+        return matrix
+
+    @cached_property
     def moments(self) -> SetMoments:
-        """The set's moments, reduced once (see :class:`SetMoments`)."""
-        probs = self.probabilities
-        mean_price = expect_price(self)
-        lam_dev = self.price_matrix - mean_price
-        mean_dist = np.tensordot(probs, self.disturbance_tensor, axes=1)
-        dist_cov = probs @ np.einsum("sn,scn->sc", lam_dev, self.disturbance_tensor - mean_dist)
-        renewable = self.customer_renewable_tensor.sum(axis=1)
-        mean_renewable = probs @ renewable
-        for arr in (mean_dist, dist_cov, mean_renewable):
-            arr.setflags(write=False)
-        return SetMoments(
-            mean_price=mean_price,
-            mean_disturbance=mean_dist,
-            disturbance_cov=dist_cov,
-            mean_customer_renewable=mean_renewable,
-            customer_renewable_cov=float(
-                probs @ np.einsum("sn,sn->s", lam_dev, renewable - mean_renewable)
-            ),
-            retailer_renewable_value=float(
-                probs @ np.einsum("sn,sn->s", self.price_matrix, self.retailer_renewable_matrix)
-            ),
-        )
+        """The set's moments (see :class:`SetMoments`), computed once."""
+        if self._pv is None:
+            return _reduced_moments(self)
+        source, customer_kw, retailer_kw = self._pv
+        return source.moments.with_pv(customer_kw, retailer_kw)
 
     @cached_property
     def disturbance_second_moment(self) -> np.ndarray:
-        """E[w_c w_c^T] per class, (C, N, N), reduced once."""
+        """E[w_c w_c^T] per class, (C, N, N), computed once."""
+        if self._pv is not None:
+            return self._pv[0].disturbance_second_moment
         by_class = self.disturbance_tensor.transpose(1, 0, 2)  # (C, S, N)
         second = (by_class.transpose(0, 2, 1) * self.probabilities) @ by_class
         second.setflags(write=False)
@@ -421,29 +493,34 @@ def with_pv_capacity(
     customer_kw=None,
     retailer_kw: float = 0.0,
 ) -> ScenarioSet:
-    """Rebuild renewable columns from the per-kW solar profile.
+    """The set with its renewables rebuilt from the per-kW solar profile.
 
-    ``customer_kw`` is a per-class capacity vector (kW); ``retailer_kw`` a
-    scalar capacity.  Requires ``solar_unit`` on the set.  Every other
-    tensor is shared with ``scenario_set``.
+    ``customer_kw`` is a per-class capacity vector (kW) and ``retailer_kw``
+    a scalar capacity: class c's renewables become ``customer_kw[c] *
+    solar`` and the retailer's ``retailer_kw * solar``.  Requires
+    ``solar_unit`` on the set.  The new set shares every other tensor with
+    ``scenario_set`` and costs O(C N): its moments come from the source's
+    (:meth:`SetMoments.with_pv`), and its renewable tensors are built only
+    when first read.
     """
     if not scenario_set.has_solar_unit:
         raise ValueError("scenario set has no solar_unit profile to scale")
     c = scenario_set.n_classes
     if customer_kw is None:
         customer_kw = np.zeros(c)
-    customer_kw = np.asarray(customer_kw, dtype=float)
+    customer_kw = np.array(customer_kw, dtype=float)
     if customer_kw.shape != (c,):
         raise ValueError(f"customer_kw has shape {customer_kw.shape}, expected ({c},)")
+    retailer_kw = float(retailer_kw)
+    if not (np.all(np.isfinite(customer_kw)) and math.isfinite(retailer_kw)):
+        raise ValueError("PV capacities must be finite")
     if np.any(customer_kw < 0.0) or retailer_kw < 0.0:
         raise ValueError("PV capacities must be non-negative")
-    solar = scenario_set.solar_unit_matrix
-    return ScenarioSet.from_tensors(
-        scenario_set.probabilities,
-        scenario_set.price_matrix,
-        scenario_set.disturbance_tensor,
-        customer_kw[None, :, None] * solar[:, None, :],
-        retailer_kw * solar,
-        solar,
-        independent=scenario_set.independent,
-    )
+    customer_kw.setflags(write=False)
+    source = scenario_set if scenario_set._pv is None else scenario_set._pv[0]
+    derived = ScenarioSet.__new__(ScenarioSet)
+    for name in ("probabilities", "price_matrix", "disturbance_tensor", "solar_unit_matrix",
+                 "independent"):
+        object.__setattr__(derived, name, getattr(source, name))
+    object.__setattr__(derived, "_pv", (source, customer_kw, retailer_kw))
+    return derived

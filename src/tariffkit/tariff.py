@@ -33,10 +33,10 @@ cached moments (``ScenarioSet.moments`` and
 counts and the case's metering in O(C N^2) per call; no call makes a pass
 over the scenarios.  The one exception is :func:`optimal_two_part`'s
 independent check, which sums the metered disturbance's covariance over
-every scenario.  The welfare module re-derives every quantity by
-simulating settlement; the two paths share the demand and storage
-primitives but not the accounting code, and the test suite holds them to
-each other.
+every scenario.  ``welfare.evaluate`` reports its surpluses from these
+closed forms; ``oracle.settlement_resim`` re-derives every quantity by
+simulating settlement per (scenario, class), sharing none of this
+accounting code, and the test suite holds the two to each other.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 
 from . import demand as dm
 from . import storage as st
-from .scenario import ScenarioSet, as_price_vector, cov_trace, expect_price
+from .scenario import ScenarioSet, as_price_vector, cov_trace
 
 MODE_NONE = "none"
 MODE_DECENTRALIZED = "decentralized"
@@ -302,8 +302,10 @@ def _metered_moments(
     """E[metered disturbance] (N,) and tr cov(lambda, metered disturbance).
 
     Built from the set's cached moments, the model's class counts and the
-    case's metering, in O(C N); this is the one place in the closed-form
-    path that reads the customer side of the integration case.
+    case's metering, in O(C N); with
+    :func:`expected_consumer_surplus_by_class`, which nets the same terms
+    per class, the only place in the closed-form path that reads the
+    customer renewables.
     """
     moments = scenario_set.moments
     mean = model.class_counts @ moments.mean_disturbance
@@ -338,46 +340,60 @@ def expected_retailer_surplus(
     return model.customers * tariff.connection_charge + margin + _retailer_der_value(case, scenario_set)
 
 
+def expected_consumer_surplus_by_class(
+    tariff: TwoPartTariff,
+    model: dm.DemandModel,
+    scenario_set: ScenarioSet,
+    case: IntegrationCase,
+) -> np.ndarray:
+    """Expected consumer surplus of each class (C,), $ per day (closed-form path).
+
+    Uses the quadratic identity S(D) - pi^T D = v^T B^{-1} v / (2 sigma)
+    + sigma pi^T B pi / 2 - pi^T v with v = sigma b0 + w per customer,
+    instead of evaluating S at the consumption bundle (only
+    ``oracle.settlement_resim`` does the latter; the tests hold the two
+    to each other).  Its expectation needs only the set's disturbance
+    moments,
+
+        E[v^T B^{-1} v] = sigma^2 b0^T B^{-1} b0 + 2 sigma b0^T B^{-1} E[w]
+                          + tr(B^{-1} E[w w^T]),
+
+    and, summed over a class's customers and netted against its
+    behind-the-meter resources, the bill term is pi^T (M_c sigma_c b0 +
+    M_c E[w_c] - E[R_c] - fleet_c).
+    """
+    pi = as_price_vector(tariff.prices, model.horizon)
+    sigma, counts = model.sigma, model.class_counts
+    moments = scenario_set.moments
+    binv_b0 = model.slope_inverse @ model.base
+    quad_w = np.einsum("nm,cmn->c", model.slope_inverse, scenario_set.disturbance_second_moment)
+    quad_v = (  # E[v^T B^-1 v] per customer, (C,)
+        sigma**2 * float(model.base @ binv_b0)
+        + 2.0 * sigma * (moments.mean_disturbance @ binv_b0)
+        + quad_w
+    )
+    billed = np.outer(counts * sigma, model.base) + counts[:, None] * moments.mean_disturbance
+    if case.uses_customer_der:
+        billed = (
+            billed - moments.mean_class_renewable - customer_fleet_meter(case, model.n_classes, pi)
+        )
+    return (
+        counts * quad_v / (2.0 * sigma)
+        + 0.5 * counts * sigma * float(pi @ (model.slope @ pi))
+        - billed @ pi
+        - counts * tariff.connection_charge
+    )
+
+
 def expected_consumer_surplus(
     tariff: TwoPartTariff,
     model: dm.DemandModel,
     scenario_set: ScenarioSet,
     case: IntegrationCase,
 ) -> float:
-    """Expected consumer surplus of a tariff, $ per day (closed-form path).
-
-    Uses the quadratic identity S(D) - pi^T D = v^T B^{-1} v / (2 sigma)
-    + sigma pi^T B pi / 2 - pi^T v with v = sigma b0 + w per customer,
-    instead of evaluating S at the consumption bundle (the welfare module
-    does the latter; the two are held to each other by the tests).  Its
-    expectation needs only the set's disturbance moments,
-
-        E[v^T B^{-1} v] = sigma^2 b0^T B^{-1} b0 + 2 sigma b0^T B^{-1} E[w]
-                          + tr(B^{-1} E[w w^T]),
-
-    and, summed over customers and netted against behind-the-meter
-    resources, the bill term is pi^T (sigma_total b0 + E[metered
-    disturbance] - fleet).
-    """
-    pi = as_price_vector(tariff.prices, model.horizon)
-    sigma, counts = model.sigma, model.class_counts
-    binv_b0 = model.slope_inverse @ model.base
-    quad_w = np.einsum("nm,cmn->c", model.slope_inverse, scenario_set.disturbance_second_moment)
-    quad_v = (  # E[v^T B^-1 v] per customer, (C,)
-        sigma**2 * float(model.base @ binv_b0)
-        + 2.0 * sigma * (scenario_set.moments.mean_disturbance @ binv_b0)
-        + quad_w
-    )
-    gross_benefit = float(quad_v @ (counts / (2.0 * sigma)))
-    fleet = customer_fleet_meter(case, model.n_classes, pi).sum(axis=0)
-    mean_metered, _ = _metered_moments(model, scenario_set, case)
-    billed = model.sigma_total * model.base + mean_metered - fleet
-    return (
-        gross_benefit
-        + 0.5 * model.sigma_total * float(pi @ (model.slope @ pi))
-        - float(pi @ billed)
-        - model.customers * tariff.connection_charge
-    )
+    """Expected consumer surplus of a tariff, $ per day: the sum of
+    :func:`expected_consumer_surplus_by_class`."""
+    return float(expected_consumer_surplus_by_class(tariff, model, scenario_set, case).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +448,7 @@ def optimal_two_part(
     :class:`RevenueAdequacyError`.
     """
     require_assumption1(model)
-    pi = expect_price(scenario_set)
+    pi = scenario_set.moments.mean_price
     metered_cov = cov_trace(
         scenario_set, _metered_disturbance(model, scenario_set, case), scenario_set.price_matrix
     )

@@ -1,17 +1,24 @@
-"""Welfare accounting by settlement simulation, and the study analyses.
+"""Welfare accounting on the scenario set's moments, and the study analyses.
 
-``evaluate`` prices every (scenario, class) pair's bills, energy costs and
-benefits explicitly, as tensor passes over the scenario set's (S, C, N)
-arrays, through the batched kernels ``demand.demand`` and
-``demand.gross_benefit``, and takes the probability-weighted sum; it
-shares the demand model and storage primitives with the tariff module but
-none of its closed-form accounting, so the decomposition identities verified by
-``welfare_identities`` are genuine cross-checks rather than restatements.
+Every surplus figure is the expectation of a quadratic in the scenario, so
+``evaluate`` reports it exactly from the set's cached moments
+(``ScenarioSet.moments`` and ``disturbance_second_moment``) through the
+tariff module's closed forms, in O(C N^2) per call whatever the number of
+scenarios.  The per-(scenario, class) settlement that these expectations
+summarize lives only in ``oracle.settlement_resim``, the independent route
+the tests hold ``evaluate`` to.  The decomposition identities verified by
+``welfare_identities`` stay genuine cross-checks: ``efficient_welfare`` and
+``planner_bound`` price every scenario's demand through the batched
+kernels ``demand.demand`` and ``demand.gross_benefit``, in one pass per
+call.
 
 Analyses built on top: planner (ex-post efficient) upper bound, Pareto
 fronts between consumer surplus and collected revenue, sweeps over
 installed DER capacity, and the cross-subsidy comparison between
-net-metered and separated settlement.
+net-metered and separated settlement.  A swept capacity's scenario set is a
+:func:`~tariffkit.scenario.with_pv_capacity` set, whose moments are an
+O(C N) update of the study set's, so no grid cell makes a pass over the
+scenarios except the optimal tariff's independent check.
 """
 
 from __future__ import annotations
@@ -33,9 +40,8 @@ IDENTITY_RTOL = 1e-8
 class SurplusReport:
     """Expected surpluses of one tariff under one integration case, $ per day.
 
-    ``social_welfare`` is always the computed sum cs + rs.  Diagnostics:
-    ``negative_demand_pairs`` counts (scenario, class) pairs whose unclamped
-    demand went negative in some period (never clamped, only reported).
+    ``social_welfare`` is always the computed sum cs + rs, and
+    ``expected_revenue - expected_energy_cost`` is rs up to rounding.
     """
 
     consumer_surplus: float
@@ -48,7 +54,6 @@ class SurplusReport:
     retailer_fleet_value: float
     customer_renewable_value: float
     retailer_renewable_value: float
-    negative_demand_pairs: int
 
 
 def evaluate(
@@ -57,64 +62,58 @@ def evaluate(
     scenario_set: ScenarioSet,
     case: tf.IntegrationCase,
 ) -> SurplusReport:
-    """Simulate settlement of a tariff for every (scenario, class) pair.
+    """Expected surpluses of a tariff, from the set's cached moments.
 
     Respects the integration case: decentralized cases net the customer
-    renewable columns and the tariff-responsive storage fleet behind the
-    meter; centralized cases bill gross consumption while the retailer nets
-    its renewable column and a fleet committed against the expected price.
-    Columns not selected by the case are ignored.  A non-finite consumer or
-    retailer surplus raises ``ArithmeticError``.
+    renewables and the tariff-responsive storage fleet behind the meter;
+    centralized cases bill gross consumption while the retailer nets its
+    renewables and a fleet committed against the expected price.  Demand
+    is linear in the disturbance, so revenue is M A + pi^T E[metered
+    demand] and energy cost lam_bar^T E[served demand] plus the centred
+    tr cov(lambda, .) terms; the surpluses are
+    ``tariff.expected_consumer_surplus_by_class`` and
+    ``tariff.expected_retailer_surplus``.  O(C N^2) per call.  A non-finite
+    consumer or retailer surplus raises ``ArithmeticError``.
     """
     pi = as_price_vector(tariff.prices, model.horizon)
-    counts = model.class_counts
-    probs = scenario_set.probabilities
-    lam = scenario_set.price_matrix
-    dist = scenario_set.disturbance_tensor
+    moments = scenario_set.moments
+    lam_bar = moments.mean_price
 
-    q = dm.demand(model, model.sigma, pi, dist)  # (S, C, N)
-    negative_pairs = int(np.count_nonzero(q.min(axis=2) < 0.0))
-    benefit = dm.gross_benefit(model, model.sigma, q, dist)  # (S, C)
-    billed = q @ pi  # (S, C)
-    cost = np.einsum("scn,sn->sc", q, lam) @ counts  # lambda^T gross demand, (S,)
-
-    payments = counts * (tariff.connection_charge + billed)  # (S, C)
-    customer_fleet = retailer_fleet = customer_ren = retailer_ren = 0.0
-    if case.uses_customer_der:
-        renewable = scenario_set.customer_renewable_tensor
-        fleet_meter = tf.customer_fleet_meter(case, model.n_classes, pi)  # (C, N)
-        payments = payments - renewable @ pi - fleet_meter @ pi
-        renewable_value = np.einsum("sn,sn->s", lam, renewable.sum(axis=1))
-        cost = cost - renewable_value - lam @ fleet_meter.sum(axis=0)
-        customer_ren = float(probs @ renewable_value)
-        customer_fleet = tf.fleet_value(case, pi)
-    if case.uses_retailer_der:
-        mean_prices = expect_price(scenario_set)
-        retailer_value = np.einsum("sn,sn->s", lam, scenario_set.retailer_renewable_matrix)
-        cost = cost - retailer_value - lam @ tf.retailer_commitment(case, mean_prices)
-        retailer_ren = float(probs @ retailer_value)
-        retailer_fleet = tf.fleet_value(case, mean_prices)
-
-    per_class_cs = probs @ (counts * benefit - payments)
-    revenue = payments.sum(axis=1)
+    per_class_cs = tf.expected_consumer_surplus_by_class(tariff, model, scenario_set, case)
     consumer_surplus = float(per_class_cs.sum())
-    retailer_surplus = float(probs @ (revenue - cost))
+    retailer_surplus = tf.expected_retailer_surplus(tariff, model, scenario_set, case)
     if not (math.isfinite(consumer_surplus) and math.isfinite(retailer_surplus)):
         raise ArithmeticError(
-            f"non-finite surplus in settlement: cs {consumer_surplus!r}, rs {retailer_surplus!r}"
+            f"non-finite surplus: cs {consumer_surplus!r}, rs {retailer_surplus!r}"
         )
+
+    # E[gross demand]; of its terms only the disturbance covaries with lambda
+    gross = dm.aggregate_demand(model, pi, moments.mean_disturbance)
+    revenue = model.customers * tariff.connection_charge + float(pi @ gross)
+    cost = float(lam_bar @ gross) + float(model.class_counts @ moments.disturbance_cov)
+    customer_fleet = retailer_fleet = customer_ren = retailer_ren = 0.0
+    if case.uses_customer_der:
+        fleet = tf.customer_fleet_meter(case, model.n_classes, pi).sum(axis=0)
+        customer_ren = tf.renewable_value(case, scenario_set)
+        customer_fleet = tf.fleet_value(case, pi)
+        revenue -= float(pi @ (moments.mean_customer_renewable + fleet))
+        cost -= customer_ren + float(lam_bar @ fleet)
+    if case.uses_retailer_der:
+        retailer_ren = tf.renewable_value(case, scenario_set)
+        retailer_fleet = tf.fleet_value(case, lam_bar)
+        cost -= retailer_ren + float(lam_bar @ tf.retailer_commitment(case, lam_bar))
+
     return SurplusReport(
         consumer_surplus=consumer_surplus,
         retailer_surplus=retailer_surplus,
         social_welfare=consumer_surplus + retailer_surplus,
         per_class_consumer_surplus=per_class_cs,
-        expected_revenue=float(probs @ revenue),
-        expected_energy_cost=float(probs @ cost),
+        expected_revenue=revenue,
+        expected_energy_cost=cost,
         customer_fleet_value=customer_fleet,
         retailer_fleet_value=retailer_fleet,
         customer_renewable_value=customer_ren,
         retailer_renewable_value=retailer_ren,
-        negative_demand_pairs=negative_pairs,
     )
 
 
@@ -497,25 +496,20 @@ def _owner_contributions(
 
     Under net metering owners are billed on q - r at the tariff prices;
     under separated settlement consumption pays the tariff prices while
-    generation is credited at the expected wholesale price.
+    generation is credited at the expected wholesale price.  Demand is
+    linear in the disturbance, so from the set's moments an owner in class
+    c contributes A + (pi - lam_bar)^T E[q_c] - tr cov(lambda, w_c), and
+    each owned kW of PV E[lambda^T solar] - credit^T E[solar].
     """
-    owned = owners > 0.0
-    if not owned.any():
+    if not owners.any():
         return 0.0
-    pi = tariff.prices
-    lam = scenario_set.price_matrix
-    solar = scenario_set.solar_unit_matrix
-    sigma = model.sigma[owned]
-    dist = scenario_set.disturbance_tensor[:, owned, :]
-    q = dm.demand(model, sigma, pi, dist)  # (S, owner classes, N)
-    owners, owner_kw = owners[owned], owner_kw[owned]
-
-    credit_price = expect_price(scenario_set) if separated else pi
-    payment = owners * (tariff.connection_charge + q @ pi) - np.outer(solar @ credit_price, owner_kw)
-    physical_cost = owners * np.einsum("scn,sn->sc", q, lam) - np.outer(
-        np.einsum("sn,sn->s", solar, lam), owner_kw
-    )
-    return float(scenario_set.probabilities @ (payment - physical_cost).sum(axis=1))
+    moments = scenario_set.moments
+    pi, lam_bar = tariff.prices, moments.mean_price
+    mean_demand = np.outer(model.sigma, model.base - model.slope @ pi) + moments.mean_disturbance
+    per_owner = tariff.connection_charge + mean_demand @ (pi - lam_bar) - moments.disturbance_cov
+    credit_price = lam_bar if separated else pi
+    per_kw = moments.solar_value - float(credit_price @ moments.mean_solar)
+    return float(owners @ per_owner) + float(owner_kw.sum()) * per_kw
 
 
 def cross_subsidy(

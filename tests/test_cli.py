@@ -270,6 +270,36 @@ def test_non_finite_surplus_exits_2(tmp_path, out_dir, capsys):
     assert not (out_dir / "optimize.csv").exists()
 
 
+NUMBER_OPTIONS = [  # (command and its fixed arguments, option, must be >= 0)
+    (["optimize"], "--F", False),
+    (["optimize", "--family", "flat-fixed-A"], "--fixed-A", False),
+    (["optimize", "--mode", "decentralized"], "--capacity-kw", True),
+    (["pareto"], "--F-grid", False),
+    (["sweep", "--mode", "decentralized"], "--capacity-grid", True),
+    (["sweep", "--mode", "centralized"], "--capacity-grid", True),
+    (["xsub"], "--capacity-grid", True),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e5"])
+@pytest.mark.parametrize("command, option, nonnegative", NUMBER_OPTIONS)
+def test_number_options_checked_where_they_enter(study_dir, out_dir, capsys, command, option,
+                                                 nonnegative, value):
+    # each option follows the rule of the config field it overrides
+    argv = [command[0], str(study_dir / "study.yaml"), *command[1:], f"{option}={value}"]
+    if value == "-1e5" and not nonnegative:  # F and A may be negative, as in the config
+        parsed = vars(cli.build_parser().parse_args(argv))
+        assert -1e5 in parsed.values() or [-1e5] in parsed.values()
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: " in err and value in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_output_dir_env_override(study_dir, tmp_path, monkeypatch):
     target = tmp_path / "elsewhere"
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(target))

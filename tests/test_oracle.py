@@ -247,3 +247,65 @@ def test_product_sets_settle_like_the_oracle(seed, n_days, n_classes):
         main = wf.evaluate(tariff, model, swept, case)
         resim = oracle.settlement_resim(tariff, model, swept, case)
         assert_reports_agree(resim, main)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    n_days=hst.integers(min_value=1, max_value=5),
+    n_classes=hst.integers(min_value=1, max_value=4),
+    horizon=hst.integers(min_value=2, max_value=6),
+    product=hst.booleans(),
+    mode=hst.sampled_from(tf.MODES),
+)
+def test_evaluate_matches_settlement(seed, n_days, n_classes, horizon, product, mode):
+    # evaluate reads the set's moments; the oracle settles every (scenario, class) pair
+    rng = np.random.default_rng(seed)
+    model = dm.calibrate(
+        target_sales=rng.uniform(8.0, 16.0, size=horizon),
+        target_price=0.2,
+        elasticity=-0.4,
+        n_classes=n_classes,
+        sigma_rule="linear",
+        total_customers=50.0,
+    )
+    shock = rng.normal(size=(n_days, 1))
+    rows = [
+        sc.make_scenario(
+            weight,
+            np.clip(0.05 + 0.03 * rng.normal(size=horizon) + 0.04 * shock[k], 0.005, None),
+            np.outer(model.sigma, (0.8 * shock[k] + 0.3 * rng.normal(size=horizon)) / model.sigma_total),
+            solar_unit=rng.uniform(0.0, 0.3, size=horizon),
+        )
+        for k, weight in enumerate(rng.dirichlet(np.ones(n_days)))
+    ]
+    ss = sc.ScenarioSet(rows)
+    if product:
+        ss = sc.split_marginals(ss)
+    lossy = st.StorageSpec(
+        capacity_kwh=float(rng.uniform(0.5, 8.0)),
+        charge_rate_kw=float(rng.uniform(0.5, 4.0)),
+        discharge_rate_kw=float(rng.uniform(0.5, 4.0)),
+        efficiency=float(rng.uniform(0.7, 0.99)),
+    )
+    case = {
+        tf.MODE_NONE: tf.no_der(),
+        tf.MODE_DECENTRALIZED: tf.decentralized_case(lossy, rng.uniform(0.0, 2.0, size=n_classes)),
+        tf.MODE_CENTRALIZED: tf.centralized_case(lossy, float(rng.uniform(0.0, 3.0))),
+    }[mode]
+    swept = sc.with_pv_capacity(
+        ss, customer_kw=rng.uniform(0.0, 4.0, size=n_classes), retailer_kw=float(rng.uniform(0.0, 8.0))
+    )
+    tariff = tf.TwoPartTariff(-rng.uniform(0.01, 2.0), rng.uniform(0.05, 0.3, size=horizon))
+    assert_reports_agree(oracle.settlement_resim(tariff, model, swept, case),
+                         wf.evaluate(tariff, model, swept, case))
+
+    # the rescaled set's moments are an update of ss's; a rebuild reduces its own
+    rebuilt = sc.ScenarioSet.from_tensors(
+        swept.probabilities, swept.price_matrix, swept.disturbance_tensor,
+        swept.customer_renewable_tensor, swept.retailer_renewable_matrix, swept.solar_unit_matrix,
+    )
+    for field in dataclasses.fields(sc.SetMoments):
+        got, want = getattr(swept.moments, field.name), getattr(rebuilt.moments, field.name)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=field.name)
+    np.testing.assert_array_equal(swept.disturbance_second_moment, rebuilt.disturbance_second_moment)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from tariffkit import demand as dm
+from tariffkit import ingest
+from tariffkit import oracle
 from tariffkit import scenario as sc
 from tariffkit import storage as st
 from tariffkit import tariff as tf
@@ -54,8 +56,8 @@ def test_evaluate_matches_closed_form_surpluses(mode):
         ),
     }[mode]
     report = wf.evaluate(tariff, model, swept, case)
-    rs = tf.expected_retailer_surplus(tariff, model, swept, case)
-    cs = tf.expected_consumer_surplus(tariff, model, swept, case)
+    settled = oracle.settlement_resim(tariff, model, swept, case)
+    rs, cs = settled.retailer_surplus, settled.consumer_surplus
     assert report.retailer_surplus == pytest.approx(rs, rel=1e-10, abs=1e-10)
     assert report.consumer_surplus == pytest.approx(cs, rel=1e-10, abs=1e-10)
     assert report.social_welfare == report.consumer_surplus + report.retailer_surplus
@@ -84,9 +86,9 @@ def test_larger_classes_get_more_surplus():
 def test_negative_demand_diagnostic_counts_pairs():
     model, ss = fixture()
     absurd = tf.flat_tariff(0.0, 50.0, model.horizon)  # way past choke
-    report = wf.evaluate(absurd, model, ss, tf.no_der())
+    report = oracle.settlement_resim(absurd, model, ss, tf.no_der())
     assert report.negative_demand_pairs == len(ss) * model.n_classes
-    sane = wf.evaluate(tf.flat_tariff(0.0, 0.2, 6), model, ss, tf.no_der())
+    sane = oracle.settlement_resim(tf.flat_tariff(0.0, 0.2, 6), model, ss, tf.no_der())
     assert sane.negative_demand_pairs == 0
 
 
@@ -354,3 +356,50 @@ def test_cross_subsidy_infeasible_cells_are_marked():
     assert not cells[1].feasible
     assert math.isnan(cells[1].subsidy_norm)
     assert cells[1].net_metering_tariff is None
+
+
+def test_grid_cells_make_no_scenario_pass(study, anchors, monkeypatch):
+    # every grid cell reads the study set's cached moments or an O(C N)
+    # update of them: no demand-kernel call and no reduction per cell; only
+    # the optimal tariff's independent check sums over the scenarios
+    ss, config = study.scenario_set, study.config
+    ss.moments, ss.disturbance_second_moment  # the study's one pass
+    calls = {"kernel": 0, "reduced": 0, "second_moment": 0, "metered": 0, "optimal": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    second_moment = sc.ScenarioSet.__dict__["disturbance_second_moment"]
+    reduce_second_moment = second_moment.func
+
+    def second_moment_of(s):
+        calls["second_moment"] += s._pv is None  # a rescaled set hands over its source's
+        return reduce_second_moment(s)
+
+    monkeypatch.setattr(dm, "demand", counted("kernel", dm.demand))
+    monkeypatch.setattr(dm, "gross_benefit", counted("kernel", dm.gross_benefit))
+    monkeypatch.setattr(sc, "_reduced_moments", counted("reduced", sc._reduced_moments))
+    monkeypatch.setattr(second_moment, "func", second_moment_of)
+    monkeypatch.setattr(tf, "_metered_disturbance", counted("metered", tf._metered_disturbance))
+    monkeypatch.setattr(tf, "optimal_two_part", counted("optimal", tf.optimal_two_part))
+    families = [family for _, family in ingest.configured_families(config)]
+    grid = config.capacity_grid_kw[:3]
+    for family in families:
+        wf.pareto_front(
+            family, study.model, ss, tf.no_der(), [0.5 * study.fixed_cost, study.fixed_cost], anchors
+        )
+        wf.cross_subsidy(family, study.model, ss, grid, study.fixed_cost, pv_unit_kw=config.pv_unit_kw)
+    for mode in (tf.MODE_DECENTRALIZED, tf.MODE_CENTRALIZED):
+        wf.der_sweep(
+            families, study.model, ss, mode, grid, config.storage_per_pv_kwh_per_kw,
+            study.fixed_cost, anchors, pv_unit_kw=config.pv_unit_kw,
+            storage_unit=ingest.storage_unit_spec(config),
+        )
+    assert calls["kernel"] == 0
+    assert calls["reduced"] == 0
+    assert calls["second_moment"] == 0
+    assert calls["optimal"] > 0
+    assert calls["metered"] == calls["optimal"]
