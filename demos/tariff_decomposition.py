@@ -56,10 +56,12 @@ def run(args, data):
           f"  (= (F + cov(lambda, demand)) / M = {(F + demand_cov) / model.customers:.6f})")
 
     spec = ingest.storage_unit_spec(config)
-    owner_kw, owners = wf.allocate_pv(model, args.pv_kw, config.pv_unit_kw)
-    units = config.storage_per_pv_kwh_per_kw * owner_kw / spec.capacity_kwh
-    dec_set = wf.with_pv_capacity(base_set, customer_kw=owner_kw)
-    dec_case = tf.decentralized_case(spec, units)
+
+    def fixture(mode):
+        return wf.sweep_fixture(model, base_set, mode, args.pv_kw,
+                                config.storage_per_pv_kwh_per_kw, spec, config.pv_unit_kw)
+
+    dec_set, dec_case = fixture(tf.MODE_DECENTRALIZED)
     behind = tf.optimal_decentralized(model, dec_set, dec_case, F)
 
     # expected export value accrues to the owners; only the covariance of
@@ -70,18 +72,17 @@ def run(args, data):
     generation_cov = sc.cov_trace(
         dec_set, lambda s: s.renewable_customer.sum(axis=0), lambda s: s.prices
     )
-    total_units = float(units.sum())
+    _, owners = wf.allocate_pv(model, args.pv_kw, config.pv_unit_kw)
     unit_value, _ = st.arbitrage_value(spec, lam_bar)
     print(f"\n{args.pv_kw:,.0f} kW of PV behind the meter ({owners.sum():,.0f} owners),"
-          f" {total_units:,.0f} batteries:")
+          f" {dec_case.storage_units.sum():,.0f} batteries:")
     print(f"  A = {behind.connection_charge:.6f} $/day; prices unchanged")
     print(f"  owners keep the export value ({export_value:,.0f} $/day); A moves only by"
           f" cov(lambda, generation) / M = {generation_cov / model.customers:.6f}")
 
-    cen_set = wf.with_pv_capacity(base_set, retailer_kw=args.pv_kw)
-    cen_case = tf.centralized_case(spec, total_units)
+    cen_set, cen_case = fixture(tf.MODE_CENTRALIZED)
     central = tf.optimal_centralized(model, cen_set, cen_case, F)
-    fleet = total_units * unit_value
+    fleet = float(cen_case.storage_units) * unit_value
     print("\nsame fleet on the retailer side:")
     print(f"  A = {central.connection_charge:.6f} $/day  (export value and battery"
           f" arbitrage {fleet:,.0f} $/day both credited through the charge)")

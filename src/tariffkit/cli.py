@@ -135,22 +135,20 @@ def _tariff_columns(tariff: tf.TwoPartTariff | None) -> list[str]:
     return [_fmt(tariff.connection_charge), _fmt(tariff.prices.mean())]
 
 
-def _number_option(config_key: str, nonnegative: bool = False):
-    """argparse ``type=`` for an option that overrides the config number ``config_key``.
+def _number_option(attr: str):
+    """argparse ``type=`` for an option that overrides StudyConfig field ``attr``.
 
-    The value follows that field's rule: a finite number
-    (``ingest._number``), and >= 0 when ``nonnegative``.  argparse reports
-    a bad value as a usage error naming the option, with exit code 2.
+    The value is checked as the study file's value is
+    (``StudyConfig.check_field``): a finite number that keeps the field's rule.
+    argparse reports a bad value as a usage error naming the option, with
+    exit code 2.
     """
 
     def number(text: str) -> float:
         try:
-            value = ingest._number(float(text), config_key)
+            return ingest.StudyConfig.check_field(attr, float(text))
         except ingest.ConfigError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        if nonnegative and value < 0.0:
-            raise argparse.ArgumentTypeError(f"{config_key}: expected a number >= 0, got {text}")
-        return value
+            raise argparse.ArgumentTypeError(f"{exc}, got {text}") from None
 
     return number
 
@@ -416,32 +414,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_study_command("optimize", cmd_optimize, "solve one tariff family at one F")
     p.add_argument("--family", choices=tf.FAMILY_KINDS, default=tf.OPTIMAL_TWO_PART)
     p.add_argument("--mode", choices=tf.MODES, default=tf.MODE_NONE)
-    p.add_argument("--F", dest="fixed_cost", type=_number_option("fixed_cost.value_usd_per_day"),
+    p.add_argument("--F", dest="fixed_cost", type=_number_option("fixed_cost_value"),
                    default=None,
                    help="required revenue $/day, any sign (default: derived from the nominal tariff)")
-    p.add_argument("--capacity-kw", type=_number_option("grids.capacity_kw", nonnegative=True),
+    p.add_argument("--capacity-kw", type=_number_option("capacity_grid_kw"),
                    default=0.0, help="installed PV capacity for DER modes, kW >= 0")
     p.add_argument("--fixed-A", dest="fixed_connection_charge",
-                   type=_number_option("families.fixed_connection_charges_usd_per_day"),
+                   type=_number_option("fixed_connection_charges"),
                    default=None, help="connection charge for fixed-A families")
 
     p = add_study_command("pareto", cmd_pareto, "surplus trade-off across an F grid")
     p.add_argument("--families", nargs="+", default=None,
                    help="family labels (default: all configured)")
     p.add_argument("--F-grid", dest="fixed_cost_grid", nargs="+",
-                   type=_number_option("grids.fixed_cost_usd_per_day"), default=None)
+                   type=_number_option("fixed_cost_grid"), default=None)
 
     p = add_study_command("sweep", cmd_sweep, "re-solve families across PV capacities")
     p.add_argument("--mode", choices=(tf.MODE_DECENTRALIZED, tf.MODE_CENTRALIZED),
                    required=True)
     p.add_argument("--families", nargs="+", default=None)
     p.add_argument("--capacity-grid", nargs="+", default=None,
-                   type=_number_option("grids.capacity_kw", nonnegative=True))
+                   type=_number_option("capacity_grid_kw"))
 
     p = add_study_command("xsub", cmd_xsub, "net-metering cross-subsidy by capacity")
     p.add_argument("--families", nargs="+", default=None)
     p.add_argument("--capacity-grid", nargs="+", default=None,
-                   type=_number_option("grids.capacity_kw", nonnegative=True))
+                   type=_number_option("capacity_grid_kw"))
 
     p = sub.add_parser("gen-synthetic", help="write the bundled synthetic dataset")
     p.add_argument("--out", default="synthetic", help="output directory")

@@ -33,6 +33,9 @@ import numpy as np
 from .scenario import as_price_vector
 
 
+SIGMA_RULES = ("constant", "linear")  # the class_sigmas rules
+
+
 def class_sigmas(n_classes: int, sigma_rule: str, class_counts) -> np.ndarray:
     """Per-class scale multipliers, normalized to population mean one.
 
@@ -43,12 +46,12 @@ def class_sigmas(n_classes: int, sigma_rule: str, class_counts) -> np.ndarray:
     counts = np.asarray(class_counts, dtype=float)
     if counts.shape != (n_classes,) or np.any(counts <= 0):
         raise ValueError("class_counts must be positive with one entry per class")
+    if sigma_rule not in SIGMA_RULES:
+        raise ValueError(f"unknown sigma_rule {sigma_rule!r}")
     if sigma_rule == "constant":
         raw = np.ones(n_classes)
-    elif sigma_rule == "linear":
-        raw = np.arange(1, n_classes + 1, dtype=float)
     else:
-        raise ValueError(f"unknown sigma_rule {sigma_rule!r}")
+        raw = np.arange(1, n_classes + 1, dtype=float)
     return raw * (counts.sum() / (counts @ raw))
 
 

@@ -5,7 +5,11 @@ Input files are small delimited-text tables, one row per period
 $/MWh and are converted to $/kWh on load; solar profiles are normalized to
 per-kW-of-capacity units.  The study configuration is a two-level YAML
 document whose defaults describe a NYC-like residential study; unknown keys
-are hard errors.
+are hard errors.  Each entry is declared once, on its ``StudyConfig``
+field: the field's ``section.key`` and rule live in its metadata, and its
+annotation names the type the file value is coerced to.  Reading and
+writing study files, validation and the CLI number options
+(``StudyConfig.check_field``) all work from those declarations.
 
 Because the real price, sales, and solar extracts behind such studies are
 not redistributable, a seeded generator produces a 20-day summer-like
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +137,40 @@ def load_profile(path, kind: str, *, system_kw: float = 1.0) -> list[np.ndarray]
 # study configuration
 
 
+def _positive(x):
+    return None if x > 0.0 else "must be positive"
+
+
+def _nonnegative(x):
+    return None if x >= 0.0 else "must be >= 0"
+
+
+def _at_least_one(x):
+    return None if x >= 1 else "must be >= 1"
+
+
+def _slopes_down(x):
+    return None if x < 0.0 else f"must be negative (demand slopes down), got {x}"
+
+
+def _efficiency(x):
+    return None if 0.0 < x <= 1.0 else "must be in (0, 1]"
+
+
+def _one_of(choices):
+    return lambda x: None if x in choices else f"must be one of {choices}"
+
+
+def _entry(default, key: str, rule=None, *, allow_inf: bool = False):
+    """A study-file entry: the field's default, its ``section.key`` and its rule.
+
+    A rule maps one value (one element, for a tuple field) to None when it
+    holds and to a failure phrase when it does not.  Numbers must be finite
+    unless ``allow_inf``.
+    """
+    return field(default=default, metadata={"key": key, "rule": rule, "allow_inf": allow_inf})
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Validated study parameters; defaults describe the nominal study.
@@ -144,221 +182,172 @@ class StudyConfig:
     6.4 kWh / 3.3 kW / 0.96 round-trip battery.
     """
 
-    horizon: int = 24
-    scenario_mode: str = "paired-days"
-    output_dir: str = "out"
-    customer_count: float = 2.2e6
-    customer_classes: int = 5
-    sigma_rule: str = "linear"
-    class_counts: tuple[float, ...] | None = None
-    elasticity: float = -0.3
-    slope_override: tuple[tuple[float, ...], ...] | None = None
-    nominal_price: float = 0.172
-    nominal_connection_charge: float = 0.53
-    fixed_cost_mode: str = "derived-from-nominal"
-    fixed_cost_value: float | None = None
-    family_kinds: tuple[str, ...] = tf.FAMILY_KINDS
-    fixed_connection_charges: tuple[float, ...] = (0.53,)
-    pv_unit_kw: float = 5.0
-    storage_capacity_kwh: float = 6.4
-    storage_power_kw: float = 3.3
-    storage_efficiency: float = 0.96
-    storage_per_pv_kwh_per_kw: float = 0.5
-    allocation: str = "largest-first"
-    capacity_grid_kw: tuple[float, ...] = (0.0, 550e3, 1100e3, 1650e3, 2200e3)
-    fixed_cost_grid: tuple[float, ...] | None = None
-    fixed_cost_multipliers: tuple[float, ...] = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
-    prices_path: str | None = None
-    load_path: str | None = None
-    solar_path: str | None = None
-    solar_system_kw: float = 5.0
+    horizon: int = _entry(24, "study.horizon", _at_least_one)
+    scenario_mode: str = _entry("paired-days", "study.scenario_mode", _one_of(SCENARIO_MODES))
+    output_dir: str = _entry("out", "study.output_dir")
+    customer_count: float = _entry(2.2e6, "customers.count", _positive)
+    customer_classes: int = _entry(5, "customers.classes", _at_least_one)
+    sigma_rule: str = _entry("linear", "customers.sigma_rule", _one_of(dm.SIGMA_RULES))
+    class_counts: tuple[float, ...] | None = _entry(None, "customers.class_counts", _positive)
+    elasticity: float = _entry(-0.3, "demand.elasticity", _slopes_down)
+    slope_override: tuple[tuple[float, ...], ...] | None = _entry(None, "demand.slope_override")
+    nominal_price: float = _entry(0.172, "nominal_tariff.price_usd_per_kwh", _positive)
+    nominal_connection_charge: float = _entry(0.53, "nominal_tariff.connection_charge_usd_per_day")
+    fixed_cost_mode: str = _entry("derived-from-nominal", "fixed_cost.mode",
+                                  _one_of(FIXED_COST_MODES))
+    fixed_cost_value: float | None = _entry(None, "fixed_cost.value_usd_per_day")
+    family_kinds: tuple[str, ...] = _entry(tf.FAMILY_KINDS, "families.kinds",
+                                           _one_of(tf.FAMILY_KINDS))
+    fixed_connection_charges: tuple[float, ...] = _entry(
+        (0.53,), "families.fixed_connection_charges_usd_per_day")
+    pv_unit_kw: float = _entry(5.0, "der.pv_unit_kw", _positive)
+    storage_capacity_kwh: float = _entry(6.4, "der.storage_capacity_kwh", _positive)
+    # an infinite power is an unrated unit, the one number that may be infinite
+    storage_power_kw: float = _entry(3.3, "der.storage_power_kw", _positive, allow_inf=True)
+    storage_efficiency: float = _entry(0.96, "der.storage_efficiency", _efficiency)
+    storage_per_pv_kwh_per_kw: float = _entry(0.5, "der.storage_per_pv_kwh_per_kw", _nonnegative)
+    allocation: str = _entry("largest-first", "der.allocation", _one_of(ALLOCATION_RULES))
+    capacity_grid_kw: tuple[float, ...] = _entry(
+        (0.0, 550e3, 1100e3, 1650e3, 2200e3), "grids.capacity_kw", _nonnegative)
+    fixed_cost_grid: tuple[float, ...] | None = _entry(None, "grids.fixed_cost_usd_per_day")
+    fixed_cost_multipliers: tuple[float, ...] = _entry(
+        (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75), "grids.fixed_cost_multipliers")
+    prices_path: str | None = _entry(None, "inputs.prices")
+    load_path: str | None = _entry(None, "inputs.load")
+    solar_path: str | None = _entry(None, "inputs.solar")
+    solar_system_kw: float = _entry(5.0, "inputs.solar_system_kw", _positive)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError("study.horizon must be >= 1")
-        if self.scenario_mode not in SCENARIO_MODES:
-            raise ConfigError(f"study.scenario_mode must be one of {SCENARIO_MODES}")
-        if self.customer_count <= 0.0:
-            raise ConfigError("customers.count must be positive")
-        if self.customer_classes < 1:
-            raise ConfigError("customers.classes must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("tuple") and not isinstance(value, (tuple, type(None))):
+                raise ConfigError(f"{f.metadata['key']}: expected a tuple, got {value!r}")
+            self.check_field(f.name, value)
+        # cross-field checks
         if self.class_counts is not None:
             if len(self.class_counts) != self.customer_classes:
                 raise ConfigError("customers.class_counts length must equal customers.classes")
-            if any(c <= 0.0 for c in self.class_counts):
-                raise ConfigError("customers.class_counts must be positive")
             total = math.fsum(self.class_counts)
             if abs(total - self.customer_count) > 1e-6 * self.customer_count:
                 raise ConfigError("customers.class_counts must sum to customers.count")
-        if self.elasticity >= 0.0:
-            raise ConfigError(
-                f"demand.elasticity must be negative (demand slopes down), got {self.elasticity}"
-            )
         if self.slope_override is not None:
             rows = self.slope_override
             if any(len(r) != len(rows) for r in rows) or len(rows) != self.horizon:
                 raise ConfigError(
                     "demand.slope_override must be a square horizon-sized matrix"
                 )
-        if self.nominal_price <= 0.0:
-            raise ConfigError("nominal_tariff.price_usd_per_kwh must be positive")
-        if self.fixed_cost_mode not in FIXED_COST_MODES:
-            raise ConfigError(f"fixed_cost.mode must be one of {FIXED_COST_MODES}")
         if self.fixed_cost_mode == "explicit" and self.fixed_cost_value is None:
             raise ConfigError("fixed_cost.value_usd_per_day required when mode is explicit")
-        for kind in self.family_kinds:
-            if kind not in tf.FAMILY_KINDS:
-                raise ConfigError(f"families.kinds: unknown kind {kind!r}")
         if not self.fixed_connection_charges:
             raise ConfigError("families.fixed_connection_charges_usd_per_day must be non-empty")
-        for name in (
-            "pv_unit_kw",
-            "storage_capacity_kwh",
-            "storage_power_kw",
-            "storage_per_pv_kwh_per_kw",
-            "solar_system_kw",
+
+    @staticmethod
+    def check_field(name: str, value):
+        """Return ``value`` if it keeps the declaration of field ``name``.
+
+        A number must be finite (unless the field allows infinity) and keep
+        the field's rule; a tuple is checked element by element, and None,
+        an unset optional field, passes.  A failure raises ConfigError
+        naming the field's ``section.key``.
+        """
+        if isinstance(value, tuple):
+            for item in value:
+                StudyConfig.check_field(name, item)
+            return value
+        if value is None:
+            return value
+        meta = _declared(name)
+        if isinstance(value, float) and not (
+            math.isfinite(value) or (math.isinf(value) and meta["allow_inf"])
         ):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be >= 0")
-        for name in ("pv_unit_kw", "storage_capacity_kwh", "storage_power_kw"):
-            if getattr(self, name) == 0.0:
-                raise ConfigError(f"der.{name} must be positive")
-        if not 0.0 < self.storage_efficiency <= 1.0:
-            raise ConfigError("der.storage_efficiency must be in (0, 1]")
-        if self.allocation not in ALLOCATION_RULES:
-            raise ConfigError(f"der.allocation must be one of {ALLOCATION_RULES}")
-        if any(c < 0.0 for c in self.capacity_grid_kw):
-            raise ConfigError("grids.capacity_kw must be >= 0")
+            raise ConfigError(f"{meta['key']}: expected a finite number")
+        failure = meta["rule"](value) if meta["rule"] else None
+        if failure:
+            raise ConfigError(f"{meta['key']} {failure}")
+        return value
 
 
-# maps config-file (section, key) entries onto StudyConfig attributes
-_CONFIG_SCHEMA: dict[str, dict[str, str]] = {
-    "study": {
-        "horizon": "horizon",
-        "scenario_mode": "scenario_mode",
-        "output_dir": "output_dir",
-    },
-    "customers": {
-        "count": "customer_count",
-        "classes": "customer_classes",
-        "sigma_rule": "sigma_rule",
-        "class_counts": "class_counts",
-    },
-    "demand": {"elasticity": "elasticity", "slope_override": "slope_override"},
-    "nominal_tariff": {
-        "price_usd_per_kwh": "nominal_price",
-        "connection_charge_usd_per_day": "nominal_connection_charge",
-    },
-    "fixed_cost": {"mode": "fixed_cost_mode", "value_usd_per_day": "fixed_cost_value"},
-    "families": {
-        "kinds": "family_kinds",
-        "fixed_connection_charges_usd_per_day": "fixed_connection_charges",
-    },
-    "der": {
-        "pv_unit_kw": "pv_unit_kw",
-        "storage_capacity_kwh": "storage_capacity_kwh",
-        "storage_power_kw": "storage_power_kw",
-        "storage_efficiency": "storage_efficiency",
-        "storage_per_pv_kwh_per_kw": "storage_per_pv_kwh_per_kw",
-        "allocation": "allocation",
-    },
-    "grids": {
-        "capacity_kw": "capacity_grid_kw",
-        "fixed_cost_usd_per_day": "fixed_cost_grid",
-        "fixed_cost_multipliers": "fixed_cost_multipliers",
-    },
-    "inputs": {
-        "prices": "prices_path",
-        "load": "load_path",
-        "solar": "solar_path",
-        "solar_system_kw": "solar_system_kw",
-    },
-}
-
-_INT_FIELDS = {"horizon", "customer_classes"}
-_STR_FIELDS = {
-    "scenario_mode",
-    "output_dir",
-    "sigma_rule",
-    "fixed_cost_mode",
-    "allocation",
-    "prices_path",
-    "load_path",
-    "solar_path",
-}
-_STR_TUPLE_FIELDS = {"family_kinds"}
-_NUMBER_TUPLE_FIELDS = {"class_counts", "fixed_connection_charges", "capacity_grid_kw",
-                        "fixed_cost_grid", "fixed_cost_multipliers"}
-_OPTIONAL_FIELDS = {"class_counts", "fixed_cost_value", "fixed_cost_grid",
-                    "prices_path", "load_path", "solar_path", "slope_override"}
+# the fields naming input files, resolved against the study file's directory
+_INPUT_PATHS = ("prices_path", "load_path", "solar_path")
 
 
-def _number(value, where: str, allow_inf: bool = False) -> float:
+def _declared(name: str):
+    """The declaration (key, rule, allow_inf) of StudyConfig field ``name``."""
+    return StudyConfig.__dataclass_fields__[name].metadata
+
+
+def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    number = float(value)
-    if math.isnan(number) or (math.isinf(number) and not allow_inf):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
-def _coerce(attr: str, value, where: str):
-    if value is None:
-        if attr in _OPTIONAL_FIELDS:
-            return None
-        raise ConfigError(f"{where}: value may not be null")
-    if attr == "slope_override":
-        if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
-            raise ConfigError(f"{where}: expected a list of rows, got {value!r}")
-        return tuple(tuple(_number(v, where) for v in row) for row in value)
-    if attr in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}: expected an integer, got {value!r}")
-        return value
-    if attr in _STR_FIELDS:
-        if not isinstance(value, str):
-            raise ConfigError(f"{where}: expected a string, got {value!r}")
-        return value
-    if attr in _STR_TUPLE_FIELDS:
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ConfigError(f"{where}: expected a list of strings, got {value!r}")
-        return tuple(value)
-    if attr in _NUMBER_TUPLE_FIELDS:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where}: expected a list of numbers, got {value!r}")
-        return tuple(_number(v, where) for v in value)
-    # an infinite storage power is an unrated unit, the one number that may be infinite
-    return _number(value, where, allow_inf=attr == "storage_power_kw")
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _list(value, where: str, noun: str, element) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list of {noun}, got {value!r}")
+    return tuple(element(v, where) for v in value)
+
+
+def _numbers(value, where: str) -> tuple:
+    return _list(value, where, "numbers", _number)
+
+
+# a field's annotation, less any " | None", names the coercer of its file value
+_COERCERS = {
+    "int": _integer,
+    "float": _number,
+    "str": _string,
+    "tuple[str, ...]": lambda value, where: _list(value, where, "strings", _string),
+    "tuple[float, ...]": _numbers,
+    "tuple[tuple[float, ...], ...]": lambda value, where: _list(value, where, "rows", _numbers),
+}
 
 
 def config_from_mapping(mapping: dict) -> StudyConfig:
     """Build a StudyConfig from a two-level mapping; unknown keys are errors."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"config root must be a mapping, got {type(mapping).__name__}")
+    by_key = {f.metadata["key"]: f for f in fields(StudyConfig)}
+    sections = {key.split(".")[0] for key in by_key}
     kwargs = {}
     for section, entries in mapping.items():
-        if section not in _CONFIG_SCHEMA:
+        if section not in sections:
             raise ConfigError(f"unknown config section {section!r}")
         if entries is None:
             continue
         if not isinstance(entries, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
-        schema = _CONFIG_SCHEMA[section]
         for key, value in entries.items():
-            if key not in schema:
-                raise ConfigError(f"unknown config key {section}.{key}")
-            attr = schema[key]
-            kwargs[attr] = _coerce(attr, value, f"{section}.{key}")
+            where = f"{section}.{key}"
+            if where not in by_key:
+                raise ConfigError(f"unknown config key {where}")
+            f = by_key[where]
+            if value is None:
+                if not f.type.endswith(" | None"):
+                    raise ConfigError(f"{where}: value may not be null")
+                kwargs[f.name] = None
+            else:
+                kwargs[f.name] = _COERCERS[f.type.removesuffix(" | None")](value, where)
     return StudyConfig(**kwargs)
 
 
 def config_to_mapping(config: StudyConfig) -> dict:
-    """Inverse of config_from_mapping, with sections and keys in schema order."""
+    """Inverse of config_from_mapping, with sections and keys in field order."""
     out: dict[str, dict] = {}
-    by_attr = {attr: (section, key) for section, entries in _CONFIG_SCHEMA.items()
-               for key, attr in entries.items()}
     for f in fields(config):
-        section, key = by_attr[f.name]
+        section, key = f.metadata["key"].split(".")
         value = getattr(config, f.name)
         if isinstance(value, tuple):
             value = [list(v) if isinstance(v, tuple) else v for v in value]
@@ -376,7 +365,7 @@ def load_config(path) -> StudyConfig:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     config = config_from_mapping(mapping or {})
     resolved = {}
-    for attr in ("prices_path", "load_path", "solar_path"):
+    for attr in _INPUT_PATHS:
         value = getattr(config, attr)
         if value is not None and not Path(value).is_absolute():
             resolved[attr] = str((path.parent / value).resolve())
@@ -385,10 +374,8 @@ def load_config(path) -> StudyConfig:
     return config
 
 
-def replace_config(config: StudyConfig, **changes) -> StudyConfig:
-    values = {f.name: getattr(config, f.name) for f in fields(config)}
-    values.update(changes)
-    return StudyConfig(**values)
+# a changed copy of a config; StudyConfig checks every field of the copy again
+replace_config = replace
 
 
 def write_config(config: StudyConfig, path) -> None:
@@ -451,7 +438,7 @@ def build_scenarios(
     if model is None:
         model = build_model(config, load_days)
     if {vec.size for vec in (*prices, *load_days, *solar_days)} != {config.horizon}:
-        raise DataError("input day length does not match study.horizon")
+        raise DataError(f"input day length does not match {_declared('horizon')['key']}")
     loads = np.stack(load_days)
     deviation = (loads - np.mean(loads, axis=0)) / model.sigma_total  # (K, N)
     built = ScenarioSet.from_tensors(
@@ -515,10 +502,7 @@ class Study:
 
 def build_study(config: StudyConfig) -> Study:
     """Load the configured inputs and assemble model, scenarios, and F."""
-    missing = [name for name, attr in
-               (("inputs.prices", "prices_path"), ("inputs.load", "load_path"),
-                ("inputs.solar", "solar_path"))
-               if getattr(config, attr) is None]
+    missing = [_declared(attr)["key"] for attr in _INPUT_PATHS if getattr(config, attr) is None]
     if missing:
         raise ConfigError(f"missing input paths: {', '.join(missing)}")
     prices = load_prices(config.prices_path)

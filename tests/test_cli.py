@@ -229,10 +229,15 @@ def test_xsub_at_zero_fixed_cost_exits_2(study_dir, tmp_path, out_dir, capsys):
     assert err.startswith("error:") and "F = 0" in err
 
 
-@pytest.mark.parametrize("field", ["storage_capacity_kwh", "storage_power_kw"])
-def test_zero_storage_size_rejected_at_validation(study_dir, tmp_path, out_dir, capsys, field):
-    config = rewrite_config(study_dir, tmp_path, der={field: 0.0})
-    message = f"der.{field} must be positive"
+ZERO_SIZES = [("der", "storage_capacity_kwh"), ("der", "storage_power_kw"),
+              ("inputs", "solar_system_kw")]
+
+
+@pytest.mark.parametrize("section, key", ZERO_SIZES, ids=[key for _, key in ZERO_SIZES])
+def test_zero_storage_size_rejected_at_validation(study_dir, tmp_path, out_dir, capsys,
+                                                  section, key):
+    config = rewrite_config(study_dir, tmp_path, **{section: {key: 0.0}})
+    message = f"{section}.{key} must be positive"
     assert cli.main(["validate", str(config)]) == 2
     assert f"FAIL config parses: {message}" in capsys.readouterr().out
     assert cli.main(["sweep", str(config), "--mode", "decentralized"]) == 2

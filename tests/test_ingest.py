@@ -1,3 +1,7 @@
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -135,17 +139,61 @@ def test_config_validation_errors():
 
 def test_config_mapping_round_trip():
     config = ingest.StudyConfig(
-        horizon=6,
+        horizon=2,
         customer_classes=2,
         class_counts=(10.0, 20.0),
         customer_count=30.0,
+        slope_override=((2.0, 0.5), (0.5, 2.0)),
+        fixed_cost_mode="explicit",
+        fixed_cost_value=123.0,
         fixed_connection_charges=(0.53, 1.0),
+        fixed_cost_grid=(7.0, 9.0),
         prices_path="p.csv",
         load_path="l.csv",
         solar_path="s.csv",
     )
+    optional = [f.name for f in fields(config) if f.type.endswith("| None")]
+    assert all(getattr(config, name) is not None for name in optional)
     back = ingest.config_from_mapping(ingest.config_to_mapping(config))
     assert back == config
+
+
+# one value breaking each field rule, by the entry's section.key
+RULE_BREAKERS = {
+    "study.horizon": 0,
+    "study.scenario_mode": "bootstrap",
+    "customers.count": 0.0,
+    "customers.classes": 0,
+    "customers.sigma_rule": "bogus",
+    "customers.class_counts": [4.4e5, 4.4e5, 4.4e5, 4.4e5, -1.0],
+    "demand.elasticity": 0.3,
+    "nominal_tariff.price_usd_per_kwh": 0.0,
+    "fixed_cost.mode": "guess",
+    "families.kinds": ["optimal-three-part"],
+    "der.pv_unit_kw": -5.0,
+    "der.storage_capacity_kwh": -6.4,
+    "der.storage_power_kw": 0.0,
+    "der.storage_efficiency": 1.5,
+    "der.storage_per_pv_kwh_per_kw": -0.5,
+    "der.allocation": "random",
+    "grids.capacity_kw": [0.0, -1.0],
+    "inputs.solar_system_kw": 0.0,
+}
+RULED_KEYS = [f.metadata["key"] for f in fields(ingest.StudyConfig) if f.metadata["rule"]]
+
+
+@pytest.mark.parametrize("key", RULED_KEYS)
+def test_field_rule_failure_names_the_entry(key):
+    section, entry = key.split(".")
+    with pytest.raises(ingest.ConfigError, match=f"^{re.escape(key)} "):
+        ingest.config_from_mapping({section: {entry: RULE_BREAKERS[key]}})
+
+
+def test_readme_study_file_table_lists_every_entry():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Study file\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([a-z_]+\.[a-z_]+)` \|", section, flags=re.MULTILINE)
+    assert listed == [f.metadata["key"] for f in fields(ingest.StudyConfig)]
 
 
 def test_unknown_section_and_key_rejected():
