@@ -39,6 +39,10 @@ FIXED_COST_MODES = ("derived-from-nominal", "explicit")
 ALLOCATION_RULES = ("largest-first",)
 
 
+# libyaml's parser when PyYAML was built with it, the pure-Python one otherwise
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class DataError(ValueError):
     """A data file failed schema or sanity validation."""
 
@@ -360,7 +364,7 @@ def load_config(path) -> StudyConfig:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     try:
-        mapping = yaml.safe_load(text)
+        mapping = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     config = config_from_mapping(mapping or {})

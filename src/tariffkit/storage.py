@@ -12,12 +12,22 @@ right-hand side are built once per (spec, horizon) and cached as read-only
 arrays; solved schedules are cached per (spec, price bytes).  A unit with
 no capacity, or one that no schedule can profit from (see ``_idle``), gets
 the zero schedule without an LP solve.
+
+Each (spec, horizon) also keeps its ``VERTEX_STORE_SIZE`` most recently
+used optimal vertices: the final basis of a simplex solve, its nonbasic
+reduced costs as a linear map of the prices (read off the final tableau)
+and its schedule.  A new price vector reuses a stored vertex when every
+nonbasic reduced cost at those prices exceeds ``simplex.PIVOT_TOL``.  That
+certifies the vertex as the unique optimum, so a cold solve would end there
+too (LP sensitivity analysis; Bertsimas and Tsitsiklis 1997, section 5.1).
+A reused vertex shares its schedule arrays and gets the value at the new
+prices; a vertex is stored only when its own prices certify it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +40,7 @@ POWERWALL_RATE_KW = 3.3
 POWERWALL_EFFICIENCY = 0.96
 
 _ZERO_TOL = 1e-11
+VERTEX_STORE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -149,6 +160,53 @@ def _idle(spec: StorageSpec, prices: np.ndarray) -> bool:
     return bool(np.all(spec.efficiency**2 * prices[1:] <= earlier_min))
 
 
+@dataclass(frozen=True, eq=False)
+class _Vertex:
+    """An optimal basis of the unit LP, kept for reuse at other prices.
+
+    ``basis[i]`` is the column basic in tableau row i.  Its nonbasic reduced
+    costs are linear in the objective, ``obj @ pricing``, and ``x`` is the
+    LP solution (charge, discharge) behind ``schedule``.
+    """
+
+    basis: np.ndarray
+    pricing: np.ndarray
+    x: np.ndarray
+    schedule: StorageSchedule
+
+
+def _vertex(basis: np.ndarray, rows: np.ndarray, x: np.ndarray, schedule: StorageSchedule) -> _Vertex:
+    """The vertex of a final tableau whose constraint block is ``rows``.
+
+    A column's reduced cost is c_B^T B^-1 a_j - c_j; slacks cost nothing, so
+    only rows with a structural basic column and the -c_j of structural
+    columns enter ``pricing``.
+    """
+    k = x.size
+    nonbasic = np.ones(rows.shape[1], dtype=bool)
+    nonbasic[basis] = False
+    columns = nonbasic.nonzero()[0]
+    structural = basis < k
+    pricing = np.zeros((k, columns.size))
+    pricing[basis[structural]] = rows[np.ix_(structural, nonbasic)]
+    # a nonbasic column's own row above is zero, so -c_j is a plain -1
+    own = columns < k
+    pricing[columns[own], own.nonzero()[0]] = -1.0
+    return _Vertex(basis, pricing, x, schedule)
+
+
+def _certified(vertex: _Vertex, obj: np.ndarray) -> bool:
+    """Whether every nonbasic reduced cost of ``vertex`` under objective
+    ``obj`` exceeds the pivot tolerance, so the vertex is the unique optimum."""
+    return bool((obj @ vertex.pricing).min() > simplex.PIVOT_TOL)
+
+
+@lru_cache(maxsize=64)
+def _vertex_store(spec: StorageSpec, n: int) -> list[_Vertex]:
+    """The mutable vertex store of one (spec, horizon), most recently used first."""
+    return []
+
+
 @lru_cache(maxsize=1024)
 def _solve(spec: StorageSpec, price_bytes: bytes, n: int) -> StorageSchedule:
     prices = np.frombuffer(price_bytes, dtype=float)
@@ -163,9 +221,15 @@ def _solve(spec: StorageSpec, price_bytes: bytes, n: int) -> StorageSchedule:
         soc.setflags(write=False)
         return StorageSchedule(zero, zero, zero, soc, 0.0)
 
-    G, h = _constraints(spec, n)
     obj = np.concatenate([-prices, prices])
-    x, value = simplex.maximize(obj, G, h)
+    store = _vertex_store(spec, n)
+    for k, vertex in enumerate(store):
+        if _certified(vertex, obj):
+            store.insert(0, store.pop(k))
+            return replace(vertex.schedule, value=float(obj @ vertex.x))
+
+    G, h = _constraints(spec, n)
+    x, value, basis, rows = simplex.maximize(obj, G, h, with_basis=True)
 
     charge = np.where(np.abs(x[:n]) < _ZERO_TOL, 0.0, x[:n])
     discharge = np.where(np.abs(x[n:]) < _ZERO_TOL, 0.0, x[n:])
@@ -176,7 +240,18 @@ def _solve(spec: StorageSpec, price_bytes: bytes, n: int) -> StorageSchedule:
     soc = np.clip(soc, 0.0, theta)
     for arr in (charge, discharge, meter, soc):
         arr.setflags(write=False)
-    return StorageSchedule(meter, charge, discharge, soc, value)
+    schedule = StorageSchedule(meter, charge, discharge, soc, value)
+    vertex = _vertex(basis, rows, x, schedule)
+    if _certified(vertex, obj):
+        store.insert(0, vertex)
+        del store[VERTEX_STORE_SIZE:]
+    return schedule
+
+
+def clear_caches() -> None:
+    """Forget every cached schedule and stored vertex: the next call solves its LP."""
+    _solve.cache_clear()
+    _vertex_store.cache_clear()
 
 
 def arbitrage_value(spec: StorageSpec, prices) -> tuple[float, StorageSchedule]:

@@ -576,8 +576,8 @@ def _ray_roots(
         )
         if fixed_cost > peak + tol:
             raise InfeasibleFamilyError(
-                f"{label} family cannot attain expected revenue {fixed_cost!r}; "
-                f"maximum attainable is {peak!r}",
+                f"{label} family cannot attain expected revenue {fixed_cost:.12g}; "
+                f"maximum attainable is {peak:.12g}",
                 attainable_max=peak,
             )
         # a tangency within tolerance of the peak merges the roots at the vertex

@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -244,16 +246,29 @@ def test_zero_storage_size_rejected_at_validation(study_dir, tmp_path, out_dir, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_malformed_yaml_exits_2(tmp_path, out_dir, capsys, monkeypatch, loader):
+    if not hasattr(yaml, loader):
+        pytest.skip(f"PyYAML has no {loader}")
+    monkeypatch.setattr(ingest, "_YAML_LOADER", getattr(yaml, loader))
+    config = tmp_path / "study.yaml"
+    config.write_text("study:\n  output_dir: [unclosed\n", encoding="utf-8")
+    assert cli.main(["validate", str(config)]) == 2
+    assert f"FAIL config parses: {config}: invalid YAML" in capsys.readouterr().out
+    assert cli.main(["optimize", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: invalid YAML")
+
+
 @pytest.mark.parametrize("failure", [
     ArithmeticError("simplex iteration limit exceeded"),
     simplex.UnboundedError("LP unbounded along column 3"),
 ])
 def test_numerical_solver_failure_exits_2(study_dir, out_dir, capsys, monkeypatch, failure):
-    def failing(c, G, h):
+    def failing(c, G, h, **kwargs):
         raise failure
 
     monkeypatch.setattr(simplex, "maximize", failing)
-    st._solve.cache_clear()  # a cached schedule would skip the LP
+    st.clear_caches()  # a cached schedule or stored vertex would skip the LP
     code = cli.main(["optimize", str(study_dir / "study.yaml"), "--mode", "decentralized",
                      "--capacity-kw", "500"])
     assert code == 2
@@ -407,3 +422,28 @@ def test_unrated_storage_power_is_accepted(study_dir, tmp_path, out_dir):
     assert ingest.load_config(config).storage_power_kw == INF
     assert cli.main(["validate", str(config)]) == 0
     assert cli.main(["sweep", str(config), "--mode", "decentralized"]) == 0
+
+
+def test_commands_import_no_lazy_library(tmp_path):
+    # numpy.ma or scipy pulled in on the way would cost every process
+    # milliseconds of import and MB of memory; the oracle alone uses scipy
+    script = """
+import sys
+from tariffkit import cli
+study = sys.argv[1] + "/study.yaml"
+codes = [cli.main(["gen-synthetic", "--out", sys.argv[1]])]
+for command in (["validate"], ["optimize"], ["pareto"], ["sweep", "--mode", "decentralized"],
+                ["sweep", "--mode", "centralized"], ["xsub"]):
+    codes.append(cli.main([*command, study]))
+print(codes, sorted(m for m in ("numpy.ma", "scipy") if m in sys.modules))
+"""
+    env = dict(os.environ)
+    src = Path(cli.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env[cli.OUTPUT_DIR_ENV] = str(tmp_path / "results")
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "study")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"

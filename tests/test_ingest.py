@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from tariffkit import demand as dm
 from tariffkit import ingest
@@ -216,6 +217,22 @@ def test_load_config_resolves_relative_paths(tmp_path):
     ingest.write_config(cfg, tmp_path / "inner" / "study.yaml")
     loaded = ingest.load_config(tmp_path / "inner" / "study.yaml")
     assert loaded.prices_path == str(tmp_path / "inner" / "p.csv")
+
+
+def test_yaml_loaders_give_the_same_mapping(tmp_path, monkeypatch):
+    # load_config parses with libyaml when PyYAML has it; the pure-Python
+    # SafeLoader must read the generated study file the same way
+    loader = getattr(yaml, "CSafeLoader", None)
+    if loader is None:
+        pytest.skip("PyYAML built without libyaml")
+    path = Path(ingest.write_synthetic_dataset(tmp_path)["config"])
+    text = path.read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=loader) == yaml.load(text, Loader=yaml.SafeLoader)
+    configs = []
+    for each in (loader, yaml.SafeLoader):
+        monkeypatch.setattr(ingest, "_YAML_LOADER", each)
+        configs.append(ingest.load_config(path))
+    assert configs[0] == configs[1]
 
 
 def test_build_model_calibrates_to_mean_day():

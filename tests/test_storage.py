@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 
 from tariffkit import oracle, simplex
 from tariffkit import storage as st
+from test_simplex import STORAGE_SPECS
 
 
 def test_spec_validation():
@@ -161,9 +162,9 @@ def _counting_maximize(monkeypatch):
     calls = []
     original = simplex.maximize
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(simplex, "maximize", counted)
     return calls
@@ -192,7 +193,7 @@ def test_idle_unit_skips_lp_with_the_lp_schedule(start, steps, efficiency, rated
     assume(st._idle(spec, prices))
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = _counting_maximize(monkeypatch)
-        st._solve.cache_clear()
+        st.clear_caches()
         value, schedule = st.arbitrage_value(spec, prices)
     assert calls == []
 
@@ -211,7 +212,7 @@ def test_idle_unit_skips_lp_with_the_lp_schedule(start, steps, efficiency, rated
 
 def test_profitable_unit_still_solves(monkeypatch):
     calls = _counting_maximize(monkeypatch)
-    st._solve.cache_clear()
+    st.clear_caches()
     # 0.96^2 * 1.1 exceeds the earlier price 1.0, so one cycle pays
     prices = [1.0, 1.1]
     assert not st._idle(st.powerwall(), np.array(prices))
@@ -221,3 +222,72 @@ def test_profitable_unit_still_solves(monkeypatch):
     # a unit holding charge, or facing a negative price, is never idle
     assert not st._idle(st.StorageSpec(capacity_kwh=2.0, initial_charge_kwh=1.0), np.array([2.0, 1.0]))
     assert not st._idle(st.idealized(2.0), np.array([1.0, -0.5]))
+
+
+def _strict_at(basis, spec, prices):
+    """Whether ``basis`` has every nonbasic reduced cost above the pivot
+    tolerance at ``prices``, computed from B^-1 [G I] afresh."""
+    n = prices.size
+    G, h = st._constraints(spec, n)
+    A = np.hstack([G, np.eye(G.shape[0])])
+    costs = np.concatenate([-prices, prices, np.zeros(G.shape[0])])
+    reduced = costs[basis] @ np.linalg.solve(A[:, basis], A) - costs
+    reduced[basis] = np.inf
+    return reduced.min() > simplex.PIVOT_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=hst.integers(min_value=0, max_value=2 ** 32 - 1),
+    spec=hst.sampled_from(STORAGE_SPECS),
+    kinds=hst.lists(hst.sampled_from(["near", "rounded", "negative", "flat"]),
+                    min_size=2, max_size=8),
+)
+def test_vertex_store_matches_cold_solves(seed, spec, kinds):
+    # nearby prices often share a vertex; rounded ones make reduced-cost ties
+    # common, and a flat non-positive price makes the LP degenerate
+    rng = np.random.default_rng(seed)
+    n = 24
+    G, h = st._constraints(spec, n)
+    base = rng.uniform(0.0, 0.4, size=n)
+    meter_of = {}  # stored vertex -> bytes of its meter_energy
+    st.clear_caches()
+    for kind in kinds:
+        prices = base + rng.normal(scale=0.002, size=n)
+        if kind == "rounded":
+            prices = np.round(prices, int(rng.integers(2, 4)))
+        elif kind == "negative":
+            prices -= 0.05
+        elif kind == "flat":
+            prices = np.full(n, -round(rng.uniform(0.0, 0.1), 2))
+        x, cold_value = simplex.maximize(np.concatenate([-prices, prices]), G, h)
+
+        store = st._vertex_store(spec, n)
+        before = list(store)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _counting_maximize(monkeypatch)
+            st._solve.cache_clear()  # reach the store even for a repeated price
+            value, schedule = st.arbitrage_value(spec, prices)
+
+        assert value == pytest.approx(cold_value, rel=1e-12)
+        np.testing.assert_allclose(schedule.charge, x[:n], rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(schedule.discharge, x[n:], rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(schedule.meter_energy, x[n:] - x[:n], rtol=0.0, atol=1e-9)
+
+        if st._idle(spec, prices):
+            answered = None
+        elif calls:  # a cold solve: stored only under its own strict certificate
+            stored = store[0] if store and store[0] not in before else None
+            if stored is not None:
+                assert _strict_at(stored.basis, spec, prices)
+            else:
+                assert store == before
+            answered = stored
+        else:  # a reused vertex must be certified at these prices
+            answered = store[0]
+            assert answered in before
+            assert _strict_at(answered.basis, spec, prices)
+        assert len(store) <= st.VERTEX_STORE_SIZE
+        if answered is not None:
+            meter = schedule.meter_energy.tobytes()
+            assert meter_of.setdefault(answered, meter) == meter

@@ -12,6 +12,7 @@ from tariffkit import scenario as sc
 from tariffkit import storage as st
 from tariffkit import tariff as tf
 from tariffkit import welfare as wf
+from test_storage import _counting_maximize
 
 
 def fixture(correlated=True, n_classes=3, horizon=6, with_solar=True, seed=2):
@@ -346,7 +347,7 @@ def test_dynamic_fleet_cycle_returns_best_member(study):
 def test_dynamic_fleet_without_storage_converges_without_lp(study):
     # at zero capacity every class holds zero storage units
     swept, case = _swept(study, 0.0)
-    st._solve.cache_clear()
+    st.clear_caches()
     report = tf.optimize_family_report(
         tf.TariffFamily(kind=tf.DYNAMIC_ZERO_A), study.model, swept, case, study.fixed_cost
     )
@@ -356,14 +357,17 @@ def test_dynamic_fleet_without_storage_converges_without_lp(study):
     assert report.notes == ()
 
 
-def test_dynamic_solve_work_is_bounded(study):
-    # one ray solve per choke round keeps the storage LP count in the tens
+def test_dynamic_solve_work_is_bounded(study, monkeypatch):
+    # one ray solve per choke round keeps the storage LP count in the tens;
+    # most of those prices land on a stored vertex, so about 10 reach the simplex
     swept, case = _swept(study, 1100e3)
-    st._solve.cache_clear()
+    calls = _counting_maximize(monkeypatch)
+    st.clear_caches()
     tf.optimize_family_report(
         tf.TariffFamily(kind=tf.DYNAMIC_ZERO_A), study.model, swept, case, study.fixed_cost
     )
     assert st._solve.cache_info().misses <= 40
+    assert len(calls) <= 12
 
 
 @settings(max_examples=40, deadline=None)
