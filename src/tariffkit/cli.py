@@ -7,8 +7,9 @@ required revenue, base-case anchors).  Floats in tables are formatted at 12
 significant digits and rows are emitted in a fixed order, so re-running a
 command with identical inputs reproduces the files byte for byte.
 
-Exit codes: 0 success, 2 validation failure or numerical solver failure,
-3 infeasible study, 4 I/O error.
+Exit codes: 0 success, 2 validation failure or numerical solver failure
+(a floating-point overflow, invalid operation or division by zero
+included), 3 infeasible study, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from . import ingest
@@ -195,7 +198,15 @@ def cmd_validate(args) -> int:
             f"     aggregate price-response eigenvalues in "
             f"[{report.eig_min:.6g}, {report.eig_max:.6g}]"
         )
-    check("scenario weights sum to one", lambda: study.scenario_set.probabilities.sum())
+
+    def optimal_at_f():
+        family = tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART)
+        optimal = tf.optimize_family_report(
+            family, study.model, study.scenario_set, tf.no_der(), study.fixed_cost
+        )
+        return wf.evaluate(optimal.tariff, study.model, study.scenario_set, tf.no_der())
+
+    check("optimal two-part tariff solves and evaluates at F", optimal_at_f)
     nominal = ingest.nominal_tariff(config)
     anchors = check(
         "nominal tariff evaluates",
@@ -455,7 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow or invalid operation is a FloatingPointError (exit 2), not a warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except tf.InfeasibleFamilyError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

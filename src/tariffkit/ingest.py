@@ -374,12 +374,8 @@ def load_config(path) -> StudyConfig:
         if value is not None and not Path(value).is_absolute():
             resolved[attr] = str((path.parent / value).resolve())
     if resolved:
-        config = replace_config(config, **resolved)
+        config = replace(config, **resolved)
     return config
-
-
-# a changed copy of a config; StudyConfig checks every field of the copy again
-replace_config = replace
 
 
 def write_config(config: StudyConfig, path) -> None:
@@ -445,13 +441,11 @@ def build_scenarios(
         raise DataError(f"input day length does not match {_declared('horizon')['key']}")
     loads = np.stack(load_days)
     deviation = (loads - np.mean(loads, axis=0)) / model.sigma_total  # (K, N)
-    built = ScenarioSet.from_tensors(
+    built = ScenarioSet(
         np.full(k, 1.0 / k),
         np.stack(prices),
         model.sigma[None, :, None] * deviation[:, None, :],
-        np.zeros((k, model.n_classes, config.horizon)),
-        np.zeros((k, config.horizon)),
-        np.stack(solar_days),
+        solar_unit_matrix=np.stack(solar_days),
     )
     if config.scenario_mode == "product-of-marginals":
         return split_marginals(built)
@@ -619,7 +613,7 @@ def write_synthetic_dataset(
     _write_day_table(paths["prices"], prices, "price_usd_per_mwh", scale=1.0 / MWH_PER_KWH)
     _write_day_table(paths["load"], loads, "kwh")
     _write_day_table(paths["solar"], [vec * system_kw for vec in solars], "kwh")
-    config = replace_config(
+    config = replace(
         StudyConfig(),
         horizon=horizon,
         prices_path="prices.csv",

@@ -9,8 +9,8 @@ with the scenario index first; every library computation is a reduction over
 that leading axis.  The price-independent reductions that the tariff closed
 forms need (:class:`SetMoments`) are made once per set and cached on it; a
 PV-rescaled set (:func:`with_pv_capacity`) updates its source's instead.
-:class:`Scenario` is the row view: sets are built from rows and iterate as
-rows, for the oracle, tests and demos.
+A set is built from its tensors only; :class:`Scenario` is the read-only
+row view it yields when iterated, for the oracle, tests and demos.
 
 Conventions
 -----------
@@ -73,35 +73,17 @@ def _frozen(values, shape: tuple[int, ...], name: str, nonneg: bool = False) -> 
     return arr
 
 
-# array fields of a Scenario row and the matching tensors of a ScenarioSet
-_ROW_FIELDS = ("prices", "disturbances", "renewable_customer", "renewable_retailer", "solar_unit")
+# the tensors of a ScenarioSet, in constructor order
 _SET_FIELDS = ("price_matrix", "disturbance_tensor", "customer_renewable_tensor",
                "retailer_renewable_matrix", "solar_unit_matrix")
-
-
-def _checked_arrays(prices, disturbances, renewable_customer, renewable_retailer,
-                    solar_unit, rows: tuple[int, ...] = ()) -> tuple:
-    """Frozen, validated scenario arrays: one scenario (``rows=()``) or a set
-    stacked over ``rows=(S,)``, in the order of the arguments."""
-    prices = np.asarray(prices, dtype=float)
-    if prices.ndim != len(rows) + 1 or prices.shape[-1] == 0:
-        raise ValueError(f"prices have shape {prices.shape}, expected {rows} + (N,) with N >= 1")
-    n = prices.shape[-1]
-    dist = np.asarray(disturbances, dtype=float)
-    dist = dist if rows else np.atleast_2d(dist)
-    c = dist.shape[-2] if dist.ndim >= 2 else 0
-    return (
-        _frozen(prices, rows + (n,), "prices"),
-        _frozen(dist, rows + (c, n), "disturbances"),
-        _frozen(renewable_customer, rows + (c, n), "renewable_customer", nonneg=True),
-        _frozen(renewable_retailer, rows + (n,), "renewable_retailer", nonneg=True),
-        None if solar_unit is None else _frozen(solar_unit, rows + (n,), "solar_unit", nonneg=True),
-    )
 
 
 @dataclass(frozen=True)
 class Scenario:
     """One joint realization of the global state (prices, local demand states).
+
+    The read-only row view of a :class:`ScenarioSet`, which yields one per
+    scenario when iterated; its arrays are views of the set's tensors.
 
     probability : weight in [0, 1]
     prices : (N,) wholesale prices, $/kWh
@@ -116,54 +98,7 @@ class Scenario:
     disturbances: np.ndarray
     renewable_customer: np.ndarray
     renewable_retailer: np.ndarray
-    solar_unit: np.ndarray | None = None
-
-    def __post_init__(self):
-        if not (0.0 <= self.probability <= 1.0) or not math.isfinite(self.probability):
-            raise ValueError(f"scenario probability {self.probability} outside [0, 1]")
-        arrays = _checked_arrays(self.prices, self.disturbances, self.renewable_customer,
-                                 self.renewable_retailer, self.solar_unit)
-        for name, value in zip(_ROW_FIELDS, arrays):
-            object.__setattr__(self, name, value)
-
-    @property
-    def horizon(self) -> int:
-        return self.prices.size
-
-    @property
-    def n_classes(self) -> int:
-        return self.disturbances.shape[0]
-
-
-def make_scenario(
-    probability: float,
-    prices,
-    disturbances=None,
-    renewable_customer=None,
-    renewable_retailer=None,
-    solar_unit=None,
-    n_classes: int = 1,
-) -> Scenario:
-    """Build a Scenario, zero-filling any omitted field."""
-    prices = as_price_vector(prices)
-    n = prices.size
-    if disturbances is not None:
-        disturbances = np.atleast_2d(np.array(disturbances, dtype=float))
-        n_classes = disturbances.shape[0]
-    else:
-        disturbances = np.zeros((n_classes, n))
-    if renewable_customer is None:
-        renewable_customer = np.zeros((n_classes, n))
-    if renewable_retailer is None:
-        renewable_retailer = np.zeros(n)
-    return Scenario(
-        probability=float(probability),
-        prices=prices,
-        disturbances=disturbances,
-        renewable_customer=renewable_customer,
-        renewable_retailer=renewable_retailer,
-        solar_unit=solar_unit,
-    )
+    solar_unit: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -266,10 +201,11 @@ class ScenarioSet:
     periods: ``probabilities`` (S,), ``price_matrix`` (S, N),
     ``disturbance_tensor`` and ``customer_renewable_tensor`` (S, C, N),
     ``retailer_renewable_matrix`` (S, N) and ``solar_unit_matrix`` (S, N) or
-    None.  ``ScenarioSet(rows)`` stacks :class:`Scenario` rows and
-    :meth:`from_tensors` takes the tensors; both validate through
-    ``_assign``.  A :func:`with_pv_capacity` set shares its source's
-    tensors and builds its two renewable tensors only when first read.
+    None.  The constructor takes these tensors (omitted renewables are
+    zero) and shares read-only float inputs instead of copying them;
+    iterating a set yields its :class:`Scenario` rows.  A
+    :func:`with_pv_capacity` set shares its source's tensors and builds its
+    two renewable tensors only when first read.
 
     Probabilities must sum to 1 within ``PROBABILITY_TOL``; a violation is a
     construction error, never silently renormalized.  ``independent`` marks
@@ -292,30 +228,9 @@ class ScenarioSet:
     # (source set, customer kW (C,), retailer kW) of a with_pv_capacity set, else None
     _pv: tuple[ScenarioSet, np.ndarray, float] | None = dataclasses.field(repr=False)
 
-    def __init__(self, scenarios: Sequence[Scenario], independent: bool = False):
-        rows = tuple(scenarios)
-        if not rows:
-            raise ValueError("scenario set must contain at least one scenario")
-        if len({(s.horizon, s.n_classes, s.solar_unit is None) for s in rows}) > 1:
-            raise ValueError("scenarios must share horizon, class count and solar_unit presence")
-        columns = [
-            None if getattr(rows[0], name) is None else np.stack([getattr(s, name) for s in rows])
-            for name in _ROW_FIELDS
-        ]
-        self._assign([s.probability for s in rows], *columns, independent)
-
-    @classmethod
-    def from_tensors(cls, probabilities, price_matrix, disturbance_tensor,
-                     customer_renewable_tensor, retailer_renewable_matrix,
-                     solar_unit_matrix=None, independent: bool = False) -> ScenarioSet:
-        """Build a set from stacked tensors; read-only inputs are shared, not copied."""
-        built = cls.__new__(cls)
-        built._assign(probabilities, price_matrix, disturbance_tensor, customer_renewable_tensor,
-                      retailer_renewable_matrix, solar_unit_matrix, independent)
-        return built
-
-    def _assign(self, probabilities, prices, disturbances, renewable_customer,
-                renewable_retailer, solar_unit, independent) -> None:
+    def __init__(self, probabilities, price_matrix, disturbance_tensor,
+                 customer_renewable_tensor=None, retailer_renewable_matrix=None,
+                 solar_unit_matrix=None, independent: bool = False):
         probabilities = _frozen(probabilities, np.shape(probabilities), "probabilities")
         if probabilities.ndim != 1 or probabilities.size == 0:
             raise ValueError("scenario set must contain at least one scenario")
@@ -324,11 +239,28 @@ class ScenarioSet:
         total = math.fsum(probabilities)
         if abs(total - 1.0) > PROBABILITY_TOL:
             raise ValueError(f"scenario probabilities sum to {total!r}, not 1")
-        arrays = _checked_arrays(prices, disturbances, renewable_customer, renewable_retailer,
-                                 solar_unit, rows=probabilities.shape)
+        s = probabilities.size
+        prices = np.asarray(price_matrix, dtype=float)
+        if prices.ndim != 2 or prices.shape[1] == 0:
+            raise ValueError(f"prices have shape {prices.shape}, expected ({s}, N) with N >= 1")
+        n = prices.shape[1]
+        disturbances = np.asarray(disturbance_tensor, dtype=float)
+        c = disturbances.shape[1] if disturbances.ndim == 3 else 0
+        if customer_renewable_tensor is None:
+            customer_renewable_tensor = np.zeros((s, c, n))
+        if retailer_renewable_matrix is None:
+            retailer_renewable_matrix = np.zeros((s, n))
+        tensors = (
+            _frozen(prices, (s, n), "prices"),
+            _frozen(disturbances, (s, c, n), "disturbances"),
+            _frozen(customer_renewable_tensor, (s, c, n), "renewable_customer", nonneg=True),
+            _frozen(retailer_renewable_matrix, (s, n), "renewable_retailer", nonneg=True),
+            None if solar_unit_matrix is None
+            else _frozen(solar_unit_matrix, (s, n), "solar_unit", nonneg=True),
+        )
         # the renewable tensors land in the instance dict, ahead of their cached properties
         for name, value in zip(("probabilities", *_SET_FIELDS, "independent", "_pv"),
-                               (probabilities, *arrays, bool(independent), None)):
+                               (probabilities, *tensors, bool(independent), None)):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
@@ -395,8 +327,7 @@ def from_prices(price_vectors: Sequence, probabilities=None, n_classes: int = 1)
     s, n = prices.shape
     if probabilities is None:
         probabilities = [1.0 / s] * s
-    zeros = np.zeros((s, n_classes, n))
-    return ScenarioSet.from_tensors(probabilities, prices, zeros, zeros, np.zeros((s, n)))
+    return ScenarioSet(probabilities, prices, np.zeros((s, n_classes, n)))
 
 
 # A per-scenario field: an (S, ...) array, or a callback evaluated on each row.
@@ -477,7 +408,7 @@ def split_marginals(scenario_set: ScenarioSet) -> ScenarioSet:
     n_price, n_local = price_reps.size, local_reps.size
     price_rows = np.repeat(price_reps, n_local)
     local_rows = np.tile(local_reps, n_price)
-    return ScenarioSet.from_tensors(
+    return ScenarioSet(
         np.outer(p_price, p_local).reshape(-1),
         ss.price_matrix[price_rows],
         ss.disturbance_tensor[local_rows],

@@ -721,13 +721,3 @@ def optimize_family_report(
         notes += ("negative connection charge",)
     return dataclasses.replace(report, residual=residual, notes=notes)
 
-
-def optimize_family(
-    family: TariffFamily,
-    model: dm.DemandModel,
-    scenario_set: ScenarioSet,
-    case: IntegrationCase,
-    fixed_cost: float,
-) -> TwoPartTariff:
-    """Consumer-surplus-maximizing member of a family at expected revenue F."""
-    return optimize_family_report(family, model, scenario_set, case, fixed_cost).tariff

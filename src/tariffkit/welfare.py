@@ -307,7 +307,7 @@ def pareto_front(
     for f in fixed_cost_grid:
         f = float(f)
         try:
-            tariff = tf.optimize_family(family, model, scenario_set, case, f)
+            tariff = tf.optimize_family_report(family, model, scenario_set, case, f).tariff
         except tf.InfeasibleFamilyError as exc:
             infeasible.append((f, str(exc)))
             continue
@@ -441,7 +441,7 @@ def der_sweep(
         )
         for family in families:
             try:
-                tariff = tf.optimize_family(family, model, swept, case, fixed_cost)
+                tariff = tf.optimize_family_report(family, model, swept, case, fixed_cost).tariff
             except tf.InfeasibleFamilyError as exc:
                 cells.append(SweepCell(capacity, family.kind, reason=str(exc)))
                 continue
@@ -544,10 +544,10 @@ def cross_subsidy(
         swept = with_pv_capacity(scenario_set, customer_kw=owner_kw)
         nm_case = tf.IntegrationCase(mode=tf.MODE_DECENTRALIZED)
         try:
-            nm_tariff = tf.optimize_family(family, model, swept, nm_case, fixed_cost)
-            sep_tariff = tf.optimize_family(
+            nm_tariff = tf.optimize_family_report(family, model, swept, nm_case, fixed_cost).tariff
+            sep_tariff = tf.optimize_family_report(
                 family, model, swept, tf.no_der(), fixed_cost - swept.moments.customer_renewable_cov
-            )
+            ).tariff
         except tf.InfeasibleFamilyError as exc:
             cells.append(CrossSubsidyCell(capacity, float(owners.sum()), reason=str(exc)))
             continue

@@ -275,19 +275,43 @@ def test_numerical_solver_failure_exits_2(study_dir, out_dir, capsys, monkeypatc
     assert capsys.readouterr().err == f"error: {failure}\n"
 
 
-def test_non_finite_surplus_exits_2(tmp_path, out_dir, capsys):
-    # validate has no range check on prices, so one 1e300 $/MWh cell passes it
+STUDY_COMMANDS = [["optimize"], ["pareto"], ["sweep", "--mode", "decentralized"],
+                  ["sweep", "--mode", "centralized"], ["xsub"]]
+
+
+def run_cli(argv, env_updates):
+    """One ``python -m tariffkit.cli`` process, so stderr is what a user sees."""
+    env = dict(os.environ)
+    src = Path(cli.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env.update(env_updates)
+    return subprocess.run([sys.executable, "-m", "tariffkit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("data_file", ["prices.csv", "load.csv"])
+def test_overflowing_input_cell_exits_2(tmp_path, data_file):
+    # one 1e300 cell overflows a matmul on the way to the surpluses: every
+    # command stops at the floating-point error with exit 2, and no NumPy
+    # RuntimeWarning reaches the user
     root = tmp_path / "study"
-    assert cli.main(["gen-synthetic", "--out", str(root), "--days", "3"]) == 0
-    mutate_study(root, ("prices.csv", (1, 2), 1e300))
-    assert cli.main(["validate", str(root / "study.yaml")]) == 0
-    capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy overflow on the way to the NaN
-        assert cli.main(["optimize", str(root / "study.yaml")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "non-finite surplus" in err
-    assert not (out_dir / "optimize.csv").exists()
+    assert cli.main(["gen-synthetic", "--out", str(root), "--days", "5", "--horizon", "12"]) == 0
+    mutate_study(root, (data_file, (1, 2), 1e300))
+    config = str(root / "study.yaml")
+    results = tmp_path / "results"
+    env = {cli.OUTPUT_DIR_ENV: str(results)}
+
+    validate = run_cli(["validate", config], env)
+    assert validate.returncode == 2
+    assert any(line.startswith("FAIL ") for line in validate.stdout.splitlines())
+    assert "RuntimeWarning" not in validate.stderr and "Traceback" not in validate.stderr
+
+    for command in STUDY_COMMANDS:
+        result = run_cli([command[0], config, *command[1:]], env)
+        assert result.returncode == 2, (command, result.stderr)
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, command
+        assert "RuntimeWarning" not in result.stderr and "Traceback" not in result.stderr
+    assert not results.exists()
 
 
 NUMBER_OPTIONS = [  # (command and its fixed arguments, option, must be >= 0)

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -309,7 +309,7 @@ def test_derive_fixed_cost_modes():
     want = 10.0 * config.nominal_connection_charge + float((pi - prices[0]) @ q)
     assert f == pytest.approx(want, rel=1e-12)
 
-    explicit = ingest.replace_config(config, fixed_cost_mode="explicit", fixed_cost_value=123.0)
+    explicit = replace(config, fixed_cost_mode="explicit", fixed_cost_value=123.0)
     assert ingest.derive_fixed_cost(explicit, model, ss) == 123.0
 
 
@@ -317,7 +317,7 @@ def test_configured_families_labels():
     config = ingest.StudyConfig()
     labels = [label for label, _ in ingest.configured_families(config)]
     assert labels == list(tf.FAMILY_KINDS)
-    config2 = ingest.replace_config(config, fixed_connection_charges=(0.53, 1.0))
+    config2 = replace(config, fixed_connection_charges=(0.53, 1.0))
     labels2 = [label for label, _ in ingest.configured_families(config2)]
     assert "flat-fixed-A@0.53" in labels2 and "flat-fixed-A@1" in labels2
     assert labels2.count("optimal-two-part") == 1
@@ -327,7 +327,7 @@ def test_resolve_fixed_cost_grid():
     config = ingest.StudyConfig()
     grid = ingest.resolve_fixed_cost_grid(config, 100.0)
     assert grid == (25.0, 50.0, 75.0, 100.0, 125.0, 150.0, 175.0)
-    pinned = ingest.replace_config(config, fixed_cost_grid=(7.0, 9.0))
+    pinned = replace(config, fixed_cost_grid=(7.0, 9.0))
     assert ingest.resolve_fixed_cost_grid(pinned, 100.0) == (7.0, 9.0)
 
 

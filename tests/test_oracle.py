@@ -24,16 +24,15 @@ def fixture(seed, correlated=True, horizon=6, n_classes=3):
         sigma_rule="linear",
         total_customers=50.0,
     )
-    scenarios = []
+    prices, disturbances, solar = [], [], []
     k = 5
     for _ in range(k):
         shock = rng.normal()
-        lam = np.clip(0.05 + 0.03 * rng.normal(size=horizon) + 0.04 * shock, 0.005, None)
+        prices.append(np.clip(0.05 + 0.03 * rng.normal(size=horizon) + 0.04 * shock, 0.005, None))
         load_dev = 0.8 * shock + 0.3 * rng.normal(size=horizon) if correlated else rng.normal(size=horizon)
-        disturbances = np.outer(model.sigma, load_dev / model.sigma_total)
-        solar = rng.uniform(0.0, 0.3, size=horizon)
-        scenarios.append(sc.make_scenario(1.0 / k, lam, disturbances, solar_unit=solar))
-    return model, sc.ScenarioSet(tuple(scenarios))
+        disturbances.append(np.outer(model.sigma, load_dev / model.sigma_total))
+        solar.append(rng.uniform(0.0, 0.3, size=horizon))
+    return model, sc.ScenarioSet(np.full(k, 1.0 / k), prices, disturbances, solar_unit_matrix=solar)
 
 
 def assert_reports_agree(a: wf.SurplusReport, b: wf.SurplusReport, rtol=1e-9):
@@ -90,7 +89,7 @@ def test_resim_storage_neutral_at_constant_prices():
     # cycling is value-neutral for the retailer
     model, _ = fixture(6)
     flat = np.full(6, 0.08)
-    ss = sc.ScenarioSet((sc.make_scenario(1.0, flat, np.zeros((3, 6))),))
+    ss = sc.ScenarioSet([1.0], [flat], np.zeros((1, 3, 6)))
     tariff = tf.TwoPartTariff(0.4, flat)
     none = oracle.settlement_resim(tariff, model, ss, tf.no_der())
     fleet = oracle.settlement_resim(
@@ -118,7 +117,7 @@ def test_root_find_matches_closed_form_charge():
 def test_planner_direct_deterministic_set():
     model, _ = fixture(8)
     lam = np.array([0.02, 0.09, 0.04, 0.07, 0.03, 0.05])
-    ss = sc.ScenarioSet((sc.make_scenario(1.0, lam, np.zeros((3, 6))),))
+    ss = sc.ScenarioSet([1.0], [lam], np.zeros((1, 3, 6)))
     got = oracle.planner_direct(model, ss, tf.no_der())
     want = wf.planner_bound(model, ss, tf.no_der())
     assert got == pytest.approx(want, rel=1e-12)
@@ -131,12 +130,11 @@ def test_planner_direct_independent_two_by_two():
     model, _ = fixture(9)
     lam_days = [np.full(6, 0.04), np.full(6, 0.09)]
     dist_days = [0.4, -0.4]
-    scenarios = []
-    for lam in lam_days:
-        for d in dist_days:
-            disturbances = np.outer(model.sigma, np.full(6, d) / model.sigma_total)
-            scenarios.append(sc.make_scenario(0.25, lam, disturbances))
-    ss = sc.ScenarioSet(tuple(scenarios), independent=True)
+    prices = [lam for lam in lam_days for _ in dist_days]
+    disturbances = [
+        np.outer(model.sigma, np.full(6, d) / model.sigma_total) for _ in lam_days for d in dist_days
+    ]
+    ss = sc.ScenarioSet(np.full(4, 0.25), prices, disturbances, independent=True)
     case = tf.decentralized_case(st.idealized(0.8), np.full(3, 0.5))
     got = oracle.planner_direct(model, ss, case)
     want = wf.planner_bound(model, ss, case)
@@ -157,12 +155,9 @@ def test_planner_direct_rejects_centralized_and_caps_support():
     with pytest.raises(ValueError):
         oracle.planner_direct(model, ss, tf.centralized_case())
     rng = np.random.default_rng(0)
+    days = [(rng.uniform(0.01, 0.1, size=6), rng.normal(size=(3, 6))) for _ in range(17)]
     many = sc.ScenarioSet(
-        tuple(
-            sc.make_scenario(1.0 / 17, rng.uniform(0.01, 0.1, size=6),
-                             rng.normal(size=(3, 6)))
-            for _ in range(17)
-        )
+        np.full(17, 1.0 / 17), [lam for lam, _ in days], [dist for _, dist in days]
     )
     with pytest.raises(ValueError, match="cap"):
         oracle.planner_direct(model, many, tf.no_der())
@@ -199,24 +194,22 @@ def test_product_sets_settle_like_the_oracle(seed, n_days, n_classes):
     local_pick = rng.integers(0, n_days, size=n_days)
     weights = rng.uniform(0.1, 1.0, size=n_days)
     weights /= weights.sum()
-    rows = [
-        sc.make_scenario(
-            weights[k],
-            price_days[price_pick[k]],
-            np.outer(model.sigma, load_days[local_pick[k]] / model.sigma_total),
-            solar_unit=solar_days[local_pick[k]],
-        )
-        for k in range(n_days)
-    ]
-    joint = sc.ScenarioSet(rows)
+    tensors = (
+        price_days[price_pick],
+        model.sigma[None, :, None] * (load_days[local_pick] / model.sigma_total)[:, None, :],
+        np.zeros((n_days, n_classes, horizon)),
+        np.zeros((n_days, horizon)),
+        solar_days[local_pick],
+    )
+    joint = sc.ScenarioSet(weights, *tensors)
 
-    # iteration returns the rows the set was built from
+    # iteration returns the rows of the tensors the set was built from
     assert len(joint) == n_days
-    for built, got in zip(rows, joint):
-        assert got.probability == built.probability
-        for name in ("prices", "disturbances", "renewable_customer", "renewable_retailer",
-                     "solar_unit"):
-            assert np.array_equal(getattr(got, name), getattr(built, name))
+    for k, got in enumerate(joint):
+        assert got.probability == weights[k]
+        for name, tensor in zip(("prices", "disturbances", "renewable_customer",
+                                 "renewable_retailer", "solar_unit"), tensors):
+            assert np.array_equal(getattr(got, name), tensor[k])
 
     # the product set is price-major, each support in order of first appearance
     product = sc.split_marginals(joint)
@@ -270,16 +263,17 @@ def test_evaluate_matches_settlement(seed, n_days, n_classes, horizon, product, 
         total_customers=50.0,
     )
     shock = rng.normal(size=(n_days, 1))
-    rows = [
-        sc.make_scenario(
-            weight,
+    weights = rng.dirichlet(np.ones(n_days))
+    days = [
+        (
             np.clip(0.05 + 0.03 * rng.normal(size=horizon) + 0.04 * shock[k], 0.005, None),
             np.outer(model.sigma, (0.8 * shock[k] + 0.3 * rng.normal(size=horizon)) / model.sigma_total),
-            solar_unit=rng.uniform(0.0, 0.3, size=horizon),
+            rng.uniform(0.0, 0.3, size=horizon),
         )
-        for k, weight in enumerate(rng.dirichlet(np.ones(n_days)))
+        for k in range(n_days)
     ]
-    ss = sc.ScenarioSet(rows)
+    prices, disturbances, solar = zip(*days)
+    ss = sc.ScenarioSet(weights, prices, disturbances, solar_unit_matrix=solar)
     if product:
         ss = sc.split_marginals(ss)
     lossy = st.StorageSpec(
@@ -301,7 +295,7 @@ def test_evaluate_matches_settlement(seed, n_days, n_classes, horizon, product, 
                          wf.evaluate(tariff, model, swept, case))
 
     # the rescaled set's moments are an update of ss's; a rebuild reduces its own
-    rebuilt = sc.ScenarioSet.from_tensors(
+    rebuilt = sc.ScenarioSet(
         swept.probabilities, swept.price_matrix, swept.disturbance_tensor,
         swept.customer_renewable_tensor, swept.retailer_renewable_matrix, swept.solar_unit_matrix,
     )

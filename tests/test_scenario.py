@@ -11,11 +11,7 @@ def three_day_set():
     prices = [np.array([1.0, 2.0]), np.array([2.0, 1.0]), np.array([3.0, 3.0])]
     dist = [np.array([[0.5, -0.5]]), np.array([[-0.5, 0.5]]), np.array([[0.0, 0.0]])]
     solar = [np.array([0.2, 0.0]), np.array([0.4, 0.1]), np.array([0.0, 0.0])]
-    scenarios = [
-        sc.make_scenario(1.0 / 3.0, p, d, solar_unit=s)
-        for p, d, s in zip(prices, dist, solar)
-    ]
-    return sc.ScenarioSet(tuple(scenarios))
+    return sc.ScenarioSet(np.full(3, 1.0 / 3.0), prices, dist, solar_unit_matrix=solar)
 
 
 def test_probabilities_must_sum_to_one():
@@ -35,39 +31,32 @@ def test_probability_tolerance_is_tight():
 
 def test_scenario_shape_validation():
     with pytest.raises(ValueError):
-        sc.Scenario(
-            probability=1.0,
-            prices=np.array([1.0, 2.0]),
-            disturbances=np.zeros((1, 3)),
-            renewable_customer=np.zeros((1, 3)),
-            renewable_retailer=np.zeros(3),
+        sc.ScenarioSet(
+            probabilities=[1.0],
+            price_matrix=[[1.0, 2.0]],
+            disturbance_tensor=np.zeros((1, 1, 3)),
+            customer_renewable_tensor=np.zeros((1, 1, 3)),
+            retailer_renewable_matrix=np.zeros((1, 3)),
         )
-    with pytest.raises(ValueError, match="probability"):
-        sc.make_scenario(1.5, [1.0, 2.0])
+    with pytest.raises(ValueError, match="probabilities"):
+        sc.ScenarioSet([1.5], [[1.0, 2.0]], np.zeros((1, 1, 2)))
     with pytest.raises(ValueError):
-        sc.make_scenario(0.5, [1.0, np.nan])
+        sc.ScenarioSet([1.0], [[1.0, np.nan]], np.zeros((1, 1, 2)))
 
 
 def test_renewables_must_be_nonnegative():
     with pytest.raises(ValueError):
-        sc.Scenario(
-            probability=1.0,
-            prices=np.array([1.0, 2.0]),
-            disturbances=np.zeros((1, 2)),
-            renewable_customer=np.array([[0.1, -0.1]]),
-            renewable_retailer=np.zeros(2),
+        sc.ScenarioSet(
+            probabilities=[1.0],
+            price_matrix=[[1.0, 2.0]],
+            disturbance_tensor=np.zeros((1, 1, 2)),
+            customer_renewable_tensor=[[[0.1, -0.1]]],
+            retailer_renewable_matrix=np.zeros((1, 2)),
         )
 
 
-def test_mixed_horizons_rejected():
-    a = sc.make_scenario(0.5, [1.0, 2.0])
-    b = sc.make_scenario(0.5, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        sc.ScenarioSet((a, b))
-
-
 def test_arrays_are_frozen():
-    s = sc.make_scenario(1.0, [1.0, 2.0])
+    (s,) = sc.ScenarioSet([1.0], [[1.0, 2.0]], np.zeros((1, 1, 2)))
     with pytest.raises(ValueError):
         s.prices[0] = 5.0
 
@@ -154,9 +143,8 @@ def test_split_marginals_idempotent():
 
 def test_split_marginals_merges_repeated_days():
     # duplicate price days accumulate marginal weight instead of splitting support
-    a = sc.make_scenario(0.5, [1.0, 2.0], [[1.0, 0.0]])
-    b = sc.make_scenario(0.5, [1.0, 2.0], [[-1.0, 0.0]])
-    product = sc.split_marginals(sc.ScenarioSet((a, b)))
+    joint = sc.ScenarioSet([0.5, 0.5], [[1.0, 2.0], [1.0, 2.0]], [[[1.0, 0.0]], [[-1.0, 0.0]]])
+    product = sc.split_marginals(joint)
     assert len(product) == 2  # one price point x two local states
 
 
@@ -201,14 +189,13 @@ def test_expectation_linear_in_fields(price_rows):
 @given(hst.integers(min_value=1, max_value=4), hst.integers(min_value=1, max_value=4))
 def test_split_marginals_size_is_support_product(n_prices, n_locals):
     rng = np.random.default_rng(n_prices * 10 + n_locals)
-    scenarios = []
     k = n_prices * n_locals
     price_days = rng.uniform(1.0, 2.0, size=(n_prices, 3))
     local_days = rng.uniform(-1.0, 1.0, size=(n_locals, 3))
-    for i in range(n_prices):
-        for j in range(n_locals):
-            scenarios.append(
-                sc.make_scenario(1.0 / k, price_days[i], [local_days[j]])
-            )
-    product = sc.split_marginals(sc.ScenarioSet(tuple(scenarios)))
+    joint = sc.ScenarioSet(
+        np.full(k, 1.0 / k),
+        np.repeat(price_days, n_locals, axis=0),
+        np.tile(local_days, (n_prices, 1))[:, None, :],
+    )
+    product = sc.split_marginals(joint)
     assert len(product) == k

@@ -27,18 +27,18 @@ def fixture(correlated=True, n_classes=3, horizon=6, with_solar=True, seed=2):
         sigma_rule="linear",
         total_customers=50.0,
     )
-    scenarios = []
+    prices, disturbances, solar = [], [], []
     k = 5
     for _ in range(k):
         shock = rng.normal()
-        lam = np.clip(0.05 + 0.03 * rng.normal(size=horizon) + 0.04 * shock, 0.005, None)
+        prices.append(np.clip(0.05 + 0.03 * rng.normal(size=horizon) + 0.04 * shock, 0.005, None))
         load_dev = 0.8 * shock + 0.3 * rng.normal(size=horizon) if correlated else rng.normal(size=horizon)
-        disturbances = np.outer(model.sigma, load_dev / model.sigma_total)
-        solar = np.clip(rng.uniform(0.0, 0.6, size=horizon), 0.0, None) if with_solar else None
-        scenarios.append(
-            sc.make_scenario(1.0 / k, lam, disturbances, solar_unit=solar)
-        )
-    built = sc.ScenarioSet(tuple(scenarios))
+        disturbances.append(np.outer(model.sigma, load_dev / model.sigma_total))
+        if with_solar:
+            solar.append(np.clip(rng.uniform(0.0, 0.6, size=horizon), 0.0, None))
+    built = sc.ScenarioSet(
+        np.full(k, 1.0 / k), prices, disturbances, solar_unit_matrix=solar if with_solar else None
+    )
     if not correlated:
         built = sc.split_marginals(built)
     return model, built
@@ -213,11 +213,11 @@ def test_flat_family_infeasible_above_revenue_peak():
     model, ss = fixture()
     family = tf.TariffFamily(kind=tf.FLAT_ZERO_A)
     with pytest.raises(tf.InfeasibleFamilyError) as excinfo:
-        tf.optimize_family(family, model, ss, tf.no_der(), 1e9)
+        tf.optimize_family_report(family, model, ss, tf.no_der(), 1e9)
     assert excinfo.value.attainable_max < 1e9
     # the reported peak is attainable
     f_ok = 0.999 * excinfo.value.attainable_max
-    tariff = tf.optimize_family(family, model, ss, tf.no_der(), f_ok)
+    tariff = tf.optimize_family_report(family, model, ss, tf.no_der(), f_ok).tariff
     rs = tf.expected_retailer_surplus(tariff, model, ss, tf.no_der())
     assert rs == pytest.approx(f_ok, abs=1e-8 * abs(f_ok))
 
@@ -226,7 +226,7 @@ def test_flat_roots_merge_at_tangency():
     model, ss = fixture()
     family = tf.TariffFamily(kind=tf.FLAT_ZERO_A)
     try:
-        tf.optimize_family(family, model, ss, tf.no_der(), 1e9)
+        tf.optimize_family_report(family, model, ss, tf.no_der(), 1e9)
     except tf.InfeasibleFamilyError as exc:
         peak = exc.attainable_max
     report = tf.optimize_family_report(family, model, ss, tf.no_der(), peak)
@@ -238,13 +238,15 @@ def test_dynamic_family_settles_and_orders_surplus():
     model, ss = fixture()
     f = 20.0
     case = tf.no_der()
-    flat = tf.optimize_family(
+    flat = tf.optimize_family_report(
         tf.TariffFamily(kind=tf.FLAT_FIXED_A, fixed_connection_charge=0.3), model, ss, case, f
-    )
-    dyn = tf.optimize_family(
+    ).tariff
+    dyn = tf.optimize_family_report(
         tf.TariffFamily(kind=tf.DYNAMIC_FIXED_A, fixed_connection_charge=0.3), model, ss, case, f
-    )
-    opt = tf.optimize_family(tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), model, ss, case, f)
+    ).tariff
+    opt = tf.optimize_family_report(
+        tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), model, ss, case, f
+    ).tariff
     rs = tf.expected_retailer_surplus(dyn, model, ss, case)
     assert rs == pytest.approx(f, abs=1e-8 * f)
     cs_flat = tf.expected_consumer_surplus(flat, model, ss, case)
@@ -259,11 +261,13 @@ def test_dynamic_zero_charge_below_fixed_charge():
     # zero connection charge forces a larger volumetric markup, costing surplus
     model, ss = fixture()
     f = 10.0  # below the zero-A family's revenue peak
-    zero = tf.optimize_family(tf.TariffFamily(kind=tf.FLAT_ZERO_A), model, ss, tf.no_der(), f)
-    fixed = tf.optimize_family(
+    zero = tf.optimize_family_report(
+        tf.TariffFamily(kind=tf.FLAT_ZERO_A), model, ss, tf.no_der(), f
+    ).tariff
+    fixed = tf.optimize_family_report(
         tf.TariffFamily(kind=tf.FLAT_FIXED_A, fixed_connection_charge=0.3),
         model, ss, tf.no_der(), f,
-    )
+    ).tariff
     cs_zero = tf.expected_consumer_surplus(zero, model, ss, tf.no_der())
     cs_fixed = tf.expected_consumer_surplus(fixed, model, ss, tf.no_der())
     assert cs_zero < cs_fixed
@@ -514,7 +518,7 @@ def test_closed_forms_match_scenario_sums(seed, correlated, n_classes, horizon, 
     )
     close(tf.expected_consumer_surplus(tariff, model, ss, case), surplus, quad)
 
-    rebuilt = sc.ScenarioSet.from_tensors(
+    rebuilt = sc.ScenarioSet(
         ss.probabilities, ss.price_matrix, ss.disturbance_tensor, ss.customer_renewable_tensor,
         ss.retailer_renewable_matrix, ss.solar_unit_matrix, independent=ss.independent,
     )

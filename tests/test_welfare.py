@@ -23,16 +23,15 @@ def fixture(correlated=True, seed=2, horizon=6, n_classes=3):
         sigma_rule="linear",
         total_customers=50.0,
     )
-    scenarios = []
+    prices, disturbances, solar = [], [], []
     k = 5
     for _ in range(k):
         shock = rng.normal()
-        lam = np.clip(0.05 + 0.03 * rng.normal(size=horizon) + 0.04 * shock, 0.005, None)
+        prices.append(np.clip(0.05 + 0.03 * rng.normal(size=horizon) + 0.04 * shock, 0.005, None))
         load_dev = 0.8 * shock + 0.3 * rng.normal(size=horizon) if correlated else rng.normal(size=horizon)
-        disturbances = np.outer(model.sigma, load_dev / model.sigma_total)
-        solar = rng.uniform(0.0, 0.6, size=horizon)
-        scenarios.append(sc.make_scenario(1.0 / k, lam, disturbances, solar_unit=solar))
-    built = sc.ScenarioSet(tuple(scenarios))
+        disturbances.append(np.outer(model.sigma, load_dev / model.sigma_total))
+        solar.append(rng.uniform(0.0, 0.6, size=horizon))
+    built = sc.ScenarioSet(np.full(k, 1.0 / k), prices, disturbances, solar_unit_matrix=solar)
     if not correlated:
         built = sc.split_marginals(built)
     return model, built
