@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import itertools
 import json
 import math
@@ -46,7 +45,20 @@ def _fmt(value) -> str:
 
 
 def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    """Hex SHA-256 digest (FIPS 180-4) of ``data``.
+
+    CPython's built-in SHA-256, the code ``hashlib`` falls back to without
+    OpenSSL: importing ``hashlib`` maps libcrypto, several MB of every
+    process's resident memory, for the five short digests of a manifest.
+    """
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
 
 def _sha256_file(path) -> str:

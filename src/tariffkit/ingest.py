@@ -55,7 +55,14 @@ class ConfigError(ValueError):
 # file loading
 
 
-def _read_day_table(path, value_column: str) -> dict[str, dict[int, float]]:
+def _read_day_table(path, value_column: str,
+                    nonnegative: str | None = None) -> dict[str, dict[int, float]]:
+    """Parse a `date,period_index,<value_column>` file into {date: {period: value}}.
+
+    Values are signed unless ``nonnegative`` names the quantity (``"load"``,
+    ``"solar"``); then a value below zero is a :class:`DataError` naming the
+    file, line and value.
+    """
     path = Path(path)
     days: dict[str, dict[int, float]] = {}
     with open(path, newline="", encoding="utf-8") as handle:
@@ -80,6 +87,8 @@ def _read_day_table(path, value_column: str) -> dict[str, dict[int, float]]:
                 raise DataError(f"{path}:{lineno}: value {row[2]!r} is not a number")
             if not math.isfinite(value):
                 raise DataError(f"{path}:{lineno}: non-finite value")
+            if nonnegative is not None and value < 0.0:
+                raise DataError(f"{path}:{lineno}: negative {nonnegative} value {row[2].strip()}")
             periods = days.setdefault(date, {})
             if period in periods:
                 raise DataError(f"{path}:{lineno}: duplicate period {period} for {date}")
@@ -121,18 +130,15 @@ def load_profile(path, kind: str, *, system_kw: float = 1.0) -> list[np.ndarray]
     """Read a `date,period_index,kwh` file as per-day kWh vectors.
 
     ``kind`` is "load" (population consumption) or "solar" (production of a
-    reference system, divided by ``system_kw`` into per-kW units).  Solar
-    values must be nonnegative.
+    reference system, divided by ``system_kw`` into per-kW units).  Values
+    must be nonnegative.
     """
     if kind not in ("load", "solar"):
         raise ValueError(f"profile kind must be 'load' or 'solar', got {kind!r}")
-    days = _to_day_vectors(_read_day_table(path, "kwh"), path)
+    days = _to_day_vectors(_read_day_table(path, "kwh", nonnegative=kind), path)
     if kind == "solar":
         if system_kw <= 0.0:
             raise DataError(f"{path}: solar system size must be positive, got {system_kw}")
-        for vec in days:
-            if vec.min() < 0.0:
-                raise DataError(f"{path}: negative solar production")
         days = [vec / system_kw for vec in days]
     return days
 

@@ -408,15 +408,19 @@ def split_marginals(scenario_set: ScenarioSet) -> ScenarioSet:
     n_price, n_local = price_reps.size, local_reps.size
     price_rows = np.repeat(price_reps, n_local)
     local_rows = np.tile(local_reps, n_price)
-    return ScenarioSet(
-        np.outer(p_price, p_local).reshape(-1),
+    tensors = [
         ss.price_matrix[price_rows],
         ss.disturbance_tensor[local_rows],
         ss.customer_renewable_tensor[local_rows],
         ss.retailer_renewable_matrix[local_rows],
         ss.solar_unit_matrix[local_rows] if ss.has_solar_unit else None,
-        independent=True,
-    )
+    ]
+    # the fancy-indexed tensors are fresh and unshared: read-only, they are kept
+    # by the constructor instead of copied, so the set is built with one copy
+    for tensor in tensors:
+        if tensor is not None:
+            tensor.setflags(write=False)
+    return ScenarioSet(np.outer(p_price, p_local).reshape(-1), *tensors, independent=True)
 
 
 def with_pv_capacity(

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -279,14 +280,20 @@ STUDY_COMMANDS = [["optimize"], ["pareto"], ["sweep", "--mode", "decentralized"]
                   ["sweep", "--mode", "centralized"], ["xsub"]]
 
 
-def run_cli(argv, env_updates):
-    """One ``python -m tariffkit.cli`` process, so stderr is what a user sees."""
+def child_env(env_updates):
+    """This environment, with ``env_updates`` and the tested package importable."""
     env = dict(os.environ)
     src = Path(cli.__file__).resolve().parents[1]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     env.update(env_updates)
+    return env
+
+
+def run_cli(argv, env_updates):
+    """One ``python -m tariffkit.cli`` process, so stderr is what a user sees."""
     return subprocess.run([sys.executable, "-m", "tariffkit.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=child_env(env_updates),
+                          timeout=300)
 
 
 @pytest.mark.parametrize("data_file", ["prices.csv", "load.csv"])
@@ -311,6 +318,26 @@ def test_overflowing_input_cell_exits_2(tmp_path, data_file):
         assert result.returncode == 2, (command, result.stderr)
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, command
         assert "RuntimeWarning" not in result.stderr and "Traceback" not in result.stderr
+    assert not results.exists()
+
+
+def test_negative_load_cell_exits_2(tmp_path, capsys):
+    # a load cell below zero is named by file and line: validate fails its
+    # input check, every other command prints one error line
+    root = tmp_path / "study"
+    assert cli.main(["gen-synthetic", "--out", str(root), "--days", "5", "--horizon", "12"]) == 0
+    mutate_study(root, ("load.csv", (2, 2), "-500000"))
+    config = str(root / "study.yaml")
+    message = f"{root / 'load.csv'}:3: negative load value -500000"
+    capsys.readouterr()
+
+    assert cli.main(["validate", config]) == 2
+    assert f"FAIL inputs load and align: {message}" in capsys.readouterr().out
+    results = tmp_path / "results"
+    with mock.patch.dict(os.environ, {cli.OUTPUT_DIR_ENV: str(results)}):
+        for command in STUDY_COMMANDS:
+            assert cli.main([command[0], config, *command[1:]]) == 2, command
+            assert capsys.readouterr().err == f"error: {message}\n"
     assert not results.exists()
 
 
@@ -342,6 +369,33 @@ def test_number_options_checked_where_they_enter(study_dir, out_dir, capsys, com
     assert f"error: argument {option}: " in err and value in err
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+def test_manifest_digests_are_sha256(study_dir, out_dir, capsys):
+    assert cli.main(["optimize", str(study_dir / "study.yaml")]) == 0
+    manifest = json.loads((out_dir / "optimize_manifest.json").read_text())
+
+    def sha256(data):
+        return hashlib.sha256(data).hexdigest()
+
+    inputs = {name: sha256((study_dir / f"{name}.csv").read_bytes())
+              for name in ("prices", "load", "solar")}
+    config = ingest.load_config(study_dir / "study.yaml")
+    canonical = json.dumps(ingest.config_to_mapping(config), sort_keys=True,
+                           separators=(",", ":"))
+    config_hash = sha256(canonical.encode("utf-8"))
+    assert manifest["input_sha256"] == inputs
+    assert manifest["config_sha256"] == config_hash
+    run = config_hash + inputs["prices"] + inputs["load"] + inputs["solar"] + manifest["version"]
+    assert manifest["manifest_hash"] == sha256(run.encode())
+
+
+@settings(max_examples=40, deadline=None)
+@example(data=b"")
+@example(data=bytes(range(256)) * 300)  # 76800 bytes, beyond 64 KB
+@given(data=hst.binary(max_size=2048))
+def test_sha256_bytes_matches_hashlib(data):
+    assert cli._sha256_bytes(data) == hashlib.sha256(data).hexdigest()
 
 
 def test_output_dir_env_override(study_dir, tmp_path, monkeypatch):
@@ -471,3 +525,28 @@ print(codes, sorted(m for m in ("numpy.ma", "scipy") if m in sys.modules))
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"
+
+
+def test_study_commands_load_no_openssl(tmp_path):
+    # the study commands load numpy, PyYAML and the standard library only:
+    # no OpenSSL (hashlib's _hashlib), no scipy, no numpy.ma.  The data is
+    # written here, outside the checked interpreter, because gen-synthetic
+    # imports numpy.random, whose secrets import loads hashlib.
+    root = tmp_path / "study"
+    ingest.write_synthetic_dataset(root, n_days=5, horizon=12)
+    script = """
+import sys
+from tariffkit import cli
+study = sys.argv[1] + "/study.yaml"
+codes = [cli.main([*command, study])
+         for command in (["validate"], ["optimize"], ["pareto"],
+                         ["sweep", "--mode", "decentralized"],
+                         ["sweep", "--mode", "centralized"], ["xsub"])]
+print(codes, sorted(m for m in ("_hashlib", "scipy", "numpy.ma") if m in sys.modules))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(root)], capture_output=True, text=True,
+        env=child_env({cli.OUTPUT_DIR_ENV: str(tmp_path / "results")}), timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"

@@ -92,6 +92,23 @@ def test_solar_normalized_by_system_size(tmp_path):
         ingest.load_profile(tmp_path / "s.csv", "wind")
 
 
+def test_negative_profile_cell_named_by_line(tmp_path):
+    # load and solar are energies and must be >= 0; prices stay signed
+    text = """date,period_index,kwh
+2021-07-01,0,1000
+2021-07-01,1,-500000
+"""
+    path = write(tmp_path / "l.csv", text)
+    for kind in ("load", "solar"):
+        with pytest.raises(ingest.DataError,
+                           match=re.escape(f"{path}:3: negative {kind} value -500000")):
+            ingest.load_profile(path, kind)
+    zero = ingest.load_profile(write(tmp_path / "z.csv", text.replace("-500000", "0")), "load")
+    np.testing.assert_array_equal(zero[0], [1000.0, 0.0])
+    prices = ingest.load_prices(write(tmp_path / "p.csv", PRICES_OK.replace("55.5", "-12")))
+    assert prices[0][1] == -0.012
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         ingest.load_prices(tmp_path / "nope.csv")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,26 @@ def test_split_marginals_merges_repeated_days():
     joint = sc.ScenarioSet([0.5, 0.5], [[1.0, 2.0], [1.0, 2.0]], [[[1.0, 0.0]], [[-1.0, 0.0]]])
     product = sc.split_marginals(joint)
     assert len(product) == 2  # one price point x two local states
+
+
+def test_split_marginals_holds_one_copy():
+    # a product set is K^2 rows of its marginals: building it must not hold a
+    # second copy of those rows (NumPy reports its buffers to tracemalloc)
+    rng = np.random.default_rng(0)
+    k, c, n = 20, 3, 24
+    joint = sc.ScenarioSet(np.full(k, 1.0 / k), rng.uniform(0.02, 0.08, (k, n)),
+                           rng.normal(size=(k, c, n)),
+                           solar_unit_matrix=rng.uniform(0.0, 1.0, (k, n)))
+    tracemalloc.start()
+    try:
+        product = sc.split_marginals(joint)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = product.probabilities.nbytes + sum(
+        getattr(product, name).nbytes for name in sc._SET_FIELDS)
+    assert len(product) == k * k
+    assert peak <= 1.25 * held, (peak, held)
 
 
 def test_with_pv_capacity_scales_solar():
