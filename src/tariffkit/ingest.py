@@ -1,14 +1,15 @@
 """Data loading, study configuration, and the bundled synthetic dataset.
 
 Input files are small delimited-text tables, one row per period
-(``date,period_index,value``, header required).  Wholesale prices arrive in
-$/MWh and are converted to $/kWh on load; solar profiles are normalized to
-per-kW-of-capacity units.  The study configuration is a two-level YAML
+(``date,period_index,value``, header required), read as (K, N) day-by-period
+matrices; the three files must list the same dates.  Wholesale prices arrive
+in $/MWh and are converted to $/kWh on load; solar profiles are normalized
+to per-kW-of-capacity units.  The study configuration is a two-level YAML
 document whose defaults describe a NYC-like residential study; unknown keys
-are hard errors.  Each entry is declared once, on its ``StudyConfig``
-field: the field's ``section.key`` and rule live in its metadata, and its
-annotation names the type the file value is coerced to.  Reading and
-writing study files, validation and the CLI number options
+are hard errors.  Each entry is declared once, on its ``StudyConfig`` field:
+the field's ``section.key`` and rule live in its metadata, and its
+annotation names the type the file value is coerced to.  Reading and writing
+study files, validation and the CLI number options
 (``StudyConfig.check_field``) all work from those declarations.
 
 Because the real price, sales, and solar extracts behind such studies are
@@ -36,7 +37,6 @@ MWH_PER_KWH = 1e-3
 
 SCENARIO_MODES = ("paired-days", "product-of-marginals")
 FIXED_COST_MODES = ("derived-from-nominal", "explicit")
-ALLOCATION_RULES = ("largest-first",)
 
 
 # libyaml's parser when PyYAML was built with it, the pure-Python one otherwise
@@ -56,12 +56,14 @@ class ConfigError(ValueError):
 
 
 def _read_day_table(path, value_column: str,
-                    nonnegative: str | None = None) -> dict[str, dict[int, float]]:
-    """Parse a `date,period_index,<value_column>` file into {date: {period: value}}.
+                    nonnegative: str | None = None) -> tuple[list[str], np.ndarray]:
+    """Parse a `date,period_index,<value_column>` file into (dates, values).
 
-    Values are signed unless ``nonnegative`` names the quantity (``"load"``,
-    ``"solar"``); then a value below zero is a :class:`DataError` naming the
-    file, line and value.
+    ``dates`` are the file's days in ascending order and ``values`` is the
+    read-only (K, N) matrix whose row k holds day k's periods 0..N-1; every
+    day must cover the same N periods.  Values are signed unless
+    ``nonnegative`` names the quantity (``"load"``, ``"solar"``); then a
+    value below zero is a :class:`DataError` naming the file, line and value.
     """
     path = Path(path)
     days: dict[str, dict[int, float]] = {}
@@ -95,52 +97,49 @@ def _read_day_table(path, value_column: str,
             periods[period] = value
     if not days:
         raise DataError(f"{path}: no data rows")
-    return days
-
-
-def _to_day_vectors(days: dict[str, dict[int, float]], path) -> list[np.ndarray]:
     horizons = {len(v) for v in days.values()}
     if len(horizons) != 1:
         raise DataError(f"{path}: days have differing period counts {sorted(horizons)}")
     n = horizons.pop()
-    vectors = []
-    for date in sorted(days):
+    dates = sorted(days)
+    for date in dates:
         periods = days[date]
         if sorted(periods) != list(range(n)):
             raise DataError(
                 f"{path}: day {date} has periods {sorted(periods)}, expected 0..{n - 1}"
             )
-        vec = np.array([periods[k] for k in range(n)])
-        vec.setflags(write=False)
-        vectors.append(vec)
-    return vectors
+    values = np.array([[days[date][k] for k in range(n)] for date in dates])
+    values.setflags(write=False)
+    return dates, values
 
 
-def load_prices(path) -> list[np.ndarray]:
-    """Read a `date,period_index,price_usd_per_mwh` file as $/kWh day vectors.
+def load_inputs(config: StudyConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the configured inputs as date-aligned read-only (K, N) matrices.
 
-    Days are returned in ascending date order; every day must cover periods
-    0..N-1 for a common N.
+    Returns (prices in $/kWh, population load in kWh, solar in kWh per kW of
+    capacity), row k of each being the k-th date in ascending order.  The
+    load and solar files must list the price file's dates; the first date
+    that differs is a DataError naming the file.
     """
-    days = _read_day_table(path, "price_usd_per_mwh")
-    return [MWH_PER_KWH * vec for vec in _to_day_vectors(days, path)]
-
-
-def load_profile(path, kind: str, *, system_kw: float = 1.0) -> list[np.ndarray]:
-    """Read a `date,period_index,kwh` file as per-day kWh vectors.
-
-    ``kind`` is "load" (population consumption) or "solar" (production of a
-    reference system, divided by ``system_kw`` into per-kW units).  Values
-    must be nonnegative.
-    """
-    if kind not in ("load", "solar"):
-        raise ValueError(f"profile kind must be 'load' or 'solar', got {kind!r}")
-    days = _to_day_vectors(_read_day_table(path, "kwh", nonnegative=kind), path)
-    if kind == "solar":
-        if system_kw <= 0.0:
-            raise DataError(f"{path}: solar system size must be positive, got {system_kw}")
-        days = [vec / system_kw for vec in days]
-    return days
+    missing = [_declared(attr)["key"] for attr in _INPUT_PATHS if getattr(config, attr) is None]
+    if missing:
+        raise ConfigError(f"missing input paths: {', '.join(missing)}")
+    dates, prices = _read_day_table(config.prices_path, "price_usd_per_mwh")
+    profiles = []
+    for path, kind in ((config.load_path, "load"), (config.solar_path, "solar")):
+        got, values = _read_day_table(path, "kwh", nonnegative=kind)
+        if got != dates:
+            k, mine, theirs = next((k, a, b) for k, (a, b) in
+                                   enumerate(zip(got + [None], dates + [None])) if a != b)
+            raise DataError(f"{path}: day {k + 1} is {mine or 'missing'}, but in "
+                            f"{config.prices_path} it is {theirs or 'missing'}")
+        profiles.append(values)
+    load, solar = profiles
+    prices = prices * MWH_PER_KWH
+    solar = solar / config.solar_system_kw
+    prices.setflags(write=False)
+    solar.setflags(write=False)
+    return prices, load, solar
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,6 @@ class StudyConfig:
     storage_power_kw: float = _entry(3.3, "der.storage_power_kw", _positive, allow_inf=True)
     storage_efficiency: float = _entry(0.96, "der.storage_efficiency", _efficiency)
     storage_per_pv_kwh_per_kw: float = _entry(0.5, "der.storage_per_pv_kwh_per_kw", _nonnegative)
-    allocation: str = _entry("largest-first", "der.allocation", _one_of(ALLOCATION_RULES))
     capacity_grid_kw: tuple[float, ...] = _entry(
         (0.0, 550e3, 1100e3, 1650e3, 2200e3), "grids.capacity_kw", _nonnegative)
     fixed_cost_grid: tuple[float, ...] | None = _entry(None, "grids.fixed_cost_usd_per_day")
@@ -398,12 +396,12 @@ def nominal_tariff(config: StudyConfig) -> tf.TwoPartTariff:
     return tf.flat_tariff(config.nominal_connection_charge, config.nominal_price, config.horizon)
 
 
-def build_model(config: StudyConfig, load_days) -> dm.DemandModel:
-    """Calibrate the demand system so mean-day sales match the load data.
+def build_model(config: StudyConfig, load: np.ndarray) -> dm.DemandModel:
+    """Calibrate the demand system so mean-day sales match the (K, N) load.
 
     A configured slope override replaces the calibrated price response.
     """
-    target = np.mean(np.stack(load_days), axis=0)
+    target = load.mean(axis=0)
     if target.size != config.horizon:
         raise DataError(
             f"load data has {target.size} periods per day, config expects {config.horizon}"
@@ -420,10 +418,9 @@ def build_model(config: StudyConfig, load_days) -> dm.DemandModel:
     )
 
 
-def build_scenarios(
-    config: StudyConfig, prices, load_days, solar_days, *, model: dm.DemandModel | None = None
-) -> ScenarioSet:
-    """Turn per-day inputs into a weighted scenario set.
+def build_scenarios(config: StudyConfig, model: dm.DemandModel, prices: np.ndarray,
+                    load: np.ndarray, solar: np.ndarray) -> ScenarioSet:
+    """Turn date-aligned (K, N) inputs into a weighted scenario set.
 
     Paired mode keeps day k's price, load, and solar together with weight
     1/K; product mode crosses the price marginal with the joint
@@ -434,24 +431,17 @@ def build_scenarios(
     absorb proportionally more of it.
     """
     k = len(prices)
-    if k < 1:
-        raise DataError("need at least one day of data")
-    if len(load_days) != k or len(solar_days) != k:
+    if not k or {m.shape for m in (prices, load, solar)} != {(k, config.horizon)}:
         raise DataError(
-            f"paired construction needs equal day counts, got prices={k}, "
-            f"load={len(load_days)}, solar={len(solar_days)}"
+            f"inputs must be (days, {_declared('horizon')['key']}) matrices of one shape, "
+            f"got prices {prices.shape}, load {load.shape}, solar {solar.shape}"
         )
-    if model is None:
-        model = build_model(config, load_days)
-    if {vec.size for vec in (*prices, *load_days, *solar_days)} != {config.horizon}:
-        raise DataError(f"input day length does not match {_declared('horizon')['key']}")
-    loads = np.stack(load_days)
-    deviation = (loads - np.mean(loads, axis=0)) / model.sigma_total  # (K, N)
+    deviation = (load - load.mean(axis=0)) / model.sigma_total  # (K, N)
     built = ScenarioSet(
         np.full(k, 1.0 / k),
-        np.stack(prices),
+        prices,
         model.sigma[None, :, None] * deviation[:, None, :],
-        solar_unit_matrix=np.stack(solar_days),
+        solar_unit_matrix=solar,
     )
     if config.scenario_mode == "product-of-marginals":
         return split_marginals(built)
@@ -506,14 +496,9 @@ class Study:
 
 def build_study(config: StudyConfig) -> Study:
     """Load the configured inputs and assemble model, scenarios, and F."""
-    missing = [_declared(attr)["key"] for attr in _INPUT_PATHS if getattr(config, attr) is None]
-    if missing:
-        raise ConfigError(f"missing input paths: {', '.join(missing)}")
-    prices = load_prices(config.prices_path)
-    load_days = load_profile(config.load_path, "load")
-    solar_days = load_profile(config.solar_path, "solar", system_kw=config.solar_system_kw)
-    model = build_model(config, load_days)
-    scenario_set = build_scenarios(config, prices, load_days, solar_days, model=model)
+    prices, load, solar = load_inputs(config)
+    model = build_model(config, load)
+    scenario_set = build_scenarios(config, model, prices, load, solar)
     fixed_cost = derive_fixed_cost(config, model, scenario_set)
     return Study(config=config, model=model, scenario_set=scenario_set, fixed_cost=fixed_cost)
 
@@ -531,10 +516,11 @@ def resolve_fixed_cost_grid(config: StudyConfig, fixed_cost: float) -> tuple[flo
 def synthetic_days(
     seed: int = 0, n_days: int = 20, horizon: int = 24, *, correlated: bool = True
 ):
-    """Generate (price, load, solar) day vectors with summer diurnal shapes.
+    """Generate (price, load, solar) day-by-period matrices with summer shapes.
 
-    Prices are in $/kWh, load in population kWh per period (about 35 GWh a
-    day), solar in kWh per kW of capacity.  In the correlated variant one
+    Each is a read-only (n_days, horizon) matrix, one row per day.  Prices
+    are in $/kWh, load in population kWh per period (about 35 GWh a day),
+    solar in kWh per kW of capacity.  In the correlated variant one
     heat index drives both the price peak and the load level; the
     independent variant draws them from separate streams.  Deterministic in
     (seed, n_days, horizon, correlated).
@@ -561,23 +547,20 @@ def synthetic_days(
         daylight, 0.72 * np.sin(np.pi * (hours - 6.0) / 13.0) ** 2, 0.0
     ) * (24.0 / horizon)
 
-    prices, loads, solars = [], [], []
-    for _ in range(n_days):
+    prices, loads, solars = (np.empty((n_days, horizon)) for _ in range(3))
+    for k in range(n_days):
         heat_price = rng.normal()
         heat_load = heat_price if correlated else rng.normal()
         clearness = float(np.clip(0.8 + 0.15 * rng.normal(), 0.35, 1.0))
         lam = price_base * (1.0 + 0.5 * max(heat_price, 0.0) * peak_shape)
         lam = lam * (1.0 + 0.05 * rng.normal(size=horizon))
-        lam = np.maximum(lam, 8.0) * MWH_PER_KWH
+        prices[k] = np.maximum(lam, 8.0) * MWH_PER_KWH
         total = 35e6 * (1.0 + 0.07 * heat_load + 0.015 * rng.normal())
         shape = load_shape * (1.0 + 0.02 * rng.normal(size=horizon))
-        load = total * shape / shape.sum()
-        solar = clearness * clear_sky
-        for vec in (lam, load, solar):
-            vec.setflags(write=False)
-        prices.append(lam)
-        loads.append(load)
-        solars.append(solar)
+        loads[k] = total * shape / shape.sum()
+        solars[k] = clearness * clear_sky
+    for matrix in (prices, loads, solars):
+        matrix.setflags(write=False)
     return prices, loads, solars
 
 
@@ -618,7 +601,7 @@ def write_synthetic_dataset(
     }
     _write_day_table(paths["prices"], prices, "price_usd_per_mwh", scale=1.0 / MWH_PER_KWH)
     _write_day_table(paths["load"], loads, "kwh")
-    _write_day_table(paths["solar"], [vec * system_kw for vec in solars], "kwh")
+    _write_day_table(paths["solar"], solars * system_kw, "kwh")
     config = replace(
         StudyConfig(),
         horizon=horizon,

@@ -352,11 +352,6 @@ def expect_vector(scenario_set: ScenarioSet, field: Field) -> np.ndarray:
     return np.tensordot(scenario_set.probabilities, _stacked(scenario_set, field), axes=1)
 
 
-def expect_scalar(scenario_set: ScenarioSet, field: Field) -> float:
-    """Probability-weighted mean of a per-scenario scalar field."""
-    return float(expect_vector(scenario_set, field))
-
-
 def cov_trace(scenario_set: ScenarioSet, field_a: Field, field_b: Field) -> float:
     """Sum over periods of the population covariance of two vector fields.
 

@@ -21,14 +21,12 @@ class UnboundedError(Exception):
     """The LP has unbounded objective value."""
 
 
-def maximize(c, G, h, *, with_basis: bool = False):
+def maximize(c, G, h):
     """Solve max c^T x s.t. G x <= h, x >= 0 (requires h >= 0).
 
-    Returns (x, value) at an optimal vertex.  With ``with_basis`` it returns
-    (x, value, basis, rows): ``basis[i]`` is the column basic in row i,
-    columns n.. being the slacks, and ``rows`` is the final tableau's
-    constraint block B^-1 [G I], shape (m, n + m).  The pivot sequence is
-    the same either way.
+    Returns (x, value, basis, rows) at an optimal vertex: ``basis[i]`` is
+    the column basic in row i, columns n.. being the slacks, and ``rows`` is
+    the final tableau's constraint block B^-1 [G I], shape (m, n + m).
     """
     c = np.asarray(c, dtype=float)
     G = np.asarray(G, dtype=float)
@@ -94,6 +92,4 @@ def maximize(c, G, h, *, with_basis: bool = False):
 
     x = np.zeros(n + m)
     x[basis] = rhs[:m]
-    if with_basis:
-        return x[:n], float(rhs[m]), basis, T[:m, : n + m]
-    return x[:n], float(rhs[m])
+    return x[:n], float(rhs[m]), basis, T[:m, : n + m]

@@ -229,7 +229,7 @@ def _solve(spec: StorageSpec, price_bytes: bytes, n: int) -> StorageSchedule:
             return replace(vertex.schedule, value=float(obj @ vertex.x))
 
     G, h = _constraints(spec, n)
-    x, value, basis, rows = simplex.maximize(obj, G, h, with_basis=True)
+    x, value, basis, rows = simplex.maximize(obj, G, h)
 
     charge = np.where(np.abs(x[:n]) < _ZERO_TOL, 0.0, x[:n])
     discharge = np.where(np.abs(x[n:]) < _ZERO_TOL, 0.0, x[n:])

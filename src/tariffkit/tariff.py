@@ -106,9 +106,6 @@ class TwoPartTariff:
         if not math.isfinite(self.connection_charge):
             raise ValueError("connection charge must be finite")
 
-    def is_flat(self, tol: float = 0.0) -> bool:
-        return bool(np.ptp(self.prices) <= tol)
-
 
 def flat_tariff(connection_charge: float, price: float, horizon: int) -> TwoPartTariff:
     return TwoPartTariff(connection_charge, np.full(horizon, float(price)))

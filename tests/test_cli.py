@@ -1,4 +1,5 @@
 import csv
+import datetime
 import hashlib
 import json
 import math
@@ -339,6 +340,32 @@ def test_negative_load_cell_exits_2(tmp_path, capsys):
             assert cli.main([command[0], config, *command[1:]]) == 2, command
             assert capsys.readouterr().err == f"error: {message}\n"
     assert not results.exists()
+
+
+@pytest.mark.parametrize("variant", ["synthetic_dir", "independent_dir"])
+def test_shifted_load_dates_exit_2(variant, request, tmp_path, capsys):
+    # row k of every input is one date: a load file whose dates run 5 days
+    # later than the prices is rejected in both scenario modes, not paired
+    # by position
+    for name in ("prices.csv", "load.csv", "solar.csv", "study.yaml"):
+        (tmp_path / name).write_bytes((request.getfixturevalue(variant) / name).read_bytes())
+    with open(tmp_path / "load.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    for row in rows[1:]:
+        row[0] = str(datetime.date.fromisoformat(row[0]) + datetime.timedelta(days=5))
+    with open(tmp_path / "load.csv", "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    config = str(tmp_path / "study.yaml")
+    capsys.readouterr()
+
+    assert cli.main(["validate", config]) == 2
+    out = capsys.readouterr().out
+    assert f"FAIL inputs load and align: {tmp_path / 'load.csv'}: day 1 is 2021-07-06" in out
+    with mock.patch.dict(os.environ, {cli.OUTPUT_DIR_ENV: str(tmp_path / "results")}):
+        assert cli.main(["optimize", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "load.csv" in err
+    assert not (tmp_path / "results").exists()
 
 
 NUMBER_OPTIONS = [  # (command and its fixed arguments, option, must be >= 0)

@@ -1,3 +1,4 @@
+import ast
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -26,11 +27,26 @@ PRICES_OK = """date,period_index,price_usd_per_mwh
 """
 
 
-def test_load_prices_converts_mwh_to_kwh(tmp_path):
-    days = ingest.load_prices(write(tmp_path / "p.csv", PRICES_OK))
-    assert len(days) == 2
-    np.testing.assert_allclose(days[0], [0.040, 0.0555], rtol=0, atol=0)
-    np.testing.assert_allclose(days[1], [0.03825, 0.061], rtol=0, atol=0)
+def read_prices(path):
+    return ingest._read_day_table(path, "price_usd_per_mwh")
+
+
+def study_files(tmp_path, prices=PRICES_OK, load=None, solar=None):
+    """A StudyConfig over three files; load and solar default to the price file's days."""
+    profile = prices.replace("price_usd_per_mwh", "kwh")
+    paths = {}
+    for name, text in (("prices", prices), ("load", load or profile), ("solar", solar or profile)):
+        paths[f"{name}_path"] = str(write(tmp_path / f"{name}.csv", text))
+    return ingest.StudyConfig(horizon=2, **paths)
+
+
+def test_load_inputs_converts_mwh_to_kwh(tmp_path):
+    prices, load, solar = ingest.load_inputs(study_files(tmp_path))
+    assert prices.shape == load.shape == solar.shape == (2, 2)
+    np.testing.assert_allclose(prices, [[0.040, 0.0555], [0.03825, 0.061]], rtol=0, atol=0)
+    np.testing.assert_array_equal(load, [[40.0, 55.5], [38.25, 61.0]])
+    for matrix in (prices, load, solar):
+        assert not matrix.flags.writeable
 
 
 def test_days_sorted_by_date(tmp_path):
@@ -38,58 +54,60 @@ def test_days_sorted_by_date(tmp_path):
 2021-07-02,0,2
 2021-07-01,0,1
 """
-    days = ingest.load_prices(write(tmp_path / "p.csv", text))
-    assert days[0][0] == 0.001 and days[1][0] == 0.002
+    dates, values = read_prices(write(tmp_path / "p.csv", text))
+    assert dates == ["2021-07-01", "2021-07-02"]
+    np.testing.assert_array_equal(values, [[1.0], [2.0]])
 
 
 def test_header_mismatch_rejected(tmp_path):
     bad = PRICES_OK.replace("price_usd_per_mwh", "price")
     with pytest.raises(ingest.DataError, match="header"):
-        ingest.load_prices(write(tmp_path / "p.csv", bad))
+        read_prices(write(tmp_path / "p.csv", bad))
 
 
 def test_bad_period_index_names_line(tmp_path):
     bad = PRICES_OK.replace("2021-07-01,1,", "2021-07-01,one,", 1)
     with pytest.raises(ingest.DataError, match=r"p\.csv:3"):
-        ingest.load_prices(write(tmp_path / "p.csv", bad))
+        read_prices(write(tmp_path / "p.csv", bad))
 
 
 def test_duplicate_period_rejected(tmp_path):
     bad = PRICES_OK.replace("2021-07-01,1,55.5", "2021-07-01,0,55.5")
     with pytest.raises(ingest.DataError, match="duplicate"):
-        ingest.load_prices(write(tmp_path / "p.csv", bad))
+        read_prices(write(tmp_path / "p.csv", bad))
 
 
 def test_incomplete_day_names_the_date(tmp_path):
     # day 2 has the right row count but skips period 1
     bad = PRICES_OK.replace("2021-07-02,1,61", "2021-07-02,2,61")
     with pytest.raises(ingest.DataError, match="2021-07-02"):
-        ingest.load_prices(write(tmp_path / "p.csv", bad))
+        read_prices(write(tmp_path / "p.csv", bad))
     # a short day trips the uniform-horizon check instead
     short = PRICES_OK.replace("2021-07-02,1,61\n", "")
     with pytest.raises(ingest.DataError, match="differing period counts"):
-        ingest.load_prices(write(tmp_path / "p.csv", short))
+        read_prices(write(tmp_path / "p.csv", short))
 
 
 def test_non_numeric_and_non_finite_values_rejected(tmp_path):
     with pytest.raises(ingest.DataError, match="not a number"):
-        ingest.load_prices(write(tmp_path / "p.csv", PRICES_OK.replace("55.5", "n/a")))
+        read_prices(write(tmp_path / "p.csv", PRICES_OK.replace("55.5", "n/a")))
     with pytest.raises(ingest.DataError, match="non-finite"):
-        ingest.load_prices(write(tmp_path / "p.csv", PRICES_OK.replace("55.5", "inf")))
+        read_prices(write(tmp_path / "p.csv", PRICES_OK.replace("55.5", "inf")))
 
 
 def test_solar_normalized_by_system_size(tmp_path):
     text = """date,period_index,kwh
 2021-07-01,0,0
 2021-07-01,1,4.0
+2021-07-02,0,0
+2021-07-02,1,4.0
 """
-    days = ingest.load_profile(write(tmp_path / "s.csv", text), "solar", system_kw=5.0)
-    np.testing.assert_allclose(days[0], [0.0, 0.8], rtol=0, atol=0)
+    config = replace(study_files(tmp_path, solar=text), solar_system_kw=5.0)
+    _, _, solar = ingest.load_inputs(config)
+    np.testing.assert_allclose(solar[0], [0.0, 0.8], rtol=0, atol=0)
+    write(tmp_path / "solar.csv", text.replace("4.0", "-1.0", 1))
     with pytest.raises(ingest.DataError, match="negative solar"):
-        ingest.load_profile(write(tmp_path / "s2.csv", text.replace("4.0", "-1.0")),
-                            "solar", system_kw=5.0)
-    with pytest.raises(ValueError, match="kind"):
-        ingest.load_profile(tmp_path / "s.csv", "wind")
+        ingest.load_inputs(config)
 
 
 def test_negative_profile_cell_named_by_line(tmp_path):
@@ -102,16 +120,33 @@ def test_negative_profile_cell_named_by_line(tmp_path):
     for kind in ("load", "solar"):
         with pytest.raises(ingest.DataError,
                            match=re.escape(f"{path}:3: negative {kind} value -500000")):
-            ingest.load_profile(path, kind)
-    zero = ingest.load_profile(write(tmp_path / "z.csv", text.replace("-500000", "0")), "load")
-    np.testing.assert_array_equal(zero[0], [1000.0, 0.0])
-    prices = ingest.load_prices(write(tmp_path / "p.csv", PRICES_OK.replace("55.5", "-12")))
-    assert prices[0][1] == -0.012
+            ingest._read_day_table(path, "kwh", nonnegative=kind)
+    zero = write(tmp_path / "z.csv", text.replace("-500000", "0"))
+    _, values = ingest._read_day_table(zero, "kwh", nonnegative="load")
+    np.testing.assert_array_equal(values[0], [1000.0, 0.0])
+    _, prices = read_prices(write(tmp_path / "p.csv", PRICES_OK.replace("55.5", "-12")))
+    assert prices[0][1] == -12.0
+
+
+def test_input_dates_must_align(tmp_path):
+    # row k of every matrix is one date: a file whose dates differ from the
+    # price file's is named with the first date that differs
+    profile = PRICES_OK.replace("price_usd_per_mwh", "kwh")
+    shifted = profile.replace("2021-07-02", "2021-07-03")
+    for name in ("load", "solar"):
+        config = study_files(tmp_path, **{name: shifted})
+        with pytest.raises(ingest.DataError,
+                           match=re.escape(f"{name}.csv: day 2 is 2021-07-03, but in "
+                                           f"{config.prices_path} it is 2021-07-02")):
+            ingest.load_inputs(config)
+    short = profile.replace("2021-07-02,0,38.25\n2021-07-02,1,61\n", "")
+    with pytest.raises(ingest.DataError, match="day 2 is missing, but in .* it is 2021-07-02"):
+        ingest.load_inputs(study_files(tmp_path, load=short))
 
 
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
-        ingest.load_prices(tmp_path / "nope.csv")
+        read_prices(tmp_path / "nope.csv")
 
 
 def test_config_defaults_match_nominal_study():
@@ -193,7 +228,6 @@ RULE_BREAKERS = {
     "der.storage_power_kw": 0.0,
     "der.storage_efficiency": 1.5,
     "der.storage_per_pv_kwh_per_kw": -0.5,
-    "der.allocation": "random",
     "grids.capacity_kw": [0.0, -1.0],
     "inputs.solar_system_kw": 0.0,
 }
@@ -219,6 +253,19 @@ def test_unknown_section_and_key_rejected():
         ingest.config_from_mapping({"weather": {}})
     with pytest.raises(ingest.ConfigError, match="key"):
         ingest.config_from_mapping({"study": {"horizont": 24}})
+    # der.allocation named a rule no code read; it is no longer an entry
+    with pytest.raises(ingest.ConfigError, match="unknown config key der.allocation"):
+        ingest.config_from_mapping({"der": {"allocation": "largest-first"}})
+
+
+def test_every_config_field_is_read():
+    # a field the library never reads as an attribute is an entry that
+    # changes nothing; declare only what some code uses
+    read = {node.attr
+            for path in Path(ingest.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert [f.name for f in fields(ingest.StudyConfig) if f.name not in read] == []
 
 
 def test_type_errors_are_named():
@@ -254,8 +301,8 @@ def test_yaml_loaders_give_the_same_mapping(tmp_path, monkeypatch):
 
 def test_build_model_calibrates_to_mean_day():
     config = ingest.StudyConfig(horizon=3, customer_classes=2, customer_count=10.0)
-    load_days = [np.array([9.0, 11.0, 10.0]), np.array([11.0, 13.0, 14.0])]
-    model = ingest.build_model(config, load_days)
+    load = np.array([[9.0, 11.0, 10.0], [11.0, 13.0, 14.0]])
+    model = ingest.build_model(config, load)
     got = dm.aggregate_demand(model, model.calibration_price)
     np.testing.assert_allclose(got, [10.0, 12.0, 12.0], rtol=1e-12)
     assert model.customers == 10.0
@@ -265,8 +312,8 @@ def test_build_model_slope_override():
     override = ((10.0, -1.0), (-1.0, 8.0))
     config = ingest.StudyConfig(horizon=2, customer_classes=1, customer_count=4.0,
                                 slope_override=override)
-    load_days = [np.array([5.0, 6.0])]
-    model = ingest.build_model(config, load_days)
+    load = np.array([[5.0, 6.0]])
+    model = ingest.build_model(config, load)
     np.testing.assert_allclose(model.slope, np.array(override))
     # sales anchor still holds after the refit
     got = dm.aggregate_demand(model, model.calibration_price)
@@ -275,50 +322,50 @@ def test_build_model_slope_override():
     config2 = ingest.StudyConfig(horizon=2, customer_classes=1, customer_count=4.0,
                                  slope_override=((1.0, 0.0), (0.0, -1.0)))
     with pytest.raises(ValueError, match="positive definite"):
-        ingest.build_model(config2, load_days)
+        ingest.build_model(config2, load)
+
+
+PRICES = np.array([[0.04, 0.05], [0.03, 0.06], [0.05, 0.05]])
+LOAD = np.array([[9.0, 10.0], [10.0, 11.0], [11.0, 12.0]])
+SOLAR = np.array([[0.1, 0.1], [0.2, 0.2], [0.3, 0.3]])
 
 
 def test_build_scenarios_paired_mode():
     config = ingest.StudyConfig(horizon=2, customer_classes=2, customer_count=10.0)
-    prices = [np.array([0.04, 0.05]), np.array([0.03, 0.06]), np.array([0.05, 0.05])]
-    loads = [np.array([9.0, 10.0]), np.array([10.0, 11.0]), np.array([11.0, 12.0])]
-    solars = [np.full(2, 0.1), np.full(2, 0.2), np.full(2, 0.3)]
-    model = ingest.build_model(config, loads)
-    ss = ingest.build_scenarios(config, prices, loads, solars, model=model)
+    model = ingest.build_model(config, LOAD)
+    ss = ingest.build_scenarios(config, model, PRICES, LOAD, SOLAR)
     assert len(ss) == 3
     np.testing.assert_allclose(ss.probabilities, [1 / 3] * 3)
     # the population disturbance reproduces each day's deviation exactly
-    mean_load = np.mean(np.stack(loads), axis=0)
-    for s, load in zip(ss, loads):
-        pop = model.class_counts @ s.disturbances
-        np.testing.assert_allclose(pop, load - mean_load, rtol=0, atol=1e-12)
+    pop = np.einsum("c,scn->sn", model.class_counts, ss.disturbance_tensor)
+    np.testing.assert_allclose(pop, LOAD - LOAD.mean(axis=0), rtol=0, atol=1e-12)
     assert ss.has_solar_unit
 
 
 def test_build_scenarios_product_mode():
     config = ingest.StudyConfig(horizon=2, customer_classes=1, customer_count=10.0,
                                 scenario_mode="product-of-marginals")
-    prices = [np.array([0.04, 0.05]), np.array([0.03, 0.06]), np.array([0.05, 0.05])]
-    loads = [np.array([9.0, 10.0]), np.array([10.0, 11.0]), np.array([11.0, 12.0])]
-    solars = [np.full(2, 0.1), np.full(2, 0.2), np.full(2, 0.3)]
-    ss = ingest.build_scenarios(config, prices, loads, solars)
+    model = ingest.build_model(config, LOAD)
+    ss = ingest.build_scenarios(config, model, PRICES, LOAD, SOLAR)
     assert len(ss) == 9
     assert ss.independent
 
 
 def test_build_scenarios_length_mismatch():
     config = ingest.StudyConfig(horizon=2, customer_classes=1, customer_count=10.0)
-    with pytest.raises(ingest.DataError, match="equal day counts"):
-        ingest.build_scenarios(config, [np.zeros(2)], [np.zeros(2)] * 2, [np.zeros(2)] * 2)
+    model = ingest.build_model(config, LOAD)
+    with pytest.raises(ingest.DataError, match="matrices of one shape"):
+        ingest.build_scenarios(config, model, PRICES[:1], LOAD, SOLAR)
+    with pytest.raises(ingest.DataError, match=r"study\.horizon"):
+        ingest.build_scenarios(config, model, PRICES[:, :1], LOAD, SOLAR)
 
 
 def test_derive_fixed_cost_modes():
     config = ingest.StudyConfig(horizon=2, customer_classes=1, customer_count=10.0)
-    loads = [np.array([5.0, 6.0])]
-    prices = [np.array([0.04, 0.05])]
-    solars = [np.zeros(2)]
-    model = ingest.build_model(config, loads)
-    ss = ingest.build_scenarios(config, prices, loads, solars, model=model)
+    load = np.array([[5.0, 6.0]])
+    prices = np.array([[0.04, 0.05]])
+    model = ingest.build_model(config, load)
+    ss = ingest.build_scenarios(config, model, prices, load, np.zeros((1, 2)))
     f = ingest.derive_fixed_cost(config, model, ss)
     # single scenario: F = M A + (pi - lambda)^T D(pi)
     pi = np.full(2, config.nominal_price)
@@ -358,26 +405,22 @@ def test_storage_unit_spec():
 def test_synthetic_days_deterministic_and_scaled():
     a = ingest.synthetic_days(seed=3, n_days=4, horizon=24)
     b = ingest.synthetic_days(seed=3, n_days=4, horizon=24)
-    for days_a, days_b in zip(a, b):
-        for va, vb in zip(days_a, days_b):
-            np.testing.assert_array_equal(va, vb)
+    for matrix_a, matrix_b in zip(a, b):
+        assert matrix_a.shape == (4, 24) and not matrix_a.flags.writeable
+        np.testing.assert_array_equal(matrix_a, matrix_b)
     prices, loads, solars = a
-    for lam in prices:
-        assert lam.min() >= 0.008  # $8/MWh floor
-        assert lam.max() < 0.2
-    for load in loads:
-        assert 25e6 < load.sum() < 45e6
-    for solar in solars:
-        assert solar.min() == 0.0  # night
-        assert 0.5 < solar.sum() < 8.0  # kWh per kW per day
+    assert prices.min() >= 0.008  # $8/MWh floor
+    assert prices.max() < 0.2
+    assert np.all((25e6 < loads.sum(axis=1)) & (loads.sum(axis=1) < 45e6))
+    assert np.all(solars.min(axis=1) == 0.0)  # night
+    daily = solars.sum(axis=1)  # kWh per kW per day
+    assert np.all((0.5 < daily) & (daily < 8.0))
 
 
 def test_synthetic_variants_differ_in_correlation():
     def corr(correlated):
         prices, loads, _ = ingest.synthetic_days(seed=0, n_days=40, correlated=correlated)
-        p = np.array([v.mean() for v in prices])
-        q = np.array([v.sum() for v in loads])
-        return float(np.corrcoef(p, q)[0, 1])
+        return float(np.corrcoef(prices.mean(axis=1), loads.sum(axis=1))[0, 1])
 
     assert corr(True) > 0.5
     assert abs(corr(False)) < 0.45
@@ -390,14 +433,10 @@ def test_write_synthetic_dataset_round_trip(tmp_path):
     study = ingest.build_study(config)
     assert len(study.scenario_set) == 3
     assert study.model.customers == 2.2e6
-    # the files round-trip the generated vectors through %.12g
-    prices, loads, solars = ingest.synthetic_days(seed=1, n_days=3, horizon=12)
-    got = ingest.load_prices(paths["prices"])
-    for want, vec in zip(prices, got):
-        np.testing.assert_allclose(vec, want, rtol=1e-11)
-    got_solar = ingest.load_profile(paths["solar"], "solar", system_kw=5.0)
-    for want, vec in zip(solars, got_solar):
-        np.testing.assert_allclose(vec, want, rtol=1e-11, atol=1e-15)
+    # the files round-trip the generated matrices through %.12g
+    want = ingest.synthetic_days(seed=1, n_days=3, horizon=12)
+    for got, matrix in zip(ingest.load_inputs(config), want):
+        np.testing.assert_allclose(got, matrix, rtol=1e-11, atol=1e-15)
 
 
 def test_write_synthetic_dataset_independent_mode(tmp_path):

@@ -66,7 +66,6 @@ def test_arrays_are_frozen():
 def test_expectations_are_exact_weighted_sums():
     ss = sc.from_prices([[1.0, 4.0], [3.0, 0.0]], probabilities=[0.25, 0.75])
     np.testing.assert_allclose(sc.expect_price(ss), [2.5, 1.0], rtol=0, atol=0)
-    assert sc.expect_scalar(ss, lambda s: s.prices[0]) == 2.5
     np.testing.assert_allclose(
         sc.expect_vector(ss, lambda s: 2.0 * s.prices), [5.0, 2.0], rtol=0, atol=0
     )

@@ -17,7 +17,7 @@ def scipy_max(c, G, h):
 
 def test_small_known_lp():
     # max x + y s.t. x + 2y <= 4, 3x + y <= 6
-    x, value = simplex.maximize([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0])
+    x, value, *_ = simplex.maximize([1.0, 1.0], [[1.0, 2.0], [3.0, 1.0]], [4.0, 6.0])
     assert value == pytest.approx(2.8, rel=1e-12)
     np.testing.assert_allclose(x, [1.6, 1.2], rtol=1e-12, atol=1e-12)
 
@@ -25,14 +25,14 @@ def test_small_known_lp():
 def test_solution_is_feasible_vertex():
     G = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
     h = np.array([2.0, 3.0, 1.5])
-    x, value = simplex.maximize([2.0, 1.0, 3.0], G, h)
+    x, value, *_ = simplex.maximize([2.0, 1.0, 3.0], G, h)
     assert np.all(x >= -1e-12)
     assert np.all(G @ x <= h + 1e-9)
     assert value == pytest.approx(float(np.array([2.0, 1.0, 3.0]) @ x), rel=1e-12)
 
 
 def test_zero_objective():
-    x, value = simplex.maximize([0.0, 0.0], [[1.0, 1.0]], [1.0])
+    x, value, *_ = simplex.maximize([0.0, 0.0], [[1.0, 1.0]], [1.0])
     assert value == 0.0
 
 
@@ -56,7 +56,7 @@ def test_degenerate_problem_terminates():
         [1.0, 1.0], [1.0, 1.0],
     ])
     h = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0])
-    x, value = simplex.maximize([1.0, 1.0], G, h)
+    x, value, *_ = simplex.maximize([1.0, 1.0], G, h)
     assert value == pytest.approx(2.0, rel=1e-12)
 
 
@@ -68,7 +68,7 @@ def test_matches_scipy_on_random_instances():
         G = rng.uniform(0.05, 1.0, size=(m, n))  # positive rows keep it bounded
         h = rng.uniform(0.5, 3.0, size=m)
         c = rng.uniform(-1.0, 2.0, size=n)
-        _, value = simplex.maximize(c, G, h)
+        _, value, *_ = simplex.maximize(c, G, h)
         assert value == pytest.approx(scipy_max(c, G, h), rel=1e-9, abs=1e-9)
 
 
@@ -83,7 +83,7 @@ def test_agrees_with_scipy_property(seed, n, m):
     G = rng.uniform(0.1, 1.0, size=(m, n))
     h = rng.uniform(0.0, 2.0, size=m)
     c = rng.uniform(-1.0, 1.0, size=n)
-    _, value = simplex.maximize(c, G, h)
+    _, value, *_ = simplex.maximize(c, G, h)
     assert value == pytest.approx(scipy_max(c, G, h), rel=1e-8, abs=1e-8)
 
 
@@ -156,7 +156,7 @@ def test_pivot_matches_dense_reference_on_storage_lps(seed, spec, decimals):
     prices = np.round(rng.uniform(-0.05, 0.4, size=24), decimals)
     G, h = st._constraints(spec, 24)
     c = np.concatenate([-prices, prices])
-    x, value = simplex.maximize(c, G, h)
+    x, value, *_ = simplex.maximize(c, G, h)
     x_ref, value_ref = dense_pivot_reference(c, G, h)
     assert x.tobytes() == x_ref.tobytes()
     assert value == value_ref

@@ -199,7 +199,7 @@ def test_idle_unit_skips_lp_with_the_lp_schedule(start, steps, efficiency, rated
 
     n = prices.size
     G, h = st._constraints(spec, n)
-    x, lp_value = simplex.maximize(np.concatenate([-prices, prices]), G, h)
+    x, lp_value, *_ = simplex.maximize(np.concatenate([-prices, prices]), G, h)
     charge = np.where(np.abs(x[:n]) < st._ZERO_TOL, 0.0, x[:n])
     discharge = np.where(np.abs(x[n:]) < st._ZERO_TOL, 0.0, x[n:])
     soc = np.concatenate([[0.0], np.cumsum(efficiency * charge - discharge / efficiency)])
@@ -260,7 +260,7 @@ def test_vertex_store_matches_cold_solves(seed, spec, kinds):
             prices -= 0.05
         elif kind == "flat":
             prices = np.full(n, -round(rng.uniform(0.0, 0.1), 2))
-        x, cold_value = simplex.maximize(np.concatenate([-prices, prices]), G, h)
+        x, cold_value, *_ = simplex.maximize(np.concatenate([-prices, prices]), G, h)
 
         store = st._vertex_store(spec, n)
         before = list(store)

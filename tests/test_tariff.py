@@ -46,7 +46,7 @@ def fixture(correlated=True, n_classes=3, horizon=6, with_solar=True, seed=2):
 
 def test_two_part_tariff_basics():
     t = tf.flat_tariff(0.5, 0.2, 4)
-    assert t.is_flat()
+    assert np.ptp(t.prices) == 0
     assert t.prices.shape == (4,)
     with pytest.raises(ValueError):
         tf.TwoPartTariff(math.nan, [0.1, 0.2])
@@ -142,7 +142,7 @@ def test_centralized_prices_uncorrected_and_offset_in_charge():
         model, sc.with_pv_capacity(ss, retailer_kw=0.0), tf.centralized_case(spec, 0.0), f
     )
     fleet = 3.0 * st.arbitrage_value(spec, lam_bar)[0]
-    renew = sc.expect_scalar(swept, lambda s: float(s.prices @ s.renewable_retailer))
+    renew = float(sc.expect_vector(swept, lambda s: float(s.prices @ s.renewable_retailer)))
     drop = plain_no_pv.connection_charge - tariff.connection_charge
     assert drop == pytest.approx((fleet + renew) / model.customers, rel=1e-9, abs=1e-12)
     assert plain.connection_charge == pytest.approx(
