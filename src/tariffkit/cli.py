@@ -201,15 +201,14 @@ def cmd_validate(args) -> int:
         print(f"validation failed: {len(failures)} check(s)")
         return 2
 
-    report = check(
-        "assumption 1 (price response negative definite)",
-        lambda: tf.require_assumption1(study.model),
-    )
-    if report is not None:
-        print(
-            f"     aggregate price-response eigenvalues in "
-            f"[{report.eig_min:.6g}, {report.eig_max:.6g}]"
-        )
+    def price_response_eigenvalues():
+        # DemandModel certified Assumption 1 when build_study built it
+        jac = -study.model.sigma_total * study.model.slope
+        return np.linalg.eigvalsh((jac + jac.T) / 2.0)
+
+    eigs = check("assumption 1 (price response negative definite)", price_response_eigenvalues)
+    if eigs is not None:
+        print(f"     aggregate price-response eigenvalues in [{eigs[0]:.6g}, {eigs[-1]:.6g}]")
 
     def optimal_at_f():
         family = tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART)
@@ -219,6 +218,14 @@ def cmd_validate(args) -> int:
         return wf.evaluate(optimal.tariff, study.model, study.scenario_set, tf.no_der())
 
     check("optimal two-part tariff solves and evaluates at F", optimal_at_f)
+
+    def pv_grid_allocates():
+        # the rule sweep and xsub apply to every capacity; the largest decides
+        grid = config.capacity_grid_kw
+        if grid:
+            wf.allocate_pv(study.model, max(grid), config.pv_unit_kw)
+
+    check("grids.capacity_kw allocates at most one PV unit per customer", pv_grid_allocates)
     nominal = ingest.nominal_tariff(config)
     anchors = check(
         "nominal tariff evaluates",

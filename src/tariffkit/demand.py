@@ -84,7 +84,9 @@ class DemandModel:
             raise ValueError(f"slope has shape {slope.shape}, expected ({n}, {n})")
         if not np.allclose(slope, slope.T, rtol=0.0, atol=1e-12):
             raise ValueError("slope matrix must be symmetric")
-        eigs = np.linalg.eigvalsh(slope)
+        # Assumption 1 (expected demand strictly decreasing in price) concerns
+        # the symmetric part; certified here, once, for every caller
+        eigs = np.linalg.eigvalsh((slope + slope.T) / 2.0)
         if eigs.min() <= 0.0:
             raise ValueError(f"slope matrix must be positive definite, min eig {eigs.min()}")
         if cal.size != n:
@@ -131,7 +133,8 @@ def demand(model: DemandModel, sigma: np.ndarray, prices, disturbances) -> np.nd
     """Per-customer demand sigma_c (b0 - B pi) + w for every (row, class), kWh.
 
     ``prices`` is (N,) or one vector per row (G, N); ``disturbances`` is
-    (G, C, N) with ``sigma`` the (C,) scales of its classes.  Unclamped.
+    (G, C, N), or one (C, N) block with (N,) prices, with ``sigma`` the (C,)
+    scales of its classes.  Unclamped.
     """
     shortfall = model.base - prices @ model.slope.T
     return sigma[:, None] * shortfall[..., None, :] + disturbances
@@ -214,36 +217,4 @@ def calibrate(
         slope=slope,
         calibration_price=cal,
         class_counts=class_counts,
-    )
-
-
-@dataclass(frozen=True)
-class Assumption1Report:
-    """Monotonicity check on g(pi) = E[grad D (pi - lambda)].
-
-    For this demand family the aggregate price Jacobian is the constant
-    -sigma_total * B, so grad g = -sigma_total * B everywhere; the check
-    passes when the symmetric part is negative definite.
-    """
-
-    jacobian: np.ndarray
-    eig_min: float
-    eig_max: float
-    passed: bool
-
-
-def validate_assumption1(model: DemandModel) -> Assumption1Report:
-    """Certify that expected demand is strictly price-monotone.
-
-    The Jacobian of this model family does not depend on the state, so the
-    certificate is global and needs no scenario set.
-    """
-    jac = -model.sigma_total * model.slope
-    sym = (jac + jac.T) / 2.0
-    eigs = np.linalg.eigvalsh(sym)
-    return Assumption1Report(
-        jacobian=jac,
-        eig_min=float(eigs.min()),
-        eig_max=float(eigs.max()),
-        passed=bool(eigs.max() < 0.0),
     )

@@ -581,12 +581,12 @@ def write_synthetic_dataset(
     horizon: int = 24,
     *,
     correlated: bool = True,
-    system_kw: float = 5.0,
 ) -> dict[str, str]:
     """Write prices.csv, load.csv, solar.csv and a ready study.yaml.
 
-    The solar file records production of one reference ``system_kw`` system
-    (loaders divide it back out).  Returns the written paths.
+    The solar file records production of one reference system of the
+    default ``inputs.solar_system_kw`` (loaders divide it back out).
+    Returns the written paths.
     """
     if n_days > 62:
         raise ValueError("synthetic calendar supports at most 62 days")
@@ -601,15 +601,14 @@ def write_synthetic_dataset(
     }
     _write_day_table(paths["prices"], prices, "price_usd_per_mwh", scale=1.0 / MWH_PER_KWH)
     _write_day_table(paths["load"], loads, "kwh")
-    _write_day_table(paths["solar"], solars * system_kw, "kwh")
     config = replace(
         StudyConfig(),
         horizon=horizon,
         prices_path="prices.csv",
         load_path="load.csv",
         solar_path="solar.csv",
-        solar_system_kw=system_kw,
         scenario_mode="paired-days" if correlated else "product-of-marginals",
     )
+    _write_day_table(paths["solar"], solars * config.solar_system_kw, "kwh")
     write_config(config, paths["config"])
     return {name: str(p) for name, p in paths.items()}

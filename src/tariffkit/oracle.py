@@ -32,11 +32,11 @@ PLANNER_SUPPORT_CAP = 16
 def storage_brute_force(spec: st.StorageSpec, prices, grid_steps: int = 10) -> float:
     """Lattice dynamic program over the state of charge.
 
-    States are capacity * j / grid_steps plus the exact initial charge.
-    Transitions charge or discharge (never both), respecting rate caps.
-    The result is a lower bound on the LP value; for the idealized unit
-    every LP vertex has its state of charge in {0, capacity}, which the
-    lattice contains, so the bound is tight there.
+    States are capacity * j / grid_steps, starting from empty.  Transitions
+    charge or discharge (never both), respecting rate caps.  The result is
+    a lower bound on the LP value; for the idealized unit every LP vertex
+    has its state of charge in {0, capacity}, which the lattice contains,
+    so the bound is tight there.
     """
     prices = as_price_vector(prices)
     n = prices.size
@@ -51,7 +51,7 @@ def storage_brute_force(spec: st.StorageSpec, prices, grid_steps: int = 10) -> f
     c_cap, d_cap = st.rate_caps(spec, n)
     lattice = [theta * j / grid_steps for j in range(grid_steps + 1)]
 
-    values = {spec.initial_charge_kwh: 0.0}
+    values = {0.0: 0.0}
     for t in range(n):
         nxt: dict[float, float] = {}
         for soc, val in values.items():
@@ -88,12 +88,9 @@ def _linprog_schedule(spec: st.StorageSpec, prices: np.ndarray) -> tuple[float, 
     eta = spec.efficiency
     c_cap, d_cap = st.rate_caps(spec, n)
     prefix = np.tril(np.ones((n, n)))
-    # soc_k = soc0 + sum_{t<=k} (eta c_t - d_t / eta) in [0, theta]
+    # soc_k = sum_{t<=k} (eta c_t - d_t / eta) in [0, theta]
     a_ub = np.block([[prefix * eta, -prefix / eta], [-prefix * eta, prefix / eta]])
-    b_ub = np.concatenate([
-        np.full(n, theta - spec.initial_charge_kwh),
-        np.full(n, spec.initial_charge_kwh),
-    ])
+    b_ub = np.concatenate([np.full(n, theta), np.zeros(n)])
     cost = np.concatenate([prices, -prices])  # minimize pi^T c - pi^T d
     bounds = [(0.0, c_cap[t]) for t in range(n)] + [(0.0, d_cap[t]) for t in range(n)]
     result = optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")

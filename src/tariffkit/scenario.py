@@ -138,10 +138,9 @@ class SetMoments:
         """Moments of the set with its renewables rebuilt from the solar profile.
 
         Every renewable moment is linear in capacity, and the price and
-        disturbance moments do not change, so this costs O(C N).
+        disturbance moments do not change, so this costs O(C N).  Read only
+        through :func:`with_pv_capacity`, which requires the solar profile.
         """
-        if self.mean_solar is None:
-            raise ValueError("scenario set has no solar_unit profile to scale")
         total_kw = float(customer_kw.sum())
         class_renewable = np.outer(customer_kw, self.mean_solar)
         mean_renewable = total_kw * self.mean_solar
@@ -208,9 +207,7 @@ class ScenarioSet:
     two renewable tensors only when first read.
 
     Probabilities must sum to 1 within ``PROBABILITY_TOL``; a violation is a
-    construction error, never silently renormalized.  ``independent`` marks
-    sets whose price block is statistically independent of the local state
-    block by construction (see :func:`split_marginals`).
+    construction error, never silently renormalized.
 
     The set's price-independent statistics are computed once, on first use,
     and cached on the set: :attr:`moments` (a :class:`SetMoments`) and
@@ -224,13 +221,12 @@ class ScenarioSet:
     price_matrix: np.ndarray
     disturbance_tensor: np.ndarray
     solar_unit_matrix: np.ndarray | None
-    independent: bool
     # (source set, customer kW (C,), retailer kW) of a with_pv_capacity set, else None
     _pv: tuple[ScenarioSet, np.ndarray, float] | None = dataclasses.field(repr=False)
 
     def __init__(self, probabilities, price_matrix, disturbance_tensor,
                  customer_renewable_tensor=None, retailer_renewable_matrix=None,
-                 solar_unit_matrix=None, independent: bool = False):
+                 solar_unit_matrix=None):
         probabilities = _frozen(probabilities, np.shape(probabilities), "probabilities")
         if probabilities.ndim != 1 or probabilities.size == 0:
             raise ValueError("scenario set must contain at least one scenario")
@@ -259,8 +255,8 @@ class ScenarioSet:
             else _frozen(solar_unit_matrix, (s, n), "solar_unit", nonneg=True),
         )
         # the renewable tensors land in the instance dict, ahead of their cached properties
-        for name, value in zip(("probabilities", *_SET_FIELDS, "independent", "_pv"),
-                               (probabilities, *tensors, bool(independent), None)):
+        for name, value in zip(("probabilities", *_SET_FIELDS, "_pv"),
+                               (probabilities, *tensors, None)):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
@@ -382,8 +378,7 @@ def split_marginals(scenario_set: ScenarioSet) -> ScenarioSet:
     (disturbances, renewables and solar profile) by row equality,
     accumulates marginal weights, and returns the product distribution
     (price support x local support, price-major, each in order of first
-    appearance) with ``independent=True``.  Idempotent on sets that are
-    already products.
+    appearance).  Idempotent on sets that are already products.
     """
     ss = scenario_set
     s = len(ss)
@@ -415,7 +410,7 @@ def split_marginals(scenario_set: ScenarioSet) -> ScenarioSet:
     for tensor in tensors:
         if tensor is not None:
             tensor.setflags(write=False)
-    return ScenarioSet(np.outer(p_price, p_local).reshape(-1), *tensors, independent=True)
+    return ScenarioSet(np.outer(p_price, p_local).reshape(-1), *tensors)
 
 
 def with_pv_capacity(
@@ -449,8 +444,7 @@ def with_pv_capacity(
     customer_kw.setflags(write=False)
     source = scenario_set if scenario_set._pv is None else scenario_set._pv[0]
     derived = ScenarioSet.__new__(ScenarioSet)
-    for name in ("probabilities", "price_matrix", "disturbance_tensor", "solar_unit_matrix",
-                 "independent"):
+    for name in ("probabilities", "price_matrix", "disturbance_tensor", "solar_unit_matrix"):
         object.__setattr__(derived, name, getattr(source, name))
     object.__setattr__(derived, "_pv", (source, customer_kw, retailer_kw))
     return derived

@@ -2,10 +2,10 @@
 
 The unit problem is a small LP: split the meter-side action into charge and
 discharge streams, track the state of charge through a one-way efficiency,
-and maximize the value of energy sold minus energy bought.  With unit
-efficiency, unlimited rates and zero initial charge this reduces exactly to
-maximizing pi^T s over the set of schedules whose running withdrawals stay
-inside [0, capacity].
+and maximize the value of energy sold minus energy bought.  Every unit
+starts empty.  With unit efficiency and unlimited rates this reduces exactly
+to maximizing pi^T s over the set of schedules whose running withdrawals
+stay inside [0, capacity].
 
 Only the objective depends on the prices.  The constraint matrix and
 right-hand side are built once per (spec, horizon) and cached as read-only
@@ -47,16 +47,15 @@ VERTEX_STORE_SIZE = 2
 class StorageSpec:
     """Physical parameters of one storage unit.
 
-    ``capacity_kwh`` bounds the state of charge; ``efficiency`` applies one
-    way on each of charge and discharge; rates are meter-side kW limits and
-    may be infinite.
+    ``capacity_kwh`` bounds the state of charge, which starts at zero;
+    ``efficiency`` applies one way on each of charge and discharge; rates
+    are meter-side kW limits and may be infinite.
     """
 
     capacity_kwh: float
     charge_rate_kw: float = math.inf
     discharge_rate_kw: float = math.inf
     efficiency: float = 1.0
-    initial_charge_kwh: float = 0.0
     period_hours: float = 1.0
 
     def __post_init__(self):
@@ -66,8 +65,6 @@ class StorageSpec:
             raise ValueError("rates must be positive (may be infinite)")
         if not (0.0 < self.efficiency <= 1.0):
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency}")
-        if not (0.0 <= self.initial_charge_kwh <= self.capacity_kwh):
-            raise ValueError("initial charge must lie in [0, capacity]")
         if not (self.period_hours > 0.0 and math.isfinite(self.period_hours)):
             raise ValueError("period_hours must be finite and positive")
 
@@ -92,8 +89,8 @@ class StorageSchedule:
 
     ``meter_energy`` is the net meter-side energy per period, kWh,
     positive for discharge; ``state_of_charge`` has length N+1 and starts
-    at the initial charge.  Only the value is contract-bearing: when the LP
-    optimum is degenerate the schedule is one optimal vertex among several.
+    at zero.  Only the value is contract-bearing: when the LP optimum is
+    degenerate the schedule is one optimal vertex among several.
     """
 
     meter_energy: np.ndarray
@@ -126,35 +123,34 @@ def _constraints(spec: StorageSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (G, h) of the unit LP; they do not depend on the prices."""
     theta = spec.capacity_kwh
     eta = spec.efficiency
-    soc0 = spec.initial_charge_kwh
     c_cap, d_cap = rate_caps(spec, n)
     # variables x = (charge_1..N, discharge_1..N)
     lower = np.tri(n)  # prefix-sum operator
     soc_step = np.hstack([eta * lower, -lower / eta])
     G = np.vstack(
         [
-            soc_step,  # soc_k - soc0 <= theta - soc0
-            -soc_step,  # soc0 - soc_k <= soc0
+            soc_step,  # soc_k <= theta
+            -soc_step,  # -soc_k <= 0
             np.hstack([np.eye(n), np.zeros((n, n))]),
             np.hstack([np.zeros((n, n)), np.eye(n)]),
         ]
     )
-    h = np.concatenate([np.full(n, theta - soc0), np.full(n, soc0), c_cap, d_cap])
+    h = np.concatenate([np.full(n, theta), np.zeros(n), c_cap, d_cap])
     G.setflags(write=False)
     h.setflags(write=False)
     return G, h
 
 
 def _idle(spec: StorageSpec, prices: np.ndarray) -> bool:
-    """Whether no schedule beats holding still: the unit starts empty, no
-    price is negative, and no price net of the round-trip loss exceeds an
-    earlier price, eta^2 p_j <= min_{i<j} p_i.
+    """Whether no schedule beats holding still: no price is negative, and no
+    price net of the round-trip loss exceeds an earlier price,
+    eta^2 p_j <= min_{i<j} p_i.
 
     Every discharged kWh then costs at least its sale value to have
     charged, so the LP optimum is the zero schedule, which the simplex
     reaches from x = 0 through degenerate pivots only.
     """
-    if spec.initial_charge_kwh != 0.0 or prices.min() < 0.0:
+    if prices.min() < 0.0:
         return False
     earlier_min = np.minimum.accumulate(prices)[:-1]
     return bool(np.all(spec.efficiency**2 * prices[1:] <= earlier_min))
@@ -212,7 +208,6 @@ def _solve(spec: StorageSpec, price_bytes: bytes, n: int) -> StorageSchedule:
     prices = np.frombuffer(price_bytes, dtype=float)
     theta = spec.capacity_kwh
     eta = spec.efficiency
-    soc0 = spec.initial_charge_kwh
 
     if theta <= 0.0 or _idle(spec, prices):
         zero = np.zeros(n)
@@ -234,7 +229,7 @@ def _solve(spec: StorageSpec, price_bytes: bytes, n: int) -> StorageSchedule:
     charge = np.where(np.abs(x[:n]) < _ZERO_TOL, 0.0, x[:n])
     discharge = np.where(np.abs(x[n:]) < _ZERO_TOL, 0.0, x[n:])
     meter = discharge - charge
-    soc = np.concatenate([[soc0], soc0 + np.cumsum(eta * charge - discharge / eta)])
+    soc = np.concatenate([[0.0], np.cumsum(eta * charge - discharge / eta)])
     if soc.min() < -1e-7 or soc.max() > theta + 1e-7:
         raise ArithmeticError("storage LP produced an out-of-bounds state of charge")
     soc = np.clip(soc, 0.0, theta)
@@ -257,8 +252,7 @@ def clear_caches() -> None:
 def arbitrage_value(spec: StorageSpec, prices) -> tuple[float, StorageSchedule]:
     """Optimal arbitrage value of one unit and an achieving schedule.
 
-    The zero schedule is always feasible, so the value is never negative
-    when the unit starts empty.
+    The zero schedule is always feasible, so the value is never negative.
     """
     prices = as_price_vector(prices)
     schedule = _solve(spec, prices.tobytes(), prices.size)

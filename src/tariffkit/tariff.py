@@ -78,10 +78,6 @@ class TariffError(Exception):
     """Base class for tariff-design failures."""
 
 
-class ModelAssumptionError(TariffError):
-    """Expected demand is not strictly price-monotone."""
-
-
 class RevenueAdequacyError(TariffError):
     """The two connection-charge routes disagree beyond tolerance."""
 
@@ -397,16 +393,6 @@ def expected_consumer_surplus(
 # optimal two-part tariffs
 
 
-def require_assumption1(model: dm.DemandModel) -> dm.Assumption1Report:
-    """Certify Assumption 1 or raise :class:`ModelAssumptionError`."""
-    report = dm.validate_assumption1(model)
-    if not report.passed:
-        raise ModelAssumptionError(
-            f"aggregate demand jacobian not negative definite, max eigenvalue {report.eig_max:.6g}"
-        )
-    return report
-
-
 def connection_charge_for(
     prices,
     model: dm.DemandModel,
@@ -444,7 +430,6 @@ def optimal_two_part(
     disagreement beyond ``A_AGREEMENT_RTOL`` raises
     :class:`RevenueAdequacyError`.
     """
-    require_assumption1(model)
     pi = scenario_set.moments.mean_price
     metered_cov = cov_trace(
         scenario_set, _metered_disturbance(model, scenario_set, case), scenario_set.price_matrix
@@ -703,7 +688,6 @@ def optimize_family_report(
     ``ADEQUACY_RTOL``, or a non-finite one, raises
     :class:`RevenueAdequacyError`.
     """
-    require_assumption1(model)
     if family.kind == OPTIMAL_TWO_PART:
         report = FamilyReport(tariff=optimal_two_part(model, scenario_set, case, fixed_cost), kind=family.kind)
     elif family.is_flat:

@@ -505,7 +505,7 @@ def _owner_contributions(
         return 0.0
     moments = scenario_set.moments
     pi, lam_bar = tariff.prices, moments.mean_price
-    mean_demand = np.outer(model.sigma, model.base - model.slope @ pi) + moments.mean_disturbance
+    mean_demand = dm.demand(model, model.sigma, pi, moments.mean_disturbance)
     per_owner = tariff.connection_charge + mean_demand @ (pi - lam_bar) - moments.disturbance_cov
     credit_price = lam_bar if separated else pi
     per_kw = moments.solar_value - float(credit_price @ moments.mean_solar)

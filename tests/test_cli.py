@@ -96,6 +96,23 @@ def test_validate_names_indefinite_price_response(study_dir, tmp_path, capsys):
     assert "positive definite" in out and "-4" in out
 
 
+def test_validate_rejects_a_capacity_grid_sweep_cannot_allocate(study_dir, tmp_path, out_dir,
+                                                                capsys):
+    # 2.2e6 customers hold at most one 5 kW unit each, 1.1e7 kW in all: validate
+    # applies sweep's and xsub's allocation rule to the largest grid capacity
+    config = rewrite_config(study_dir, tmp_path, grids={"capacity_kw": [0.0, 2.0e7]})
+    assert cli.main(["validate", str(config)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL grids.capacity_kw" in out and "exceeds one unit per customer" in out
+    for command in (["sweep", "--mode", "decentralized"], ["xsub"]):
+        assert cli.main([command[0], str(config), *command[1:]]) == 2
+        assert "exceeds one unit per customer" in capsys.readouterr().err
+    # an empty grid allocates nothing
+    config = rewrite_config(study_dir, tmp_path, grids={"capacity_kw": []})
+    assert cli.main(["validate", str(config)]) == 0
+    assert "ok   grids.capacity_kw" in capsys.readouterr().out
+
+
 def test_optimize_reports_and_writes_table(study_dir, out_dir, capsys):
     assert cli.main(["optimize", str(study_dir / "study.yaml")]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from tariffkit import demand as dm
@@ -172,14 +172,46 @@ def test_sigma_scales_demand_and_benefit():
     assert b3 == pytest.approx(model.sigma[2] / model.sigma[0] * b1, rel=1e-12)
 
 
-def test_assumption1_report():
-    model = small_model()
-    report = dm.validate_assumption1(model)
-    assert report.passed
-    assert report.eig_max < 0.0
-    np.testing.assert_allclose(
-        report.jacobian, -model.sigma_total * model.slope, rtol=1e-12
-    )
+# within the 1e-12 symmetry tolerance, and its lower triangle (all that
+# eigvalsh of the slope itself reads) is positive definite, but its
+# symmetric part has eigenvalues -3e-13 and 5e-13
+NEAR_SYMMETRIC_INDEFINITE = np.array([[1e-13, 8e-13], [0.0, 1e-13]])
+
+
+def model_with_slope(slope):
+    n = slope.shape[0]
+    # sigma_total = 8, a power of two, so scaling the slope rounds nothing
+    return dm.DemandModel(sigma=np.array([1.0, 3.0]), base=np.ones(n), slope=slope,
+                          calibration_price=np.full(n, 0.1), class_counts=np.array([2.0, 2.0]))
+
+
+@hst.composite
+def slopes(draw):
+    """Square slopes at every scale: an eigenbasis, eigenvalues of either
+    sign bounded away from zero, and an asymmetric part near the 1e-12
+    symmetry tolerance."""
+    n = draw(hst.integers(min_value=1, max_value=3))
+    entries = hst.lists(hst.floats(min_value=-1.0, max_value=1.0), min_size=n * n, max_size=n * n)
+    basis, _ = np.linalg.qr(np.reshape(draw(entries), (n, n)) + 4.0 * np.eye(n))
+    eigs = [draw(hst.floats(min_value=0.01, max_value=1.0)) * draw(hst.sampled_from((-1.0, 1.0)))
+            for _ in range(n)]
+    scale = 10.0 ** draw(hst.integers(min_value=-14, max_value=1))
+    skew = 2e-12 * np.reshape(draw(entries), (n, n))
+    return scale * (basis * eigs) @ basis.T + skew
+
+
+@settings(max_examples=100, deadline=None)
+@given(slopes())
+@example(NEAR_SYMMETRIC_INDEFINITE)
+def test_accepted_models_satisfy_assumption1(slope):
+    # Assumption 1: the aggregate price Jacobian -sigma_total B has a negative
+    # definite symmetric part for every model the constructor accepts
+    try:
+        model = model_with_slope(slope)
+    except ValueError:
+        return
+    jac = -model.sigma_total * model.slope
+    assert np.linalg.eigvalsh((jac + jac.T) / 2.0).max() < 0.0
 
 
 def test_slope_failure_names_offending_eigenvalue():
@@ -193,6 +225,9 @@ def test_slope_failure_names_offending_eigenvalue():
             class_counts=np.array([1.0]),
         )
     assert "-2" in str(excinfo.value)
+    # the symmetric part decides, even for a slope within the symmetry tolerance
+    with pytest.raises(ValueError, match="positive definite, min eig -3"):
+        model_with_slope(NEAR_SYMMETRIC_INDEFINITE)
 
 
 @settings(max_examples=40, deadline=None)

@@ -134,7 +134,7 @@ def test_planner_direct_independent_two_by_two():
     disturbances = [
         np.outer(model.sigma, np.full(6, d) / model.sigma_total) for _ in lam_days for d in dist_days
     ]
-    ss = sc.ScenarioSet(np.full(4, 0.25), prices, disturbances, independent=True)
+    ss = sc.ScenarioSet(np.full(4, 0.25), prices, disturbances)
     case = tf.decentralized_case(st.idealized(0.8), np.full(3, 0.5))
     got = oracle.planner_direct(model, ss, case)
     want = wf.planner_bound(model, ss, case)

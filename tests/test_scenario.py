@@ -103,7 +103,6 @@ def test_split_marginals_crosses_supports():
     ss = three_day_set()
     product = sc.split_marginals(ss)
     assert len(product) == 9
-    assert product.independent
     assert abs(product.probabilities.sum() - 1.0) <= 1e-12
     # marginals preserved
     np.testing.assert_allclose(

@@ -19,8 +19,6 @@ def test_spec_validation():
         st.StorageSpec(capacity_kwh=1.0, efficiency=1.2)
     with pytest.raises(ValueError):
         st.StorageSpec(capacity_kwh=1.0, charge_rate_kw=0.0)
-    with pytest.raises(ValueError):
-        st.StorageSpec(capacity_kwh=1.0, initial_charge_kwh=2.0)
 
 
 def test_powerwall_constants():
@@ -67,12 +65,6 @@ def test_efficiency_losses_enter_both_ways():
     assert value == pytest.approx(0.5, rel=1e-12)
     np.testing.assert_allclose(schedule.charge, [2.0, 0.0], atol=1e-9)
     np.testing.assert_allclose(schedule.discharge, [0.0, 0.5], atol=1e-9)
-
-
-def test_initial_charge_can_be_sold():
-    spec = st.StorageSpec(capacity_kwh=2.0, initial_charge_kwh=2.0)
-    value, _ = st.arbitrage_value(spec, [3.0, 1.0])
-    assert value == pytest.approx(6.0, rel=1e-12)
 
 
 def test_rate_caps_bind():
@@ -219,8 +211,7 @@ def test_profitable_unit_still_solves(monkeypatch):
     value, _ = st.arbitrage_value(st.powerwall(), prices)
     assert len(calls) == 1
     assert value > 0.0
-    # a unit holding charge, or facing a negative price, is never idle
-    assert not st._idle(st.StorageSpec(capacity_kwh=2.0, initial_charge_kwh=1.0), np.array([2.0, 1.0]))
+    # a unit facing a negative price is never idle
     assert not st._idle(st.idealized(2.0), np.array([1.0, -0.5]))
 
 

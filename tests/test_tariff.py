@@ -520,7 +520,7 @@ def test_closed_forms_match_scenario_sums(seed, correlated, n_classes, horizon, 
 
     rebuilt = sc.ScenarioSet(
         ss.probabilities, ss.price_matrix, ss.disturbance_tensor, ss.customer_renewable_tensor,
-        ss.retailer_renewable_matrix, ss.solar_unit_matrix, independent=ss.independent,
+        ss.retailer_renewable_matrix, ss.solar_unit_matrix,
     )
     # the rebuilt set reduces its own moments, which agree with the update to rounding
     assert tf.expected_margin(prices, model, rebuilt, case) == pytest.approx(

@@ -359,11 +359,12 @@ def test_cross_subsidy_infeasible_cells_are_marked():
 
 def test_grid_cells_make_no_scenario_pass(study, anchors, monkeypatch):
     # every grid cell reads the study set's cached moments or an O(C N)
-    # update of them: no demand-kernel call and no reduction per cell; only
-    # the optimal tariff's independent check sums over the scenarios
+    # update of them: no demand kernel over scenarios and no reduction per
+    # cell; only the optimal tariff's independent check sums over the scenarios
     ss, config = study.scenario_set, study.config
     ss.moments, ss.disturbance_second_moment  # the study's one pass
-    calls = {"kernel": 0, "reduced": 0, "second_moment": 0, "metered": 0, "optimal": 0}
+    calls = {"kernel": 0, "mean_row": 0, "reduced": 0, "second_moment": 0, "metered": 0,
+             "optimal": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -378,7 +379,14 @@ def test_grid_cells_make_no_scenario_pass(study, anchors, monkeypatch):
         calls["second_moment"] += s._pv is None  # a rescaled set hands over its source's
         return reduce_second_moment(s)
 
-    monkeypatch.setattr(dm, "demand", counted("kernel", dm.demand))
+    kernel = dm.demand
+
+    def demand(model, sigma, prices, disturbances):
+        # a (C, N) block is the one expected-demand row of the set's moments
+        calls["kernel" if np.ndim(disturbances) == 3 else "mean_row"] += 1
+        return kernel(model, sigma, prices, disturbances)
+
+    monkeypatch.setattr(dm, "demand", demand)
     monkeypatch.setattr(dm, "gross_benefit", counted("kernel", dm.gross_benefit))
     monkeypatch.setattr(sc, "_reduced_moments", counted("reduced", sc._reduced_moments))
     monkeypatch.setattr(second_moment, "func", second_moment_of)
@@ -398,6 +406,8 @@ def test_grid_cells_make_no_scenario_pass(study, anchors, monkeypatch):
             storage_unit=ingest.storage_unit_spec(config),
         )
     assert calls["kernel"] == 0
+    # cross_subsidy's owner contributions: at most two rows per cell
+    assert calls["mean_row"] <= 2 * len(families) * len(grid)
     assert calls["reduced"] == 0
     assert calls["second_moment"] == 0
     assert calls["optimal"] > 0
