@@ -82,13 +82,19 @@ class DemandModel:
         n = base.size
         if slope.shape != (n, n):
             raise ValueError(f"slope has shape {slope.shape}, expected ({n}, {n})")
+        for name, arr in (("base", base), ("slope", slope)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} entries must be finite")
         if not np.allclose(slope, slope.T, rtol=0.0, atol=1e-12):
             raise ValueError("slope matrix must be symmetric")
-        # Assumption 1 (expected demand strictly decreasing in price) concerns
-        # the symmetric part; certified here, once, for every caller
-        eigs = np.linalg.eigvalsh((slope + slope.T) / 2.0)
-        if eigs.min() <= 0.0:
-            raise ValueError(f"slope matrix must be positive definite, min eig {eigs.min()}")
+        # Assumption 1 (expected demand strictly decreasing in price) concerns the symmetric part,
+        # certified once for every caller: it has a Cholesky factor only if positive definite
+        symmetric = (slope + slope.T) / 2.0
+        try:
+            np.linalg.cholesky(symmetric)
+        except np.linalg.LinAlgError:
+            min_eig = np.linalg.eigvalsh(symmetric).min()
+            raise ValueError(f"slope matrix must be positive definite, min eig {min_eig}") from None
         if cal.size != n:
             raise ValueError("calibration_price length does not match base")
         if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):

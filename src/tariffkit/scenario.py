@@ -17,12 +17,12 @@ Conventions
 * prices are in $/kWh, energies in kWh, money in $.
 * ``disturbances`` are per-customer demand shifts, one N-vector per class
   (all customers in a class are identical copies).
-* ``renewable_customer`` is the class-aggregate behind-the-meter renewable
-  output in kWh (installations come in discrete units allocated to classes).
-* ``renewable_retailer`` is the retailer-side renewable output in kWh.
-* ``solar_unit`` optionally carries the per-kW-of-capacity solar profile the
-  renewable columns were built from, so capacity sweeps can rescale a set
-  without re-ingesting data.
+* ``solar_unit`` optionally carries the per-kW-of-capacity solar profile.
+* renewables are PV capacity times that profile: ``renewable_customer`` is
+  class c's behind-the-meter output ``customer_kw[c] * solar_unit`` in kWh
+  (installations come in discrete units allocated to classes), and
+  ``renewable_retailer`` the retailer-side ``retailer_kw * solar_unit``.
+  Capacities are zero at construction; :func:`with_pv_capacity` sets them.
 """
 
 from __future__ import annotations
@@ -73,9 +73,11 @@ def _frozen(values, shape: tuple[int, ...], name: str, nonneg: bool = False) -> 
     return arr
 
 
-# the tensors of a ScenarioSet, in constructor order
+# the tensors a Scenario row views, in Scenario field order
 _SET_FIELDS = ("price_matrix", "disturbance_tensor", "customer_renewable_tensor",
                "retailer_renewable_matrix", "solar_unit_matrix")
+# what a ScenarioSet stores, and a with_pv_capacity set shares with its source
+_STORED = ("probabilities", "price_matrix", "disturbance_tensor", "solar_unit_matrix")
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,8 @@ class Scenario:
     """One joint realization of the global state (prices, local demand states).
 
     The read-only row view of a :class:`ScenarioSet`, which yields one per
-    scenario when iterated; its arrays are views of the set's tensors.
+    scenario when iterated; its arrays are views of the set's tensors (the
+    renewables of a set without PV are zero views).
 
     probability : weight in [0, 1]
     prices : (N,) wholesale prices, $/kWh
@@ -139,7 +142,7 @@ class SetMoments:
 
         Every renewable moment is linear in capacity, and the price and
         disturbance moments do not change, so this costs O(C N).  Read only
-        through :func:`with_pv_capacity`, which requires the solar profile.
+        by a :func:`with_pv_capacity` set, which has the solar profile.
         """
         total_kw = float(customer_kw.sum())
         class_renewable = np.outer(customer_kw, self.mean_solar)
@@ -156,36 +159,32 @@ class SetMoments:
 
 
 def _reduced_moments(ss: ScenarioSet) -> SetMoments:
-    """One S-sized pass over a set's tensors (see :class:`SetMoments`)."""
+    """One S-sized pass over a set's tensors (see :class:`SetMoments`).
+
+    A set built from its tensors has no PV, so its renewable moments are
+    exact zeros (read-only zero views).
+    """
     probs = ss.probabilities
     mean_price = expect_price(ss)
     lam_dev = ss.price_matrix - mean_price
-
-    def centred_cov(field: np.ndarray, mean: np.ndarray) -> float:
-        return float(probs @ np.einsum("sn,sn->s", lam_dev, field - mean))
-
     mean_dist = np.tensordot(probs, ss.disturbance_tensor, axes=1)
     dist_cov = probs @ np.einsum("sn,scn->sc", lam_dev, ss.disturbance_tensor - mean_dist)
-    class_renewable = np.tensordot(probs, ss.customer_renewable_tensor, axes=1)
-    mean_renewable = class_renewable.sum(axis=0)
     mean_solar = solar_cov = solar_value = None
     if ss.has_solar_unit:
         mean_solar = probs @ ss.solar_unit_matrix
-        solar_cov = centred_cov(ss.solar_unit_matrix, mean_solar)
+        solar_cov = float(probs @ np.einsum("sn,sn->s", lam_dev, ss.solar_unit_matrix - mean_solar))
         solar_value = float(probs @ np.einsum("sn,sn->s", ss.price_matrix, ss.solar_unit_matrix))
-    for arr in (mean_dist, dist_cov, class_renewable, mean_renewable, mean_solar):
+    for arr in (mean_dist, dist_cov, mean_solar):
         if arr is not None:
             arr.setflags(write=False)
     return SetMoments(
         mean_price=mean_price,
         mean_disturbance=mean_dist,
         disturbance_cov=dist_cov,
-        mean_class_renewable=class_renewable,
-        mean_customer_renewable=mean_renewable,
-        customer_renewable_cov=centred_cov(ss.customer_renewable_tensor.sum(axis=1), mean_renewable),
-        retailer_renewable_value=float(
-            probs @ np.einsum("sn,sn->s", ss.price_matrix, ss.retailer_renewable_matrix)
-        ),
+        mean_class_renewable=np.broadcast_to(0.0, (ss.n_classes, ss.horizon)),
+        mean_customer_renewable=np.broadcast_to(0.0, (ss.horizon,)),
+        customer_renewable_cov=0.0,
+        retailer_renewable_value=0.0,
         mean_solar=mean_solar,
         solar_cov=solar_cov,
         solar_value=solar_value,
@@ -198,13 +197,15 @@ class ScenarioSet:
 
     Stored once, as read-only tensors over S scenarios, C classes and N
     periods: ``probabilities`` (S,), ``price_matrix`` (S, N),
-    ``disturbance_tensor`` and ``customer_renewable_tensor`` (S, C, N),
-    ``retailer_renewable_matrix`` (S, N) and ``solar_unit_matrix`` (S, N) or
-    None.  The constructor takes these tensors (omitted renewables are
-    zero) and shares read-only float inputs instead of copying them;
-    iterating a set yields its :class:`Scenario` rows.  A
-    :func:`with_pv_capacity` set shares its source's tensors and builds its
-    two renewable tensors only when first read.
+    ``disturbance_tensor`` (S, C, N) and ``solar_unit_matrix`` (S, N) or
+    None.  The constructor takes these tensors and shares read-only float
+    inputs instead of copying them; iterating a set yields its
+    :class:`Scenario` rows.  Renewables are PV capacity times the solar
+    profile: ``customer_kw`` (C,) and ``retailer_kw`` are zero at
+    construction, and a :func:`with_pv_capacity` set shares its source's
+    tensors with new capacities.  The renewable tensors are read-only zero
+    views at zero capacity and are otherwise built on each read; the closed
+    forms read only the set's moments.
 
     Probabilities must sum to 1 within ``PROBABILITY_TOL``; a violation is a
     construction error, never silently renormalized.
@@ -221,12 +222,12 @@ class ScenarioSet:
     price_matrix: np.ndarray
     disturbance_tensor: np.ndarray
     solar_unit_matrix: np.ndarray | None
-    # (source set, customer kW (C,), retailer kW) of a with_pv_capacity set, else None
-    _pv: tuple[ScenarioSet, np.ndarray, float] | None = dataclasses.field(repr=False)
+    customer_kw: np.ndarray
+    retailer_kw: float
+    # the set built from data whose moments a with_pv_capacity set rescales, else None
+    _source: ScenarioSet | None = dataclasses.field(repr=False)
 
-    def __init__(self, probabilities, price_matrix, disturbance_tensor,
-                 customer_renewable_tensor=None, retailer_renewable_matrix=None,
-                 solar_unit_matrix=None):
+    def __init__(self, probabilities, price_matrix, disturbance_tensor, solar_unit_matrix=None):
         probabilities = _frozen(probabilities, np.shape(probabilities), "probabilities")
         if probabilities.ndim != 1 or probabilities.size == 0:
             raise ValueError("scenario set must contain at least one scenario")
@@ -242,22 +243,17 @@ class ScenarioSet:
         n = prices.shape[1]
         disturbances = np.asarray(disturbance_tensor, dtype=float)
         c = disturbances.shape[1] if disturbances.ndim == 3 else 0
-        if customer_renewable_tensor is None:
-            customer_renewable_tensor = np.zeros((s, c, n))
-        if retailer_renewable_matrix is None:
-            retailer_renewable_matrix = np.zeros((s, n))
-        tensors = (
-            _frozen(prices, (s, n), "prices"),
-            _frozen(disturbances, (s, c, n), "disturbances"),
-            _frozen(customer_renewable_tensor, (s, c, n), "renewable_customer", nonneg=True),
-            _frozen(retailer_renewable_matrix, (s, n), "renewable_retailer", nonneg=True),
-            None if solar_unit_matrix is None
+        # frozen: fields are set through the instance dict, as cached_property does
+        vars(self).update(
+            probabilities=probabilities,
+            price_matrix=_frozen(prices, (s, n), "prices"),
+            disturbance_tensor=_frozen(disturbances, (s, c, n), "disturbances"),
+            solar_unit_matrix=None if solar_unit_matrix is None
             else _frozen(solar_unit_matrix, (s, n), "solar_unit", nonneg=True),
+            customer_kw=np.broadcast_to(0.0, (c,)),  # a read-only zero view
+            retailer_kw=0.0,
+            _source=None,
         )
-        # the renewable tensors land in the instance dict, ahead of their cached properties
-        for name, value in zip(("probabilities", *_SET_FIELDS, "_pv"),
-                               (probabilities, *tensors, None)):
-            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return self.probabilities.size
@@ -280,35 +276,36 @@ class ScenarioSet:
     def has_solar_unit(self) -> bool:
         return self.solar_unit_matrix is not None
 
-    @cached_property
+    @property
     def customer_renewable_tensor(self) -> np.ndarray:
-        """(S, C, N) class-aggregate customer renewables, kWh."""
-        _, customer_kw, _ = self._pv
-        tensor = customer_kw[None, :, None] * self.solar_unit_matrix[:, None, :]
+        """(S, C, N) class-aggregate customer renewables ``customer_kw[c] * solar``, kWh."""
+        if not self.customer_kw.any():
+            return np.broadcast_to(0.0, self.disturbance_tensor.shape)
+        tensor = self.customer_kw[:, None] * self.solar_unit_matrix[:, None, :]
         tensor.setflags(write=False)
         return tensor
 
-    @cached_property
+    @property
     def retailer_renewable_matrix(self) -> np.ndarray:
-        """(S, N) retailer-side renewables, kWh."""
-        _, _, retailer_kw = self._pv
-        matrix = retailer_kw * self.solar_unit_matrix
+        """(S, N) retailer-side renewables ``retailer_kw * solar``, kWh."""
+        if self.retailer_kw == 0.0:
+            return np.broadcast_to(0.0, self.price_matrix.shape)
+        matrix = self.retailer_kw * self.solar_unit_matrix
         matrix.setflags(write=False)
         return matrix
 
     @cached_property
     def moments(self) -> SetMoments:
         """The set's moments (see :class:`SetMoments`), computed once."""
-        if self._pv is None:
+        if self._source is None:
             return _reduced_moments(self)
-        source, customer_kw, retailer_kw = self._pv
-        return source.moments.with_pv(customer_kw, retailer_kw)
+        return self._source.moments.with_pv(self.customer_kw, self.retailer_kw)
 
     @cached_property
     def disturbance_second_moment(self) -> np.ndarray:
         """E[w_c w_c^T] per class, (C, N, N), computed once."""
-        if self._pv is not None:
-            return self._pv[0].disturbance_second_moment
+        if self._source is not None:
+            return self._source.disturbance_second_moment
         by_class = self.disturbance_tensor.transpose(1, 0, 2)  # (C, S, N)
         second = (by_class.transpose(0, 2, 1) * self.probabilities) @ by_class
         second.setflags(write=False)
@@ -375,19 +372,15 @@ def split_marginals(scenario_set: ScenarioSet) -> ScenarioSet:
     """Product-of-marginals reconstruction of a scenario set.
 
     Identifies the support of the price block and of the local-state block
-    (disturbances, renewables and solar profile) by row equality,
-    accumulates marginal weights, and returns the product distribution
-    (price support x local support, price-major, each in order of first
-    appearance).  Idempotent on sets that are already products.
+    (disturbances and solar profile) by row equality, accumulates marginal
+    weights, and returns the product distribution (price support x local
+    support, price-major, each in order of first appearance) with the
+    input's PV capacities.  Idempotent on sets that are already products.
     """
     ss = scenario_set
     s = len(ss)
     probs = ss.probabilities
-    local_parts = [
-        ss.disturbance_tensor.reshape(s, -1),
-        ss.customer_renewable_tensor.reshape(s, -1),
-        ss.retailer_renewable_matrix,
-    ]
+    local_parts = [ss.disturbance_tensor.reshape(s, -1)]
     if ss.has_solar_unit:
         local_parts.append(ss.solar_unit_matrix)
     price_reps, price_group = _first_appearance_groups(ss.price_matrix)
@@ -401,8 +394,6 @@ def split_marginals(scenario_set: ScenarioSet) -> ScenarioSet:
     tensors = [
         ss.price_matrix[price_rows],
         ss.disturbance_tensor[local_rows],
-        ss.customer_renewable_tensor[local_rows],
-        ss.retailer_renewable_matrix[local_rows],
         ss.solar_unit_matrix[local_rows] if ss.has_solar_unit else None,
     ]
     # the fancy-indexed tensors are fresh and unshared: read-only, they are kept
@@ -410,7 +401,10 @@ def split_marginals(scenario_set: ScenarioSet) -> ScenarioSet:
     for tensor in tensors:
         if tensor is not None:
             tensor.setflags(write=False)
-    return ScenarioSet(np.outer(p_price, p_local).reshape(-1), *tensors)
+    product = ScenarioSet(np.outer(p_price, p_local).reshape(-1), *tensors)
+    if ss._source is None:
+        return product
+    return with_pv_capacity(product, ss.customer_kw, ss.retailer_kw)
 
 
 def with_pv_capacity(
@@ -418,22 +412,19 @@ def with_pv_capacity(
     customer_kw=None,
     retailer_kw: float = 0.0,
 ) -> ScenarioSet:
-    """The set with its renewables rebuilt from the per-kW solar profile.
+    """The set with new PV capacities on its per-kW solar profile.
 
     ``customer_kw`` is a per-class capacity vector (kW) and ``retailer_kw``
     a scalar capacity: class c's renewables become ``customer_kw[c] *
     solar`` and the retailer's ``retailer_kw * solar``.  Requires
-    ``solar_unit`` on the set.  The new set shares every other tensor with
+    ``solar_unit`` on the set.  The new set shares every tensor with
     ``scenario_set`` and costs O(C N): its moments come from the source's
-    (:meth:`SetMoments.with_pv`), and its renewable tensors are built only
-    when first read.
+    (:meth:`SetMoments.with_pv`).
     """
     if not scenario_set.has_solar_unit:
         raise ValueError("scenario set has no solar_unit profile to scale")
     c = scenario_set.n_classes
-    if customer_kw is None:
-        customer_kw = np.zeros(c)
-    customer_kw = np.array(customer_kw, dtype=float)
+    customer_kw = np.zeros(c) if customer_kw is None else np.array(customer_kw, dtype=float)
     if customer_kw.shape != (c,):
         raise ValueError(f"customer_kw has shape {customer_kw.shape}, expected ({c},)")
     retailer_kw = float(retailer_kw)
@@ -442,9 +433,8 @@ def with_pv_capacity(
     if np.any(customer_kw < 0.0) or retailer_kw < 0.0:
         raise ValueError("PV capacities must be non-negative")
     customer_kw.setflags(write=False)
-    source = scenario_set if scenario_set._pv is None else scenario_set._pv[0]
+    source = scenario_set if scenario_set._source is None else scenario_set._source
     derived = ScenarioSet.__new__(ScenarioSet)
-    for name in ("probabilities", "price_matrix", "disturbance_tensor", "solar_unit_matrix"):
-        object.__setattr__(derived, name, getattr(source, name))
-    object.__setattr__(derived, "_pv", (source, customer_kw, retailer_kw))
+    vars(derived).update({name: getattr(source, name) for name in _STORED},
+                         customer_kw=customer_kw, retailer_kw=retailer_kw, _source=source)
     return derived

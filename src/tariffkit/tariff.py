@@ -147,12 +147,12 @@ class IntegrationCase:
     """How distributed resources participate in settlement.
 
     ``decentralized``: customers own the resources behind the meter and are
-    billed on net withdrawals; renewable profiles come from the scenario
-    set's customer columns, storage responds to the tariff prices.
-    ``centralized``: the retailer owns the resources; customers are billed
-    on gross consumption, the retailer nets the scenario set's retailer
-    renewable column and a storage fleet committed ex ante against the
-    expected price.
+    billed on net withdrawals; their renewables are the scenario set's
+    customer PV capacities times its solar profile, storage responds to the
+    tariff prices.  ``centralized``: the retailer owns the resources;
+    customers are billed on gross consumption, the retailer nets the set's
+    retailer PV capacity times its solar profile and a storage fleet
+    committed ex ante against the expected price.
 
     ``storage`` is the fleet's unit and ``storage_units`` its read-only
     unit counts, on the side the mode names: one count per class when
@@ -276,14 +276,14 @@ def _metered_disturbance(
 ) -> np.ndarray:
     """Price-independent part of metered aggregate demand (S, N).
 
-    The class disturbances summed over customers, less customer renewables
-    when they sit behind the meter.  Only :func:`optimal_two_part`'s
-    independent check reads it; every other closed form reads its moments
-    through :func:`_metered_moments`.
+    The class disturbances summed over customers, less the customers' total
+    PV capacity times the solar profile when it sits behind the meter.
+    Only :func:`optimal_two_part`'s independent check reads it; every other
+    closed form reads its moments through :func:`_metered_moments`.
     """
     metered = np.einsum("c,scn->sn", model.class_counts, scenario_set.disturbance_tensor)
-    if case.uses_customer_der:
-        metered = metered - scenario_set.customer_renewable_tensor.sum(axis=1)
+    if case.uses_customer_der and scenario_set.customer_kw.any():
+        metered -= scenario_set.customer_kw.sum() * scenario_set.solar_unit_matrix
     return metered
 
 

@@ -220,11 +220,12 @@ def planner_bound(
     use_der = case.uses_customer_der
     probs = scenario_set.probabilities
     lam = scenario_set.price_matrix
+    renewables = scenario_set.customer_renewable_tensor
     total = 0.0
     for i in range(model.n_classes):
         local = scenario_set.disturbance_tensor[:, i, :]
         if use_der:
-            local = np.concatenate([local, scenario_set.customer_renewable_tensor[:, i, :]], axis=1)
+            local = np.concatenate([local, renewables[:, i, :]], axis=1)
         _, first, group = np.unique(local, axis=0, return_index=True, return_inverse=True)
         group = group.reshape(-1)
         weight = np.bincount(group, weights=probs, minlength=first.size)

@@ -11,6 +11,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, settings
@@ -527,6 +528,8 @@ NAN, INF = float("nan"), float("inf")
         ("grids", "capacity_kw", [NAN]),
         ("grids", "fixed_cost_multipliers", [NAN]),
         ("customers", "count", NAN),
+        ("demand", "slope_override", [[INF if i == j == 0 else float(i == j) for j in range(12)]
+                                      for i in range(12)]),
     ],
 )
 def test_validate_rejects_non_finite_numbers(study_dir, tmp_path, capsys, section, key, value):
@@ -537,6 +540,18 @@ def test_validate_rejects_non_finite_numbers(study_dir, tmp_path, capsys, sectio
     out = capsys.readouterr().out
     assert "FAIL config parses" in out
     assert f"{section}.{key}" in out and "finite" in out
+
+
+def test_study_commands_run_without_the_eigensolver(study_dir, out_dir, monkeypatch):
+    # DemandModel certifies Assumption 1 by a Cholesky factorization; the
+    # eigensolver runs only for validate's printed range or a rejected slope
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for command in (["optimize"], ["pareto"], ["sweep", "--mode", "decentralized"],
+                    ["sweep", "--mode", "centralized"], ["xsub"]):
+        assert cli.main([*command, str(study_dir / "study.yaml")]) == 0, command
 
 
 def test_unrated_storage_power_is_accepted(study_dir, tmp_path, out_dir):

@@ -197,15 +197,22 @@ def slopes(draw):
             for _ in range(n)]
     scale = 10.0 ** draw(hst.integers(min_value=-14, max_value=1))
     skew = 2e-12 * np.reshape(draw(entries), (n, n))
-    return scale * (basis * eigs) @ basis.T + skew
+    return scale * (basis * eigs) @ basis.T + skew, scale
 
 
 @settings(max_examples=100, deadline=None)
 @given(slopes())
-@example(NEAR_SYMMETRIC_INDEFINITE)
-def test_accepted_models_satisfy_assumption1(slope):
+@example((NEAR_SYMMETRIC_INDEFINITE, 1e-13))
+def test_accepted_models_satisfy_assumption1(drawn):
     # Assumption 1: the aggregate price Jacobian -sigma_total B has a negative
-    # definite symmetric part for every model the constructor accepts
+    # definite symmetric part for every model the constructor accepts, and a
+    # slope whose symmetric part is clearly indefinite is rejected by name
+    slope, scale = drawn
+    within_tolerance = np.allclose(slope, slope.T, rtol=0.0, atol=1e-12)  # the constructor's
+    if within_tolerance and np.linalg.eigvalsh((slope + slope.T) / 2.0).min() <= -0.01 * scale:
+        with pytest.raises(ValueError, match="min eig"):
+            model_with_slope(slope)
+        return
     try:
         model = model_with_slope(slope)
     except ValueError:
@@ -228,6 +235,26 @@ def test_slope_failure_names_offending_eigenvalue():
     # the symmetric part decides, even for a slope within the symmetry tolerance
     with pytest.raises(ValueError, match="positive definite, min eig -3"):
         model_with_slope(NEAR_SYMMETRIC_INDEFINITE)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("slope", [[np.inf, 0.0], [0.0, 1.0]]),
+        ("slope", [[np.nan, 0.0], [0.0, 1.0]]),
+        ("slope", [[1.0, -np.inf], [-np.inf, 1.0]]),
+        ("base", [np.inf, 1.0]),
+        ("base", [1.0, np.nan]),
+    ],
+)
+def test_non_finite_base_or_slope_rejected(field, value):
+    # an infinite slope has a Cholesky factor (with infinite entries), so
+    # finiteness is checked on its own, and names the offending field
+    fields = {"sigma": np.array([1.0]), "base": np.ones(2), "slope": np.eye(2),
+              "calibration_price": np.full(2, 0.1), "class_counts": np.array([1.0])}
+    fields[field] = np.array(value)
+    with pytest.raises(ValueError, match=f"^{field} entries must be finite"):
+        dm.DemandModel(**fields)
 
 
 @settings(max_examples=40, deadline=None)

@@ -197,19 +197,17 @@ def test_product_sets_settle_like_the_oracle(seed, n_days, n_classes):
     tensors = (
         price_days[price_pick],
         model.sigma[None, :, None] * (load_days[local_pick] / model.sigma_total)[:, None, :],
-        np.zeros((n_days, n_classes, horizon)),
-        np.zeros((n_days, horizon)),
         solar_days[local_pick],
     )
     joint = sc.ScenarioSet(weights, *tensors)
 
-    # iteration returns the rows of the tensors the set was built from
+    # iteration returns the rows of the tensors the set was built from, with no PV
     assert len(joint) == n_days
     for k, got in enumerate(joint):
         assert got.probability == weights[k]
-        for name, tensor in zip(("prices", "disturbances", "renewable_customer",
-                                 "renewable_retailer", "solar_unit"), tensors):
+        for name, tensor in zip(("prices", "disturbances", "solar_unit"), tensors):
             assert np.array_equal(getattr(got, name), tensor[k])
+        assert not (got.renewable_customer.any() or got.renewable_retailer.any())
 
     # the product set is price-major, each support in order of first appearance
     product = sc.split_marginals(joint)
@@ -294,12 +292,22 @@ def test_evaluate_matches_settlement(seed, n_days, n_classes, horizon, product, 
     assert_reports_agree(oracle.settlement_resim(tariff, model, swept, case),
                          wf.evaluate(tariff, model, swept, case))
 
-    # the rescaled set's moments are an update of ss's; a rebuild reduces its own
+    # the rescaled set's moments are an update of ss's: a rebuild with no PV
+    # reduces its own, and its renewable moments are summed over every scenario
     rebuilt = sc.ScenarioSet(
-        swept.probabilities, swept.price_matrix, swept.disturbance_tensor,
-        swept.customer_renewable_tensor, swept.retailer_renewable_matrix, swept.solar_unit_matrix,
+        swept.probabilities, swept.price_matrix, swept.disturbance_tensor, swept.solar_unit_matrix
     )
+    probs, lam = swept.probabilities, swept.price_matrix
+    renewables = swept.customer_renewable_tensor
+    total = renewables.sum(axis=1)
+    summed = {
+        "mean_class_renewable": np.tensordot(probs, renewables, axes=1),
+        "mean_customer_renewable": probs @ total,
+        "customer_renewable_cov": probs @ np.einsum("sn,sn->s", lam - probs @ lam, total - probs @ total),
+        "retailer_renewable_value": probs @ np.einsum("sn,sn->s", lam, swept.retailer_renewable_matrix),
+    }
     for field in dataclasses.fields(sc.SetMoments):
-        got, want = getattr(swept.moments, field.name), getattr(rebuilt.moments, field.name)
+        got = getattr(swept.moments, field.name)
+        want = summed[field.name] if field.name in summed else getattr(rebuilt.moments, field.name)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=field.name)
     np.testing.assert_array_equal(swept.disturbance_second_moment, rebuilt.disturbance_second_moment)

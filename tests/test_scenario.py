@@ -37,8 +37,6 @@ def test_scenario_shape_validation():
             probabilities=[1.0],
             price_matrix=[[1.0, 2.0]],
             disturbance_tensor=np.zeros((1, 1, 3)),
-            customer_renewable_tensor=np.zeros((1, 1, 3)),
-            retailer_renewable_matrix=np.zeros((1, 3)),
         )
     with pytest.raises(ValueError, match="probabilities"):
         sc.ScenarioSet([1.5], [[1.0, 2.0]], np.zeros((1, 1, 2)))
@@ -47,14 +45,16 @@ def test_scenario_shape_validation():
 
 
 def test_renewables_must_be_nonnegative():
-    with pytest.raises(ValueError):
+    # renewables are capacity x solar profile, so both factors are checked
+    with pytest.raises(ValueError, match="solar_unit must be non-negative"):
         sc.ScenarioSet(
             probabilities=[1.0],
             price_matrix=[[1.0, 2.0]],
             disturbance_tensor=np.zeros((1, 1, 2)),
-            customer_renewable_tensor=[[[0.1, -0.1]]],
-            retailer_renewable_matrix=np.zeros((1, 2)),
+            solar_unit_matrix=[[0.1, -0.1]],
         )
+    with pytest.raises(ValueError, match="non-negative"):
+        sc.with_pv_capacity(three_day_set(), retailer_kw=-1.0)
 
 
 def test_arrays_are_frozen():
@@ -130,6 +130,10 @@ def test_split_marginals_keeps_solar_with_local_block():
     pairs = {(s.disturbances[0].tobytes(), s.solar_unit.tobytes()) for s in product}
     original = {(s.disturbances[0].tobytes(), s.solar_unit.tobytes()) for s in ss}
     assert pairs == original
+    # renewables are capacity x solar: the product of a PV set keeps its capacities
+    swept = sc.split_marginals(sc.with_pv_capacity(ss, customer_kw=[3.0], retailer_kw=2.0))
+    assert swept.customer_kw.tolist() == [3.0] and swept.retailer_kw == 2.0
+    np.testing.assert_array_equal(swept.retailer_renewable_matrix, 2.0 * product.solar_unit_matrix)
 
 
 def test_split_marginals_idempotent():
@@ -162,10 +166,29 @@ def test_split_marginals_holds_one_copy():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    held = product.probabilities.nbytes + sum(
-        getattr(product, name).nbytes for name in sc._SET_FIELDS)
+    # count stored buffers only: a renewable zero view reports its logical nbytes
+    held = sum(getattr(product, name).nbytes for name in sc._STORED)
     assert len(product) == k * k
     assert peak <= 1.25 * held, (peak, held)
+
+
+def test_study_set_stores_only_its_data(independent_study):
+    # renewables are PV capacity x solar profile: the shipped product study's
+    # set stores its probability, price, disturbance and solar buffers, and
+    # reads its (zero) renewable tensors as views that allocate nothing
+    ss = independent_study.scenario_set
+    ss.moments
+    tracemalloc.start()
+    try:
+        renewables = (ss.customer_renewable_tensor, ss.retailer_renewable_matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(ss), peak  # less than one float per scenario
+    assert not any(tensor.any() for tensor in renewables)
+    by_scenario = {name for name, value in vars(ss).items()
+                   if isinstance(value, np.ndarray) and len(value) == len(ss)}
+    assert by_scenario == set(sc._STORED)
 
 
 def test_with_pv_capacity_scales_solar():

@@ -376,7 +376,7 @@ def test_grid_cells_make_no_scenario_pass(study, anchors, monkeypatch):
     reduce_second_moment = second_moment.func
 
     def second_moment_of(s):
-        calls["second_moment"] += s._pv is None  # a rescaled set hands over its source's
+        calls["second_moment"] += s._source is None  # a rescaled set hands over its source's
         return reduce_second_moment(s)
 
     kernel = dm.demand
