@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, fields, replace
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +38,6 @@ MWH_PER_KWH = 1e-3
 
 SCENARIO_MODES = ("paired-days", "product-of-marginals")
 FIXED_COST_MODES = ("derived-from-nominal", "explicit")
-
-
-# libyaml's parser when PyYAML was built with it, the pure-Python one otherwise
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class DataError(ValueError):
@@ -67,7 +64,8 @@ def _read_day_table(path, value_column: str,
     """
     path = Path(path)
     days: dict[str, dict[int, float]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheets' "CSV UTF-8" writes
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         expected = ["date", "period_index", value_column]
@@ -187,8 +185,8 @@ class StudyConfig:
     The nominal tariff, customer count, elasticity, and DER unit sizes
     default to a NYC-like residential setting: a 17.2 cents/kWh flat price
     with a 0.53 $/day connection charge over 2.2 million customers, a total
-    daily own-price elasticity of -0.3, 5 kW-DC PV units, and a
-    6.4 kWh / 3.3 kW / 0.96 round-trip battery.
+    daily own-price elasticity of -0.3, 5 kW-DC PV units, and the
+    battery of ``storage.powerwall()``.
     """
 
     horizon: int = _entry(24, "study.horizon", _at_least_one)
@@ -210,10 +208,13 @@ class StudyConfig:
     fixed_connection_charges: tuple[float, ...] = _entry(
         (0.53,), "families.fixed_connection_charges_usd_per_day")
     pv_unit_kw: float = _entry(5.0, "der.pv_unit_kw", _positive)
-    storage_capacity_kwh: float = _entry(6.4, "der.storage_capacity_kwh", _positive)
+    storage_capacity_kwh: float = _entry(st.POWERWALL_CAPACITY_KWH, "der.storage_capacity_kwh",
+                                         _positive)
     # an infinite power is an unrated unit, the one number that may be infinite
-    storage_power_kw: float = _entry(3.3, "der.storage_power_kw", _positive, allow_inf=True)
-    storage_efficiency: float = _entry(0.96, "der.storage_efficiency", _efficiency)
+    storage_power_kw: float = _entry(st.POWERWALL_RATE_KW, "der.storage_power_kw", _positive,
+                                     allow_inf=True)
+    storage_efficiency: float = _entry(st.POWERWALL_EFFICIENCY, "der.storage_efficiency",
+                                       _efficiency)
     storage_per_pv_kwh_per_kw: float = _entry(0.5, "der.storage_per_pv_kwh_per_kw", _nonnegative)
     capacity_grid_kw: tuple[float, ...] = _entry(
         (0.0, 550e3, 1100e3, 1650e3, 2200e3), "grids.capacity_kw", _nonnegative)
@@ -368,7 +369,7 @@ def load_config(path) -> StudyConfig:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     try:
-        mapping = yaml.load(text, Loader=_YAML_LOADER)
+        mapping = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     config = config_from_mapping(mapping or {})
@@ -569,9 +570,9 @@ def _write_day_table(path, days, value_column: str, scale: float = 1.0) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["date", "period_index", value_column])
         for d, vec in enumerate(days):
-            date = f"2021-07-{d + 1:02d}" if d < 31 else f"2021-08-{d - 30:02d}"
+            day = (date(2021, 7, 1) + timedelta(days=d)).isoformat()
             for k, value in enumerate(vec):
-                writer.writerow([date, k, f"{value * scale:.12g}"])
+                writer.writerow([day, k, f"{value * scale:.12g}"])
 
 
 def write_synthetic_dataset(
@@ -586,13 +587,12 @@ def write_synthetic_dataset(
 
     The solar file records production of one reference system of the
     default ``inputs.solar_system_kw`` (loaders divide it back out).
-    Returns the written paths.
+    Day d is dated 2021-07-01 plus d days.  Returns the written paths.
     """
-    if n_days > 62:
-        raise ValueError("synthetic calendar supports at most 62 days")
+    # drawn first, so that a bad size raises before the directory exists
+    prices, loads, solars = synthetic_days(seed, n_days, horizon, correlated=correlated)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    prices, loads, solars = synthetic_days(seed, n_days, horizon, correlated=correlated)
     paths = {
         "prices": out / "prices.csv",
         "load": out / "load.csv",

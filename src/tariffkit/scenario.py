@@ -111,6 +111,7 @@ class SetMoments:
     mean_price : (N,) lam_bar = E[lambda]
     mean_disturbance : (C, N) E[w_c], per customer of class c
     disturbance_cov : (C,) tr cov(lambda, w_c)
+    disturbance_second_moment : (C, N, N) E[w_c w_c^T]
     mean_class_renewable : (C, N) E[R_c], the class-aggregate customer
         renewables of class c
     mean_customer_renewable : (N,) E[R], R = sum_c R_c
@@ -129,6 +130,7 @@ class SetMoments:
     mean_price: np.ndarray
     mean_disturbance: np.ndarray
     disturbance_cov: np.ndarray
+    disturbance_second_moment: np.ndarray
     mean_class_renewable: np.ndarray
     mean_customer_renewable: np.ndarray
     customer_renewable_cov: float
@@ -141,8 +143,9 @@ class SetMoments:
         """Moments of the set with its renewables rebuilt from the solar profile.
 
         Every renewable moment is linear in capacity, and the price and
-        disturbance moments do not change, so this costs O(C N).  Read only
-        by a :func:`with_pv_capacity` set, which has the solar profile.
+        disturbance moments (E[w_c w_c^T] too) do not change, so this costs
+        O(C N).  Read only by a :func:`with_pv_capacity` set, which has the
+        solar profile.
         """
         total_kw = float(customer_kw.sum())
         class_renewable = np.outer(customer_kw, self.mean_solar)
@@ -169,18 +172,21 @@ def _reduced_moments(ss: ScenarioSet) -> SetMoments:
     lam_dev = ss.price_matrix - mean_price
     mean_dist = np.tensordot(probs, ss.disturbance_tensor, axes=1)
     dist_cov = probs @ np.einsum("sn,scn->sc", lam_dev, ss.disturbance_tensor - mean_dist)
+    by_class = ss.disturbance_tensor.transpose(1, 0, 2)  # (C, S, N)
+    second = (by_class.transpose(0, 2, 1) * probs) @ by_class
     mean_solar = solar_cov = solar_value = None
     if ss.has_solar_unit:
         mean_solar = probs @ ss.solar_unit_matrix
         solar_cov = float(probs @ np.einsum("sn,sn->s", lam_dev, ss.solar_unit_matrix - mean_solar))
         solar_value = float(probs @ np.einsum("sn,sn->s", ss.price_matrix, ss.solar_unit_matrix))
-    for arr in (mean_dist, dist_cov, mean_solar):
+    for arr in (mean_dist, dist_cov, second, mean_solar):
         if arr is not None:
             arr.setflags(write=False)
     return SetMoments(
         mean_price=mean_price,
         mean_disturbance=mean_dist,
         disturbance_cov=dist_cov,
+        disturbance_second_moment=second,
         mean_class_renewable=np.broadcast_to(0.0, (ss.n_classes, ss.horizon)),
         mean_customer_renewable=np.broadcast_to(0.0, (ss.horizon,)),
         customer_renewable_cov=0.0,
@@ -210,12 +216,12 @@ class ScenarioSet:
     Probabilities must sum to 1 within ``PROBABILITY_TOL``; a violation is a
     construction error, never silently renormalized.
 
-    The set's price-independent statistics are computed once, on first use,
-    and cached on the set: :attr:`moments` (a :class:`SetMoments`) and
-    :attr:`disturbance_second_moment`.  They depend on no demand model or
-    integration case, and a set never changes, so they cannot go stale.  A
-    set built from data reduces them in one pass over its scenarios; a
-    :func:`with_pv_capacity` set takes them from its source's in O(C N).
+    The set's price-independent statistics, :attr:`moments` (a
+    :class:`SetMoments`), are computed once, on first use, and cached on the
+    set.  They depend on no demand model or integration case, and a set
+    never changes, so they cannot go stale.  A set built from data reduces
+    them in one pass over its scenarios; a :func:`with_pv_capacity` set
+    takes them from its source's in O(C N).
     """
 
     probabilities: np.ndarray
@@ -301,16 +307,6 @@ class ScenarioSet:
             return _reduced_moments(self)
         return self._source.moments.with_pv(self.customer_kw, self.retailer_kw)
 
-    @cached_property
-    def disturbance_second_moment(self) -> np.ndarray:
-        """E[w_c w_c^T] per class, (C, N, N), computed once."""
-        if self._source is not None:
-            return self._source.disturbance_second_moment
-        by_class = self.disturbance_tensor.transpose(1, 0, 2)  # (C, S, N)
-        second = (by_class.transpose(0, 2, 1) * self.probabilities) @ by_class
-        second.setflags(write=False)
-        return second
-
 
 def from_prices(price_vectors: Sequence, probabilities=None, n_classes: int = 1) -> ScenarioSet:
     """Scenario set with only price uncertainty (zero local states)."""
@@ -358,50 +354,29 @@ def cov_trace(scenario_set: ScenarioSet, field_a: Field, field_b: Field) -> floa
     return float(scenario_set.probabilities @ np.einsum("sn,sn->s", da, db))
 
 
-def _first_appearance_groups(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of ``block`` in order of first appearance.
-
-    Returns (index of each distinct row's first appearance, group of each row).
-    """
-    _, first, inverse = np.unique(block, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse.reshape(-1)]
-
-
 def split_marginals(scenario_set: ScenarioSet) -> ScenarioSet:
     """Product-of-marginals reconstruction of a scenario set.
 
-    Identifies the support of the price block and of the local-state block
-    (disturbances and solar profile) by row equality, accumulates marginal
-    weights, and returns the product distribution (price support x local
-    support, price-major, each in order of first appearance) with the
-    input's PV capacities.  Idempotent on sets that are already products.
+    Crosses the set's S price rows with its S local-state rows
+    (disturbances and solar profile), price-major, each pair weighted by
+    the product of the two rows' probabilities, and keeps the input's PV
+    capacities.  The product has the law of the marginals, with prices
+    independent of local states, in S^2 rows: repeated rows are not merged.
     """
     ss = scenario_set
     s = len(ss)
-    probs = ss.probabilities
-    local_parts = [ss.disturbance_tensor.reshape(s, -1)]
-    if ss.has_solar_unit:
-        local_parts.append(ss.solar_unit_matrix)
-    price_reps, price_group = _first_appearance_groups(ss.price_matrix)
-    local_reps, local_group = _first_appearance_groups(np.concatenate(local_parts, axis=1))
-    p_price = np.bincount(price_group, weights=probs, minlength=price_reps.size)
-    p_local = np.bincount(local_group, weights=probs, minlength=local_reps.size)
-
-    n_price, n_local = price_reps.size, local_reps.size
-    price_rows = np.repeat(price_reps, n_local)
-    local_rows = np.tile(local_reps, n_price)
+    local_rows = np.tile(np.arange(s), s)
     tensors = [
-        ss.price_matrix[price_rows],
+        np.repeat(ss.price_matrix, s, axis=0),
         ss.disturbance_tensor[local_rows],
         ss.solar_unit_matrix[local_rows] if ss.has_solar_unit else None,
     ]
-    # the fancy-indexed tensors are fresh and unshared: read-only, they are kept
-    # by the constructor instead of copied, so the set is built with one copy
+    # the built tensors are fresh and unshared: read-only, they are kept by
+    # the constructor instead of copied, so the set is built with one copy
     for tensor in tensors:
         if tensor is not None:
             tensor.setflags(write=False)
-    product = ScenarioSet(np.outer(p_price, p_local).reshape(-1), *tensors)
+    product = ScenarioSet(np.outer(ss.probabilities, ss.probabilities).reshape(-1), *tensors)
     if ss._source is None:
         return product
     return with_pv_capacity(product, ss.customer_kw, ss.retailer_kw)

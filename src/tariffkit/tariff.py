@@ -28,8 +28,7 @@ response until that response settles.
 Accounting in this module is the closed-form expectation path.  Demand is
 linear with a state-independent price Jacobian, so every margin, ray
 quadratic, choke price and surplus sees the scenario set only through its
-cached moments (``ScenarioSet.moments`` and
-``ScenarioSet.disturbance_second_moment``), combined with the model's class
+cached moments (``ScenarioSet.moments``), combined with the model's class
 counts and the case's metering in O(C N^2) per call; no call makes a pass
 over the scenarios.  The one exception is :func:`optimal_two_part`'s
 independent check, which sums the metered disturbance's covariance over
@@ -359,7 +358,7 @@ def expected_consumer_surplus_by_class(
     sigma, counts = model.sigma, model.class_counts
     moments = scenario_set.moments
     binv_b0 = model.slope_inverse @ model.base
-    quad_w = np.einsum("nm,cmn->c", model.slope_inverse, scenario_set.disturbance_second_moment)
+    quad_w = np.einsum("nm,cmn->c", model.slope_inverse, moments.disturbance_second_moment)
     quad_v = (  # E[v^T B^-1 v] per customer, (C,)
         sigma**2 * float(model.base @ binv_b0)
         + 2.0 * sigma * (moments.mean_disturbance @ binv_b0)

@@ -2,11 +2,11 @@
 
 Every surplus figure is the expectation of a quadratic in the scenario, so
 ``evaluate`` reports it exactly from the set's cached moments
-(``ScenarioSet.moments`` and ``disturbance_second_moment``) through the
-tariff module's closed forms, in O(C N^2) per call whatever the number of
-scenarios.  The per-(scenario, class) settlement that these expectations
-summarize lives only in ``oracle.settlement_resim``, the independent route
-the tests hold ``evaluate`` to.  The decomposition identities verified by
+(``ScenarioSet.moments``) through the tariff module's closed forms, in
+O(C N^2) per call whatever the number of scenarios.  The per-(scenario,
+class) settlement that these expectations summarize lives only in
+``oracle.settlement_resim``, the independent route the tests hold
+``evaluate`` to.  The decomposition identities verified by
 ``welfare_identities`` stay genuine cross-checks: ``efficient_welfare`` and
 ``planner_bound`` price every scenario's demand through the batched
 kernels ``demand.demand`` and ``demand.gross_benefit``, in one pass per
@@ -325,7 +325,7 @@ def pareto_front(
 
 
 def allocate_pv(
-    model: dm.DemandModel, capacity_kw: float, unit_kw: float = 5.0
+    model: dm.DemandModel, capacity_kw: float, unit_kw: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assign PV systems to the largest consumers first, in whole units.
 
@@ -421,8 +421,8 @@ def der_sweep(
     fixed_cost: float,
     anchors: BaseAnchors,
     *,
-    pv_unit_kw: float = 5.0,
-    storage_unit: st.StorageSpec | None = None,
+    pv_unit_kw: float,
+    storage_unit: st.StorageSpec,
 ) -> list[SweepCell]:
     """Re-solve each family at each installed PV capacity and report gains.
 
@@ -431,8 +431,6 @@ def der_sweep(
     """
     if mode not in (tf.MODE_DECENTRALIZED, tf.MODE_CENTRALIZED):
         raise ValueError(f"sweep mode must be decentralized or centralized, got {mode!r}")
-    if storage_unit is None:
-        storage_unit = st.powerwall()
     base_sw = anchors.consumer_surplus + anchors.retailer_surplus
     cells = []
     for capacity in capacity_grid_kw:
@@ -520,7 +518,7 @@ def cross_subsidy(
     capacity_grid_kw,
     fixed_cost: float,
     *,
-    pv_unit_kw: float = 5.0,
+    pv_unit_kw: float,
 ) -> list[CrossSubsidyCell]:
     """Fixed-cost contribution shifted to non-owners by net metering.
 

@@ -69,6 +69,25 @@ def test_gen_synthetic_is_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_gen_synthetic_dates_any_number_of_days(tmp_path, out_dir):
+    # day d is 2021-07-01 plus d days, past the end of August too
+    assert cli.main(["gen-synthetic", "--out", str(tmp_path), "--days", "70",
+                     "--horizon", "4"]) == 0
+    with open(tmp_path / "prices.csv", newline="", encoding="utf-8") as handle:
+        dates = list(dict.fromkeys(row["date"] for row in csv.DictReader(handle)))
+    assert len(dates) == 70
+    assert (dates[0], dates[61], dates[-1]) == ("2021-07-01", "2021-08-31", "2021-09-08")
+    assert cli.main(["validate", str(tmp_path / "study.yaml")]) == 0
+
+
+@pytest.mark.parametrize("option", ["--days", "--horizon"])
+def test_gen_synthetic_checks_sizes_before_writing(tmp_path, capsys, option):
+    target = tmp_path / "synthetic"
+    assert cli.main(["gen-synthetic", "--out", str(target), option, "0"]) == 2
+    assert "n_days >= 1 and horizon >= 1" in capsys.readouterr().err
+    assert not target.exists()
+
+
 def test_validate_passes_on_synthetic_study(study_dir, out_dir, capsys):
     assert cli.main(["validate", str(study_dir / "study.yaml")]) == 0
     out = capsys.readouterr().out
@@ -267,12 +286,16 @@ def test_zero_storage_size_rejected_at_validation(study_dir, tmp_path, out_dir, 
 
 
 @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
-def test_malformed_yaml_exits_2(tmp_path, out_dir, capsys, monkeypatch, loader):
+def test_malformed_yaml_exits_2(tmp_path, out_dir, capsys, loader):
+    # the text is malformed to libyaml's parser and to the pure-Python one alike,
+    # and load_config, which parses with yaml.safe_load only, rejects it
     if not hasattr(yaml, loader):
         pytest.skip(f"PyYAML has no {loader}")
-    monkeypatch.setattr(ingest, "_YAML_LOADER", getattr(yaml, loader))
+    text = "study:\n  output_dir: [unclosed\n"
+    with pytest.raises(yaml.YAMLError):
+        yaml.load(text, Loader=getattr(yaml, loader))
     config = tmp_path / "study.yaml"
-    config.write_text("study:\n  output_dir: [unclosed\n", encoding="utf-8")
+    config.write_text(text, encoding="utf-8")
     assert cli.main(["validate", str(config)]) == 2
     assert f"FAIL config parses: {config}: invalid YAML" in capsys.readouterr().out
     assert cli.main(["optimize", str(config)]) == 2

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 
 from tariffkit import demand as dm
 from tariffkit import ingest
@@ -287,22 +286,6 @@ def test_load_config_resolves_relative_paths(tmp_path):
     assert loaded.prices_path == str(tmp_path / "inner" / "p.csv")
 
 
-def test_yaml_loaders_give_the_same_mapping(tmp_path, monkeypatch):
-    # load_config parses with libyaml when PyYAML has it; the pure-Python
-    # SafeLoader must read the generated study file the same way
-    loader = getattr(yaml, "CSafeLoader", None)
-    if loader is None:
-        pytest.skip("PyYAML built without libyaml")
-    path = Path(ingest.write_synthetic_dataset(tmp_path)["config"])
-    text = path.read_text(encoding="utf-8")
-    assert yaml.load(text, Loader=loader) == yaml.load(text, Loader=yaml.SafeLoader)
-    configs = []
-    for each in (loader, yaml.SafeLoader):
-        monkeypatch.setattr(ingest, "_YAML_LOADER", each)
-        configs.append(ingest.load_config(path))
-    assert configs[0] == configs[1]
-
-
 def test_build_model_calibrates_to_mean_day():
     config = ingest.StudyConfig(horizon=3, customer_classes=2, customer_count=10.0)
     load = np.array([[9.0, 11.0, 10.0], [11.0, 13.0, 14.0]])
@@ -440,6 +423,21 @@ def test_write_synthetic_dataset_round_trip(tmp_path):
     want = ingest.synthetic_days(seed=1, n_days=3, horizon=12)
     for got, matrix in zip(ingest.load_inputs(config), want):
         np.testing.assert_allclose(got, matrix, rtol=1e-11, atol=1e-15)
+
+
+def test_inputs_with_a_byte_order_mark_load_the_same(tmp_path):
+    # spreadsheets' "CSV UTF-8" export starts each file with a byte-order mark
+    paths = ingest.write_synthetic_dataset(tmp_path / "plain", n_days=3, horizon=4)
+    (tmp_path / "bom").mkdir()
+    for name in ("prices", "load", "solar"):
+        text = Path(paths[name]).read_text(encoding="utf-8")
+        (tmp_path / "bom" / f"{name}.csv").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "bom" / f"{name}.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    plain = ingest.load_config(paths["config"])
+    bom = replace(plain, **{attr: str(tmp_path / "bom" / Path(getattr(plain, attr)).name)
+                            for attr in ("prices_path", "load_path", "solar_path")})
+    for got, want in zip(ingest.load_inputs(bom), ingest.load_inputs(plain)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_write_synthetic_dataset_independent_mode(tmp_path):

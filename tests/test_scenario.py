@@ -136,22 +136,6 @@ def test_split_marginals_keeps_solar_with_local_block():
     np.testing.assert_array_equal(swept.retailer_renewable_matrix, 2.0 * product.solar_unit_matrix)
 
 
-def test_split_marginals_idempotent():
-    product = sc.split_marginals(three_day_set())
-    again = sc.split_marginals(product)
-    assert len(again) == len(product)
-    np.testing.assert_allclose(
-        np.sort(again.probabilities), np.sort(product.probabilities), rtol=0, atol=1e-15
-    )
-
-
-def test_split_marginals_merges_repeated_days():
-    # duplicate price days accumulate marginal weight instead of splitting support
-    joint = sc.ScenarioSet([0.5, 0.5], [[1.0, 2.0], [1.0, 2.0]], [[[1.0, 0.0]], [[-1.0, 0.0]]])
-    product = sc.split_marginals(joint)
-    assert len(product) == 2  # one price point x two local states
-
-
 def test_split_marginals_holds_one_copy():
     # a product set is K^2 rows of its marginals: building it must not hold a
     # second copy of those rows (NumPy reports its buffers to tracemalloc)
@@ -228,17 +212,58 @@ def test_expectation_linear_in_fields(price_rows):
     np.testing.assert_allclose(b, 3.0 * a + 1.0, rtol=0, atol=1e-12)
 
 
+def _row_keys(ss):
+    # (price row, local row) of each scenario, as hashable bytes
+    return [(row.prices.tobytes(),
+             row.disturbances.tobytes() + (b"" if row.solar_unit is None else row.solar_unit.tobytes()))
+            for row in ss]
+
+
 @settings(max_examples=50, deadline=None)
-@given(hst.integers(min_value=1, max_value=4), hst.integers(min_value=1, max_value=4))
-def test_split_marginals_size_is_support_product(n_prices, n_locals):
-    rng = np.random.default_rng(n_prices * 10 + n_locals)
-    k = n_prices * n_locals
-    price_days = rng.uniform(1.0, 2.0, size=(n_prices, 3))
-    local_days = rng.uniform(-1.0, 1.0, size=(n_locals, 3))
+@given(
+    seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    n_days=hst.integers(min_value=1, max_value=6),
+    n_classes=hst.integers(min_value=1, max_value=3),
+    solar=hst.booleans(),
+)
+def test_split_marginals_crosses_rows_with_the_marginal_law(seed, n_days, n_classes, solar):
+    # joint days draw their price and local rows from pools of three, so
+    # rows repeat on either side and the two blocks are dependent
+    rng = np.random.default_rng(seed)
+    horizon = 3
+    price_pick = rng.integers(0, 3, size=n_days)
+    local_pick = rng.integers(0, 3, size=n_days)
+    solar_pool = rng.uniform(0.0, 1.0, size=(3, horizon))
     joint = sc.ScenarioSet(
-        np.full(k, 1.0 / k),
-        np.repeat(price_days, n_locals, axis=0),
-        np.tile(local_days, (n_prices, 1))[:, None, :],
+        rng.dirichlet(np.ones(n_days)),
+        rng.uniform(0.02, 0.08, size=(3, horizon))[price_pick],
+        rng.normal(size=(3, n_classes, horizon))[local_pick],
+        solar_unit_matrix=solar_pool[local_pick] if solar else None,
     )
     product = sc.split_marginals(joint)
-    assert len(product) == k
+
+    # S^2 rows, price-major: row a S + b is price row a with local row b
+    s = n_days
+    a, b = np.divmod(np.arange(s * s), s)
+    assert len(product) == s * s
+    np.testing.assert_array_equal(product.price_matrix, joint.price_matrix[a])
+    np.testing.assert_array_equal(product.disturbance_tensor, joint.disturbance_tensor[b])
+    if solar:
+        np.testing.assert_array_equal(product.solar_unit_matrix, joint.solar_unit_matrix[b])
+
+    # summed per distinct (price row, local row), the weights are p(a) q(b)
+    p, q, law = {}, {}, {}
+    for (x, y), w in zip(_row_keys(joint), joint.probabilities):
+        p[x] = p.get(x, 0.0) + w
+        q[y] = q.get(y, 0.0) + w
+    for key, w in zip(_row_keys(product), product.probabilities):
+        law[key] = law.get(key, 0.0) + w
+    assert law.keys() == {(x, y) for x in p for y in q}
+    for (x, y), w in law.items():
+        assert w == pytest.approx(p[x] * q[y], rel=1e-12)
+
+    # the marginal means are kept and prices no longer covary with the disturbances
+    np.testing.assert_allclose(product.moments.mean_price, joint.moments.mean_price, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(product.moments.mean_disturbance, joint.moments.mean_disturbance,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(product.moments.disturbance_cov, 0.0, rtol=0, atol=1e-12)

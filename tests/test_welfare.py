@@ -37,6 +37,11 @@ def fixture(correlated=True, seed=2, horizon=6, n_classes=3):
     return model, built
 
 
+# the DER units of the sweeps below: 5 kW PV systems and the Powerwall-like
+# battery, whose 1-hour periods make the fixture's 6 periods a 6-hour day
+DER_UNITS = {"pv_unit_kw": 5.0, "storage_unit": st.powerwall()}
+
+
 @pytest.mark.parametrize("mode", tf.MODES)
 def test_evaluate_matches_closed_form_surpluses(mode):
     model, ss = fixture()
@@ -241,7 +246,7 @@ def test_allocate_pv_capacity_cap():
     model, _ = fixture()
     with pytest.raises(ValueError, match="exceeds"):
         wf.allocate_pv(model, model.customers * 5.0 + 10.0, unit_kw=5.0)
-    kw, owners = wf.allocate_pv(model, 0.0)
+    kw, owners = wf.allocate_pv(model, 0.0, unit_kw=5.0)
     assert kw.sum() == 0.0 and owners.sum() == 0.0
 
 
@@ -252,7 +257,7 @@ def test_der_sweep_decentralized_gains_affine():
     grid = [0.0, 30.0, 60.0, 90.0]
     cells = wf.der_sweep(
         [tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART)],
-        model, ss, tf.MODE_DECENTRALIZED, grid, 0.5, f, anchors,
+        model, ss, tf.MODE_DECENTRALIZED, grid, 0.5, f, anchors, **DER_UNITS,
     )
     assert all(c.feasible for c in cells)
     gains = np.array([c.cs_gain for c in cells])
@@ -272,7 +277,7 @@ def test_der_sweep_centralized_monotone_all_families():
     ]
     grid = [0.0, 25.0, 50.0, 75.0]
     cells = wf.der_sweep(
-        families, model, ss, tf.MODE_CENTRALIZED, grid, 0.5, 20.0, anchors
+        families, model, ss, tf.MODE_CENTRALIZED, grid, 0.5, 20.0, anchors, **DER_UNITS
     )
     for fam in families:
         gains = [c.cs_gain for c in cells if c.family_kind == fam.kind and c.feasible]
@@ -285,7 +290,7 @@ def test_der_sweep_cells_carry_their_tariffs():
     anchors = wf.base_anchors(model, ss, tf.flat_tariff(0.4, 0.21, 6))
     cells = wf.der_sweep(
         [tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART)],
-        model, ss, tf.MODE_DECENTRALIZED, [0.0, 40.0], 0.5, 20.0, anchors,
+        model, ss, tf.MODE_DECENTRALIZED, [0.0, 40.0], 0.5, 20.0, anchors, **DER_UNITS,
     )
     for cell in cells:
         assert cell.tariff is not None
@@ -296,7 +301,7 @@ def test_der_sweep_marks_infeasible_cells():
     anchors = wf.base_anchors(model, ss, tf.flat_tariff(0.4, 0.21, 6))
     cells = wf.der_sweep(
         [tf.TariffFamily(kind=tf.FLAT_ZERO_A)],
-        model, ss, tf.MODE_DECENTRALIZED, [0.0, 30.0], 0.5, 14.0, anchors,
+        model, ss, tf.MODE_DECENTRALIZED, [0.0, 30.0], 0.5, 14.0, anchors, **DER_UNITS,
     )
     assert cells[0].feasible
     assert not cells[1].feasible  # heavy PV guts volumetric revenue
@@ -308,7 +313,7 @@ def test_cross_subsidy_zero_without_pv_and_for_optimal_family():
     model, ss = fixture(correlated=False)
     f = 20.0
     cells = wf.cross_subsidy(
-        tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), model, ss, [0.0, 40.0, 80.0], f
+        tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), model, ss, [0.0, 40.0, 80.0], f, pv_unit_kw=5.0
     )
     assert cells[0].subsidy_norm == 0.0
     for cell in cells:
@@ -322,7 +327,7 @@ def test_cross_subsidy_positive_increasing_for_flat_family():
     # capacities up to ~50% of daily sales; beyond that net demand collapses
     cells = wf.cross_subsidy(
         tf.TariffFamily(kind=tf.FLAT_FIXED_A, fixed_connection_charge=0.2),
-        model, ss, [0.0, 5.0, 10.0, 15.0, 20.0], f,
+        model, ss, [0.0, 5.0, 10.0, 15.0, 20.0], f, pv_unit_kw=5.0,
     )
     subs = [c.subsidy_norm for c in cells]
     assert subs[0] == 0.0
@@ -333,7 +338,7 @@ def test_cross_subsidy_positive_increasing_for_flat_family():
 def test_cross_subsidy_owner_counts_follow_allocation():
     model, ss = fixture()
     cells = wf.cross_subsidy(
-        tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), model, ss, [0.0, 12.5], 20.0
+        tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), model, ss, [0.0, 12.5], 20.0, pv_unit_kw=5.0
     )
     assert cells[0].owner_count == 0.0
     assert cells[1].owner_count == 3.0
@@ -343,13 +348,14 @@ def test_cross_subsidy_requires_solar_profile():
     model, _ = fixture()
     bare = sc.from_prices([[0.1] * 6, [0.2] * 6], n_classes=3)
     with pytest.raises(ValueError, match="solar"):
-        wf.cross_subsidy(tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), model, bare, [0.0], 5.0)
+        wf.cross_subsidy(tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), model, bare, [0.0], 5.0,
+                         pv_unit_kw=5.0)
 
 
 def test_cross_subsidy_infeasible_cells_are_marked():
     model, ss = fixture()
     cells = wf.cross_subsidy(
-        tf.TariffFamily(kind=tf.FLAT_ZERO_A), model, ss, [0.0, 30.0], 14.0
+        tf.TariffFamily(kind=tf.FLAT_ZERO_A), model, ss, [0.0, 30.0], 14.0, pv_unit_kw=5.0
     )
     assert cells[0].feasible
     assert not cells[1].feasible
@@ -362,22 +368,14 @@ def test_grid_cells_make_no_scenario_pass(study, anchors, monkeypatch):
     # update of them: no demand kernel over scenarios and no reduction per
     # cell; only the optimal tariff's independent check sums over the scenarios
     ss, config = study.scenario_set, study.config
-    ss.moments, ss.disturbance_second_moment  # the study's one pass
-    calls = {"kernel": 0, "mean_row": 0, "reduced": 0, "second_moment": 0, "metered": 0,
-             "optimal": 0}
+    ss.moments  # the study's one pass, E[w w^T] included
+    calls = {"kernel": 0, "mean_row": 0, "reduced": 0, "metered": 0, "optimal": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
             calls[key] += 1
             return fn(*args, **kwargs)
         return wrapper
-
-    second_moment = sc.ScenarioSet.__dict__["disturbance_second_moment"]
-    reduce_second_moment = second_moment.func
-
-    def second_moment_of(s):
-        calls["second_moment"] += s._source is None  # a rescaled set hands over its source's
-        return reduce_second_moment(s)
 
     kernel = dm.demand
 
@@ -389,7 +387,6 @@ def test_grid_cells_make_no_scenario_pass(study, anchors, monkeypatch):
     monkeypatch.setattr(dm, "demand", demand)
     monkeypatch.setattr(dm, "gross_benefit", counted("kernel", dm.gross_benefit))
     monkeypatch.setattr(sc, "_reduced_moments", counted("reduced", sc._reduced_moments))
-    monkeypatch.setattr(second_moment, "func", second_moment_of)
     monkeypatch.setattr(tf, "_metered_disturbance", counted("metered", tf._metered_disturbance))
     monkeypatch.setattr(tf, "optimal_two_part", counted("optimal", tf.optimal_two_part))
     families = [family for _, family in ingest.configured_families(config)]
@@ -408,7 +405,7 @@ def test_grid_cells_make_no_scenario_pass(study, anchors, monkeypatch):
     assert calls["kernel"] == 0
     # cross_subsidy's owner contributions: at most two rows per cell
     assert calls["mean_row"] <= 2 * len(families) * len(grid)
+    # a rescaled set's moments, E[w w^T] included, are its source's, updated
     assert calls["reduced"] == 0
-    assert calls["second_moment"] == 0
     assert calls["optimal"] > 0
     assert calls["metered"] == calls["optimal"]
