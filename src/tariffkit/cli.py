@@ -168,6 +168,19 @@ def _number_option(attr: str):
     return number
 
 
+class _Distinct(argparse.Action):
+    """Store an ``nargs="+"`` option's values, as the study file's table lists are.
+
+    Each value is one row of the command's table, so a repeated value is a
+    usage error naming the option, with exit code 2.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentError(self, "must not repeat a value")
+        setattr(namespace, self.dest, values)
+
+
 def _load_study(args) -> tuple[ingest.Study, wf.BaseAnchors]:
     config = ingest.load_config(args.config)
     study = ingest.build_study(config)
@@ -221,9 +234,7 @@ def cmd_validate(args) -> int:
 
     def pv_grid_allocates():
         # the rule sweep and xsub apply to every capacity; the largest decides
-        grid = config.capacity_grid_kw
-        if grid:
-            wf.allocate_pv(study.model, max(grid), config.pv_unit_kw)
+        wf.allocate_pv(study.model, max(config.capacity_grid_kw), config.pv_unit_kw)
 
     check("grids.capacity_kw allocates at most one PV unit per customer", pv_grid_allocates)
     nominal = ingest.nominal_tariff(config)
@@ -327,17 +338,11 @@ def cmd_pareto(args) -> int:
         front = wf.pareto_front(
             family, study.model, study.scenario_set, tf.no_der(), grid, anchors
         )
-        by_f = {p.fixed_cost: p for p in front.points}
-        reasons = dict(front.infeasible)
-        for f in grid:
-            point = by_f.get(float(f))
-            if point is None:
-                rows.append([label, _fmt(f), "", "", "", "", reasons.get(float(f), "infeasible")])
-                continue
-            rows.append([
-                label, _fmt(f), _fmt(point.rs_gain), _fmt(point.cs_gain),
-                *_tariff_columns(point.tariff), "",
-            ])
+        rows.extend(
+            [label, _fmt(cell.fixed_cost), _fmt(cell.rs_gain), _fmt(cell.cs_gain),
+             *_tariff_columns(cell.tariff), cell.reason]
+            for cell in front.cells
+        )
     return _emit_grid(
         study, anchors, "pareto",
         f"pareto: {len(families)} families x {len(grid)} F points",
@@ -454,21 +459,21 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, help="connection charge for fixed-A families")
 
     p = add_study_command("pareto", cmd_pareto, "surplus trade-off across an F grid")
-    p.add_argument("--families", nargs="+", default=None,
+    p.add_argument("--families", nargs="+", action=_Distinct, default=None,
                    help="family labels (default: all configured)")
-    p.add_argument("--F-grid", dest="fixed_cost_grid", nargs="+",
+    p.add_argument("--F-grid", dest="fixed_cost_grid", nargs="+", action=_Distinct,
                    type=_number_option("fixed_cost_grid"), default=None)
 
     p = add_study_command("sweep", cmd_sweep, "re-solve families across PV capacities")
     p.add_argument("--mode", choices=(tf.MODE_DECENTRALIZED, tf.MODE_CENTRALIZED),
                    required=True)
-    p.add_argument("--families", nargs="+", default=None)
-    p.add_argument("--capacity-grid", nargs="+", default=None,
+    p.add_argument("--families", nargs="+", action=_Distinct, default=None)
+    p.add_argument("--capacity-grid", nargs="+", action=_Distinct, default=None,
                    type=_number_option("capacity_grid_kw"))
 
     p = add_study_command("xsub", cmd_xsub, "net-metering cross-subsidy by capacity")
-    p.add_argument("--families", nargs="+", default=None)
-    p.add_argument("--capacity-grid", nargs="+", default=None,
+    p.add_argument("--families", nargs="+", action=_Distinct, default=None)
+    p.add_argument("--capacity-grid", nargs="+", action=_Distinct, default=None,
                    type=_number_option("capacity_grid_kw"))
 
     p = sub.add_parser("gen-synthetic", help="write the bundled synthetic dataset")

@@ -168,14 +168,16 @@ def _one_of(choices):
     return lambda x: None if x in choices else f"must be one of {choices}"
 
 
-def _entry(default, key: str, rule=None, *, allow_inf: bool = False):
+def _entry(default, key: str, rule=None, *, allow_inf: bool = False, distinct: bool = False):
     """A study-file entry: the field's default, its ``section.key`` and its rule.
 
     A rule maps one value (one element, for a tuple field) to None when it
     holds and to a failure phrase when it does not.  Numbers must be finite
-    unless ``allow_inf``.
+    unless ``allow_inf``.  A ``distinct`` entry lists the rows of a study
+    table, so it must be a non-empty list without repeats.
     """
-    return field(default=default, metadata={"key": key, "rule": rule, "allow_inf": allow_inf})
+    return field(default=default, metadata={"key": key, "rule": rule, "allow_inf": allow_inf,
+                                            "distinct": distinct})
 
 
 @dataclass(frozen=True)
@@ -204,9 +206,9 @@ class StudyConfig:
                                   _one_of(FIXED_COST_MODES))
     fixed_cost_value: float | None = _entry(None, "fixed_cost.value_usd_per_day")
     family_kinds: tuple[str, ...] = _entry(tf.FAMILY_KINDS, "families.kinds",
-                                           _one_of(tf.FAMILY_KINDS))
+                                           _one_of(tf.FAMILY_KINDS), distinct=True)
     fixed_connection_charges: tuple[float, ...] = _entry(
-        (0.53,), "families.fixed_connection_charges_usd_per_day")
+        (0.53,), "families.fixed_connection_charges_usd_per_day", distinct=True)
     pv_unit_kw: float = _entry(5.0, "der.pv_unit_kw", _positive)
     storage_capacity_kwh: float = _entry(st.POWERWALL_CAPACITY_KWH, "der.storage_capacity_kwh",
                                          _positive)
@@ -217,10 +219,11 @@ class StudyConfig:
                                        _efficiency)
     storage_per_pv_kwh_per_kw: float = _entry(0.5, "der.storage_per_pv_kwh_per_kw", _nonnegative)
     capacity_grid_kw: tuple[float, ...] = _entry(
-        (0.0, 550e3, 1100e3, 1650e3, 2200e3), "grids.capacity_kw", _nonnegative)
-    fixed_cost_grid: tuple[float, ...] | None = _entry(None, "grids.fixed_cost_usd_per_day")
+        (0.0, 550e3, 1100e3, 1650e3, 2200e3), "grids.capacity_kw", _nonnegative, distinct=True)
+    fixed_cost_grid: tuple[float, ...] | None = _entry(None, "grids.fixed_cost_usd_per_day",
+                                                       distinct=True)
     fixed_cost_multipliers: tuple[float, ...] = _entry(
-        (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75), "grids.fixed_cost_multipliers")
+        (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75), "grids.fixed_cost_multipliers", distinct=True)
     prices_path: str | None = _entry(None, "inputs.prices")
     load_path: str | None = _entry(None, "inputs.load")
     solar_path: str | None = _entry(None, "inputs.solar")
@@ -247,21 +250,23 @@ class StudyConfig:
                 )
         if self.fixed_cost_mode == "explicit" and self.fixed_cost_value is None:
             raise ConfigError("fixed_cost.value_usd_per_day required when mode is explicit")
-        if not self.fixed_connection_charges:
-            raise ConfigError("families.fixed_connection_charges_usd_per_day must be non-empty")
 
     @staticmethod
     def check_field(name: str, value):
         """Return ``value`` if it keeps the declaration of field ``name``.
 
         A number must be finite (unless the field allows infinity) and keep
-        the field's rule; a tuple is checked element by element, and None,
-        an unset optional field, passes.  A failure raises ConfigError
-        naming the field's ``section.key``.
+        the field's rule; a tuple is checked element by element, and as a
+        whole when the field is ``distinct``.  None, an unset optional
+        field, passes.  A failure raises ConfigError naming the field's
+        ``section.key``.
         """
         if isinstance(value, tuple):
             for item in value:
                 StudyConfig.check_field(name, item)
+            meta = _declared(name)
+            if meta["distinct"] and (not value or len(set(value)) < len(value)):
+                raise ConfigError(f"{meta['key']} must be a non-empty list without repeats")
             return value
         if value is None:
             return value

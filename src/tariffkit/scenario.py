@@ -17,7 +17,8 @@ Conventions
 * prices are in $/kWh, energies in kWh, money in $.
 * ``disturbances`` are per-customer demand shifts, one N-vector per class
   (all customers in a class are identical copies).
-* ``solar_unit`` optionally carries the per-kW-of-capacity solar profile.
+* ``solar_unit`` is the per-kW-of-capacity solar profile; every set carries
+  one, and a set without solar carries zeros.
 * renewables are PV capacity times that profile: ``renewable_customer`` is
   class c's behind-the-meter output ``customer_kw[c] * solar_unit`` in kWh
   (installations come in discrete units allocated to classes), and
@@ -31,7 +32,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -93,7 +94,7 @@ class Scenario:
     disturbances : (C, N) per-customer additive demand shifts, kWh
     renewable_customer : (C, N) class-aggregate behind-the-meter output, kWh
     renewable_retailer : (N,) retailer-side renewable output, kWh
-    solar_unit : optional (N,) per-kW solar profile, kWh/kW
+    solar_unit : (N,) per-kW solar profile, kWh/kW
     """
 
     probability: float
@@ -101,7 +102,7 @@ class Scenario:
     disturbances: np.ndarray
     renewable_customer: np.ndarray
     renewable_retailer: np.ndarray
-    solar_unit: np.ndarray | None
+    solar_unit: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -121,10 +122,9 @@ class SetMoments:
     solar_cov : tr cov(lambda, solar), per kW
     solar_value : E[lambda^T solar], per kW
 
-    The three solar moments are None for a set without a per-kW solar
-    profile.  The cross moments are stored centred, E[lambda^T w_c] -
-    lam_bar^T E[w_c], because every closed form reads them in that form and
-    centring both factors keeps the large uncentred terms from cancelling.
+    The cross moments are stored centred, E[lambda^T w_c] - lam_bar^T
+    E[w_c], because every closed form reads them in that form and centring
+    both factors keeps the large uncentred terms from cancelling.
     """
 
     mean_price: np.ndarray
@@ -135,17 +135,16 @@ class SetMoments:
     mean_customer_renewable: np.ndarray
     customer_renewable_cov: float
     retailer_renewable_value: float
-    mean_solar: np.ndarray | None
-    solar_cov: float | None
-    solar_value: float | None
+    mean_solar: np.ndarray
+    solar_cov: float
+    solar_value: float
 
     def with_pv(self, customer_kw: np.ndarray, retailer_kw: float) -> SetMoments:
         """Moments of the set with its renewables rebuilt from the solar profile.
 
         Every renewable moment is linear in capacity, and the price and
         disturbance moments (E[w_c w_c^T] too) do not change, so this costs
-        O(C N).  Read only by a :func:`with_pv_capacity` set, which has the
-        solar profile.
+        O(C N).  Read only by a :func:`with_pv_capacity` set.
         """
         total_kw = float(customer_kw.sum())
         class_renewable = np.outer(customer_kw, self.mean_solar)
@@ -174,14 +173,10 @@ def _reduced_moments(ss: ScenarioSet) -> SetMoments:
     dist_cov = probs @ np.einsum("sn,scn->sc", lam_dev, ss.disturbance_tensor - mean_dist)
     by_class = ss.disturbance_tensor.transpose(1, 0, 2)  # (C, S, N)
     second = (by_class.transpose(0, 2, 1) * probs) @ by_class
-    mean_solar = solar_cov = solar_value = None
-    if ss.has_solar_unit:
-        mean_solar = probs @ ss.solar_unit_matrix
-        solar_cov = float(probs @ np.einsum("sn,sn->s", lam_dev, ss.solar_unit_matrix - mean_solar))
-        solar_value = float(probs @ np.einsum("sn,sn->s", ss.price_matrix, ss.solar_unit_matrix))
+    solar = ss.solar_unit_matrix
+    mean_solar = probs @ solar
     for arr in (mean_dist, dist_cov, second, mean_solar):
-        if arr is not None:
-            arr.setflags(write=False)
+        arr.setflags(write=False)
     return SetMoments(
         mean_price=mean_price,
         mean_disturbance=mean_dist,
@@ -192,8 +187,8 @@ def _reduced_moments(ss: ScenarioSet) -> SetMoments:
         customer_renewable_cov=0.0,
         retailer_renewable_value=0.0,
         mean_solar=mean_solar,
-        solar_cov=solar_cov,
-        solar_value=solar_value,
+        solar_cov=float(probs @ np.einsum("sn,sn->s", lam_dev, solar - mean_solar)),
+        solar_value=float(probs @ np.einsum("sn,sn->s", ss.price_matrix, solar)),
     )
 
 
@@ -203,15 +198,16 @@ class ScenarioSet:
 
     Stored once, as read-only tensors over S scenarios, C classes and N
     periods: ``probabilities`` (S,), ``price_matrix`` (S, N),
-    ``disturbance_tensor`` (S, C, N) and ``solar_unit_matrix`` (S, N) or
-    None.  The constructor takes these tensors and shares read-only float
-    inputs instead of copying them; iterating a set yields its
-    :class:`Scenario` rows.  Renewables are PV capacity times the solar
-    profile: ``customer_kw`` (C,) and ``retailer_kw`` are zero at
-    construction, and a :func:`with_pv_capacity` set shares its source's
-    tensors with new capacities.  The renewable tensors are read-only zero
-    views at zero capacity and are otherwise built on each read; the closed
-    forms read only the set's moments.
+    ``disturbance_tensor`` (S, C, N) and ``solar_unit_matrix`` (S, N).  The
+    constructor requires all four (a set without solar passes a zero
+    profile) and shares read-only float inputs instead of copying them;
+    iterating a set yields its :class:`Scenario` rows.  Renewables are PV
+    capacity times the solar profile: ``customer_kw`` (C,) and
+    ``retailer_kw`` are zero at construction, and a
+    :func:`with_pv_capacity` set shares its source's tensors with new
+    capacities.  The renewable tensors are read-only zero views at zero
+    capacity and are otherwise built on each read; the closed forms read
+    only the set's moments.
 
     Probabilities must sum to 1 within ``PROBABILITY_TOL``; a violation is a
     construction error, never silently renormalized.
@@ -227,13 +223,13 @@ class ScenarioSet:
     probabilities: np.ndarray
     price_matrix: np.ndarray
     disturbance_tensor: np.ndarray
-    solar_unit_matrix: np.ndarray | None
+    solar_unit_matrix: np.ndarray
     customer_kw: np.ndarray
     retailer_kw: float
     # the set built from data whose moments a with_pv_capacity set rescales, else None
     _source: ScenarioSet | None = dataclasses.field(repr=False)
 
-    def __init__(self, probabilities, price_matrix, disturbance_tensor, solar_unit_matrix=None):
+    def __init__(self, probabilities, price_matrix, disturbance_tensor, solar_unit_matrix):
         probabilities = _frozen(probabilities, np.shape(probabilities), "probabilities")
         if probabilities.ndim != 1 or probabilities.size == 0:
             raise ValueError("scenario set must contain at least one scenario")
@@ -254,8 +250,7 @@ class ScenarioSet:
             probabilities=probabilities,
             price_matrix=_frozen(prices, (s, n), "prices"),
             disturbance_tensor=_frozen(disturbances, (s, c, n), "disturbances"),
-            solar_unit_matrix=None if solar_unit_matrix is None
-            else _frozen(solar_unit_matrix, (s, n), "solar_unit", nonneg=True),
+            solar_unit_matrix=_frozen(solar_unit_matrix, (s, n), "solar_unit", nonneg=True),
             customer_kw=np.broadcast_to(0.0, (c,)),  # a read-only zero view
             retailer_kw=0.0,
             _source=None,
@@ -268,7 +263,7 @@ class ScenarioSet:
         """Scenario rows, in set order."""
         tensors = [getattr(self, name) for name in _SET_FIELDS]
         for k, probability in enumerate(self.probabilities):
-            yield Scenario(float(probability), *(None if t is None else t[k] for t in tensors))
+            yield Scenario(float(probability), *(t[k] for t in tensors))
 
     @property
     def horizon(self) -> int:
@@ -277,10 +272,6 @@ class ScenarioSet:
     @property
     def n_classes(self) -> int:
         return self.disturbance_tensor.shape[1]
-
-    @property
-    def has_solar_unit(self) -> bool:
-        return self.solar_unit_matrix is not None
 
     @property
     def customer_renewable_tensor(self) -> np.ndarray:
@@ -306,17 +297,6 @@ class ScenarioSet:
         if self._source is None:
             return _reduced_moments(self)
         return self._source.moments.with_pv(self.customer_kw, self.retailer_kw)
-
-
-def from_prices(price_vectors: Sequence, probabilities=None, n_classes: int = 1) -> ScenarioSet:
-    """Scenario set with only price uncertainty (zero local states)."""
-    prices = np.array(price_vectors, dtype=float)
-    if prices.ndim != 2:
-        raise ValueError(f"price vectors must form an (S, N) matrix, got shape {prices.shape}")
-    s, n = prices.shape
-    if probabilities is None:
-        probabilities = [1.0 / s] * s
-    return ScenarioSet(probabilities, prices, np.zeros((s, n_classes, n)))
 
 
 # A per-scenario field: an (S, ...) array, or a callback evaluated on each row.
@@ -369,13 +349,12 @@ def split_marginals(scenario_set: ScenarioSet) -> ScenarioSet:
     tensors = [
         np.repeat(ss.price_matrix, s, axis=0),
         ss.disturbance_tensor[local_rows],
-        ss.solar_unit_matrix[local_rows] if ss.has_solar_unit else None,
+        ss.solar_unit_matrix[local_rows],
     ]
     # the built tensors are fresh and unshared: read-only, they are kept by
     # the constructor instead of copied, so the set is built with one copy
     for tensor in tensors:
-        if tensor is not None:
-            tensor.setflags(write=False)
+        tensor.setflags(write=False)
     product = ScenarioSet(np.outer(ss.probabilities, ss.probabilities).reshape(-1), *tensors)
     if ss._source is None:
         return product
@@ -391,13 +370,10 @@ def with_pv_capacity(
 
     ``customer_kw`` is a per-class capacity vector (kW) and ``retailer_kw``
     a scalar capacity: class c's renewables become ``customer_kw[c] *
-    solar`` and the retailer's ``retailer_kw * solar``.  Requires
-    ``solar_unit`` on the set.  The new set shares every tensor with
-    ``scenario_set`` and costs O(C N): its moments come from the source's
-    (:meth:`SetMoments.with_pv`).
+    solar`` and the retailer's ``retailer_kw * solar``.  The new set shares
+    every tensor with ``scenario_set`` and costs O(C N): its moments come
+    from the source's (:meth:`SetMoments.with_pv`).
     """
-    if not scenario_set.has_solar_unit:
-        raise ValueError("scenario set has no solar_unit profile to scale")
     c = scenario_set.n_classes
     customer_kw = np.zeros(c) if customer_kw is None else np.array(customer_kw, dtype=float)
     if customer_kw.shape != (c,):

@@ -225,15 +225,6 @@ def customer_fleet_meter(case: IntegrationCase, n_classes: int, prices) -> np.nd
     return np.outer(units, schedule.meter_energy)
 
 
-def retailer_commitment(case: IntegrationCase, mean_prices) -> np.ndarray:
-    """Retailer fleet schedule committed ex ante against the expected price."""
-    mean_prices = as_price_vector(mean_prices)
-    schedule = _unit_schedule(case, mean_prices) if case.uses_retailer_der else None
-    if schedule is None:
-        return np.zeros(mean_prices.size)
-    return case.storage_units * schedule.meter_energy
-
-
 def fleet_value(case: IntegrationCase, prices) -> float:
     """Arbitrage value of the case's storage fleet at the given prices, $ per day."""
     schedule = _unit_schedule(case, as_price_vector(prices))

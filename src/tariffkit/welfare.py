@@ -101,7 +101,8 @@ def evaluate(
     if case.uses_retailer_der:
         retailer_ren = tf.renewable_value(case, scenario_set)
         retailer_fleet = tf.fleet_value(case, lam_bar)
-        cost -= retailer_ren + float(lam_bar @ tf.retailer_commitment(case, lam_bar))
+        # committed against lam_bar, the fleet's meter energy is worth its value there
+        cost -= retailer_ren + retailer_fleet
 
     return SurplusReport(
         consumer_surplus=consumer_surplus,
@@ -253,7 +254,6 @@ def planner_bound(
 class BaseAnchors:
     """Frozen base-case quantities all gains are normalized against."""
 
-    tariff: tf.TwoPartTariff
     revenue: float
     consumer_surplus: float
     retailer_surplus: float
@@ -265,7 +265,6 @@ def base_anchors(
     """Evaluate the nominal tariff with no DERs and freeze the anchors."""
     report = evaluate(nominal_tariff, model, scenario_set, tf.no_der())
     return BaseAnchors(
-        tariff=nominal_tariff,
         revenue=report.expected_revenue,
         consumer_surplus=report.consumer_surplus,
         retailer_surplus=report.retailer_surplus,
@@ -274,19 +273,33 @@ def base_anchors(
 
 @dataclass(frozen=True)
 class ParetoPoint:
+    """One F grid value of a Pareto front.
+
+    A value the family cannot reach has no tariff, NaN gains and the
+    solver's reason.
+    """
+
     fixed_cost: float
-    cs_gain: float
-    rs_gain: float
-    tariff: tf.TwoPartTariff
+    cs_gain: float = math.nan
+    rs_gain: float = math.nan
+    tariff: tf.TwoPartTariff | None = None
+    reason: str = ""
+
+    @property
+    def feasible(self) -> bool:
+        return self.tariff is not None
 
 
 @dataclass(frozen=True)
 class ParetoFront:
-    """Feasible points of one family plus records of skipped grid points."""
+    """One family's cells, one per F grid value, in grid order."""
 
-    family: tf.TariffFamily
-    points: tuple[ParetoPoint, ...]
-    infeasible: tuple[tuple[float, str], ...]
+    cells: tuple[ParetoPoint, ...]
+
+    @property
+    def points(self) -> tuple[ParetoPoint, ...]:
+        """The feasible cells, in grid order."""
+        return tuple(cell for cell in self.cells if cell.feasible)
 
 
 def pareto_front(
@@ -301,19 +314,17 @@ def pareto_front(
 
     Each grid value of F is solved within the family; gains are
     (cs - cs_base) / revenue_base and (F - rs_base) / revenue_base.
-    Infeasible grid points are recorded and skipped.
     """
-    points = []
-    infeasible = []
+    cells = []
     for f in fixed_cost_grid:
         f = float(f)
         try:
             tariff = tf.optimize_family_report(family, model, scenario_set, case, f).tariff
         except tf.InfeasibleFamilyError as exc:
-            infeasible.append((f, str(exc)))
+            cells.append(ParetoPoint(f, reason=str(exc)))
             continue
         report = evaluate(tariff, model, scenario_set, case)
-        points.append(
+        cells.append(
             ParetoPoint(
                 fixed_cost=f,
                 cs_gain=(report.consumer_surplus - anchors.consumer_surplus) / anchors.revenue,
@@ -321,7 +332,7 @@ def pareto_front(
                 tariff=tariff,
             )
         )
-    return ParetoFront(family=family, points=tuple(points), infeasible=tuple(infeasible))
+    return ParetoFront(tuple(cells))
 
 
 def allocate_pv(
@@ -532,8 +543,6 @@ def cross_subsidy(
     F - tr cov(lambda, r).  Raises ValueError at F = 0, where the
     normalized subsidy is undefined.
     """
-    if not scenario_set.has_solar_unit:
-        raise ValueError("cross-subsidy analysis needs the per-kW solar profile")
     if fixed_cost == 0.0:
         raise ValueError("subsidy_norm is normalized by F and is undefined at F = 0")
     cells = []

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -127,10 +128,6 @@ def test_validate_rejects_a_capacity_grid_sweep_cannot_allocate(study_dir, tmp_p
     for command in (["sweep", "--mode", "decentralized"], ["xsub"]):
         assert cli.main([command[0], str(config), *command[1:]]) == 2
         assert "exceeds one unit per customer" in capsys.readouterr().err
-    # an empty grid allocates nothing
-    config = rewrite_config(study_dir, tmp_path, grids={"capacity_kw": []})
-    assert cli.main(["validate", str(config)]) == 0
-    assert "ok   grids.capacity_kw" in capsys.readouterr().out
 
 
 def test_optimize_reports_and_writes_table(study_dir, out_dir, capsys):
@@ -200,6 +197,42 @@ def test_all_infeasible_grid_exits_3(study_dir, out_dir, capsys, command):
     assert cli.main([name, str(study_dir / "study.yaml"), *options]) == 3
     assert "infeasible" in capsys.readouterr().err
     assert not list(out_dir.glob("*.csv"))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("families", "kinds", []),
+    ("families", "kinds", ["flat-zero-A", "flat-zero-A"]),
+    ("grids", "capacity_kw", []),
+    ("grids", "capacity_kw", [0, 550000, 550000]),
+], ids=["kinds-empty", "kinds-repeated", "capacity-empty", "capacity-repeated"])
+def test_table_lists_are_nonempty_without_repeats(study_dir, tmp_path, out_dir, capsys,
+                                                  section, key, value):
+    # each element of these lists is one row of a study table
+    config = str(rewrite_config(study_dir, tmp_path, **{section: {key: value}}))
+    failure = f"{section}.{key} must be a non-empty list without repeats"
+    assert cli.main(["validate", config]) == 2
+    assert f"FAIL config parses: {failure}" in capsys.readouterr().out
+    for command in (["optimize"], ["pareto"], ["sweep", "--mode", "centralized"], ["xsub"]):
+        assert cli.main([command[0], config, *command[1:]]) == 2
+        assert failure in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, option, values", [
+    (["pareto"], "--families", ["flat-zero-A", "optimal-two-part", "flat-zero-A"]),
+    (["pareto"], "--F-grid", ["1e5", "100000"]),
+    (["sweep", "--mode", "centralized"], "--families", ["flat-zero-A", "flat-zero-A"]),
+    (["sweep", "--mode", "centralized"], "--capacity-grid", ["0", "550000", "5.5e5"]),
+    (["xsub"], "--families", ["flat-zero-A", "flat-zero-A"]),
+    (["xsub"], "--capacity-grid", ["0", "-0"]),
+])
+def test_grid_options_reject_repeats(study_dir, out_dir, capsys, command, option, values):
+    argv = [command[0], str(study_dir / "study.yaml"), *command[1:], option, *values]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {option}: must not repeat a value" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command, grid_columns", [
@@ -464,6 +497,29 @@ def test_manifest_digests_are_sha256(study_dir, out_dir, capsys):
 @given(data=hst.binary(max_size=2048))
 def test_sha256_bytes_matches_hashlib(data):
     assert cli._sha256_bytes(data) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("route", ["_sha2", "_sha256", "hashlib"])
+def test_sha256_bytes_routes_agree_with_hashlib(monkeypatch, route):
+    # _sha256_bytes takes the first of _sha2 (3.12+), _sha256 (3.10-3.11) and
+    # hashlib that imports; make exactly one importable and count its calls
+    data = bytes(range(256)) * 3
+    real = hashlib.sha256
+    want = real(data).hexdigest()
+    calls = []
+
+    def counted(payload):
+        calls.append(route)
+        return real(payload)
+
+    for name in ("_sha2", "_sha256"):
+        alias = types.ModuleType(name)
+        alias.sha256 = counted
+        monkeypatch.setitem(sys.modules, name, alias if name == route else None)
+    if route == "hashlib":
+        monkeypatch.setattr(hashlib, "sha256", counted)
+    assert cli._sha256_bytes(data) == want
+    assert calls == [route]
 
 
 def test_output_dir_env_override(study_dir, tmp_path, monkeypatch):

@@ -240,6 +240,33 @@ def test_field_rule_failure_names_the_entry(key):
         ingest.config_from_mapping({section: {entry: RULE_BREAKERS[key]}})
 
 
+# the entries that list a study table's rows, each with one allowed element
+TABLE_ENTRIES = {
+    "families.kinds": "flat-zero-A",
+    "families.fixed_connection_charges_usd_per_day": 0.53,
+    "grids.capacity_kw": 550e3,
+    "grids.fixed_cost_usd_per_day": 7.0,
+    "grids.fixed_cost_multipliers": 1.0,
+}
+
+
+def test_table_entries_are_declared_distinct():
+    declared = {f.metadata["key"] for f in fields(ingest.StudyConfig) if f.metadata["distinct"]}
+    assert declared == set(TABLE_ENTRIES)
+
+
+@pytest.mark.parametrize("shape", ["empty", "repeated"])
+@pytest.mark.parametrize("key", TABLE_ENTRIES)
+def test_table_entry_is_nonempty_without_repeats(key, shape):
+    section, entry = key.split(".")
+    value = [] if shape == "empty" else [TABLE_ENTRIES[key]] * 2
+    with pytest.raises(ingest.ConfigError,
+                       match=f"^{re.escape(key)} must be a non-empty list without repeats$"):
+        ingest.config_from_mapping({section: {entry: value}})
+    # one element is a table of one row
+    ingest.config_from_mapping({section: {entry: [TABLE_ENTRIES[key]]}})
+
+
 def test_readme_study_file_table_lists_every_entry():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Study file\n", 1)[1].split("\n## ", 1)[0]
@@ -326,7 +353,7 @@ def test_build_scenarios_paired_mode():
     # the population disturbance reproduces each day's deviation exactly
     pop = np.einsum("c,scn->sn", model.class_counts, ss.disturbance_tensor)
     np.testing.assert_allclose(pop, LOAD - LOAD.mean(axis=0), rtol=0, atol=1e-12)
-    assert ss.has_solar_unit
+    np.testing.assert_array_equal(ss.solar_unit_matrix, SOLAR)
 
 
 def test_build_scenarios_product_mode():

@@ -89,7 +89,7 @@ def test_resim_storage_neutral_at_constant_prices():
     # cycling is value-neutral for the retailer
     model, _ = fixture(6)
     flat = np.full(6, 0.08)
-    ss = sc.ScenarioSet([1.0], [flat], np.zeros((1, 3, 6)))
+    ss = sc.ScenarioSet([1.0], [flat], np.zeros((1, 3, 6)), np.zeros((1, 6)))
     tariff = tf.TwoPartTariff(0.4, flat)
     none = oracle.settlement_resim(tariff, model, ss, tf.no_der())
     fleet = oracle.settlement_resim(
@@ -117,7 +117,7 @@ def test_root_find_matches_closed_form_charge():
 def test_planner_direct_deterministic_set():
     model, _ = fixture(8)
     lam = np.array([0.02, 0.09, 0.04, 0.07, 0.03, 0.05])
-    ss = sc.ScenarioSet([1.0], [lam], np.zeros((1, 3, 6)))
+    ss = sc.ScenarioSet([1.0], [lam], np.zeros((1, 3, 6)), np.zeros((1, 6)))
     got = oracle.planner_direct(model, ss, tf.no_der())
     want = wf.planner_bound(model, ss, tf.no_der())
     assert got == pytest.approx(want, rel=1e-12)
@@ -134,7 +134,7 @@ def test_planner_direct_independent_two_by_two():
     disturbances = [
         np.outer(model.sigma, np.full(6, d) / model.sigma_total) for _ in lam_days for d in dist_days
     ]
-    ss = sc.ScenarioSet(np.full(4, 0.25), prices, disturbances)
+    ss = sc.ScenarioSet(np.full(4, 0.25), prices, disturbances, np.zeros((4, 6)))
     case = tf.decentralized_case(st.idealized(0.8), np.full(3, 0.5))
     got = oracle.planner_direct(model, ss, case)
     want = wf.planner_bound(model, ss, case)
@@ -157,7 +157,8 @@ def test_planner_direct_rejects_centralized_and_caps_support():
     rng = np.random.default_rng(0)
     days = [(rng.uniform(0.01, 0.1, size=6), rng.normal(size=(3, 6))) for _ in range(17)]
     many = sc.ScenarioSet(
-        np.full(17, 1.0 / 17), [lam for lam, _ in days], [dist for _, dist in days]
+        np.full(17, 1.0 / 17), [lam for lam, _ in days], [dist for _, dist in days],
+        np.zeros((17, 6)),
     )
     with pytest.raises(ValueError, match="cap"):
         oracle.planner_direct(model, many, tf.no_der())

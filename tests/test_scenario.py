@@ -16,19 +16,28 @@ def three_day_set():
     return sc.ScenarioSet(np.full(3, 1.0 / 3.0), prices, dist, solar_unit_matrix=solar)
 
 
+def price_set(price_rows, probabilities=None):
+    # price uncertainty only: zero local states and a zero solar profile
+    prices = np.array(price_rows, dtype=float)
+    s, n = prices.shape
+    if probabilities is None:
+        probabilities = np.full(s, 1.0 / s)
+    return sc.ScenarioSet(probabilities, prices, np.zeros((s, 1, n)), np.zeros((s, n)))
+
+
 def test_probabilities_must_sum_to_one():
-    good = sc.from_prices([[1.0, 2.0], [2.0, 1.0]])
+    good = price_set([[1.0, 2.0], [2.0, 1.0]])
     assert abs(good.probabilities.sum() - 1.0) <= 1e-12
     with pytest.raises(ValueError, match="sum"):
-        sc.from_prices([[1.0, 2.0], [2.0, 1.0]], probabilities=[0.6, 0.6])
+        price_set([[1.0, 2.0], [2.0, 1.0]], probabilities=[0.6, 0.6])
 
 
 def test_probability_tolerance_is_tight():
     eps = 1e-10  # just past tolerance
     with pytest.raises(ValueError):
-        sc.from_prices([[1.0], [2.0]], probabilities=[0.5, 0.5 + eps])
+        price_set([[1.0], [2.0]], probabilities=[0.5, 0.5 + eps])
     # within tolerance passes
-    sc.from_prices([[1.0], [2.0]], probabilities=[0.5, 0.5 + 1e-13])
+    price_set([[1.0], [2.0]], probabilities=[0.5, 0.5 + 1e-13])
 
 
 def test_scenario_shape_validation():
@@ -37,11 +46,20 @@ def test_scenario_shape_validation():
             probabilities=[1.0],
             price_matrix=[[1.0, 2.0]],
             disturbance_tensor=np.zeros((1, 1, 3)),
+            solar_unit_matrix=np.zeros((1, 2)),
         )
     with pytest.raises(ValueError, match="probabilities"):
-        sc.ScenarioSet([1.5], [[1.0, 2.0]], np.zeros((1, 1, 2)))
+        sc.ScenarioSet([1.5], [[1.0, 2.0]], np.zeros((1, 1, 2)), np.zeros((1, 2)))
     with pytest.raises(ValueError):
-        sc.ScenarioSet([1.0], [[1.0, np.nan]], np.zeros((1, 1, 2)))
+        sc.ScenarioSet([1.0], [[1.0, np.nan]], np.zeros((1, 1, 2)), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="solar_unit has shape"):
+        sc.ScenarioSet([1.0], [[1.0, 2.0]], np.zeros((1, 1, 2)), np.zeros((1, 3)))
+
+
+def test_solar_profile_is_required():
+    # every set carries its per-kW solar profile; a set without solar passes zeros
+    with pytest.raises(TypeError):
+        sc.ScenarioSet([1.0], [[1.0, 2.0]], np.zeros((1, 1, 2)))
 
 
 def test_renewables_must_be_nonnegative():
@@ -55,16 +73,18 @@ def test_renewables_must_be_nonnegative():
         )
     with pytest.raises(ValueError, match="non-negative"):
         sc.with_pv_capacity(three_day_set(), retailer_kw=-1.0)
+    with pytest.raises(ValueError, match="non-negative"):
+        sc.with_pv_capacity(three_day_set(), customer_kw=[-1.0])
 
 
 def test_arrays_are_frozen():
-    (s,) = sc.ScenarioSet([1.0], [[1.0, 2.0]], np.zeros((1, 1, 2)))
+    (s,) = price_set([[1.0, 2.0]])
     with pytest.raises(ValueError):
         s.prices[0] = 5.0
 
 
 def test_expectations_are_exact_weighted_sums():
-    ss = sc.from_prices([[1.0, 4.0], [3.0, 0.0]], probabilities=[0.25, 0.75])
+    ss = price_set([[1.0, 4.0], [3.0, 0.0]], probabilities=[0.25, 0.75])
     np.testing.assert_allclose(sc.expect_price(ss), [2.5, 1.0], rtol=0, atol=0)
     np.testing.assert_allclose(
         sc.expect_vector(ss, lambda s: 2.0 * s.prices), [5.0, 2.0], rtol=0, atol=0
@@ -78,7 +98,7 @@ def test_cov_trace_matches_moment_identity():
     prices = rng.uniform(0.5, 3.0, size=(k, n))
     weights = rng.uniform(0.1, 1.0, size=k)
     weights /= weights.sum()
-    ss = sc.from_prices(list(prices), probabilities=list(weights))
+    ss = price_set(prices, probabilities=weights)
 
     def sel_a(s):
         return s.prices
@@ -94,7 +114,7 @@ def test_cov_trace_matches_moment_identity():
 
 
 def test_cov_trace_zero_on_constant_field():
-    ss = sc.from_prices([[1.0, 2.0], [5.0, 1.0]])
+    ss = price_set([[1.0, 2.0], [5.0, 1.0]])
     got = sc.cov_trace(ss, lambda s: s.prices, lambda s: np.ones(2))
     assert got == pytest.approx(0.0, abs=1e-15)
 
@@ -189,14 +209,6 @@ def test_with_pv_capacity_scales_solar():
     assert ss.customer_renewable_tensor.max() == 0.0
 
 
-def test_with_pv_capacity_requires_solar_profile():
-    ss = sc.from_prices([[1.0, 2.0]])
-    with pytest.raises(ValueError, match="solar"):
-        sc.with_pv_capacity(ss, retailer_kw=1.0)
-    with pytest.raises(ValueError):
-        sc.with_pv_capacity(three_day_set(), customer_kw=[-1.0])
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     hst.lists(
@@ -206,7 +218,7 @@ def test_with_pv_capacity_requires_solar_profile():
     )
 )
 def test_expectation_linear_in_fields(price_rows):
-    ss = sc.from_prices([np.array(r) for r in price_rows])
+    ss = price_set(price_rows)
     a = sc.expect_vector(ss, lambda s: s.prices)
     b = sc.expect_vector(ss, lambda s: 3.0 * s.prices + 1.0)
     np.testing.assert_allclose(b, 3.0 * a + 1.0, rtol=0, atol=1e-12)
@@ -214,8 +226,7 @@ def test_expectation_linear_in_fields(price_rows):
 
 def _row_keys(ss):
     # (price row, local row) of each scenario, as hashable bytes
-    return [(row.prices.tobytes(),
-             row.disturbances.tobytes() + (b"" if row.solar_unit is None else row.solar_unit.tobytes()))
+    return [(row.prices.tobytes(), row.disturbances.tobytes() + row.solar_unit.tobytes())
             for row in ss]
 
 
@@ -238,7 +249,7 @@ def test_split_marginals_crosses_rows_with_the_marginal_law(seed, n_days, n_clas
         rng.dirichlet(np.ones(n_days)),
         rng.uniform(0.02, 0.08, size=(3, horizon))[price_pick],
         rng.normal(size=(3, n_classes, horizon))[local_pick],
-        solar_unit_matrix=solar_pool[local_pick] if solar else None,
+        solar_unit_matrix=solar_pool[local_pick] if solar else np.zeros((n_days, horizon)),
     )
     product = sc.split_marginals(joint)
 
@@ -248,8 +259,7 @@ def test_split_marginals_crosses_rows_with_the_marginal_law(seed, n_days, n_clas
     assert len(product) == s * s
     np.testing.assert_array_equal(product.price_matrix, joint.price_matrix[a])
     np.testing.assert_array_equal(product.disturbance_tensor, joint.disturbance_tensor[b])
-    if solar:
-        np.testing.assert_array_equal(product.solar_unit_matrix, joint.solar_unit_matrix[b])
+    np.testing.assert_array_equal(product.solar_unit_matrix, joint.solar_unit_matrix[b])
 
     # summed per distinct (price row, local row), the weights are p(a) q(b)
     p, q, law = {}, {}, {}

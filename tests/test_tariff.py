@@ -16,7 +16,7 @@ from tariffkit import welfare as wf
 from test_storage import _counting_maximize
 
 
-def fixture(correlated=True, n_classes=3, horizon=6, with_solar=True, seed=2):
+def fixture(correlated=True, n_classes=3, horizon=6, seed=2):
     """Small correlated or independent scenario study."""
     rng = np.random.default_rng(seed)
     sales = rng.uniform(8.0, 16.0, size=horizon)
@@ -35,11 +35,8 @@ def fixture(correlated=True, n_classes=3, horizon=6, with_solar=True, seed=2):
         prices.append(np.clip(0.05 + 0.03 * rng.normal(size=horizon) + 0.04 * shock, 0.005, None))
         load_dev = 0.8 * shock + 0.3 * rng.normal(size=horizon) if correlated else rng.normal(size=horizon)
         disturbances.append(np.outer(model.sigma, load_dev / model.sigma_total))
-        if with_solar:
-            solar.append(np.clip(rng.uniform(0.0, 0.6, size=horizon), 0.0, None))
-    built = sc.ScenarioSet(
-        np.full(k, 1.0 / k), prices, disturbances, solar_unit_matrix=solar if with_solar else None
-    )
+        solar.append(np.clip(rng.uniform(0.0, 0.6, size=horizon), 0.0, None))
+    built = sc.ScenarioSet(np.full(k, 1.0 / k), prices, disturbances, solar_unit_matrix=solar)
     if not correlated:
         built = sc.split_marginals(built)
     return model, built

@@ -188,9 +188,10 @@ def test_pareto_front_slope_minus_one_for_optimal_family():
     front = wf.pareto_front(
         tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), model, ss, tf.no_der(), grid, anchors
     )
-    assert len(front.points) == 5 and not front.infeasible
-    cs = np.array([p.cs_gain for p in front.points])
-    rs = np.array([p.rs_gain for p in front.points])
+    assert [cell.fixed_cost for cell in front.cells] == grid
+    assert all(cell.feasible and not cell.reason for cell in front.cells)
+    cs = np.array([cell.cs_gain for cell in front.cells])
+    rs = np.array([cell.rs_gain for cell in front.cells])
     slope = np.polyfit(rs, cs, 1)[0]
     assert slope == pytest.approx(-1.0, abs=1e-9)
 
@@ -201,10 +202,13 @@ def test_pareto_front_records_infeasible_grid_points():
     front = wf.pareto_front(
         tf.TariffFamily(kind=tf.FLAT_ZERO_A), model, ss, tf.no_der(), [10.0, 1e9], anchors
     )
-    assert len(front.points) == 1
-    assert len(front.infeasible) == 1
-    assert front.infeasible[0][0] == 1e9
-    assert "attain" in front.infeasible[0][1]
+    # an unreachable F keeps its grid place: no tariff, NaN gains, the solver's reason
+    reached, unreached = front.cells
+    assert reached.feasible and reached.fixed_cost == 10.0 and not reached.reason
+    assert not unreached.feasible and unreached.fixed_cost == 1e9
+    assert math.isnan(unreached.cs_gain) and math.isnan(unreached.rs_gain)
+    assert "attain" in unreached.reason
+    assert front.points == (reached,)
 
 
 def test_flat_points_weakly_inside_optimal_front():
@@ -342,14 +346,6 @@ def test_cross_subsidy_owner_counts_follow_allocation():
     )
     assert cells[0].owner_count == 0.0
     assert cells[1].owner_count == 3.0
-
-
-def test_cross_subsidy_requires_solar_profile():
-    model, _ = fixture()
-    bare = sc.from_prices([[0.1] * 6, [0.2] * 6], n_classes=3)
-    with pytest.raises(ValueError, match="solar"):
-        wf.cross_subsidy(tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), model, bare, [0.0], 5.0,
-                         pv_unit_kw=5.0)
 
 
 def test_cross_subsidy_infeasible_cells_are_marked():
