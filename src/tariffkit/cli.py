@@ -237,6 +237,8 @@ def cmd_validate(args) -> int:
         wf.allocate_pv(study.model, max(config.capacity_grid_kw), config.pv_unit_kw)
 
     check("grids.capacity_kw allocates at most one PV unit per customer", pv_grid_allocates)
+    check("pareto F grid has no repeated value",
+          lambda: ingest.resolve_fixed_cost_grid(config, study.fixed_cost))
     nominal = ingest.nominal_tariff(config)
     anchors = check(
         "nominal tariff evaluates",

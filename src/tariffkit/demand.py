@@ -60,24 +60,21 @@ class DemandModel:
     """Population of customer classes sharing one demand shape.
 
     sigma : (C,) class scale multipliers, all positive
-    base : (N,) unit-sigma intercept b0, kWh (class i baseline at the
-        calibration price is sigma_i * (b0 - B pi_cal))
+    base : (N,) unit-sigma intercept b0, kWh (class i baseline at price
+        pi is sigma_i * (b0 - B pi))
     slope : (N, N) symmetric positive definite price response B, kWh per $/kWh
-    calibration_price : (N,) price at which the model was calibrated, $/kWh
     class_counts : (C,) customers per class
     """
 
     sigma: np.ndarray
     base: np.ndarray
     slope: np.ndarray
-    calibration_price: np.ndarray
     class_counts: np.ndarray
 
     def __post_init__(self):
         sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
         base = np.atleast_1d(np.asarray(self.base, dtype=float))
         slope = np.atleast_2d(np.asarray(self.slope, dtype=float))
-        cal = as_price_vector(self.calibration_price)
         counts = np.atleast_1d(np.asarray(self.class_counts, dtype=float))
         n = base.size
         if slope.shape != (n, n):
@@ -95,8 +92,6 @@ class DemandModel:
         except np.linalg.LinAlgError:
             min_eig = np.linalg.eigvalsh(symmetric).min()
             raise ValueError(f"slope matrix must be positive definite, min eig {min_eig}") from None
-        if cal.size != n:
-            raise ValueError("calibration_price length does not match base")
         if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
             raise ValueError("sigma entries must be positive and finite")
         if sigma.shape != counts.shape:
@@ -108,7 +103,6 @@ class DemandModel:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "calibration_price", cal)
         object.__setattr__(self, "class_counts", counts)
 
     @property
@@ -221,6 +215,5 @@ def calibrate(
         sigma=sigma,
         base=base,
         slope=slope,
-        calibration_price=cal,
         class_counts=class_counts,
     )

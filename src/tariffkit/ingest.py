@@ -250,6 +250,12 @@ class StudyConfig:
                 )
         if self.fixed_cost_mode == "explicit" and self.fixed_cost_value is None:
             raise ConfigError("fixed_cost.value_usd_per_day required when mode is explicit")
+        labels = {_charge_label(c) for c in self.fixed_connection_charges}
+        if len(labels) < len(self.fixed_connection_charges):
+            raise ConfigError(
+                "families.fixed_connection_charges_usd_per_day must differ in their first "
+                "12 significant digits, which label a fixed-A family"
+            )
 
     @staticmethod
     def check_field(name: str, value):
@@ -466,13 +472,19 @@ def derive_fixed_cost(config: StudyConfig, model: dm.DemandModel, scenario_set: 
     return tf.expected_retailer_surplus(nominal_tariff(config), model, scenario_set, tf.no_der())
 
 
+def _charge_label(charge: float) -> str:
+    """A fixed-A family's charge as its label prints it, at the tables' 12 digits."""
+    return f"{charge:.12g}"
+
+
 def configured_families(config: StudyConfig) -> list[tuple[str, tf.TariffFamily]]:
     """Instantiate (label, family) pairs; fixed-A kinds once per charge."""
     out = []
     for kind in config.family_kinds:
         if kind in (tf.FLAT_FIXED_A, tf.DYNAMIC_FIXED_A):
             for charge in config.fixed_connection_charges:
-                label = kind if len(config.fixed_connection_charges) == 1 else f"{kind}@{charge:g}"
+                label = kind if len(config.fixed_connection_charges) == 1 else \
+                    f"{kind}@{_charge_label(charge)}"
                 out.append((label, tf.TariffFamily(kind=kind, fixed_connection_charge=charge)))
         else:
             out.append((kind, tf.TariffFamily(kind=kind)))
@@ -510,9 +522,20 @@ def build_study(config: StudyConfig) -> Study:
 
 
 def resolve_fixed_cost_grid(config: StudyConfig, fixed_cost: float) -> tuple[float, ...]:
+    """The Pareto F grid: the configured one, else the multipliers times F.
+
+    Each F is one row per family, so a grid with repeats (every multiplier
+    at F = 0) is a ConfigError.
+    """
     if config.fixed_cost_grid is not None:
         return config.fixed_cost_grid
-    return tuple(m * fixed_cost for m in config.fixed_cost_multipliers)
+    grid = tuple(m * fixed_cost for m in config.fixed_cost_multipliers)
+    if len(set(grid)) < len(grid):
+        raise ConfigError(
+            f"grids.fixed_cost_multipliers give repeated F values at F = {fixed_cost!r}; "
+            "set grids.fixed_cost_usd_per_day"
+        )
+    return grid
 
 
 # ---------------------------------------------------------------------------

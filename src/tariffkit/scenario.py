@@ -7,8 +7,9 @@ hold to floating-point accuracy rather than Monte Carlo accuracy.
 A :class:`ScenarioSet` stores its data once, as read-only stacked tensors
 with the scenario index first; every library computation is a reduction over
 that leading axis.  The price-independent reductions that the tariff closed
-forms need (:class:`SetMoments`) are made once per set and cached on it; a
-PV-rescaled set (:func:`with_pv_capacity`) updates its source's instead.
+forms need (:class:`SetMoments`) are made once per set and cached on it.
+They are capacity-free: a reader scales a solar moment by the PV capacity on
+its case's side, so a PV set (:func:`with_pv_capacity`) shares its source's.
 A set is built from its tensors only; :class:`Scenario` is the read-only
 row view it yields when iterated, for the oracle, tests and demos.
 
@@ -28,7 +29,6 @@ Conventions
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,8 +77,6 @@ def _frozen(values, shape: tuple[int, ...], name: str, nonneg: bool = False) -> 
 # the tensors a Scenario row views, in Scenario field order
 _SET_FIELDS = ("price_matrix", "disturbance_tensor", "customer_renewable_tensor",
                "retailer_renewable_matrix", "solar_unit_matrix")
-# what a ScenarioSet stores, and a with_pv_capacity set shares with its source
-_STORED = ("probabilities", "price_matrix", "disturbance_tensor", "solar_unit_matrix")
 
 
 @dataclass(frozen=True)
@@ -113,14 +111,15 @@ class SetMoments:
     mean_disturbance : (C, N) E[w_c], per customer of class c
     disturbance_cov : (C,) tr cov(lambda, w_c)
     disturbance_second_moment : (C, N, N) E[w_c w_c^T]
-    mean_class_renewable : (C, N) E[R_c], the class-aggregate customer
-        renewables of class c
-    mean_customer_renewable : (N,) E[R], R = sum_c R_c
-    customer_renewable_cov : tr cov(lambda, R)
-    retailer_renewable_value : E[lambda^T r_retailer]
     mean_solar : (N,) E[solar], per kW of PV
     solar_cov : tr cov(lambda, solar), per kW
     solar_value : E[lambda^T solar], per kW
+
+    They hold no PV capacity.  Renewables are capacity times the solar
+    profile, so each renewable moment is a capacity times a solar moment,
+    and its reader scales it by the kW on its case's side: E[R_c] is
+    ``customer_kw[c] * mean_solar``, tr cov(lambda, R) is ``total kW *
+    solar_cov`` and E[lambda^T r] is ``kW * solar_value``.
 
     The cross moments are stored centred, E[lambda^T w_c] - lam_bar^T
     E[w_c], because every closed form reads them in that form and centring
@@ -131,41 +130,13 @@ class SetMoments:
     mean_disturbance: np.ndarray
     disturbance_cov: np.ndarray
     disturbance_second_moment: np.ndarray
-    mean_class_renewable: np.ndarray
-    mean_customer_renewable: np.ndarray
-    customer_renewable_cov: float
-    retailer_renewable_value: float
     mean_solar: np.ndarray
     solar_cov: float
     solar_value: float
 
-    def with_pv(self, customer_kw: np.ndarray, retailer_kw: float) -> SetMoments:
-        """Moments of the set with its renewables rebuilt from the solar profile.
-
-        Every renewable moment is linear in capacity, and the price and
-        disturbance moments (E[w_c w_c^T] too) do not change, so this costs
-        O(C N).  Read only by a :func:`with_pv_capacity` set.
-        """
-        total_kw = float(customer_kw.sum())
-        class_renewable = np.outer(customer_kw, self.mean_solar)
-        mean_renewable = total_kw * self.mean_solar
-        for arr in (class_renewable, mean_renewable):
-            arr.setflags(write=False)
-        return dataclasses.replace(
-            self,
-            mean_class_renewable=class_renewable,
-            mean_customer_renewable=mean_renewable,
-            customer_renewable_cov=total_kw * self.solar_cov,
-            retailer_renewable_value=retailer_kw * self.solar_value,
-        )
-
 
 def _reduced_moments(ss: ScenarioSet) -> SetMoments:
-    """One S-sized pass over a set's tensors (see :class:`SetMoments`).
-
-    A set built from its tensors has no PV, so its renewable moments are
-    exact zeros (read-only zero views).
-    """
+    """One S-sized pass over a set's tensors (see :class:`SetMoments`)."""
     probs = ss.probabilities
     mean_price = expect_price(ss)
     lam_dev = ss.price_matrix - mean_price
@@ -182,10 +153,6 @@ def _reduced_moments(ss: ScenarioSet) -> SetMoments:
         mean_disturbance=mean_dist,
         disturbance_cov=dist_cov,
         disturbance_second_moment=second,
-        mean_class_renewable=np.broadcast_to(0.0, (ss.n_classes, ss.horizon)),
-        mean_customer_renewable=np.broadcast_to(0.0, (ss.horizon,)),
-        customer_renewable_cov=0.0,
-        retailer_renewable_value=0.0,
         mean_solar=mean_solar,
         solar_cov=float(probs @ np.einsum("sn,sn->s", lam_dev, solar - mean_solar)),
         solar_value=float(probs @ np.einsum("sn,sn->s", ss.price_matrix, solar)),
@@ -207,17 +174,17 @@ class ScenarioSet:
     :func:`with_pv_capacity` set shares its source's tensors with new
     capacities.  The renewable tensors are read-only zero views at zero
     capacity and are otherwise built on each read; the closed forms read
-    only the set's moments.
+    only the set's moments and its capacities.
 
     Probabilities must sum to 1 within ``PROBABILITY_TOL``; a violation is a
     construction error, never silently renormalized.
 
     The set's price-independent statistics, :attr:`moments` (a
     :class:`SetMoments`), are computed once, on first use, and cached on the
-    set.  They depend on no demand model or integration case, and a set
-    never changes, so they cannot go stale.  A set built from data reduces
-    them in one pass over its scenarios; a :func:`with_pv_capacity` set
-    takes them from its source's in O(C N).
+    set.  They depend on no demand model, integration case or PV
+    capacity, and a set never changes, so they cannot go stale.  A set
+    built from data reduces them in one pass over its scenarios; a
+    :func:`with_pv_capacity` set shares its source's.
     """
 
     probabilities: np.ndarray
@@ -226,8 +193,6 @@ class ScenarioSet:
     solar_unit_matrix: np.ndarray
     customer_kw: np.ndarray
     retailer_kw: float
-    # the set built from data whose moments a with_pv_capacity set rescales, else None
-    _source: ScenarioSet | None = dataclasses.field(repr=False)
 
     def __init__(self, probabilities, price_matrix, disturbance_tensor, solar_unit_matrix):
         probabilities = _frozen(probabilities, np.shape(probabilities), "probabilities")
@@ -253,7 +218,6 @@ class ScenarioSet:
             solar_unit_matrix=_frozen(solar_unit_matrix, (s, n), "solar_unit", nonneg=True),
             customer_kw=np.broadcast_to(0.0, (c,)),  # a read-only zero view
             retailer_kw=0.0,
-            _source=None,
         )
 
     def __len__(self) -> int:
@@ -294,9 +258,7 @@ class ScenarioSet:
     @cached_property
     def moments(self) -> SetMoments:
         """The set's moments (see :class:`SetMoments`), computed once."""
-        if self._source is None:
-            return _reduced_moments(self)
-        return self._source.moments.with_pv(self.customer_kw, self.retailer_kw)
+        return _reduced_moments(self)
 
 
 # A per-scenario field: an (S, ...) array, or a callback evaluated on each row.
@@ -356,9 +318,9 @@ def split_marginals(scenario_set: ScenarioSet) -> ScenarioSet:
     for tensor in tensors:
         tensor.setflags(write=False)
     product = ScenarioSet(np.outer(ss.probabilities, ss.probabilities).reshape(-1), *tensors)
-    if ss._source is None:
-        return product
-    return with_pv_capacity(product, ss.customer_kw, ss.retailer_kw)
+    if ss.customer_kw.any() or ss.retailer_kw:
+        return with_pv_capacity(product, ss.customer_kw, ss.retailer_kw)
+    return product
 
 
 def with_pv_capacity(
@@ -370,9 +332,10 @@ def with_pv_capacity(
 
     ``customer_kw`` is a per-class capacity vector (kW) and ``retailer_kw``
     a scalar capacity: class c's renewables become ``customer_kw[c] *
-    solar`` and the retailer's ``retailer_kw * solar``.  The new set shares
-    every tensor with ``scenario_set`` and costs O(C N): its moments come
-    from the source's (:meth:`SetMoments.with_pv`).
+    solar`` and the retailer's ``retailer_kw * solar``.  The moments hold
+    no capacity, so the input's are reduced (once, if not yet cached) and
+    the new set shares them and every tensor with ``scenario_set``:
+    ``with_pv_capacity(ss, ...).moments is ss.moments``.
     """
     c = scenario_set.n_classes
     customer_kw = np.zeros(c) if customer_kw is None else np.array(customer_kw, dtype=float)
@@ -384,8 +347,7 @@ def with_pv_capacity(
     if np.any(customer_kw < 0.0) or retailer_kw < 0.0:
         raise ValueError("PV capacities must be non-negative")
     customer_kw.setflags(write=False)
-    source = scenario_set if scenario_set._source is None else scenario_set._source
+    scenario_set.moments  # cached in the instance dict, which the new set copies
     derived = ScenarioSet.__new__(ScenarioSet)
-    vars(derived).update({name: getattr(source, name) for name in _STORED},
-                         customer_kw=customer_kw, retailer_kw=retailer_kw, _source=source)
+    vars(derived).update(vars(scenario_set), customer_kw=customer_kw, retailer_kw=retailer_kw)
     return derived

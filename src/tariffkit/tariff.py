@@ -234,15 +234,15 @@ def fleet_value(case: IntegrationCase, prices) -> float:
 
 
 def renewable_value(case: IntegrationCase, scenario_set: ScenarioSet) -> float:
-    """E[lambda^T r] of the renewables on the case's side, from the set's moments."""
-    moments = scenario_set.moments
+    """E[lambda^T r] of the renewables on the case's side: its PV kW times
+    the set's per-kW E[lambda^T solar]."""
     if case.uses_customer_der:
-        return moments.customer_renewable_cov + float(
-            moments.mean_price @ moments.mean_customer_renewable
-        )
-    if case.uses_retailer_der:
-        return moments.retailer_renewable_value
-    return 0.0
+        kw = float(scenario_set.customer_kw.sum())
+    elif case.uses_retailer_der:
+        kw = scenario_set.retailer_kw
+    else:
+        return 0.0
+    return kw * scenario_set.moments.solar_value
 
 
 def der_value(case: IntegrationCase, scenario_set: ScenarioSet) -> float:
@@ -285,7 +285,8 @@ def _metered_moments(
     """E[metered disturbance] (N,) and tr cov(lambda, metered disturbance).
 
     Built from the set's cached moments, the model's class counts and the
-    case's metering, in O(C N); with
+    case's metering, in O(C N): behind the meter, the customers' total PV
+    kW times the per-kW solar moments.  With
     :func:`expected_consumer_surplus_by_class`, which nets the same terms
     per class, the only place in the closed-form path that reads the
     customer renewables.
@@ -294,8 +295,9 @@ def _metered_moments(
     mean = model.class_counts @ moments.mean_disturbance
     cov = float(model.class_counts @ moments.disturbance_cov)
     if case.uses_customer_der:
-        mean = mean - moments.mean_customer_renewable
-        cov -= moments.customer_renewable_cov
+        total_kw = float(scenario_set.customer_kw.sum())
+        mean = mean - total_kw * moments.mean_solar
+        cov -= total_kw * moments.solar_cov
     return mean, cov
 
 
@@ -358,7 +360,9 @@ def expected_consumer_surplus_by_class(
     billed = np.outer(counts * sigma, model.base) + counts[:, None] * moments.mean_disturbance
     if case.uses_customer_der:
         billed = (
-            billed - moments.mean_class_renewable - customer_fleet_meter(case, model.n_classes, pi)
+            billed
+            - np.outer(scenario_set.customer_kw, moments.mean_solar)
+            - customer_fleet_meter(case, model.n_classes, pi)
         )
     return (
         counts * quad_v / (2.0 * sigma)

@@ -16,9 +16,9 @@ Analyses built on top: planner (ex-post efficient) upper bound, Pareto
 fronts between consumer surplus and collected revenue, sweeps over
 installed DER capacity, and the cross-subsidy comparison between
 net-metered and separated settlement.  A swept capacity's scenario set is a
-:func:`~tariffkit.scenario.with_pv_capacity` set, whose moments are an
-O(C N) update of the study set's, so no grid cell makes a pass over the
-scenarios except the optimal tariff's independent check.
+:func:`~tariffkit.scenario.with_pv_capacity` set, which shares the study
+set's moments, so no grid cell makes a pass over the scenarios except the
+optimal tariff's independent check.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ def evaluate(
         fleet = tf.customer_fleet_meter(case, model.n_classes, pi).sum(axis=0)
         customer_ren = tf.renewable_value(case, scenario_set)
         customer_fleet = tf.fleet_value(case, pi)
-        revenue -= float(pi @ (moments.mean_customer_renewable + fleet))
+        total_kw = float(scenario_set.customer_kw.sum())
+        revenue -= float(pi @ (total_kw * moments.mean_solar + fleet))
         cost -= customer_ren + float(lam_bar @ fleet)
     if case.uses_retailer_der:
         retailer_ren = tf.renewable_value(case, scenario_set)
@@ -551,10 +552,11 @@ def cross_subsidy(
         owner_kw, owners = allocate_pv(model, capacity, pv_unit_kw)
         swept = with_pv_capacity(scenario_set, customer_kw=owner_kw)
         nm_case = tf.IntegrationCase(mode=tf.MODE_DECENTRALIZED)
+        separated_cost = fixed_cost - float(owner_kw.sum()) * swept.moments.solar_cov
         try:
             nm_tariff = tf.optimize_family_report(family, model, swept, nm_case, fixed_cost).tariff
             sep_tariff = tf.optimize_family_report(
-                family, model, swept, tf.no_der(), fixed_cost - swept.moments.customer_renewable_cov
+                family, model, swept, tf.no_der(), separated_cost
             ).tariff
         except tf.InfeasibleFamilyError as exc:
             cells.append(CrossSubsidyCell(capacity, float(owners.sum()), reason=str(exc)))

@@ -303,6 +303,47 @@ def test_xsub_at_zero_fixed_cost_exits_2(study_dir, tmp_path, out_dir, capsys):
     assert err.startswith("error:") and "F = 0" in err
 
 
+def test_pareto_grid_at_zero_fixed_cost_exits_2(study_dir, tmp_path, out_dir, capsys):
+    # every multiplier of F = 0 is F = 0, so the resolved grid would write
+    # one family's row once per multiplier
+    config = str(rewrite_config(
+        study_dir, tmp_path, fixed_cost={"mode": "explicit", "value_usd_per_day": 0.0}
+    ))
+    assert cli.main(["validate", config]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL pareto F grid has no repeated value: grids.fixed_cost_multipliers" in out
+    assert cli.main(["pareto", config]) == 2
+    assert capsys.readouterr().err.startswith("error: grids.fixed_cost_multipliers give repeated")
+    assert not out_dir.exists()
+    # a grid given in dollars is not scaled by F
+    assert cli.main(["pareto", config, "--families", "optimal-two-part", "--F-grid", "0", "1"]) == 0
+    _, _, rows = read_table(out_dir / "pareto.csv")
+    assert [row["fixed_cost_usd_per_day"] for row in rows] == ["0", "1"]
+
+
+def test_fixed_a_labels_keep_the_charge_digits(study_dir, tmp_path, out_dir, capsys):
+    # a fixed-A family's label carries its charge at the tables' 12 digits,
+    # so charges that agree to 6 digits still select their own family
+    charges = [0.53, 0.5300001, 2.0]
+    config = str(rewrite_config(study_dir, tmp_path, families={
+        "kinds": ["flat-fixed-A"], "fixed_connection_charges_usd_per_day": charges}))
+    labels = [label for label, _ in ingest.configured_families(ingest.load_config(config))]
+    assert labels == ["flat-fixed-A@0.53", "flat-fixed-A@0.5300001", "flat-fixed-A@2"]
+    f = ingest.build_study(ingest.load_config(config)).fixed_cost
+    assert cli.main(["pareto", config, "--families", "flat-fixed-A@0.5300001",
+                     "--F-grid", str(f)]) == 0
+    _, _, rows = read_table(out_dir / "pareto.csv")
+    assert [(r["family"], r["connection_charge_usd_per_day"]) for r in rows] == [
+        ("flat-fixed-A@0.5300001", "0.5300001")]
+    capsys.readouterr()
+    # charges that print alike at 12 digits would share a label
+    config = str(rewrite_config(study_dir, tmp_path, families={
+        "kinds": ["flat-fixed-A"], "fixed_connection_charges_usd_per_day": [0.53, 0.53 + 1e-14]}))
+    assert cli.main(["validate", config]) == 2
+    assert ("FAIL config parses: families.fixed_connection_charges_usd_per_day must differ "
+            "in their first 12 significant digits") in capsys.readouterr().out
+
+
 ZERO_SIZES = [("der", "storage_capacity_kwh"), ("der", "storage_power_kw"),
               ("inputs", "solar_system_kw")]
 

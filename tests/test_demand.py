@@ -6,11 +6,14 @@ from hypothesis import strategies as hst
 from tariffkit import demand as dm
 
 
+CALIBRATION_PRICE = 0.2  # small_model's flat calibration price, $/kWh
+
+
 def small_model(n_classes=3, horizon=4):
     sales = np.array([10.0, 14.0, 18.0, 12.0][:horizon])
     return dm.calibrate(
         target_sales=sales,
-        target_price=0.2,
+        target_price=CALIBRATION_PRICE,
         elasticity=-0.3,
         n_classes=n_classes,
         sigma_rule="linear",
@@ -55,7 +58,6 @@ def test_model_validation():
             sigma=good.sigma,
             base=good.base,
             slope=good.slope + np.triu(np.ones_like(good.slope), k=1),
-            calibration_price=good.calibration_price,
             class_counts=good.class_counts,
         )
     with pytest.raises(ValueError, match="positive definite"):
@@ -63,7 +65,6 @@ def test_model_validation():
             sigma=good.sigma,
             base=good.base,
             slope=-good.slope,
-            calibration_price=good.calibration_price,
             class_counts=good.class_counts,
         )
     with pytest.raises(ValueError, match="sigma"):
@@ -71,7 +72,6 @@ def test_model_validation():
             sigma=np.array([1.0, -1.0, 1.0]),
             base=good.base,
             slope=good.slope,
-            calibration_price=good.calibration_price,
             class_counts=good.class_counts,
         )
 
@@ -79,14 +79,14 @@ def test_model_validation():
 def test_calibration_reproduces_target_sales():
     model = small_model()
     sales = np.array([10.0, 14.0, 18.0, 12.0])
-    got = dm.aggregate_demand(model, model.calibration_price)
+    got = dm.aggregate_demand(model, np.full(model.horizon, CALIBRATION_PRICE))
     np.testing.assert_allclose(got, sales, rtol=1e-12)
 
 
 def test_calibration_reproduces_elasticity():
     # numeric elasticity of total daily energy under a uniform price scaling
     model = small_model()
-    pi = model.calibration_price
+    pi = np.full(model.horizon, CALIBRATION_PRICE)
     eps = 1e-6
     up = dm.aggregate_demand(model, (1.0 + eps) * pi).sum()
     dn = dm.aggregate_demand(model, (1.0 - eps) * pi).sum()
@@ -118,7 +118,7 @@ def test_aggregate_is_count_weighted_sum_of_classes():
 
 def test_demand_slopes_down_in_every_period():
     model = small_model()
-    pi = model.calibration_price.copy()
+    pi = np.full(model.horizon, CALIBRATION_PRICE)
     q0 = class_demand(model, 1, pi)
     pi2 = pi.copy()
     pi2[2] += 0.05
@@ -182,7 +182,7 @@ def model_with_slope(slope):
     n = slope.shape[0]
     # sigma_total = 8, a power of two, so scaling the slope rounds nothing
     return dm.DemandModel(sigma=np.array([1.0, 3.0]), base=np.ones(n), slope=slope,
-                          calibration_price=np.full(n, 0.1), class_counts=np.array([2.0, 2.0]))
+                          class_counts=np.array([2.0, 2.0]))
 
 
 @hst.composite
@@ -228,7 +228,6 @@ def test_slope_failure_names_offending_eigenvalue():
             sigma=np.array([1.0]),
             base=np.array([1.0, 1.0]),
             slope=bad,
-            calibration_price=np.array([0.1, 0.1]),
             class_counts=np.array([1.0]),
         )
     assert "-2" in str(excinfo.value)
@@ -251,7 +250,7 @@ def test_non_finite_base_or_slope_rejected(field, value):
     # an infinite slope has a Cholesky factor (with infinite entries), so
     # finiteness is checked on its own, and names the offending field
     fields = {"sigma": np.array([1.0]), "base": np.ones(2), "slope": np.eye(2),
-              "calibration_price": np.full(2, 0.1), "class_counts": np.array([1.0])}
+              "class_counts": np.array([1.0])}
     fields[field] = np.array(value)
     with pytest.raises(ValueError, match=f"^{field} entries must be finite"):
         dm.DemandModel(**fields)
@@ -266,10 +265,11 @@ def test_calibration_anchors_property(elasticity, price):
     sales = np.array([3.0, 7.0, 5.0])
     model = dm.calibrate(sales, price, elasticity=elasticity, n_classes=2,
                          sigma_rule="linear", total_customers=10.0)
-    got = dm.aggregate_demand(model, model.calibration_price)
+    calibration = np.full(sales.size, price)
+    got = dm.aggregate_demand(model, calibration)
     np.testing.assert_allclose(got, sales, rtol=1e-9)
     eps = 1e-7
-    up = dm.aggregate_demand(model, (1.0 + eps) * model.calibration_price).sum()
-    dn = dm.aggregate_demand(model, (1.0 - eps) * model.calibration_price).sum()
+    up = dm.aggregate_demand(model, (1.0 + eps) * calibration).sum()
+    dn = dm.aggregate_demand(model, (1.0 - eps) * calibration).sum()
     numeric = (up - dn) / (2.0 * eps * sales.sum())
     assert numeric == pytest.approx(elasticity, rel=1e-5)

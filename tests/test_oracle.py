@@ -281,23 +281,19 @@ def test_evaluate_matches_settlement(seed, n_days, n_classes, horizon, product, 
     assert_reports_agree(oracle.settlement_resim(tariff, model, swept, case),
                          wf.evaluate(tariff, model, swept, case))
 
-    # the rescaled set's moments are an update of ss's: a rebuild with no PV
-    # reduces its own, and its renewable moments are summed over every scenario
-    rebuilt = sc.ScenarioSet(
-        swept.probabilities, swept.price_matrix, swept.disturbance_tensor, swept.solar_unit_matrix
-    )
+    # the moments hold no capacity: scaled by the kW on each side, the
+    # per-kW solar moments give the renewable terms summed over every scenario
     probs, lam = swept.probabilities, swept.price_matrix
-    renewables = swept.customer_renewable_tensor
-    total = renewables.sum(axis=1)
-    summed = {
-        "mean_class_renewable": np.tensordot(probs, renewables, axes=1),
-        "mean_customer_renewable": probs @ total,
-        "customer_renewable_cov": probs @ np.einsum("sn,sn->s", lam - probs @ lam, total - probs @ total),
-        "retailer_renewable_value": probs @ np.einsum("sn,sn->s", lam, swept.retailer_renewable_matrix),
-    }
-    for field in dataclasses.fields(sc.SetMoments):
-        got = getattr(swept.moments, field.name)
-        want = summed[field.name] if field.name in summed else getattr(rebuilt.moments, field.name)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14, err_msg=field.name)
-    np.testing.assert_array_equal(swept.moments.disturbance_second_moment,
-                                  rebuilt.moments.disturbance_second_moment)
+    customer = swept.customer_renewable_tensor.sum(axis=1)
+    disturbance = np.einsum("c,scn->sn", model.class_counts, swept.disturbance_tensor)
+    for side in tf.MODES:
+        side_case = tf.IntegrationCase(mode=side)
+        renewables = {tf.MODE_NONE: np.zeros_like(lam), tf.MODE_DECENTRALIZED: customer,
+                      tf.MODE_CENTRALIZED: swept.retailer_renewable_matrix}[side]
+        np.testing.assert_allclose(tf.renewable_value(side_case, swept),
+                                   probs @ np.einsum("sn,sn->s", lam, renewables), rtol=1e-12, atol=1e-14)
+        metered = disturbance - customer if side_case.uses_customer_der else disturbance
+        mean, cov = tf._metered_moments(model, swept, side_case)
+        centred = np.einsum("sn,sn->s", lam - probs @ lam, metered - probs @ metered)
+        np.testing.assert_allclose(mean, probs @ metered, rtol=1e-12, atol=1e-14, err_msg=side)
+        np.testing.assert_allclose(cov, probs @ centred, rtol=1e-12, atol=1e-14, err_msg=side)

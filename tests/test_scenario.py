@@ -156,6 +156,10 @@ def test_split_marginals_keeps_solar_with_local_block():
     np.testing.assert_array_equal(swept.retailer_renewable_matrix, 2.0 * product.solar_unit_matrix)
 
 
+# the four tensors a set stores, and a with_pv_capacity set shares with its input
+STORED_TENSORS = ("probabilities", "price_matrix", "disturbance_tensor", "solar_unit_matrix")
+
+
 def test_split_marginals_holds_one_copy():
     # a product set is K^2 rows of its marginals: building it must not hold a
     # second copy of those rows (NumPy reports its buffers to tracemalloc)
@@ -171,7 +175,7 @@ def test_split_marginals_holds_one_copy():
     finally:
         tracemalloc.stop()
     # count stored buffers only: a renewable zero view reports its logical nbytes
-    held = sum(getattr(product, name).nbytes for name in sc._STORED)
+    held = sum(getattr(product, name).nbytes for name in STORED_TENSORS)
     assert len(product) == k * k
     assert peak <= 1.25 * held, (peak, held)
 
@@ -192,7 +196,7 @@ def test_study_set_stores_only_its_data(independent_study):
     assert not any(tensor.any() for tensor in renewables)
     by_scenario = {name for name, value in vars(ss).items()
                    if isinstance(value, np.ndarray) and len(value) == len(ss)}
-    assert by_scenario == set(sc._STORED)
+    assert by_scenario == set(STORED_TENSORS)
 
 
 def test_with_pv_capacity_scales_solar():
@@ -207,6 +211,19 @@ def test_with_pv_capacity_scales_solar():
         )
     # original untouched
     assert ss.customer_renewable_tensor.max() == 0.0
+
+
+def test_pv_set_shares_its_source_moments():
+    # the moments hold no capacity: a PV set, and a PV set of a PV set,
+    # share the tensors and the one reduction of the set they were made from
+    ss = three_day_set()
+    swept = sc.with_pv_capacity(ss, customer_kw=[3.0], retailer_kw=2.0)
+    again = sc.with_pv_capacity(swept, customer_kw=[1.0])
+    assert swept.moments is ss.moments
+    assert again.moments is ss.moments
+    assert again.customer_kw.tolist() == [1.0] and again.retailer_kw == 0.0
+    for name in STORED_TENSORS:
+        assert getattr(again, name) is getattr(ss, name)
 
 
 @settings(max_examples=50, deadline=None)

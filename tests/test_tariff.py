@@ -457,7 +457,7 @@ def test_closed_forms_match_scenario_sums(seed, correlated, n_classes, horizon, 
     # the closed forms read the set's cached moments; the references below
     # sum over every scenario instead
     model, base = fixture(correlated=correlated, n_classes=n_classes, horizon=horizon, seed=seed)
-    base.moments  # the rescaled set's moments are an O(C N) update of these
+    base.moments  # the rescaled set shares these: the moments hold no capacity
     rng = np.random.default_rng(seed)
     ss = sc.with_pv_capacity(
         base, customer_kw=rng.uniform(0.0, 20.0, size=n_classes), retailer_kw=float(rng.uniform(0.0, 50.0))
@@ -584,8 +584,8 @@ def test_optimum_check_holds_no_renewable_tensor(independent_study):
 
 def test_sweep_cell_reduces_each_set_once(study, anchors, monkeypatch):
     # one decentralized sweep cell: every family's probes read the swept
-    # set's moments, an O(C N) update of the study set's, so no swept set
-    # is reduced; only the optimum's independent check sums the metered
+    # set's moments, which are the study set's, so no swept set is
+    # reduced; only the optimum's independent check sums the metered
     # disturbance over scenarios
     study.scenario_set.moments  # the study's one reduction
     calls = {"moments": [], "metered": 0, "optimal": 0, "probes": 0}

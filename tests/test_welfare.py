@@ -360,8 +360,8 @@ def test_cross_subsidy_infeasible_cells_are_marked():
 
 
 def test_grid_cells_make_no_scenario_pass(study, anchors, monkeypatch):
-    # every grid cell reads the study set's cached moments or an O(C N)
-    # update of them: no demand kernel over scenarios and no reduction per
+    # every grid cell reads the study set's cached moments, which its PV
+    # sets share: no demand kernel over scenarios and no reduction per
     # cell; only the optimal tariff's independent check sums over the scenarios
     ss, config = study.scenario_set, study.config
     ss.moments  # the study's one pass, E[w w^T] included
