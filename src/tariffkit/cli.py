@@ -260,6 +260,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    fixed_kinds = (tf.FLAT_FIXED_A, tf.DYNAMIC_FIXED_A)
+    if args.family not in fixed_kinds and args.fixed_connection_charge is not None:
+        raise ValueError(f"--fixed-A applies to {' and '.join(fixed_kinds)}, not {args.family}")
     study, anchors = _load_study(args)
     fixed_cost = study.fixed_cost if args.fixed_cost is None else args.fixed_cost
     fixed_a = (
@@ -267,7 +270,7 @@ def cmd_optimize(args) -> int:
         if args.fixed_connection_charge is not None
         else study.config.fixed_connection_charges[0]
     )
-    if args.family in (tf.FLAT_FIXED_A, tf.DYNAMIC_FIXED_A):
+    if args.family in fixed_kinds:
         family = tf.TariffFamily(kind=args.family, fixed_connection_charge=fixed_a)
     else:
         family = tf.TariffFamily(kind=args.family)

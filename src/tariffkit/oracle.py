@@ -139,18 +139,17 @@ def settlement_resim(
     for s in scen:
         mean_prices = mean_prices + s.probability * s.prices
 
-    cust_fleet_value = 0.0
+    fleet_value = 0.0
     fleet_meter = np.zeros((model.n_classes, n))
     if case.uses_customer_der and case.storage is not None:
         unit_value, unit_meter = _linprog_schedule(case.storage, pi)
-        cust_fleet_value = sum(case.storage_units) * unit_value
+        fleet_value = sum(case.storage_units) * unit_value
         for i in range(model.n_classes):
             fleet_meter[i] = case.storage_units[i] * unit_meter
-    ret_fleet_value = 0.0
     retailer_meter = np.zeros(n)
     if case.uses_retailer_der and case.storage is not None:
         unit_value, unit_meter = _linprog_schedule(case.storage, mean_prices)
-        ret_fleet_value = case.storage_units * unit_value
+        fleet_value = float(case.storage_units) * unit_value
         retailer_meter = case.storage_units * unit_meter
 
     per_class_cs = np.zeros(model.n_classes)
@@ -177,8 +176,7 @@ def settlement_resim(
     retailer_surplus = 0.0
     revenue = 0.0
     energy_cost = 0.0
-    cust_ren_value = 0.0
-    ret_ren_value = 0.0
+    renewable_value = 0.0
     for k, s in enumerate(scen):
         gross = np.zeros(n)
         net = np.zeros(n)
@@ -200,9 +198,9 @@ def settlement_resim(
         revenue += probs[k] * payments
         energy_cost += probs[k] * cost
         if case.uses_customer_der:
-            cust_ren_value += probs[k] * float(s.prices @ s.renewable_customer.sum(axis=0))
+            renewable_value += probs[k] * float(s.prices @ s.renewable_customer.sum(axis=0))
         if case.uses_retailer_der:
-            ret_ren_value += probs[k] * float(s.prices @ s.renewable_retailer)
+            renewable_value += probs[k] * float(s.prices @ s.renewable_retailer)
 
     consumer_surplus = float(per_class_cs.sum())
     return ResimReport(
@@ -212,10 +210,8 @@ def settlement_resim(
         per_class_consumer_surplus=per_class_cs,
         expected_revenue=revenue,
         expected_energy_cost=energy_cost,
-        customer_fleet_value=cust_fleet_value,
-        retailer_fleet_value=ret_fleet_value,
-        customer_renewable_value=cust_ren_value,
-        retailer_renewable_value=ret_ren_value,
+        fleet_value=fleet_value,
+        renewable_value=renewable_value,
         negative_demand_pairs=negative_pairs,
     )
 

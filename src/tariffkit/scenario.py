@@ -117,9 +117,9 @@ class SetMoments:
 
     They hold no PV capacity.  Renewables are capacity times the solar
     profile, so each renewable moment is a capacity times a solar moment,
-    and its reader scales it by the kW on its case's side: E[R_c] is
-    ``customer_kw[c] * mean_solar``, tr cov(lambda, R) is ``total kW *
-    solar_cov`` and E[lambda^T r] is ``kW * solar_value``.
+    and its reader scales it by the kW on its case's side: class c's meter
+    (``tariff._metered``) nets ``customer_kw[c] * mean_solar`` and its
+    covariance ``customer_kw[c] * solar_cov``; E[lambda^T r] is ``kW * solar_value``.
 
     The cross moments are stored centred, E[lambda^T w_c] - lam_bar^T
     E[w_c], because every closed form reads them in that form and centring

@@ -28,11 +28,11 @@ response until that response settles.
 Accounting in this module is the closed-form expectation path.  Demand is
 linear with a state-independent price Jacobian, so every margin, ray
 quadratic, choke price and surplus sees the scenario set only through its
-cached moments (``ScenarioSet.moments``), combined with the model's class
-counts and the case's metering in O(C N^2) per call; no call makes a pass
-over the scenarios.  The one exception is :func:`optimal_two_part`'s
-independent check, which sums the metered disturbance's covariance over
-every scenario.  ``welfare.evaluate`` reports its surpluses from these
+cached moments (``ScenarioSet.moments``), in O(C N^2) per call, and the
+modes differ only in what one function, :func:`_metered`, nets from each
+class's meter: its PV and its (C, N) storage fleet energy, when behind it.
+Only :func:`optimal_two_part`'s independent check sums over the
+scenarios.  ``welfare.evaluate`` reports its surpluses from these
 closed forms; ``oracle.settlement_resim`` re-derives every quantity by
 simulating settlement per (scenario, class), sharing none of this
 accounting code, and the test suite holds the two to each other.
@@ -64,7 +64,8 @@ FAMILY_KINDS = (OPTIMAL_TWO_PART, FLAT_FIXED_A, FLAT_ZERO_A, DYNAMIC_FIXED_A, DY
 
 # dual-route agreement required of the two connection-charge computations
 A_AGREEMENT_RTOL = 1e-8
-# settled-revenue residual accepted when solving a family for E[rs] = F
+# settled-revenue residual accepted when solving a family for E[rs] = F,
+# relative to the largest term the residual sums (_adequacy_tolerance)
 ADEQUACY_RTOL = 1e-9
 
 # rounds of re-freezing the storage fleet within one ray solve
@@ -269,7 +270,7 @@ def _metered_disturbance(
     The class disturbances summed over customers, less the customers' total
     PV capacity times the solar profile when it sits behind the meter.
     Only :func:`optimal_two_part`'s independent check reads it; every other
-    closed form reads its moments through :func:`_metered_moments`.
+    closed form reads the meter through :func:`_metered`.
     """
     metered = np.einsum("c,scn->sn", model.class_counts, scenario_set.disturbance_tensor)
     if case.uses_customer_der and scenario_set.customer_kw.any():
@@ -277,41 +278,44 @@ def _metered_disturbance(
     return metered
 
 
-def _metered_moments(
+def _metered(
     model: dm.DemandModel,
     scenario_set: ScenarioSet,
     case: IntegrationCase,
-) -> tuple[np.ndarray, float]:
-    """E[metered disturbance] (N,) and tr cov(lambda, metered disturbance).
+    prices: np.ndarray,
+    fleet: np.ndarray | float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each class's expected metered energy (C, N) and its tr cov(lambda, .) (C,).
 
-    Built from the set's cached moments, the model's class counts and the
-    case's metering, in O(C N): behind the meter, the customers' total PV
-    kW times the per-kW solar moments.  With
-    :func:`expected_consumer_surplus_by_class`, which nets the same terms
-    per class, the only place in the closed-form path that reads the
-    customer renewables.
+    The energy is M_c sigma_c (b0 - B pi) + M_c E[w_c] less the class's
+    storage fleet energy ``fleet`` (C, N) and, behind the meter, its PV kW
+    times the per-kW E[solar]; only the disturbance and solar covary.
     """
     moments = scenario_set.moments
-    mean = model.class_counts @ moments.mean_disturbance
-    cov = float(model.class_counts @ moments.disturbance_cov)
+    counts = model.class_counts
+    energy = (
+        np.outer(counts * model.sigma, model.base - model.slope @ prices)
+        + counts[:, None] * moments.mean_disturbance
+        - fleet
+    )
+    cov = counts * moments.disturbance_cov
     if case.uses_customer_der:
-        total_kw = float(scenario_set.customer_kw.sum())
-        mean = mean - total_kw * moments.mean_solar
-        cov -= total_kw * moments.solar_cov
-    return mean, cov
+        kw = scenario_set.customer_kw
+        energy = energy - np.outer(kw, moments.mean_solar)
+        cov = cov - kw * moments.solar_cov
+    return energy, cov
 
 
 def expected_margin(prices, model: dm.DemandModel, scenario_set: ScenarioSet, case: IntegrationCase) -> float:
     """E[(pi - lambda)^T d(pi, xi)] over the set, $ per day.
 
     Only the metered disturbance covaries with lambda, so the margin is
-    (pi - lam_bar)^T E[d] - tr cov(lambda, metered disturbance).
+    (pi - lam_bar)^T E[metered energy] - tr cov(lambda, metered energy).
     """
     prices = as_price_vector(prices, model.horizon)
-    fleet = customer_fleet_meter(case, model.n_classes, prices).sum(axis=0)
-    mean_metered, metered_cov = _metered_moments(model, scenario_set, case)
-    net = dm.aggregate_demand(model, prices) + mean_metered - fleet
-    return float((prices - scenario_set.moments.mean_price) @ net) - metered_cov
+    fleet = customer_fleet_meter(case, model.n_classes, prices)
+    energy, cov = _metered(model, scenario_set, case, prices, fleet)
+    return float((prices - scenario_set.moments.mean_price) @ energy.sum(axis=0)) - float(cov.sum())
 
 
 def expected_retailer_surplus(
@@ -333,9 +337,9 @@ def expected_consumer_surplus_by_class(
 ) -> np.ndarray:
     """Expected consumer surplus of each class (C,), $ per day (closed-form path).
 
-    Uses the quadratic identity S(D) - pi^T D = v^T B^{-1} v / (2 sigma)
-    + sigma pi^T B pi / 2 - pi^T v with v = sigma b0 + w per customer,
-    instead of evaluating S at the consumption bundle (only
+    Uses the quadratic identity S(D) = v^T B^{-1} v / (2 sigma) - sigma
+    pi^T B pi / 2 at the demand D = v - sigma B pi, with v = sigma b0 + w
+    per customer, instead of evaluating S at the consumption bundle (only
     ``oracle.settlement_resim`` does the latter; the tests hold the two
     to each other).  Its expectation needs only the set's disturbance
     moments,
@@ -343,9 +347,8 @@ def expected_consumer_surplus_by_class(
         E[v^T B^{-1} v] = sigma^2 b0^T B^{-1} b0 + 2 sigma b0^T B^{-1} E[w]
                           + tr(B^{-1} E[w w^T]),
 
-    and, summed over a class's customers and netted against its
-    behind-the-meter resources, the bill term is pi^T (M_c sigma_c b0 +
-    M_c E[w_c] - E[R_c] - fleet_c).
+    and, summed over a class's customers, the bill term is pi^T times the
+    class's expected metered energy (:func:`_metered`).
     """
     pi = as_price_vector(tariff.prices, model.horizon)
     sigma, counts = model.sigma, model.class_counts
@@ -357,17 +360,11 @@ def expected_consumer_surplus_by_class(
         + 2.0 * sigma * (moments.mean_disturbance @ binv_b0)
         + quad_w
     )
-    billed = np.outer(counts * sigma, model.base) + counts[:, None] * moments.mean_disturbance
-    if case.uses_customer_der:
-        billed = (
-            billed
-            - np.outer(scenario_set.customer_kw, moments.mean_solar)
-            - customer_fleet_meter(case, model.n_classes, pi)
-        )
+    energy, _ = _metered(model, scenario_set, case, pi, customer_fleet_meter(case, model.n_classes, pi))
     return (
         counts * quad_v / (2.0 * sigma)
-        + 0.5 * counts * sigma * float(pi @ (model.slope @ pi))
-        - billed @ pi
+        - 0.5 * counts * sigma * float(pi @ (model.slope @ pi))
+        - energy @ pi
         - counts * tariff.connection_charge
     )
 
@@ -493,6 +490,20 @@ class FamilyReport:
     cycle_length: int = 0
 
 
+def _adequacy_tolerance(model: dm.DemandModel, scenario_set: ScenarioSet, case: IntegrationCase,
+                        tariff: TwoPartTariff, fixed_cost: float) -> float:
+    """Settled-revenue residual accepted at a tariff, $ per day.
+
+    ``ADEQUACY_RTOL`` times the largest term the residual sums, max(1, |F|,
+    M |A|, |pi|^T |E[metered energy]|) with no fleet (it would cost an LP),
+    so that rounding alone cannot fail a solve at F = 0.
+    """
+    energy, _ = _metered(model, scenario_set, case, tariff.prices, 0.0)
+    billed = float(np.abs(tariff.prices) @ np.abs(energy.sum(axis=0)))
+    charged = model.customers * abs(tariff.connection_charge)
+    return ADEQUACY_RTOL * max(1.0, abs(fixed_cost), charged, billed)
+
+
 def _ray_quadratic(
     model: dm.DemandModel,
     scenario_set: ScenarioSet,
@@ -504,19 +515,19 @@ def _ray_quadratic(
 ) -> tuple[float, float, float]:
     """Coefficients of E[rs](origin + x direction) = a2 x^2 + a1 x + a0.
 
-    The customer storage response is frozen at ``frozen_fleet`` (the total
-    meter-side fleet vector), so demand is affine in x and revenue exactly
-    quadratic; a2 < 0 because the price response is monotone.
+    The customer storage response is frozen at ``frozen_fleet`` (the
+    per-class meter-side fleet energy), so demand is affine in x and revenue
+    exactly quadratic; a2 < 0 because the price response is monotone.
     """
     s_tot = model.sigma_total
     b_dir = model.slope @ direction
-    mean_metered, metered_cov = _metered_moments(model, scenario_set, case)
-    demand = dm.aggregate_demand(model, origin) + mean_metered - frozen_fleet  # E[net demand]
+    energy, cov = _metered(model, scenario_set, case, origin, frozen_fleet)
+    demand = energy.sum(axis=0)  # E[net demand] at the origin
     gap = origin - scenario_set.moments.mean_price  # E[pi - lambda] at the origin
 
     a2 = -s_tot * float(direction @ b_dir)
     a1 = float(demand @ direction) - s_tot * float(gap @ b_dir)
-    a0 = float(gap @ demand) - metered_cov
+    a0 = float(gap @ demand) - float(cov.sum())
     a0 += model.customers * charge + _retailer_der_value(case, scenario_set)
     return a2, a1, a0
 
@@ -533,7 +544,7 @@ def _ray_roots(
 ) -> tuple[float, float]:
     """Both roots x_lo <= x_hi of E[rs](origin + x direction) = F.
 
-    Starting from ``fleet``, the customer fleet is frozen, the quadratic
+    Starting from ``fleet`` (C, N), the customer fleet is frozen, the quadratic
     solved, and the fleet re-frozen at its live response at the lower root
     until that response stops changing; revenue at the lower root is then
     settled exactly.  Raises :class:`InfeasibleFamilyError` when settled
@@ -543,14 +554,12 @@ def _ray_roots(
     """
     label = "flat" if family.is_flat else "dynamic"
     charge = family.connection_charge
-    tol = ADEQUACY_RTOL * max(1.0, abs(fixed_cost))
     for _ in range(_RAY_ROUNDS):
         a2, a1, a0 = _ray_quadratic(model, scenario_set, case, charge, fleet, origin, direction)
         vertex = -a1 / (2.0 * a2)
-        peak = expected_retailer_surplus(
-            TwoPartTariff(charge, origin + vertex * direction), model, scenario_set, case
-        )
-        if fixed_cost > peak + tol:
+        top = TwoPartTariff(charge, origin + vertex * direction)
+        peak = expected_retailer_surplus(top, model, scenario_set, case)
+        if fixed_cost > peak + _adequacy_tolerance(model, scenario_set, case, top, fixed_cost):
             raise InfeasibleFamilyError(
                 f"{label} family cannot attain expected revenue {fixed_cost:.12g}; "
                 f"maximum attainable is {peak:.12g}",
@@ -559,7 +568,7 @@ def _ray_roots(
         # a tangency within tolerance of the peak merges the roots at the vertex
         half_width = math.sqrt(max(0.0, a1 * a1 - 4.0 * a2 * (a0 - fixed_cost))) / (-2.0 * a2)
         lo = vertex - half_width
-        live = customer_fleet_meter(case, model.n_classes, origin + lo * direction).sum(axis=0)
+        live = customer_fleet_meter(case, model.n_classes, origin + lo * direction)
         if np.array_equal(live, fleet):
             return lo, vertex + half_width
         fleet = live
@@ -577,8 +586,8 @@ def _solve_flat(
 ) -> FamilyReport:
     """Revenue-adequate flat prices p * 1; returns the root with more surplus."""
     n = model.horizon
-    zero = np.zeros(n)
-    roots = _ray_roots(family, model, scenario_set, case, fixed_cost, zero, np.ones(n), zero)
+    no_fleet = np.zeros((model.n_classes, n))
+    roots = _ray_roots(family, model, scenario_set, case, fixed_cost, np.zeros(n), np.ones(n), no_fleet)
     candidates = [flat_tariff(family.connection_charge, p, n) for p in roots]
     surpluses = [
         expected_consumer_surplus(t, model, scenario_set, case) for t in candidates
@@ -598,9 +607,8 @@ def _choke_prices(
     frozen_fleet: np.ndarray,
 ) -> np.ndarray:
     """Price vector at which expected net demand vanishes (frozen storage)."""
-    mean_metered, _ = _metered_moments(model, scenario_set, case)
-    k = mean_metered - frozen_fleet
-    return np.linalg.solve(model.slope, model.base + k / model.sigma_total)
+    energy, _ = _metered(model, scenario_set, case, np.zeros(model.horizon), frozen_fleet)
+    return np.linalg.solve(model.slope, energy.sum(axis=0) / model.sigma_total)
 
 
 def _solve_dynamic(
@@ -628,7 +636,7 @@ def _solve_dynamic(
     """
     charge = family.connection_charge
     lam_bar = scenario_set.moments.mean_price
-    fleet = customer_fleet_meter(case, model.n_classes, lam_bar).sum(axis=0)
+    fleet = customer_fleet_meter(case, model.n_classes, lam_bar)
     # fleet bytes -> round that assumed it; + 0.0 folds -0.0 into 0.0
     assumed = {}
     rounds = []  # (t, prices) per round
@@ -638,7 +646,7 @@ def _solve_dynamic(
         direction = _choke_prices(model, scenario_set, case, fleet) - lam_bar
         t, _ = _ray_roots(family, model, scenario_set, case, fixed_cost, lam_bar, direction, fleet)
         rounds.append((t, lam_bar + t * direction))
-        fleet = customer_fleet_meter(case, model.n_classes, rounds[-1][1]).sum(axis=0)
+        fleet = customer_fleet_meter(case, model.n_classes, rounds[-1][1])
         cycle_start = assumed.get((fleet + 0.0).tobytes())
         if cycle_start is not None:
             break
@@ -679,7 +687,7 @@ def optimize_family_report(
     """Solve one family for E[rs] = F; returns the solution with diagnostics.
 
     Every kind's tariff is settled once more here; a residual beyond
-    ``ADEQUACY_RTOL``, or a non-finite one, raises
+    :func:`_adequacy_tolerance`, or a non-finite one, raises
     :class:`RevenueAdequacyError`.
     """
     if family.kind == OPTIMAL_TWO_PART:
@@ -689,7 +697,7 @@ def optimize_family_report(
     else:
         report = _solve_dynamic(family, model, scenario_set, case, fixed_cost)
     residual = expected_retailer_surplus(report.tariff, model, scenario_set, case) - fixed_cost
-    if not abs(residual) <= ADEQUACY_RTOL * max(1.0, abs(fixed_cost)):
+    if not abs(residual) <= _adequacy_tolerance(model, scenario_set, case, report.tariff, fixed_cost):
         raise RevenueAdequacyError(f"{family.kind} revenue residual {residual!r} exceeds tolerance")
     notes = report.notes
     if report.tariff.connection_charge < 0.0:

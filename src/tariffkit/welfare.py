@@ -42,6 +42,8 @@ class SurplusReport:
 
     ``social_welfare`` is always the computed sum cs + rs, and
     ``expected_revenue - expected_energy_cost`` is rs up to rounding.
+    ``fleet_value`` and ``renewable_value`` value the DERs on the case's
+    side: the fleet at the prices it answers, and E[lambda^T r].
     """
 
     consumer_surplus: float
@@ -50,10 +52,8 @@ class SurplusReport:
     per_class_consumer_surplus: np.ndarray
     expected_revenue: float
     expected_energy_cost: float
-    customer_fleet_value: float
-    retailer_fleet_value: float
-    customer_renewable_value: float
-    retailer_renewable_value: float
+    fleet_value: float
+    renewable_value: float
 
 
 def evaluate(
@@ -64,20 +64,20 @@ def evaluate(
 ) -> SurplusReport:
     """Expected surpluses of a tariff, from the set's cached moments.
 
-    Respects the integration case: decentralized cases net the customer
-    renewables and the tariff-responsive storage fleet behind the meter;
-    centralized cases bill gross consumption while the retailer nets its
-    renewables and a fleet committed against the expected price.  Demand
-    is linear in the disturbance, so revenue is M A + pi^T E[metered
-    demand] and energy cost lam_bar^T E[served demand] plus the centred
-    tr cov(lambda, .) terms; the surpluses are
+    Respects the integration case through the customer meter
+    (``tariff._metered``): decentralized cases net the customer renewables
+    and the tariff-responsive storage fleet behind the meter; centralized
+    cases bill gross consumption while the retailer nets its renewables and
+    a fleet committed against the expected price.  Demand is linear in the
+    disturbance, so revenue is M A + pi^T E[metered energy] and energy cost
+    lam_bar^T E[metered energy] plus its tr cov(lambda, .), less the
+    report's DER values when the retailer holds them; the surpluses are
     ``tariff.expected_consumer_surplus_by_class`` and
     ``tariff.expected_retailer_surplus``.  O(C N^2) per call.  A non-finite
     consumer or retailer surplus raises ``ArithmeticError``.
     """
     pi = as_price_vector(tariff.prices, model.horizon)
-    moments = scenario_set.moments
-    lam_bar = moments.mean_price
+    lam_bar = scenario_set.moments.mean_price
 
     per_class_cs = tf.expected_consumer_surplus_by_class(tariff, model, scenario_set, case)
     consumer_surplus = float(per_class_cs.sum())
@@ -87,23 +87,16 @@ def evaluate(
             f"non-finite surplus: cs {consumer_surplus!r}, rs {retailer_surplus!r}"
         )
 
-    # E[gross demand]; of its terms only the disturbance covaries with lambda
-    gross = dm.aggregate_demand(model, pi, moments.mean_disturbance)
-    revenue = model.customers * tariff.connection_charge + float(pi @ gross)
-    cost = float(lam_bar @ gross) + float(model.class_counts @ moments.disturbance_cov)
-    customer_fleet = retailer_fleet = customer_ren = retailer_ren = 0.0
-    if case.uses_customer_der:
-        fleet = tf.customer_fleet_meter(case, model.n_classes, pi).sum(axis=0)
-        customer_ren = tf.renewable_value(case, scenario_set)
-        customer_fleet = tf.fleet_value(case, pi)
-        total_kw = float(scenario_set.customer_kw.sum())
-        revenue -= float(pi @ (total_kw * moments.mean_solar + fleet))
-        cost -= customer_ren + float(lam_bar @ fleet)
+    fleet = tf.customer_fleet_meter(case, model.n_classes, pi)
+    energy, cov = tf._metered(model, scenario_set, case, pi, fleet)
+    metered = energy.sum(axis=0)
+    # a retailer fleet is committed against lam_bar, where its meter energy is worth its value
+    fleet_value = tf.fleet_value(case, lam_bar if case.uses_retailer_der else pi)
+    renewable_value = tf.renewable_value(case, scenario_set)
+    revenue = model.customers * tariff.connection_charge + float(pi @ metered)
+    cost = float(lam_bar @ metered) + float(cov.sum())
     if case.uses_retailer_der:
-        retailer_ren = tf.renewable_value(case, scenario_set)
-        retailer_fleet = tf.fleet_value(case, lam_bar)
-        # committed against lam_bar, the fleet's meter energy is worth its value there
-        cost -= retailer_ren + retailer_fleet
+        cost -= fleet_value + renewable_value
 
     return SurplusReport(
         consumer_surplus=consumer_surplus,
@@ -112,10 +105,8 @@ def evaluate(
         per_class_consumer_surplus=per_class_cs,
         expected_revenue=revenue,
         expected_energy_cost=cost,
-        customer_fleet_value=customer_fleet,
-        retailer_fleet_value=retailer_fleet,
-        customer_renewable_value=customer_ren,
-        retailer_renewable_value=retailer_ren,
+        fleet_value=fleet_value,
+        renewable_value=renewable_value,
     )
 
 

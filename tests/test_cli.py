@@ -18,8 +18,9 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from tariffkit import cli, ingest, simplex
+from tariffkit import cli, ingest, oracle, simplex
 from tariffkit import storage as st
+from tariffkit import tariff as tf
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +157,31 @@ def test_optimize_fixed_a_family(study_dir, out_dir, capsys):
     _, _, rows = read_table(out_dir / "optimize.csv")
     assert rows[0]["family"] == "flat-fixed-A"
     assert float(rows[0]["connection_charge_usd_per_day"]) == 0.53
+
+
+@pytest.mark.parametrize("family", ["optimal-two-part", "flat-zero-A", "dynamic-zero-A"])
+def test_optimize_rejects_fixed_a_for_other_families(study_dir, out_dir, capsys, family):
+    # these families take no pinned charge, so the option would be ignored
+    code = cli.main(["optimize", str(study_dir / "study.yaml"), "--family", family, "--fixed-A", "7"])
+    assert code == 2
+    assert "--fixed-A" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("family", ["flat-fixed-A", "flat-zero-A", "dynamic-fixed-A", "dynamic-zero-A"])
+@pytest.mark.parametrize("data", ["synthetic_dir", "independent_dir"])
+def test_restricted_families_solve_at_zero_revenue(request, out_dir, family, data):
+    # at F = 0 the settled revenue is a difference of terms of 1e6-1e7 $/day,
+    # so its rounding alone exceeds 1e-9 max(1, |F|); the solve must still pass
+    config = request.getfixturevalue(data) / "study.yaml"
+    assert cli.main(["optimize", str(config), "--family", family, "--F", "0"]) == 0
+    _, header, rows = read_table(out_dir / "optimize.csv")
+    prices = [float(rows[0][h]) for h in header if h.startswith("price_")]
+    tariff = tf.TwoPartTariff(float(rows[0]["connection_charge_usd_per_day"]), prices)
+    study = ingest.build_study(ingest.load_config(config))
+    report = oracle.settlement_resim(tariff, study.model, study.scenario_set, tf.no_der())
+    scale = max(1.0, abs(report.expected_revenue), abs(report.expected_energy_cost))
+    assert abs(report.retailer_surplus) <= 1e-7 * scale
 
 
 def test_optimize_without_der_rejects_a_capacity(study_dir, out_dir, capsys):

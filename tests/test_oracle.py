@@ -96,7 +96,7 @@ def test_resim_storage_neutral_at_constant_prices():
         tariff, model, ss, tf.decentralized_case(st.powerwall(), np.full(3, 2.0))
     )
     assert fleet.retailer_surplus == pytest.approx(none.retailer_surplus, rel=1e-12)
-    assert fleet.customer_fleet_value == pytest.approx(0.0, abs=1e-10)
+    assert fleet.fleet_value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_root_find_matches_closed_form_charge():
@@ -282,18 +282,25 @@ def test_evaluate_matches_settlement(seed, n_days, n_classes, horizon, product, 
                          wf.evaluate(tariff, model, swept, case))
 
     # the moments hold no capacity: scaled by the kW on each side, the
-    # per-kW solar moments give the renewable terms summed over every scenario
+    # per-kW solar moments give the renewable terms summed over every
+    # scenario, and each class's meter is its scenario sum
     probs, lam = swept.probabilities, swept.price_matrix
-    customer = swept.customer_renewable_tensor.sum(axis=1)
-    disturbance = np.einsum("c,scn->sn", model.class_counts, swept.disturbance_tensor)
+    fleet = rng.normal(scale=5.0, size=(n_classes, horizon))  # any per-class fleet
+    served = model.sigma[:, None] * (model.base - model.slope @ tariff.prices)  # (C, N) per customer
     for side in tf.MODES:
         side_case = tf.IntegrationCase(mode=side)
-        renewables = {tf.MODE_NONE: np.zeros_like(lam), tf.MODE_DECENTRALIZED: customer,
+        renewables = {tf.MODE_NONE: np.zeros_like(lam),
+                      tf.MODE_DECENTRALIZED: swept.customer_renewable_tensor.sum(axis=1),
                       tf.MODE_CENTRALIZED: swept.retailer_renewable_matrix}[side]
         np.testing.assert_allclose(tf.renewable_value(side_case, swept),
                                    probs @ np.einsum("sn,sn->s", lam, renewables), rtol=1e-12, atol=1e-14)
-        metered = disturbance - customer if side_case.uses_customer_der else disturbance
-        mean, cov = tf._metered_moments(model, swept, side_case)
-        centred = np.einsum("sn,sn->s", lam - probs @ lam, metered - probs @ metered)
-        np.testing.assert_allclose(mean, probs @ metered, rtol=1e-12, atol=1e-14, err_msg=side)
-        np.testing.assert_allclose(cov, probs @ centred, rtol=1e-12, atol=1e-14, err_msg=side)
+        energy, cov = tf._metered(model, swept, side_case, tariff.prices, fleet)
+        for c in range(n_classes):
+            metered = model.class_counts[c] * (served[c] + swept.disturbance_tensor[:, c, :]) - fleet[c]
+            if side_case.uses_customer_der:
+                metered = metered - swept.customer_renewable_tensor[:, c, :]
+            centred = np.einsum("sn,sn->s", lam - probs @ lam, metered - probs @ metered)
+            scale = float(np.abs(metered).max())
+            np.testing.assert_allclose(energy[c], probs @ metered, rtol=1e-12, atol=1e-12 * scale,
+                                       err_msg=side)
+            np.testing.assert_allclose(cov[c], probs @ centred, rtol=1e-12, atol=1e-14, err_msg=side)

@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,6 +302,26 @@ def test_non_finite_residual_raises(monkeypatch):
         tf.optimize_family_report(tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), model, ss, tf.no_der(), 20.0)
 
 
+def test_only_the_meter_nets_customer_pv():
+    # every closed form reads the customer renewables through tariff._metered;
+    # the other readers value the renewables, make the S-sized check, or
+    # settle PV owners separately, a different meter
+    readers = {
+        "tariff.py": {"_metered", "renewable_value", "_metered_disturbance"},
+        "welfare.py": {"_owner_contributions", "cross_subsidy"},
+    }
+    for module, allowed in readers.items():
+        tree = ast.parse((Path(tf.__file__).parent / module).read_text(encoding="utf-8"))
+        found = {
+            function.name
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute) and node.attr in {"customer_kw", "mean_solar", "solar_cov"}
+        }
+        assert found == allowed, module
+
+
 def test_fleet_value_linear_in_units():
     prices = np.array([0.02, 0.09, 0.01, 0.2, 0.05, 0.11])
     case1 = tf.centralized_case(st.powerwall(), 1.0)
@@ -332,7 +354,7 @@ def test_dynamic_fleet_cycle_returns_best_member(study):
     lam_bar = sc.expect_price(swept)
     members = [report.tariff.prices]
     for _ in range(report.cycle_length):
-        fleet = tf.customer_fleet_meter(case, model.n_classes, members[-1]).sum(axis=0)
+        fleet = tf.customer_fleet_meter(case, model.n_classes, members[-1])
         direction = tf._choke_prices(model, swept, case, fleet) - lam_bar
         t, _ = tf._ray_roots(family, model, swept, case, fixed_cost, lam_bar, direction, fleet)
         members.append(lam_bar + t * direction)
@@ -391,7 +413,8 @@ def test_ray_quadratic_reproduces_settled_revenue(seed, correlated, n_classes, h
     charge = float(rng.uniform(-1.0, 1.0))
     origin = rng.uniform(-0.1, 0.4, size=horizon)
     direction = rng.normal(size=horizon)
-    coeffs = tf._ray_quadratic(model, ss, case, charge, np.zeros(horizon), origin, direction)
+    no_fleet = np.zeros((n_classes, horizon))
+    coeffs = tf._ray_quadratic(model, ss, case, charge, no_fleet, origin, direction)
     for x in rng.uniform(-2.0, 2.0, size=3):
         rs = tf.expected_retailer_surplus(
             tf.TwoPartTariff(charge, origin + x * direction), model, ss, case
@@ -486,10 +509,11 @@ def test_closed_forms_match_scenario_sums(seed, correlated, n_classes, horizon, 
     margin = probs @ np.einsum("sn,sn->s", gaps, net)
     close(tf.expected_margin(prices, model, ss, case), margin, gaps * net)
 
-    fleet = rng.normal(scale=5.0, size=horizon)  # any frozen fleet, not only a response
+    # any frozen per-class fleet, not only a response
+    fleet = rng.normal(scale=5.0, size=(n_classes, horizon))
     origin, direction = rng.uniform(-0.1, 0.4, size=horizon), rng.normal(size=horizon)
     charge = float(rng.uniform(-1.0, 1.0))
-    demand = dm.aggregate_demand(model, origin) + metered - fleet
+    demand = dm.aggregate_demand(model, origin) + metered - fleet.sum(axis=0)
     gaps = origin - lam
     b_dir = model.slope @ direction
     reference = (
@@ -501,7 +525,9 @@ def test_closed_forms_match_scenario_sums(seed, correlated, n_classes, horizon, 
     for value, ref in zip(coeffs, reference):
         close(value, ref, demand * direction, gaps * demand, model.customers * charge, offset)
 
-    choke = np.linalg.solve(model.slope, model.base + (probs @ metered - fleet) / model.sigma_total)
+    choke = np.linalg.solve(
+        model.slope, model.base + (probs @ metered - fleet.sum(axis=0)) / model.sigma_total
+    )
     np.testing.assert_allclose(tf._choke_prices(model, ss, case, fleet), choke, rtol=1e-9, atol=1e-12)
 
     tariff = tf.TwoPartTariff(charge, prices)
