@@ -22,7 +22,6 @@ from scipy import optimize
 from . import demand as dm
 from . import storage as st
 from . import tariff as tf
-from . import welfare as wf
 from .scenario import ScenarioSet, as_price_vector
 
 STORAGE_HORIZON_CAP = 6
@@ -101,8 +100,8 @@ def _linprog_schedule(spec: st.StorageSpec, prices: np.ndarray) -> tuple[float, 
 
 
 @dataclass(frozen=True)
-class ResimReport(wf.SurplusReport):
-    """A :class:`~tariffkit.welfare.SurplusReport` re-derived by settlement.
+class ResimReport(tf.SurplusReport):
+    """A :class:`~tariffkit.tariff.SurplusReport` re-derived by settlement.
 
     ``negative_demand_pairs`` counts (scenario, class) pairs whose unclamped
     demand went negative in some period (never clamped, only reported); it

@@ -26,14 +26,16 @@ both families share one root solver that re-freezes the fleet at its live
 response until that response settles.
 
 Accounting in this module is the closed-form expectation path.  Demand is
-linear with a state-independent price Jacobian, so every margin, ray
-quadratic, choke price and surplus sees the scenario set only through its
-cached moments (``ScenarioSet.moments``), in O(C N^2) per call, and the
-modes differ only in what one function, :func:`_metered`, nets from each
-class's meter: its PV and its (C, N) storage fleet energy, when behind it.
-Only :func:`optimal_two_part`'s independent check sums over the
-scenarios.  ``welfare.evaluate`` reports its surpluses from these
-closed forms; ``oracle.settlement_resim`` re-derives every quantity by
+linear with a state-independent price Jacobian, so every settlement, ray
+quadratic and choke price sees the scenario set only through its cached
+moments (``ScenarioSet.moments``), in O(C N^2) per call, and the modes
+differ only in what one function, :func:`_metered`, nets from each class's
+meter: its PV and its (C, N) storage fleet energy, when behind it.  One
+function, :func:`settle`, settles a tariff: it fetches the fleet's schedule
+once, meters once, and fills the one :class:`SurplusReport` that the
+solvers' revenue probes and surplus comparisons and ``welfare.evaluate``
+read.  Only :func:`optimal_two_part`'s independent check sums over the
+scenarios.  ``oracle.settlement_resim`` re-derives every quantity by
 simulating settlement per (scenario, class), sharing none of this
 accounting code, and the test suite holds the two to each other.
 """
@@ -214,16 +216,21 @@ def _unit_schedule(case: IntegrationCase, prices: np.ndarray) -> st.StorageSched
     return st.arbitrage_value(case.storage, prices)[1]
 
 
+def _fleet_meter(case: IntegrationCase, n_classes: int, schedule: st.StorageSchedule) -> np.ndarray:
+    """Per-class meter-side energy (C, N) of a customer fleet whose units follow ``schedule``."""
+    units = case.storage_units
+    if units.size != n_classes:
+        raise ValueError(f"storage units for {units.size} classes, model has {n_classes}")
+    return np.outer(units, schedule.meter_energy)
+
+
 def customer_fleet_meter(case: IntegrationCase, n_classes: int, prices) -> np.ndarray:
     """Per-class meter-side storage energy (C, N) at the given prices."""
     prices = as_price_vector(prices)
     schedule = _unit_schedule(case, prices) if case.uses_customer_der else None
     if schedule is None:
         return np.zeros((n_classes, prices.size))
-    units = case.storage_units
-    if units.size != n_classes:
-        raise ValueError(f"storage units for {units.size} classes, model has {n_classes}")
-    return np.outer(units, schedule.meter_energy)
+    return _fleet_meter(case, n_classes, schedule)
 
 
 def fleet_value(case: IntegrationCase, prices) -> float:
@@ -269,8 +276,9 @@ def _metered_disturbance(
 
     The class disturbances summed over customers, less the customers' total
     PV capacity times the solar profile when it sits behind the meter.
-    Only :func:`optimal_two_part`'s independent check reads it; every other
-    closed form reads the meter through :func:`_metered`.
+    It is :func:`optimal_two_part`'s independent S-sized route, whose
+    ``cov_trace`` checks the connection charge that :func:`settle` gives
+    through :func:`_metered`; nothing else reads it.
     """
     metered = np.einsum("c,scn->sn", model.class_counts, scenario_set.disturbance_tensor)
     if case.uses_customer_der and scenario_set.customer_kw.any():
@@ -306,16 +314,100 @@ def _metered(
     return energy, cov
 
 
-def expected_margin(prices, model: dm.DemandModel, scenario_set: ScenarioSet, case: IntegrationCase) -> float:
-    """E[(pi - lambda)^T d(pi, xi)] over the set, $ per day.
+@dataclass(frozen=True)
+class SurplusReport:
+    """Expected surpluses of one tariff under one integration case, $ per day.
 
-    Only the metered disturbance covaries with lambda, so the margin is
-    (pi - lam_bar)^T E[metered energy] - tr cov(lambda, metered energy).
+    ``social_welfare`` is always the computed sum cs + rs, and
+    ``expected_revenue - expected_energy_cost`` is rs up to rounding.
+    ``fleet_value`` and ``renewable_value`` value the DERs on the case's
+    side: the fleet at the prices it answers, and E[lambda^T r].
     """
-    prices = as_price_vector(prices, model.horizon)
-    fleet = customer_fleet_meter(case, model.n_classes, prices)
-    energy, cov = _metered(model, scenario_set, case, prices, fleet)
-    return float((prices - scenario_set.moments.mean_price) @ energy.sum(axis=0)) - float(cov.sum())
+
+    consumer_surplus: float
+    retailer_surplus: float
+    social_welfare: float
+    per_class_consumer_surplus: np.ndarray
+    expected_revenue: float
+    expected_energy_cost: float
+    fleet_value: float
+    renewable_value: float
+
+
+def settle(
+    tariff: TwoPartTariff,
+    model: dm.DemandModel,
+    scenario_set: ScenarioSet,
+    case: IntegrationCase,
+) -> SurplusReport:
+    """Expected settlement of a tariff under a case, from the set's cached moments.
+
+    The storage fleet's unit schedule is fetched once, at the prices the
+    fleet answers: the tariff prices pi behind the meter, the expected price
+    lam_bar when the retailer commits it ex ante.  One customer meter
+    (:func:`_metered`) then gives every figure.  Only the metered
+    disturbance covaries with lambda, so the margin is (pi - lam_bar)^T
+    E[metered energy] - tr cov(lambda, metered energy), and retailer
+    surplus is M A + margin + the retailer's DER value (:func:`der_value`
+    when it holds the resources, else zero).
+
+    Consumer surplus uses the quadratic identity S(D) = v^T B^{-1} v /
+    (2 sigma) - sigma pi^T B pi / 2 at the demand D = v - sigma B pi, with
+    v = sigma b0 + w per customer, instead of evaluating S at the
+    consumption bundle (only ``oracle.settlement_resim`` does the latter;
+    the tests hold the two to each other).  Its expectation needs only the
+    set's disturbance moments,
+
+        E[v^T B^{-1} v] = sigma^2 b0^T B^{-1} b0 + 2 sigma b0^T B^{-1} E[w]
+                          + tr(B^{-1} E[w w^T]),
+
+    and, summed over a class's customers, the bill term is pi^T times the
+    class's expected metered energy.  O(C N^2) per call.
+    """
+    pi = as_price_vector(tariff.prices, model.horizon)
+    sigma, counts = model.sigma, model.class_counts
+    moments = scenario_set.moments
+    lam_bar = moments.mean_price
+
+    schedule = _unit_schedule(case, lam_bar if case.uses_retailer_der else pi)
+    storage_value, fleet = 0.0, 0.0
+    if schedule is not None:
+        storage_value = float(case.storage_units.sum()) * schedule.value
+        if case.uses_customer_der:
+            fleet = _fleet_meter(case, model.n_classes, schedule)
+    energy, cov = _metered(model, scenario_set, case, pi, fleet)
+    metered = energy.sum(axis=0)
+
+    renewable = renewable_value(case, scenario_set)
+    retailer_der = storage_value + renewable if case.uses_retailer_der else 0.0
+    margin = float((pi - lam_bar) @ metered) - float(cov.sum())
+    retailer_surplus = model.customers * tariff.connection_charge + margin + retailer_der
+
+    binv_b0 = model.slope_inverse @ model.base
+    quad_w = np.einsum("nm,cmn->c", model.slope_inverse, moments.disturbance_second_moment)
+    quad_v = (  # E[v^T B^-1 v] per customer, (C,)
+        sigma**2 * float(model.base @ binv_b0)
+        + 2.0 * sigma * (moments.mean_disturbance @ binv_b0)
+        + quad_w
+    )
+    per_class_cs = (
+        counts * quad_v / (2.0 * sigma)
+        - 0.5 * counts * sigma * float(pi @ (model.slope @ pi))
+        - energy @ pi
+        - counts * tariff.connection_charge
+    )
+    consumer_surplus = float(per_class_cs.sum())
+
+    return SurplusReport(
+        consumer_surplus=consumer_surplus,
+        retailer_surplus=retailer_surplus,
+        social_welfare=consumer_surplus + retailer_surplus,
+        per_class_consumer_surplus=per_class_cs,
+        expected_revenue=model.customers * tariff.connection_charge + float(pi @ metered),
+        expected_energy_cost=float(lam_bar @ metered) + float(cov.sum()) - retailer_der,
+        fleet_value=storage_value,
+        renewable_value=renewable,
+    )
 
 
 def expected_retailer_surplus(
@@ -324,81 +416,18 @@ def expected_retailer_surplus(
     scenario_set: ScenarioSet,
     case: IntegrationCase,
 ) -> float:
-    """Expected retailer surplus of a tariff, $ per day (closed-form path)."""
-    margin = expected_margin(tariff.prices, model, scenario_set, case)
-    return model.customers * tariff.connection_charge + margin + _retailer_der_value(case, scenario_set)
+    """Expected retailer surplus of a tariff, $ per day: :func:`settle`'s.
 
-
-def expected_consumer_surplus_by_class(
-    tariff: TwoPartTariff,
-    model: dm.DemandModel,
-    scenario_set: ScenarioSet,
-    case: IntegrationCase,
-) -> np.ndarray:
-    """Expected consumer surplus of each class (C,), $ per day (closed-form path).
-
-    Uses the quadratic identity S(D) = v^T B^{-1} v / (2 sigma) - sigma
-    pi^T B pi / 2 at the demand D = v - sigma B pi, with v = sigma b0 + w
-    per customer, instead of evaluating S at the consumption bundle (only
-    ``oracle.settlement_resim`` does the latter; the tests hold the two
-    to each other).  Its expectation needs only the set's disturbance
-    moments,
-
-        E[v^T B^{-1} v] = sigma^2 b0^T B^{-1} b0 + 2 sigma b0^T B^{-1} E[w]
-                          + tr(B^{-1} E[w w^T]),
-
-    and, summed over a class's customers, the bill term is pi^T times the
-    class's expected metered energy (:func:`_metered`).
+    Kept as a name of its own because the benchmark's tracer counts its
+    calls as ``tariff.revenue_probes``: the solvers' revenue probes, their
+    final residual check and ``ingest.derive_fixed_cost`` call it, while
+    ``welfare.evaluate`` reads the whole settlement.
     """
-    pi = as_price_vector(tariff.prices, model.horizon)
-    sigma, counts = model.sigma, model.class_counts
-    moments = scenario_set.moments
-    binv_b0 = model.slope_inverse @ model.base
-    quad_w = np.einsum("nm,cmn->c", model.slope_inverse, moments.disturbance_second_moment)
-    quad_v = (  # E[v^T B^-1 v] per customer, (C,)
-        sigma**2 * float(model.base @ binv_b0)
-        + 2.0 * sigma * (moments.mean_disturbance @ binv_b0)
-        + quad_w
-    )
-    energy, _ = _metered(model, scenario_set, case, pi, customer_fleet_meter(case, model.n_classes, pi))
-    return (
-        counts * quad_v / (2.0 * sigma)
-        - 0.5 * counts * sigma * float(pi @ (model.slope @ pi))
-        - energy @ pi
-        - counts * tariff.connection_charge
-    )
-
-
-def expected_consumer_surplus(
-    tariff: TwoPartTariff,
-    model: dm.DemandModel,
-    scenario_set: ScenarioSet,
-    case: IntegrationCase,
-) -> float:
-    """Expected consumer surplus of a tariff, $ per day: the sum of
-    :func:`expected_consumer_surplus_by_class`."""
-    return float(expected_consumer_surplus_by_class(tariff, model, scenario_set, case).sum())
+    return settle(tariff, model, scenario_set, case).retailer_surplus
 
 
 # ---------------------------------------------------------------------------
 # optimal two-part tariffs
-
-
-def connection_charge_for(
-    prices,
-    model: dm.DemandModel,
-    scenario_set: ScenarioSet,
-    case: IntegrationCase,
-    fixed_cost: float,
-) -> float:
-    """Connection charge making the tariff revenue adequate at given prices.
-
-    Solves M A + E[(pi - lambda)^T d] + offsets = F for A; exact because
-    expected revenue is linear in A.
-    """
-    prices = as_price_vector(prices, model.horizon)
-    margin = expected_margin(prices, model, scenario_set, case)
-    return (fixed_cost - margin - _retailer_der_value(case, scenario_set)) / model.customers
 
 
 def optimal_two_part(
@@ -417,7 +446,8 @@ def optimal_two_part(
         A = (F + tr cov(lambda, D_metered) - retailer DER value) / M,
 
     in which only the metered disturbance covaries with lambda, and by the
-    generic revenue-adequacy solve :func:`connection_charge_for`;
+    generic revenue-adequacy solve (F - rs(0, lam_bar)) / M, exact because
+    expected revenue is linear in A, with rs from :func:`settle`;
     disagreement beyond ``A_AGREEMENT_RTOL`` raises
     :class:`RevenueAdequacyError`.
     """
@@ -426,7 +456,8 @@ def optimal_two_part(
         scenario_set, _metered_disturbance(model, scenario_set, case), scenario_set.price_matrix
     )
     a_closed = (fixed_cost + metered_cov - _retailer_der_value(case, scenario_set)) / model.customers
-    a_generic = connection_charge_for(pi, model, scenario_set, case, fixed_cost)
+    uncharged = settle(TwoPartTariff(0.0, pi), model, scenario_set, case)
+    a_generic = (fixed_cost - uncharged.retailer_surplus) / model.customers
     if abs(a_closed - a_generic) > A_AGREEMENT_RTOL * max(1.0, abs(a_closed), abs(a_generic)):
         raise RevenueAdequacyError(
             f"connection-charge routes disagree: closed form {a_closed!r}, generic {a_generic!r}"
@@ -589,9 +620,7 @@ def _solve_flat(
     no_fleet = np.zeros((model.n_classes, n))
     roots = _ray_roots(family, model, scenario_set, case, fixed_cost, np.zeros(n), np.ones(n), no_fleet)
     candidates = [flat_tariff(family.connection_charge, p, n) for p in roots]
-    surpluses = [
-        expected_consumer_surplus(t, model, scenario_set, case) for t in candidates
-    ]
+    surpluses = [settle(t, model, scenario_set, case).consumer_surplus for t in candidates]
     return FamilyReport(
         tariff=candidates[int(np.argmax(surpluses))],
         kind=family.kind,
@@ -661,7 +690,7 @@ def _solve_dynamic(
     best = 0
     if len(cycle) > 1:
         surpluses = [
-            expected_consumer_surplus(TwoPartTariff(charge, pi), model, scenario_set, case)
+            settle(TwoPartTariff(charge, pi), model, scenario_set, case).consumer_surplus
             for _, pi in cycle
         ]
         best = int(np.argmax(surpluses))

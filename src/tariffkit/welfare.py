@@ -2,8 +2,9 @@
 
 Every surplus figure is the expectation of a quadratic in the scenario, so
 ``evaluate`` reports it exactly from the set's cached moments
-(``ScenarioSet.moments``) through the tariff module's closed forms, in
-O(C N^2) per call whatever the number of scenarios.  The per-(scenario,
+(``ScenarioSet.moments``): it is the tariff module's one settlement,
+``tariff.settle``, plus a finiteness check, in O(C N^2) per call whatever
+the number of scenarios.  The per-(scenario,
 class) settlement that these expectations summarize lives only in
 ``oracle.settlement_resim``, the independent route the tests hold
 ``evaluate`` to.  The decomposition identities verified by
@@ -31,29 +32,9 @@ import numpy as np
 from . import demand as dm
 from . import storage as st
 from . import tariff as tf
-from .scenario import ScenarioSet, as_price_vector, expect_price, with_pv_capacity
+from .scenario import ScenarioSet, expect_price, with_pv_capacity
 
 IDENTITY_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SurplusReport:
-    """Expected surpluses of one tariff under one integration case, $ per day.
-
-    ``social_welfare`` is always the computed sum cs + rs, and
-    ``expected_revenue - expected_energy_cost`` is rs up to rounding.
-    ``fleet_value`` and ``renewable_value`` value the DERs on the case's
-    side: the fleet at the prices it answers, and E[lambda^T r].
-    """
-
-    consumer_surplus: float
-    retailer_surplus: float
-    social_welfare: float
-    per_class_consumer_surplus: np.ndarray
-    expected_revenue: float
-    expected_energy_cost: float
-    fleet_value: float
-    renewable_value: float
 
 
 def evaluate(
@@ -61,53 +42,18 @@ def evaluate(
     model: dm.DemandModel,
     scenario_set: ScenarioSet,
     case: tf.IntegrationCase,
-) -> SurplusReport:
-    """Expected surpluses of a tariff, from the set's cached moments.
+) -> tf.SurplusReport:
+    """Expected surpluses of a tariff under a case: its ``tariff.settle``.
 
-    Respects the integration case through the customer meter
-    (``tariff._metered``): decentralized cases net the customer renewables
-    and the tariff-responsive storage fleet behind the meter; centralized
-    cases bill gross consumption while the retailer nets its renewables and
-    a fleet committed against the expected price.  Demand is linear in the
-    disturbance, so revenue is M A + pi^T E[metered energy] and energy cost
-    lam_bar^T E[metered energy] plus its tr cov(lambda, .), less the
-    report's DER values when the retailer holds them; the surpluses are
-    ``tariff.expected_consumer_surplus_by_class`` and
-    ``tariff.expected_retailer_surplus``.  O(C N^2) per call.  A non-finite
-    consumer or retailer surplus raises ``ArithmeticError``.
+    O(C N^2) per call.  A non-finite consumer or retailer surplus raises
+    ``ArithmeticError``.
     """
-    pi = as_price_vector(tariff.prices, model.horizon)
-    lam_bar = scenario_set.moments.mean_price
-
-    per_class_cs = tf.expected_consumer_surplus_by_class(tariff, model, scenario_set, case)
-    consumer_surplus = float(per_class_cs.sum())
-    retailer_surplus = tf.expected_retailer_surplus(tariff, model, scenario_set, case)
-    if not (math.isfinite(consumer_surplus) and math.isfinite(retailer_surplus)):
+    report = tf.settle(tariff, model, scenario_set, case)
+    if not (math.isfinite(report.consumer_surplus) and math.isfinite(report.retailer_surplus)):
         raise ArithmeticError(
-            f"non-finite surplus: cs {consumer_surplus!r}, rs {retailer_surplus!r}"
+            f"non-finite surplus: cs {report.consumer_surplus!r}, rs {report.retailer_surplus!r}"
         )
-
-    fleet = tf.customer_fleet_meter(case, model.n_classes, pi)
-    energy, cov = tf._metered(model, scenario_set, case, pi, fleet)
-    metered = energy.sum(axis=0)
-    # a retailer fleet is committed against lam_bar, where its meter energy is worth its value
-    fleet_value = tf.fleet_value(case, lam_bar if case.uses_retailer_der else pi)
-    renewable_value = tf.renewable_value(case, scenario_set)
-    revenue = model.customers * tariff.connection_charge + float(pi @ metered)
-    cost = float(lam_bar @ metered) + float(cov.sum())
-    if case.uses_retailer_der:
-        cost -= fleet_value + renewable_value
-
-    return SurplusReport(
-        consumer_surplus=consumer_surplus,
-        retailer_surplus=retailer_surplus,
-        social_welfare=consumer_surplus + retailer_surplus,
-        per_class_consumer_surplus=per_class_cs,
-        expected_revenue=revenue,
-        expected_energy_cost=cost,
-        fleet_value=fleet_value,
-        renewable_value=renewable_value,
-    )
+    return report
 
 
 def efficient_welfare(model: dm.DemandModel, scenario_set: ScenarioSet) -> float:

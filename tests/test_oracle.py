@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +37,8 @@ def fixture(seed, correlated=True, horizon=6, n_classes=3):
     return model, sc.ScenarioSet(np.full(k, 1.0 / k), prices, disturbances, solar_unit_matrix=solar)
 
 
-def assert_reports_agree(a: wf.SurplusReport, b: wf.SurplusReport, rtol=1e-9):
-    for field in dataclasses.fields(wf.SurplusReport):
+def assert_reports_agree(a: tf.SurplusReport, b: tf.SurplusReport, rtol=1e-9):
+    for field in dataclasses.fields(tf.SurplusReport):
         got = getattr(a, field.name)
         want = getattr(b, field.name)
         if field.name == "per_class_consumer_surplus":
@@ -304,3 +306,25 @@ def test_evaluate_matches_settlement(seed, n_days, n_classes, horizon, product, 
             np.testing.assert_allclose(energy[c], probs @ metered, rtol=1e-12, atol=1e-12 * scale,
                                        err_msg=side)
             np.testing.assert_allclose(cov[c], probs @ centred, rtol=1e-12, atol=1e-14, err_msg=side)
+
+
+def test_oracle_shares_no_settlement_code():
+    # the oracle's settlement must stay independent of the library's: it
+    # imports nothing from welfare and reads only the tariff module's
+    # records and mode constants
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+            if node.module == "tariff":
+                read |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "tf":
+            read.add(node.attr)
+    assert not any("welfare" in name for name in imported), imported
+    forbidden = {"settle", "_metered", "expected_retailer_surplus", "customer_fleet_meter", "fleet_value"}
+    assert not read & forbidden
+    allowed = {"TwoPartTariff", "IntegrationCase", "SurplusReport"}
+    assert {name for name in read if not name.startswith("MODE_")} <= allowed, read

@@ -203,7 +203,7 @@ def test_flat_family_settles_and_picks_surplus_maximizing_root():
         assert rs == pytest.approx(20.0, abs=1e-8 * 20.0)
     assert report.root_surpluses is not None
     assert max(report.root_surpluses) == pytest.approx(
-        tf.expected_consumer_surplus(report.tariff, model, ss, tf.no_der()), rel=1e-12
+        tf.settle(report.tariff, model, ss, tf.no_der()).consumer_surplus, rel=1e-12
     )
     # low root charges less and is the consumer-preferred one
     assert report.tariff.prices[0] == pytest.approx(lo)
@@ -249,9 +249,9 @@ def test_dynamic_family_settles_and_orders_surplus():
     ).tariff
     rs = tf.expected_retailer_surplus(dyn, model, ss, case)
     assert rs == pytest.approx(f, abs=1e-8 * f)
-    cs_flat = tf.expected_consumer_surplus(flat, model, ss, case)
-    cs_dyn = tf.expected_consumer_surplus(dyn, model, ss, case)
-    cs_opt = tf.expected_consumer_surplus(opt, model, ss, case)
+    cs_flat = tf.settle(flat, model, ss, case).consumer_surplus
+    cs_dyn = tf.settle(dyn, model, ss, case).consumer_surplus
+    cs_opt = tf.settle(opt, model, ss, case).consumer_surplus
     # freeing the price shape helps; freeing the connection charge helps more
     assert cs_flat <= cs_dyn + 1e-9
     assert cs_dyn <= cs_opt + 1e-9
@@ -268,8 +268,8 @@ def test_dynamic_zero_charge_below_fixed_charge():
         tf.TariffFamily(kind=tf.FLAT_FIXED_A, fixed_connection_charge=0.3),
         model, ss, tf.no_der(), f,
     ).tariff
-    cs_zero = tf.expected_consumer_surplus(zero, model, ss, tf.no_der())
-    cs_fixed = tf.expected_consumer_surplus(fixed, model, ss, tf.no_der())
+    cs_zero = tf.settle(zero, model, ss, tf.no_der()).consumer_surplus
+    cs_fixed = tf.settle(fixed, model, ss, tf.no_der()).consumer_surplus
     assert cs_zero < cs_fixed
 
 
@@ -360,10 +360,10 @@ def test_dynamic_fleet_cycle_returns_best_member(study):
         members.append(lam_bar + t * direction)
     np.testing.assert_array_equal(members[-1], members[0])
     assert not np.array_equal(members[1], members[0])
-    best = tf.expected_consumer_surplus(report.tariff, model, swept, case)
+    best = tf.settle(report.tariff, model, swept, case).consumer_surplus
     for prices in members[1:-1]:
         member = tf.TwoPartTariff(0.0, prices)
-        assert best >= tf.expected_consumer_surplus(member, model, swept, case)
+        assert best >= tf.settle(member, model, swept, case).consumer_surplus
         residual = tf.expected_retailer_surplus(member, model, swept, case) - fixed_cost
         assert abs(residual) <= tf.ADEQUACY_RTOL * fixed_cost
 
@@ -446,7 +446,7 @@ def test_restricted_families_settle_with_customer_fleet(
     family = tf.TariffFamily(
         kind=kind, fixed_connection_charge=0.3 if kind.endswith("fixed-A") else None
     )
-    margin = tf.expected_margin(np.full(horizon, 0.2), model, ss, tf.no_der())
+    margin = tf.settle(tf.flat_tariff(0.0, 0.2, horizon), model, ss, tf.no_der()).retailer_surplus
     f = model.customers * family.connection_charge + revenue_share * margin
     try:
         report = tf.optimize_family_report(family, model, ss, case, f)
@@ -507,7 +507,8 @@ def test_closed_forms_match_scenario_sums(seed, correlated, n_classes, horizon, 
     net = dm.aggregate_demand(model, prices) + metered - live
     gaps = prices - lam
     margin = probs @ np.einsum("sn,sn->s", gaps, net)
-    close(tf.expected_margin(prices, model, ss, case), margin, gaps * net)
+    settled = tf.settle(tf.TwoPartTariff(0.0, prices), model, ss, case)
+    close(settled.retailer_surplus, margin + offset, gaps * net, offset)
 
     # any frozen per-class fleet, not only a response
     fleet = rng.normal(scale=5.0, size=(n_classes, horizon))
@@ -540,7 +541,7 @@ def test_closed_forms_match_scenario_sums(seed, correlated, n_classes, horizon, 
         - prices @ billed
         - model.customers * charge
     )
-    close(tf.expected_consumer_surplus(tariff, model, ss, case), surplus, quad)
+    close(tf.settle(tariff, model, ss, case).consumer_surplus, surplus, quad)
 
 
 @settings(max_examples=40, deadline=None)

@@ -405,3 +405,26 @@ def test_grid_cells_make_no_scenario_pass(study, anchors, monkeypatch):
     assert calls["reduced"] == 0
     assert calls["optimal"] > 0
     assert calls["metered"] == calls["optimal"]
+
+
+@pytest.mark.parametrize("mode", [tf.MODE_DECENTRALIZED, tf.MODE_CENTRALIZED])
+def test_evaluate_is_one_settlement(study, monkeypatch, mode):
+    # one evaluate fetches the fleet's unit schedule once and meters once
+    config = study.config
+    swept, case = wf.sweep_fixture(
+        study.model, study.scenario_set, mode, 1100e3, config.storage_per_pv_kwh_per_kw,
+        ingest.storage_unit_spec(config), config.pv_unit_kw,
+    )
+    tariff = tf.optimal_two_part(study.model, swept, case, study.fixed_cost)
+    calls = {"arbitrage_value": 0, "metered": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(st, "arbitrage_value", counted("arbitrage_value", st.arbitrage_value))
+    monkeypatch.setattr(tf, "_metered", counted("metered", tf._metered))
+    wf.evaluate(tariff, study.model, swept, case)
+    assert calls == {"arbitrage_value": 1, "metered": 1}
