@@ -435,9 +435,11 @@ def build_scenarios(config: StudyConfig, model: dm.DemandModel, prices: np.ndarr
     """Turn date-aligned (K, N) inputs into a weighted scenario set.
 
     Paired mode keeps day k's price, load, and solar together with weight
-    1/K; product mode crosses the price marginal with the joint
-    (load, solar) marginal, which makes prices independent of local states
-    by construction.  Day-k load enters as per-customer disturbances
+    1/K; product mode couples the price marginal with the joint
+    (load, solar) marginal as their product (``scenario.split_marginals``),
+    which makes prices independent of local states by construction.  The
+    product set has K^2 scenarios but stores the K days once, with the two
+    weight vectors.  Day-k load enters as per-customer disturbances
     sigma_i * (load_k - mean load) / sigma_total, so the population
     disturbance reproduces the day's deviation exactly and larger customers
     absorb proportionally more of it.

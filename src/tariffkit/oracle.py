@@ -22,7 +22,7 @@ from scipy import optimize
 from . import demand as dm
 from . import storage as st
 from . import tariff as tf
-from .scenario import ScenarioSet, as_price_vector
+from .scenario import Product, Scenario, ScenarioSet, as_price_vector
 
 STORAGE_HORIZON_CAP = 6
 PLANNER_SUPPORT_CAP = 16
@@ -99,6 +99,29 @@ def _linprog_schedule(spec: st.StorageSpec, prices: np.ndarray) -> tuple[float, 
     return -float(result.fun), discharge - charge
 
 
+def _rows(scenario_set: ScenarioSet) -> list[Scenario]:
+    """The set's scenarios, built here from its blocks and weights.
+
+    A product set's rows pair every price row k with every local row l at
+    weight p_k q_l, price-major; a paired set's pair row s with row s.  The
+    renewables are recomputed as capacity times the solar row, so the
+    engines never read the library's row view or joint tensors.
+    """
+    ss = scenario_set
+    coupling = ss.coupling
+    if isinstance(coupling, Product):
+        pairs = [(p * q, k, j) for k, p in enumerate(coupling.price_weights)
+                 for j, q in enumerate(coupling.local_weights)]
+    else:
+        pairs = [(p, s, s) for s, p in enumerate(coupling.weights)]
+    return [
+        Scenario(float(weight), ss.price_block[k], ss.disturbance_block[j],
+                 ss.customer_kw[:, None] * ss.solar_block[j], ss.retailer_kw * ss.solar_block[j],
+                 ss.solar_block[j])
+        for weight, k, j in pairs
+    ]
+
+
 @dataclass(frozen=True)
 class ResimReport(tf.SurplusReport):
     """A :class:`~tariffkit.tariff.SurplusReport` re-derived by settlement.
@@ -131,7 +154,7 @@ def settlement_resim(
     slope = model.slope
     base = model.base
     n = model.horizon
-    scen = list(scenario_set)
+    scen = _rows(scenario_set)
     probs = [s.probability for s in scen]
 
     mean_prices = np.zeros(n)
@@ -264,10 +287,11 @@ def planner_direct(
     use_der = case.uses_customer_der
     slope = model.slope
     base = model.base
+    rows = _rows(scenario_set)
     total = 0.0
     for i in range(model.n_classes):
         groups: dict[bytes, list] = {}
-        for s in scenario_set:
+        for s in rows:
             key = s.disturbances[i].tobytes() + s.renewable_customer[i].tobytes()
             groups.setdefault(key, []).append(s)
         if len(groups) > PLANNER_SUPPORT_CAP:
@@ -292,6 +316,6 @@ def planner_direct(
                 unit = storage_brute_force(case.storage, lam_cond, grid_steps)
                 total += weight * case.storage_units[i] * unit
     if use_der:
-        for s in scenario_set:
+        for s in rows:
             total += s.probability * float(s.prices @ s.renewable_customer.sum(axis=0))
     return total

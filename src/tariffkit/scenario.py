@@ -4,14 +4,24 @@ Every expectation in the tariff formulas is an exact probability-weighted sum
 over one of these sets, so the structural identities checked by the test suite
 hold to floating-point accuracy rather than Monte Carlo accuracy.
 
-A :class:`ScenarioSet` stores its data once, as read-only stacked tensors
-with the scenario index first; every library computation is a reduction over
-that leading axis.  The price-independent reductions that the tariff closed
-forms need (:class:`SetMoments`) are made once per set and cached on it.
-They are capacity-free: a reader scales a solar moment by the PV capacity on
-its case's side, so a PV set (:func:`with_pv_capacity`) shares its source's.
-A set is built from its tensors only; :class:`Scenario` is the read-only
-row view it yields when iterated, for the oracle, tests and demos.
+A :class:`ScenarioSet` stores its data once, as two read-only blocks with
+the row index first: a price block (Kp, N) and a local block, the class
+disturbances (Kl, C, N) with the per-kW solar profile (Kl, N).  A coupling
+joins them into the set's S scenarios: a :class:`Paired` set pairs price
+row s with local row s (S = Kp = Kl, each pair weighted), and a
+:class:`Product` set, the product of two marginals, pairs every price row
+with every local row (S = Kp Kl) and stores only the two marginal weight
+vectors, so it costs O(Kp + Kl) memory, not O(S).  The price-independent
+reductions that the tariff closed forms need (:class:`SetMoments`) are made
+once per set, through the coupling, and cached on it.  They are
+capacity-free: a reader scales a solar moment by the PV capacity on its
+case's side, so a PV set (:func:`with_pv_capacity`) shares its source's.
+
+The joint per-scenario tensors (``probabilities``, ``price_matrix``,
+``disturbance_tensor``, ``solar_unit_matrix``) are the stored blocks of a
+paired set; a product set builds them on each read, price-major, for the
+tests, demos and benchmark checks.  No study computation reads them.
+:class:`Scenario` is the read-only row view a set yields when iterated.
 
 Conventions
 -----------
@@ -74,17 +84,12 @@ def _frozen(values, shape: tuple[int, ...], name: str, nonneg: bool = False) -> 
     return arr
 
 
-# the tensors a Scenario row views, in Scenario field order
-_SET_FIELDS = ("price_matrix", "disturbance_tensor", "customer_renewable_tensor",
-               "retailer_renewable_matrix", "solar_unit_matrix")
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One joint realization of the global state (prices, local demand states).
 
     The read-only row view of a :class:`ScenarioSet`, which yields one per
-    scenario when iterated; its arrays are views of the set's tensors (the
+    scenario when iterated; its arrays are views of the set's blocks (the
     renewables of a set without PV are zero views).
 
     probability : weight in [0, 1]
@@ -101,6 +106,100 @@ class Scenario:
     renewable_customer: np.ndarray
     renewable_retailer: np.ndarray
     solar_unit: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Paired:
+    """The coupling of a joint sample: scenario s is price row s with local
+    row s, at weight ``weights[s]`` (S = Kp = Kl)."""
+
+    weights: np.ndarray
+
+    @property
+    def price_weights(self) -> np.ndarray:
+        """(Kp,) marginal weight of each price row."""
+        return self.weights
+
+    @property
+    def local_weights(self) -> np.ndarray:
+        """(Kl,) marginal weight of each local row."""
+        return self.weights
+
+    @property
+    def size(self) -> int:
+        return self.weights.size
+
+    def joint_weights(self) -> np.ndarray:
+        return self.weights
+
+    def rows(self):
+        """(weight, price row, local row) of each scenario, in set order."""
+        for s, weight in enumerate(self.weights):
+            yield float(weight), s, s
+
+    def joint(self, block: np.ndarray, local: bool) -> np.ndarray:
+        """A block read per scenario: a paired set's blocks are its scenarios."""
+        return block
+
+    def expect_dot(self, price_field: np.ndarray, local_field: np.ndarray) -> np.ndarray:
+        """E[a^T b] for a price-block field a (Kp, N) and a local-block field
+        b (Kl, ..., N), one value per index between b's first and last axes."""
+        return self.weights @ np.einsum("sn,s...n->s...", price_field, local_field)
+
+    def conditional_prices(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coupling column l: local row l's weight (Kl,) and E[lambda | row l] (Kl, N)."""
+        return self.weights, prices
+
+
+@dataclass(frozen=True, eq=False)
+class Product:
+    """The coupling of two independent marginals: scenario k Kl + l is price
+    row k with local row l, at weight ``price_weights[k] * local_weights[l]``
+    (S = Kp Kl, price-major).  Only the two weight vectors are stored."""
+
+    price_weights: np.ndarray
+    local_weights: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.price_weights.size * self.local_weights.size
+
+    def joint_weights(self) -> np.ndarray:
+        weights = np.outer(self.price_weights, self.local_weights).reshape(-1)
+        weights.setflags(write=False)
+        return weights
+
+    def rows(self):
+        """(weight, price row, local row) of each scenario, in set order."""
+        for k, p in enumerate(self.price_weights):
+            for j, q in enumerate(self.local_weights):
+                yield float(p * q), k, j
+
+    def joint(self, block: np.ndarray, local: bool) -> np.ndarray:
+        """A block read per scenario, built: price rows repeat, local rows
+        tile, and a zero view (one row broadcast) stays a view."""
+        if block.strides[0] == 0:
+            return np.broadcast_to(block[:1], (self.size,) + block.shape[1:])
+        if local:
+            joint = np.tile(block, (self.price_weights.size,) + (1,) * (block.ndim - 1))
+        else:
+            joint = np.repeat(block, self.local_weights.size, axis=0)
+        joint.setflags(write=False)
+        return joint
+
+    def expect_dot(self, price_field: np.ndarray, local_field: np.ndarray) -> np.ndarray:
+        """:meth:`Paired.expect_dot` as the factorized sum E[a]^T E[b]."""
+        return np.einsum("n,...n->...", self.price_weights @ price_field,
+                         np.tensordot(self.local_weights, local_field, axes=1))
+
+    def conditional_prices(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`Paired.conditional_prices`: under independence every
+        column's conditional price is the mean price."""
+        weights = self.local_weights
+        return weights, np.broadcast_to(self.price_weights @ prices, (weights.size, prices.shape[1]))
+
+
+Coupling = Union[Paired, Product]
 
 
 @dataclass(frozen=True)
@@ -136,16 +235,23 @@ class SetMoments:
 
 
 def _reduced_moments(ss: ScenarioSet) -> SetMoments:
-    """One S-sized pass over a set's tensors (see :class:`SetMoments`)."""
-    probs = ss.probabilities
+    """One pass over each block, joined by the coupling (see :class:`SetMoments`).
+
+    The local moments, E[w w^T] included, read the local block only; the
+    cross moments are the coupling's :meth:`~Paired.expect_dot`, a sum over
+    the pairs of a paired set and the factorized sum of a product set.
+    """
+    coupling = ss.coupling
+    weights = coupling.local_weights
     mean_price = expect_price(ss)
-    lam_dev = ss.price_matrix - mean_price
-    mean_dist = np.tensordot(probs, ss.disturbance_tensor, axes=1)
-    dist_cov = probs @ np.einsum("sn,scn->sc", lam_dev, ss.disturbance_tensor - mean_dist)
-    by_class = ss.disturbance_tensor.transpose(1, 0, 2)  # (C, S, N)
-    second = (by_class.transpose(0, 2, 1) * probs) @ by_class
-    solar = ss.solar_unit_matrix
-    mean_solar = probs @ solar
+    lam_dev = ss.price_block - mean_price
+    local = ss.disturbance_block
+    mean_dist = np.tensordot(weights, local, axes=1)
+    dist_cov = coupling.expect_dot(lam_dev, local - mean_dist)
+    by_class = local.transpose(1, 0, 2)  # (C, Kl, N)
+    second = (by_class.transpose(0, 2, 1) * weights) @ by_class
+    solar = ss.solar_block
+    mean_solar = weights @ solar
     for arr in (mean_dist, dist_cov, second, mean_solar):
         arr.setflags(write=False)
     return SetMoments(
@@ -154,24 +260,36 @@ def _reduced_moments(ss: ScenarioSet) -> SetMoments:
         disturbance_cov=dist_cov,
         disturbance_second_moment=second,
         mean_solar=mean_solar,
-        solar_cov=float(probs @ np.einsum("sn,sn->s", lam_dev, solar - mean_solar)),
-        solar_value=float(probs @ np.einsum("sn,sn->s", ss.price_matrix, solar)),
+        solar_cov=float(coupling.expect_dot(lam_dev, solar - mean_solar)),
+        solar_value=float(coupling.expect_dot(ss.price_block, solar)),
     )
+
+
+# what a set stores besides its coupling and cached moments
+_STORED = ("price_block", "disturbance_block", "solar_block", "customer_kw", "retailer_kw")
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class ScenarioSet:
     """Immutable weighted collection of scenarios on a common horizon.
 
-    Stored once, as read-only tensors over S scenarios, C classes and N
-    periods: ``probabilities`` (S,), ``price_matrix`` (S, N),
-    ``disturbance_tensor`` (S, C, N) and ``solar_unit_matrix`` (S, N).  The
-    constructor requires all four (a set without solar passes a zero
-    profile) and shares read-only float inputs instead of copying them;
-    iterating a set yields its :class:`Scenario` rows.  Renewables are PV
-    capacity times the solar profile: ``customer_kw`` (C,) and
-    ``retailer_kw`` are zero at construction, and a
-    :func:`with_pv_capacity` set shares its source's tensors with new
+    Stored once, as read-only blocks over N periods and C classes: the
+    ``price_block`` (Kp, N) and the local block, ``disturbance_block``
+    (Kl, C, N) with ``solar_block`` (Kl, N), joined into S scenarios by
+    ``coupling``, a :class:`Paired` or a :class:`Product`.  The constructor
+    builds a paired set from S joint rows, ``probabilities`` (S,),
+    ``price_matrix`` (S, N), ``disturbance_tensor`` (S, C, N) and
+    ``solar_unit_matrix`` (S, N), and requires all four (a set without solar
+    passes a zero profile); it shares read-only float inputs instead of
+    copying them.  :func:`split_marginals` makes the product of a set's
+    marginals by swapping its coupling.  ``len`` counts the S scenarios and
+    iterating yields their :class:`Scenario` rows, in set order.  The joint
+    tensors named as the constructor's arguments are a paired set's blocks,
+    and a product set builds them on each read.
+
+    Renewables are PV capacity times the solar profile: ``customer_kw``
+    (C,) and ``retailer_kw`` are zero at construction, and a
+    :func:`with_pv_capacity` set shares its source's blocks with new
     capacities.  The renewable tensors are read-only zero views at zero
     capacity and are otherwise built on each read; the closed forms read
     only the set's moments and its capacities.
@@ -183,14 +301,14 @@ class ScenarioSet:
     :class:`SetMoments`), are computed once, on first use, and cached on the
     set.  They depend on no demand model, integration case or PV
     capacity, and a set never changes, so they cannot go stale.  A set
-    built from data reduces them in one pass over its scenarios; a
-    :func:`with_pv_capacity` set shares its source's.
+    reduces them in one pass over each block; a :func:`with_pv_capacity`
+    set shares its source's.
     """
 
-    probabilities: np.ndarray
-    price_matrix: np.ndarray
-    disturbance_tensor: np.ndarray
-    solar_unit_matrix: np.ndarray
+    coupling: Coupling
+    price_block: np.ndarray
+    disturbance_block: np.ndarray
+    solar_block: np.ndarray
     customer_kw: np.ndarray
     retailer_kw: float
 
@@ -212,48 +330,80 @@ class ScenarioSet:
         c = disturbances.shape[1] if disturbances.ndim == 3 else 0
         # frozen: fields are set through the instance dict, as cached_property does
         vars(self).update(
-            probabilities=probabilities,
-            price_matrix=_frozen(prices, (s, n), "prices"),
-            disturbance_tensor=_frozen(disturbances, (s, c, n), "disturbances"),
-            solar_unit_matrix=_frozen(solar_unit_matrix, (s, n), "solar_unit", nonneg=True),
+            coupling=Paired(probabilities),
+            price_block=_frozen(prices, (s, n), "prices"),
+            disturbance_block=_frozen(disturbances, (s, c, n), "disturbances"),
+            solar_block=_frozen(solar_unit_matrix, (s, n), "solar_unit", nonneg=True),
             customer_kw=np.broadcast_to(0.0, (c,)),  # a read-only zero view
             retailer_kw=0.0,
         )
 
     def __len__(self) -> int:
-        return self.probabilities.size
+        return self.coupling.size
 
     def __iter__(self):
         """Scenario rows, in set order."""
-        tensors = [getattr(self, name) for name in _SET_FIELDS]
-        for k, probability in enumerate(self.probabilities):
-            yield Scenario(float(probability), *(t[k] for t in tensors))
+        prices, disturbances, solar = self.price_block, self.disturbance_block, self.solar_block
+        customer, retailer = self.customer_renewable_block, self.retailer_renewable_block
+        for weight, k, j in self.coupling.rows():
+            yield Scenario(weight, prices[k], disturbances[j], customer[j], retailer[j], solar[j])
 
     @property
     def horizon(self) -> int:
-        return self.price_matrix.shape[1]
+        return self.price_block.shape[1]
 
     @property
     def n_classes(self) -> int:
-        return self.disturbance_tensor.shape[1]
+        return self.disturbance_block.shape[1]
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """(S,) scenario weights."""
+        return self.coupling.joint_weights()
+
+    @property
+    def price_matrix(self) -> np.ndarray:
+        """(S, N) wholesale prices per scenario, $/kWh."""
+        return self.coupling.joint(self.price_block, local=False)
+
+    @property
+    def disturbance_tensor(self) -> np.ndarray:
+        """(S, C, N) per-customer disturbances per scenario, kWh."""
+        return self.coupling.joint(self.disturbance_block, local=True)
+
+    @property
+    def solar_unit_matrix(self) -> np.ndarray:
+        """(S, N) per-kW solar profile per scenario, kWh/kW."""
+        return self.coupling.joint(self.solar_block, local=True)
+
+    @property
+    def customer_renewable_block(self) -> np.ndarray:
+        """(Kl, C, N) class-aggregate customer renewables ``customer_kw[c] *
+        solar`` per local row, kWh."""
+        if not self.customer_kw.any():
+            return np.broadcast_to(0.0, self.disturbance_block.shape)
+        block = self.customer_kw[:, None] * self.solar_block[:, None, :]
+        block.setflags(write=False)
+        return block
+
+    @property
+    def retailer_renewable_block(self) -> np.ndarray:
+        """(Kl, N) retailer-side renewables ``retailer_kw * solar`` per local row, kWh."""
+        if self.retailer_kw == 0.0:
+            return np.broadcast_to(0.0, self.solar_block.shape)
+        block = self.retailer_kw * self.solar_block
+        block.setflags(write=False)
+        return block
 
     @property
     def customer_renewable_tensor(self) -> np.ndarray:
-        """(S, C, N) class-aggregate customer renewables ``customer_kw[c] * solar``, kWh."""
-        if not self.customer_kw.any():
-            return np.broadcast_to(0.0, self.disturbance_tensor.shape)
-        tensor = self.customer_kw[:, None] * self.solar_unit_matrix[:, None, :]
-        tensor.setflags(write=False)
-        return tensor
+        """(S, C, N) :attr:`customer_renewable_block` per scenario."""
+        return self.coupling.joint(self.customer_renewable_block, local=True)
 
     @property
     def retailer_renewable_matrix(self) -> np.ndarray:
-        """(S, N) retailer-side renewables ``retailer_kw * solar``, kWh."""
-        if self.retailer_kw == 0.0:
-            return np.broadcast_to(0.0, self.price_matrix.shape)
-        matrix = self.retailer_kw * self.solar_unit_matrix
-        matrix.setflags(write=False)
-        return matrix
+        """(S, N) :attr:`retailer_renewable_block` per scenario."""
+        return self.coupling.joint(self.retailer_renewable_block, local=True)
 
     @cached_property
     def moments(self) -> SetMoments:
@@ -265,6 +415,16 @@ class ScenarioSet:
 Field = Union[np.ndarray, Callable[[Scenario], np.ndarray]]
 
 
+@dataclass(frozen=True)
+class BlockField:
+    """A field that reads one block of its set only, stored once per block
+    row: ``values`` is (Kl, N) over the local rows when ``local``, else
+    (Kp, N) over the price rows."""
+
+    values: np.ndarray
+    local: bool
+
+
 def _stacked(scenario_set: ScenarioSet, field: Field) -> np.ndarray:
     if callable(field):
         return np.stack([np.asarray(field(s), dtype=float) for s in scenario_set])
@@ -273,7 +433,7 @@ def _stacked(scenario_set: ScenarioSet, field: Field) -> np.ndarray:
 
 def expect_price(scenario_set: ScenarioSet) -> np.ndarray:
     """Probability-weighted mean price vector, $/kWh."""
-    mean = scenario_set.probabilities @ scenario_set.price_matrix
+    mean = scenario_set.coupling.price_weights @ scenario_set.price_block
     mean.setflags(write=False)
     return mean
 
@@ -283,12 +443,22 @@ def expect_vector(scenario_set: ScenarioSet, field: Field) -> np.ndarray:
     return np.tensordot(scenario_set.probabilities, _stacked(scenario_set, field), axes=1)
 
 
-def cov_trace(scenario_set: ScenarioSet, field_a: Field, field_b: Field) -> float:
+def cov_trace(scenario_set: ScenarioSet, field_a: Field | BlockField,
+              field_b: Field | BlockField) -> float:
     """Sum over periods of the population covariance of two vector fields.
 
     Computed in centered form: sum_t E[(a_t - E a_t)(b_t - E b_t)] under the
-    scenario weights.  Each field is an (S, N) array or a per-scenario callback.
+    scenario weights.  Each field is an (S, N) array or a per-scenario
+    callback, or the two are a local-block and a price-block
+    :class:`BlockField`, in either order: each is centred on its own block
+    and they covary through the set's coupling, without its S joint rows.
     """
+    if isinstance(field_a, BlockField):
+        local, price = (field_a, field_b) if field_a.local else (field_b, field_a)
+        coupling = scenario_set.coupling
+        price_dev = price.values - np.tensordot(coupling.price_weights, price.values, axes=1)
+        local_dev = local.values - np.tensordot(coupling.local_weights, local.values, axes=1)
+        return float(coupling.expect_dot(price_dev, local_dev))
     a = _stacked(scenario_set, field_a)
     b = _stacked(scenario_set, field_b)
     da = a - expect_vector(scenario_set, a)
@@ -299,27 +469,17 @@ def cov_trace(scenario_set: ScenarioSet, field_a: Field, field_b: Field) -> floa
 def split_marginals(scenario_set: ScenarioSet) -> ScenarioSet:
     """Product-of-marginals reconstruction of a scenario set.
 
-    Crosses the set's S price rows with its S local-state rows
-    (disturbances and solar profile), price-major, each pair weighted by
-    the product of the two rows' probabilities, and keeps the input's PV
-    capacities.  The product has the law of the marginals, with prices
-    independent of local states, in S^2 rows: repeated rows are not merged.
+    The set's blocks and PV capacities under the :class:`Product` coupling
+    of its two marginal weight vectors: price row k pairs with every local
+    row l (disturbances with their own solar profile) at weight p_k q_l, so
+    prices are independent of local states.  O(Kp + Kl): nothing is copied
+    and no joint row is built.  The product of a paired set of S scenarios
+    has S^2, price-major; repeated rows are not merged.
     """
-    ss = scenario_set
-    s = len(ss)
-    local_rows = np.tile(np.arange(s), s)
-    tensors = [
-        np.repeat(ss.price_matrix, s, axis=0),
-        ss.disturbance_tensor[local_rows],
-        ss.solar_unit_matrix[local_rows],
-    ]
-    # the built tensors are fresh and unshared: read-only, they are kept by
-    # the constructor instead of copied, so the set is built with one copy
-    for tensor in tensors:
-        tensor.setflags(write=False)
-    product = ScenarioSet(np.outer(ss.probabilities, ss.probabilities).reshape(-1), *tensors)
-    if ss.customer_kw.any() or ss.retailer_kw:
-        return with_pv_capacity(product, ss.customer_kw, ss.retailer_kw)
+    coupling = scenario_set.coupling
+    product = ScenarioSet.__new__(ScenarioSet)
+    vars(product).update({name: getattr(scenario_set, name) for name in _STORED},
+                         coupling=Product(coupling.price_weights, coupling.local_weights))
     return product
 
 
@@ -334,7 +494,7 @@ def with_pv_capacity(
     a scalar capacity: class c's renewables become ``customer_kw[c] *
     solar`` and the retailer's ``retailer_kw * solar``.  The moments hold
     no capacity, so the input's are reduced (once, if not yet cached) and
-    the new set shares them and every tensor with ``scenario_set``:
+    the new set shares them, its coupling and every block with ``scenario_set``:
     ``with_pv_capacity(ss, ...).moments is ss.moments``.
     """
     c = scenario_set.n_classes

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import demand as dm
 from . import storage as st
-from .scenario import ScenarioSet, as_price_vector, cov_trace
+from .scenario import BlockField, ScenarioSet, as_price_vector, cov_trace
 
 MODE_NONE = "none"
 MODE_DECENTRALIZED = "decentralized"
@@ -272,17 +272,18 @@ def _metered_disturbance(
     scenario_set: ScenarioSet,
     case: IntegrationCase,
 ) -> np.ndarray:
-    """Price-independent part of metered aggregate demand (S, N).
+    """Price-independent part of metered aggregate demand, per local row (Kl, N).
 
     The class disturbances summed over customers, less the customers' total
     PV capacity times the solar profile when it sits behind the meter.
-    It is :func:`optimal_two_part`'s independent S-sized route, whose
-    ``cov_trace`` checks the connection charge that :func:`settle` gives
-    through :func:`_metered`; nothing else reads it.
+    It is :func:`optimal_two_part`'s independent route, which aggregates
+    before ``cov_trace`` covaries it with the price block through the
+    set's coupling, and so checks the connection charge that :func:`settle`
+    gives through :func:`_metered`; nothing else reads it.
     """
-    metered = np.einsum("c,scn->sn", model.class_counts, scenario_set.disturbance_tensor)
+    metered = np.einsum("c,scn->sn", model.class_counts, scenario_set.disturbance_block)
     if case.uses_customer_der and scenario_set.customer_kw.any():
-        metered -= scenario_set.customer_kw.sum() * scenario_set.solar_unit_matrix
+        metered -= scenario_set.customer_kw.sum() * scenario_set.solar_block
     return metered
 
 
@@ -453,7 +454,9 @@ def optimal_two_part(
     """
     pi = scenario_set.moments.mean_price
     metered_cov = cov_trace(
-        scenario_set, _metered_disturbance(model, scenario_set, case), scenario_set.price_matrix
+        scenario_set,
+        BlockField(_metered_disturbance(model, scenario_set, case), local=True),
+        BlockField(scenario_set.price_block, local=False),
     )
     a_closed = (fixed_cost + metered_cov - _retailer_der_value(case, scenario_set)) / model.customers
     uncharged = settle(TwoPartTariff(0.0, pi), model, scenario_set, case)

@@ -9,9 +9,9 @@ class) settlement that these expectations summarize lives only in
 ``oracle.settlement_resim``, the independent route the tests hold
 ``evaluate`` to.  The decomposition identities verified by
 ``welfare_identities`` stay genuine cross-checks: ``efficient_welfare`` and
-``planner_bound`` price every scenario's demand through the batched
-kernels ``demand.demand`` and ``demand.gross_benefit``, in one pass per
-call.
+``planner_bound`` price every local row's demand through the batched
+kernels ``demand.demand`` and ``demand.gross_benefit``, at the price the
+set's coupling conditions on that row, in one pass per call.
 
 Analyses built on top: planner (ex-post efficient) upper bound, Pareto
 fronts between consumer surplus and collected revenue, sweeps over
@@ -60,14 +60,15 @@ def efficient_welfare(model: dm.DemandModel, scenario_set: ScenarioSet) -> float
     """Expected welfare of pricing consumption at the expected wholesale price.
 
     sw*_0 = sum_i M_i E[S_i(D_i(lam_bar, w)) - lambda^T D_i(lam_bar, w)];
-    the benchmark all DER welfare gains are measured against.
+    the benchmark all DER welfare gains are measured against.  Demand depends
+    on the local state only, so each local row l is priced once and its
+    energy cost read at E[lambda | l], the coupling's column l.
     """
-    dist = scenario_set.disturbance_tensor
+    dist = scenario_set.disturbance_block
+    weights, lam_cond = scenario_set.coupling.conditional_prices(scenario_set.price_block)
     q = dm.demand(model, model.sigma, expect_price(scenario_set), dist)
-    value = dm.gross_benefit(model, model.sigma, q, dist) - np.einsum(
-        "scn,sn->sc", q, scenario_set.price_matrix
-    )
-    return float(scenario_set.probabilities @ (value @ model.class_counts))
+    value = dm.gross_benefit(model, model.sigma, q, dist) - np.einsum("scn,sn->sc", q, lam_cond)
+    return float(weights @ (value @ model.class_counts))
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,10 @@ def planner_bound(
     """Expected welfare of the ex-post efficient planner (upper bound).
 
     The planner observes each customer's local state and prices consumption
-    at the conditional expected wholesale price E[lambda | w_i]; flexible
-    resources are likewise operated against the conditional expectation.
+    at the conditional expected wholesale price E[lambda | w_i], pooled from
+    the coupling's columns over the local rows that share the state;
+    flexible resources are likewise operated against the conditional
+    expectation.
     When prices and local states are independent every conditional
     expectation collapses to the expected price and the bound is attained
     by the optimal decentralized tariff.
@@ -157,12 +160,12 @@ def planner_bound(
         raise ValueError("planner bound is defined for customer-side integration")
     counts = model.class_counts
     use_der = case.uses_customer_der
-    probs = scenario_set.probabilities
-    lam = scenario_set.price_matrix
-    renewables = scenario_set.customer_renewable_tensor
+    # coupling column l: local row l's weight and E[lambda | row l]
+    probs, lam = scenario_set.coupling.conditional_prices(scenario_set.price_block)
+    renewables = scenario_set.customer_renewable_block
     total = 0.0
     for i in range(model.n_classes):
-        local = scenario_set.disturbance_tensor[:, i, :]
+        local = scenario_set.disturbance_block[:, i, :]
         if use_der:
             local = np.concatenate([local, renewables[:, i, :]], axis=1)
         _, first, group = np.unique(local, axis=0, return_index=True, return_inverse=True)
@@ -172,7 +175,7 @@ def planner_bound(
         weighted_prices = np.zeros((first.size, model.horizon))
         np.add.at(weighted_prices, group, probs[:, None] * lam)
         lam_cond = weighted_prices[keep] / weight[keep, None]  # E[lambda | w_i], (G, N)
-        w_i = scenario_set.disturbance_tensor[first[keep], i : i + 1, :]  # (G, 1, N)
+        w_i = scenario_set.disturbance_block[first[keep], i : i + 1, :]  # (G, 1, N)
         sigma = model.sigma[i : i + 1]
         q = dm.demand(model, sigma, lam_cond, w_i)
         benefit = dm.gross_benefit(model, sigma, q, w_i)[:, 0]

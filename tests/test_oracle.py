@@ -328,3 +328,25 @@ def test_oracle_shares_no_settlement_code():
     assert not read & forbidden
     allowed = {"TwoPartTariff", "IntegrationCase", "SurplusReport"}
     assert {name for name in read if not name.startswith("MODE_")} <= allowed, read
+
+
+def test_oracle_builds_product_rows_from_the_blocks(monkeypatch):
+    # the engines build a product set's rows from its two blocks and their
+    # weights: with the set's row view and joint tensors disabled they still
+    # agree with the library's moment route
+    model, joint = fixture(5, horizon=4, n_classes=2)
+    product = sc.with_pv_capacity(sc.split_marginals(joint), customer_kw=[1.5, 0.5])
+    case = tf.decentralized_case(st.idealized(2.0), np.array([0.5, 1.0]))
+    tariff = tf.TwoPartTariff(0.2, np.linspace(0.05, 0.25, model.horizon))
+    main = wf.evaluate(tariff, model, product, case)
+    bound = wf.planner_bound(model, product, case)
+
+    def disabled(*args):
+        raise AssertionError("the oracle read the library's joint rows")
+
+    monkeypatch.setattr(sc.ScenarioSet, "__iter__", disabled)
+    for name in ("probabilities", "price_matrix", "disturbance_tensor", "solar_unit_matrix",
+                 "customer_renewable_tensor", "retailer_renewable_matrix"):
+        monkeypatch.setattr(sc.ScenarioSet, name, property(disabled))
+    assert_reports_agree(oracle.settlement_resim(tariff, model, product, case), main)
+    assert oracle.planner_direct(model, product, case) == pytest.approx(bound, rel=1e-9)

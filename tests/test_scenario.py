@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from tariffkit import demand as dm
+from tariffkit import ingest
 from tariffkit import scenario as sc
+from tariffkit import tariff as tf
 
 
 def three_day_set():
@@ -156,33 +159,44 @@ def test_split_marginals_keeps_solar_with_local_block():
     np.testing.assert_array_equal(swept.retailer_renewable_matrix, 2.0 * product.solar_unit_matrix)
 
 
-# the four tensors a set stores, and a with_pv_capacity set shares with its input
+# the four joint tensors of a paired set, which are its stored blocks and
+# which a with_pv_capacity set shares with its input
 STORED_TENSORS = ("probabilities", "price_matrix", "disturbance_tensor", "solar_unit_matrix")
+# the blocks every set stores; a product set's coupling adds two weight vectors
+STORED_BLOCKS = ("price_block", "disturbance_block", "solar_block")
 
 
 def test_split_marginals_holds_one_copy():
-    # a product set is K^2 rows of its marginals: building it must not hold a
-    # second copy of those rows (NumPy reports its buffers to tracemalloc)
+    # a product set is the K-row blocks of its source under a new coupling:
+    # building it copies nothing, and reducing its moments holds transients
+    # of the K-row blocks only, never of its K^2 joint rows (NumPy reports
+    # its buffers to tracemalloc)
     rng = np.random.default_rng(0)
     k, c, n = 20, 3, 24
     joint = sc.ScenarioSet(np.full(k, 1.0 / k), rng.uniform(0.02, 0.08, (k, n)),
                            rng.normal(size=(k, c, n)),
                            solar_unit_matrix=rng.uniform(0.0, 1.0, (k, n)))
+    blocks = sum(getattr(joint, name).nbytes for name in STORED_BLOCKS)
     tracemalloc.start()
     try:
         product = sc.split_marginals(joint)
-        _, peak = tracemalloc.get_traced_memory()
+        _, split_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        product.moments
+        _, moments_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # count stored buffers only: a renewable zero view reports its logical nbytes
-    held = sum(getattr(product, name).nbytes for name in STORED_TENSORS)
     assert len(product) == k * k
-    assert peak <= 1.25 * held, (peak, held)
+    for name in STORED_BLOCKS:
+        assert getattr(product, name) is getattr(joint, name)
+    assert split_peak <= 0.1 * blocks, (split_peak, blocks)
+    assert moments_peak <= 3 * blocks, (moments_peak, blocks)
 
 
 def test_study_set_stores_only_its_data(independent_study):
     # renewables are PV capacity x solar profile: the shipped product study's
-    # set stores its probability, price, disturbance and solar buffers, and
+    # set stores its K-row price, disturbance and solar blocks and its two
+    # marginal weight vectors, holds no array with a row per scenario, and
     # reads its (zero) renewable tensors as views that allocate nothing
     ss = independent_study.scenario_set
     ss.moments
@@ -194,9 +208,32 @@ def test_study_set_stores_only_its_data(independent_study):
         tracemalloc.stop()
     assert peak < 8 * len(ss), peak  # less than one float per scenario
     assert not any(tensor.any() for tensor in renewables)
-    by_scenario = {name for name, value in vars(ss).items()
-                   if isinstance(value, np.ndarray) and len(value) == len(ss)}
-    assert by_scenario == set(STORED_TENSORS)
+    assert all(len(tensor) == len(ss) for tensor in renewables)
+    assert len(ss) == 20 * 20  # the study's 20 days are both blocks' rows
+    arrays = {name: value for name, value in vars(ss).items() if isinstance(value, np.ndarray)}
+    arrays.update(vars(ss.coupling))
+    assert not any(len(value) == len(ss) for value in arrays.values())
+    assert {name for name, value in arrays.items() if len(value) == 20} == {
+        *STORED_BLOCKS, "price_weights", "local_weights"}
+    # the joint tensors are built on read, for tests, demos and benchmark checks
+    assert ss.price_matrix.shape == (len(ss), ss.horizon)
+    assert "price_matrix" not in vars(ss)
+
+
+def test_product_study_memory_is_linear_in_days(tmp_path):
+    # 200 days make 40 000 product scenarios; their joint rows alone would
+    # take tens of MB, but the set and its moments hold only the K-row blocks
+    ingest.write_synthetic_dataset(tmp_path, seed=0, n_days=200, horizon=24, correlated=False)
+    config = ingest.load_config(tmp_path / "study.yaml")
+    tracemalloc.start()
+    try:
+        study = ingest.build_study(config)
+        study.scenario_set.moments
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(study.scenario_set) == 40_000
+    assert peak < 4e6, peak
 
 
 def test_with_pv_capacity_scales_solar():
@@ -294,3 +331,75 @@ def test_split_marginals_crosses_rows_with_the_marginal_law(seed, n_days, n_clas
     np.testing.assert_allclose(product.moments.mean_disturbance, joint.moments.mean_disturbance,
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(product.moments.disturbance_cov, 0.0, rtol=0, atol=1e-12)
+
+
+def _explicit_product(joint):
+    # the product law written out as S^2 paired rows, price-major, without
+    # the library's coupling: the reference a product set must reproduce
+    s = len(joint)
+    price_rows, local_rows = np.divmod(np.arange(s * s), s)
+    weights = joint.probabilities
+    return sc.ScenarioSet(weights[price_rows] * weights[local_rows], joint.price_block[price_rows],
+                          joint.disturbance_block[local_rows], joint.solar_block[local_rows])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=hst.integers(min_value=0, max_value=2**32 - 1),
+    n_days=hst.integers(min_value=1, max_value=6),
+    n_classes=hst.integers(min_value=1, max_value=3),
+    pv=hst.booleans(),
+)
+def test_product_coupling_matches_explicit_rows(seed, n_days, n_classes, pv):
+    # a product set reduces its moments from its marginals; the same law
+    # as K^2 explicit paired rows must give the same moments and tariffs
+    rng = np.random.default_rng(seed)
+    horizon = 4
+    model = dm.calibrate(target_sales=rng.uniform(8.0, 16.0, size=horizon), target_price=0.2,
+                         elasticity=-0.4, n_classes=n_classes, sigma_rule="linear",
+                         total_customers=50.0)
+    price_pick = rng.integers(0, 3, size=n_days)
+    local_pick = rng.integers(0, 3, size=n_days)
+    joint = sc.ScenarioSet(
+        rng.dirichlet(np.ones(n_days)),
+        rng.uniform(0.02, 0.08, size=(3, horizon))[price_pick],
+        np.outer(model.sigma, np.ones(horizon))[None] * rng.normal(size=(3, 1, horizon))[local_pick],
+        solar_unit_matrix=rng.uniform(0.0, 1.0, size=(3, horizon))[local_pick],
+    )
+    product, explicit = sc.split_marginals(joint), _explicit_product(joint)
+    case = tf.no_der()
+    if pv:
+        kw = rng.uniform(0.0, 3.0, size=n_classes)
+        product, explicit = (sc.with_pv_capacity(ss, customer_kw=kw) for ss in (product, explicit))
+        case = tf.decentralized_case()
+    assert len(product) == len(explicit) == n_days**2
+    assert isinstance(product.coupling, sc.Product) and isinstance(explicit.coupling, sc.Paired)
+
+    # the centred cross moments are rounding noise on both routes: compare
+    # them on the scale of the uncentred products they are differences of
+    got, want = product.moments, explicit.moments
+    cross_scale = horizon * 0.08 * max(1.0, float(np.abs(joint.disturbance_block).max()))
+    for name in ("mean_price", "mean_disturbance", "disturbance_second_moment", "mean_solar",
+                 "solar_value"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=1e-15,
+                                   err_msg=name)
+    for name in ("disturbance_cov", "solar_cov"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12,
+                                   atol=1e-12 * cross_scale, err_msg=name)
+
+    # the optimum, and the fixed-A restricted families, to 12 digits
+    fixed_cost = 0.8 * tf.settle(tf.flat_tariff(0.0, 0.2, horizon), model, explicit, case).retailer_surplus
+    optima = [tf.optimal_two_part(model, ss, case, fixed_cost) for ss in (product, explicit)]
+    assert optima[0].connection_charge == pytest.approx(optima[1].connection_charge, rel=5e-12)
+    np.testing.assert_allclose(optima[0].prices, optima[1].prices, rtol=5e-12, atol=0)
+    for kind in (tf.FLAT_FIXED_A, tf.DYNAMIC_FIXED_A):
+        family = tf.TariffFamily(kind=kind, fixed_connection_charge=0.3)
+        solved = []
+        for ss in (product, explicit):
+            try:
+                solved.append(tf.optimize_family_report(family, model, ss, case, fixed_cost).tariff.prices)
+            except tf.InfeasibleFamilyError:
+                solved.append(None)
+        assert (solved[0] is None) == (solved[1] is None), kind
+        if solved[0] is not None:
+            np.testing.assert_allclose(solved[0], solved[1], rtol=5e-12, atol=0, err_msg=kind)

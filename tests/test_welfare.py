@@ -155,6 +155,29 @@ def test_planner_bound_strict_margin_when_correlated():
     assert bound > report.social_welfare + 1e-6
 
 
+def test_planner_bound_reads_the_coupling():
+    # dependent paired sets and the products of their marginals: the bound
+    # conditions on each local row through the coupling, so it beats the
+    # optimal tariff on the joint law and is attained on the product law.
+    # Loads that fall with prices make the covariance term negative, so a
+    # bound that priced every row at lam_bar would fall below the optimum
+    # there and fail the first check, though it would pass the second
+    model, joint = fixture(correlated=True)
+    case = tf.decentralized_case(st.powerwall(), np.full(3, 0.5))
+    kw = np.full(3, 2.0)
+    for sign in (1.0, -1.0):
+        dependent = sc.ScenarioSet(joint.probabilities, joint.price_matrix,
+                                   sign * joint.disturbance_tensor, joint.solar_unit_matrix)
+        for ss, is_dependent in ((dependent, True), (sc.split_marginals(dependent), False)):
+            swept = sc.with_pv_capacity(ss, customer_kw=kw)
+            bound = wf.planner_bound(model, swept, case)
+            optimum = wf.evaluate(tf.optimal_decentralized(model, swept, case, 20.0), model, swept, case)
+            if is_dependent:
+                assert bound > optimum.social_welfare + 1e-6 * abs(bound), sign
+            else:
+                assert abs(bound - optimum.social_welfare) <= 1e-8 * abs(bound), sign
+
+
 def test_planner_bound_dominates_random_tariffs():
     model, ss = fixture(correlated=False)
     bound = wf.planner_bound(model, ss, tf.no_der())
