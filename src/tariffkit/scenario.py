@@ -108,12 +108,16 @@ class Scenario:
     solar_unit: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+# The couplings and BlockField are plain classes: every command imports this
+# module, and a dataclass takes about a millisecond to build at import.
+
+
 class Paired:
     """The coupling of a joint sample: scenario s is price row s with local
     row s, at weight ``weights[s]`` (S = Kp = Kl)."""
 
-    weights: np.ndarray
+    def __init__(self, weights: np.ndarray):
+        self.weights = weights
 
     @property
     def price_weights(self) -> np.ndarray:
@@ -151,14 +155,14 @@ class Paired:
         return self.weights, prices
 
 
-@dataclass(frozen=True, eq=False)
 class Product:
     """The coupling of two independent marginals: scenario k Kl + l is price
     row k with local row l, at weight ``price_weights[k] * local_weights[l]``
     (S = Kp Kl, price-major).  Only the two weight vectors are stored."""
 
-    price_weights: np.ndarray
-    local_weights: np.ndarray
+    def __init__(self, price_weights: np.ndarray, local_weights: np.ndarray):
+        self.price_weights = price_weights
+        self.local_weights = local_weights
 
     @property
     def size(self) -> int:
@@ -415,14 +419,14 @@ class ScenarioSet:
 Field = Union[np.ndarray, Callable[[Scenario], np.ndarray]]
 
 
-@dataclass(frozen=True)
 class BlockField:
     """A field that reads one block of its set only, stored once per block
     row: ``values`` is (Kl, N) over the local rows when ``local``, else
     (Kp, N) over the price rows."""
 
-    values: np.ndarray
-    local: bool
+    def __init__(self, values: np.ndarray, local: bool):
+        self.values = values
+        self.local = local
 
 
 def _stacked(scenario_set: ScenarioSet, field: Field) -> np.ndarray:
