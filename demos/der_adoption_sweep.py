@@ -51,13 +51,12 @@ def main():
 def run(args, data):
     study = ingest.build_study(ingest.load_config(Path(data) / "study.yaml"))
     config = study.config
-    anchors = wf.base_anchors(study.model, study.scenario_set, ingest.nominal_tariff(config))
     families = ingest.configured_families(config)
     labels = [label for label, _ in families]
     caps = [float(c) for c in config.capacity_grid_kw]
 
     print(f"storage sized at {config.storage_per_pv_kwh_per_kw} kWh per kW of PV;"
-          f" gains normalized by base revenue {anchors.revenue:,.0f} $/day")
+          f" gains normalized by base revenue {study.anchors.revenue:,.0f} $/day")
     for mode, title in (
         ("decentralized", "behind the meter (net metering)"),
         ("centralized", "operated by the retailer"),
@@ -70,7 +69,7 @@ def run(args, data):
             caps,
             config.storage_per_pv_kwh_per_kw,
             study.fixed_cost,
-            anchors,
+            study.anchors,
             pv_unit_kw=config.pv_unit_kw,
             storage_unit=ingest.storage_unit_spec(config),
         )

@@ -31,17 +31,16 @@ def main():
 
 def run(args, data):
     study = ingest.build_study(ingest.load_config(Path(data) / "study.yaml"))
-    anchors = wf.base_anchors(study.model, study.scenario_set, ingest.nominal_tariff(study.config))
     grid = ingest.resolve_fixed_cost_grid(study.config, study.fixed_cost)
 
-    print(f"base revenue {anchors.revenue:,.0f} $/day; F grid "
+    print(f"base revenue {study.anchors.revenue:,.0f} $/day; F grid "
           + ", ".join(f"{f / study.fixed_cost:.2f}F" for f in grid))
     print(f"\n{'family':<18}" + "".join(f"{f / study.fixed_cost:>9.2f}F" for f in grid))
 
     fronts = {}
     for label, family in ingest.configured_families(study.config):
         front = wf.pareto_front(
-            family, study.model, study.scenario_set, tf.no_der(), grid, anchors
+            family, study.model, study.scenario_set, tf.no_der(), grid, study.anchors
         )
         fronts[label] = {p.fixed_cost: p for p in front.points}
         cells = []

@@ -72,7 +72,7 @@ def _config_hash(config: ingest.StudyConfig) -> str:
     return _sha256_bytes(canonical.encode("utf-8"))
 
 
-def build_manifest(study: ingest.Study, anchors: wf.BaseAnchors, tables: dict[str, str]) -> dict:
+def build_manifest(study: ingest.Study, tables: dict[str, str]) -> dict:
     """Deterministic run manifest; its hash is embedded in every table."""
     inputs = {
         "prices": _sha256_file(study.config.prices_path),
@@ -90,16 +90,16 @@ def build_manifest(study: ingest.Study, anchors: wf.BaseAnchors, tables: dict[st
         "manifest_hash": run_hash,
         "fixed_cost_usd_per_day": study.fixed_cost,
         "anchors": {
-            "revenue_usd_per_day": anchors.revenue,
-            "consumer_surplus_usd_per_day": anchors.consumer_surplus,
-            "retailer_surplus_usd_per_day": anchors.retailer_surplus,
+            "revenue_usd_per_day": study.anchors.revenue,
+            "consumer_surplus_usd_per_day": study.anchors.consumer_surplus,
+            "retailer_surplus_usd_per_day": study.anchors.retailer_surplus,
         },
         "tables": tables,
     }
 
 
-def _emit(study: ingest.Study, anchors: wf.BaseAnchors, name: str, meta: list[str],
-          header: list[str], rows: list[list[str]]) -> Path:
+def _emit(study: ingest.Study, name: str, meta: list[str], header: list[str],
+          rows: list[list[str]]) -> Path:
     """Write ``<name>.csv`` and ``<name>_manifest.json``; returns the table path.
 
     The directory is ``$TARIFFKIT_OUTPUT_DIR`` if set, else the study's
@@ -108,13 +108,13 @@ def _emit(study: ingest.Study, anchors: wf.BaseAnchors, name: str, meta: list[st
     out = Path(os.environ.get(OUTPUT_DIR_ENV) or study.config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.csv"
-    manifest = build_manifest(study, anchors, {name: path.name})
+    manifest = build_manifest(study, {name: path.name})
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# tariffkit {name}\n")
         fh.write(f"# version: {__version__}\n")
         fh.write(f"# manifest: {manifest['manifest_hash']}\n")
         fh.write(f"# fixed_cost_usd_per_day: {_fmt(study.fixed_cost)}\n")
-        fh.write(f"# base_revenue_usd_per_day: {_fmt(anchors.revenue)}\n")
+        fh.write(f"# base_revenue_usd_per_day: {_fmt(study.anchors.revenue)}\n")
         for line in meta:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh, lineterminator="\n")
@@ -126,8 +126,8 @@ def _emit(study: ingest.Study, anchors: wf.BaseAnchors, name: str, meta: list[st
     return path
 
 
-def _emit_grid(study: ingest.Study, anchors: wf.BaseAnchors, name: str, summary: str,
-               meta: list[str], header: list[str], rows: list[list[str]]) -> int:
+def _emit_grid(study: ingest.Study, name: str, summary: str, meta: list[str],
+               header: list[str], rows: list[list[str]]) -> int:
     """Write a (family, grid point) table with a ``reason`` column.
 
     A row with a blank reason is a feasible cell.  Prints ``summary`` with
@@ -138,7 +138,7 @@ def _emit_grid(study: ingest.Study, anchors: wf.BaseAnchors, name: str, summary:
     print(f"{summary}, {feasible_cells} feasible cells")
     if feasible_cells == 0:
         raise tf.InfeasibleFamilyError(f"every {name} cell is infeasible", math.nan)
-    path = _emit(study, anchors, name, meta, header, rows)
+    path = _emit(study, name, meta, header, rows)
     print(f"wrote {path}")
     return 0
 
@@ -181,11 +181,8 @@ class _Distinct(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _load_study(args) -> tuple[ingest.Study, wf.BaseAnchors]:
-    config = ingest.load_config(args.config)
-    study = ingest.build_study(config)
-    anchors = wf.base_anchors(study.model, study.scenario_set, ingest.nominal_tariff(config))
-    return study, anchors
+def _load_study(args) -> ingest.Study:
+    return ingest.build_study(ingest.load_config(args.config))
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +222,8 @@ def cmd_validate(args) -> int:
 
     def optimal_at_f():
         family = tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART)
-        optimal = tf.optimize_family_report(
-            family, study.model, study.scenario_set, tf.no_der(), study.fixed_cost
-        )
-        return wf.evaluate(optimal.tariff, study.model, study.scenario_set, tf.no_der())
+        tf.optimize_family_report(family, study.model, study.scenario_set, tf.no_der(),
+                                  study.fixed_cost)
 
     check("optimal two-part tariff solves and evaluates at F", optimal_at_f)
 
@@ -239,19 +234,14 @@ def cmd_validate(args) -> int:
     check("grids.capacity_kw allocates at most one PV unit per customer", pv_grid_allocates)
     check("pareto F grid has no repeated value",
           lambda: ingest.resolve_fixed_cost_grid(config, study.fixed_cost))
-    nominal = ingest.nominal_tariff(config)
-    anchors = check(
-        "nominal tariff evaluates",
-        lambda: wf.base_anchors(study.model, study.scenario_set, nominal),
+    anchors = study.anchors
+    print(
+        f"     base revenue {anchors.revenue:.6g} $/day, cs {anchors.consumer_surplus:.6g}, "
+        f"rs {anchors.retailer_surplus:.6g}, derived F {study.fixed_cost:.6g}"
     )
-    if anchors is not None:
-        print(
-            f"     base revenue {anchors.revenue:.6g} $/day, cs {anchors.consumer_surplus:.6g}, "
-            f"rs {anchors.retailer_surplus:.6g}, derived F {study.fixed_cost:.6g}"
-        )
-        if anchors.consumer_surplus <= 0.0:
-            failures.append("consumer surplus positive")
-            print("FAIL consumer surplus positive: nominal tariff leaves cs <= 0")
+    if anchors.consumer_surplus <= 0.0:
+        failures.append("consumer surplus positive")
+        print("FAIL consumer surplus positive: nominal tariff leaves cs <= 0")
     if failures:
         print(f"validation failed: {len(failures)} check(s)")
         return 2
@@ -263,7 +253,7 @@ def cmd_optimize(args) -> int:
     fixed_kinds = (tf.FLAT_FIXED_A, tf.DYNAMIC_FIXED_A)
     if args.family not in fixed_kinds and args.fixed_connection_charge is not None:
         raise ValueError(f"--fixed-A applies to {' and '.join(fixed_kinds)}, not {args.family}")
-    study, anchors = _load_study(args)
+    study = _load_study(args)
     fixed_cost = study.fixed_cost if args.fixed_cost is None else args.fixed_cost
     fixed_a = (
         args.fixed_connection_charge
@@ -281,9 +271,8 @@ def cmd_optimize(args) -> int:
     )
 
     result = tf.optimize_family_report(family, study.model, swept, case, fixed_cost)
-    tariff = result.tariff
-    report = wf.evaluate(tariff, study.model, swept, case)
-    # closed-form residual on the set's moments, the route evaluate's rs takes too;
+    tariff, report = result.tariff, result.settlement
+    # closed-form residual of that settlement, on the set's moments;
     # oracle.settlement_resim is the independent re-settlement
     residual = abs(result.residual)
 
@@ -313,7 +302,7 @@ def cmd_optimize(args) -> int:
          _fmt(report.retailer_surplus), _fmt(report.social_welfare), _fmt(residual)]
         + [_fmt(p) for p in tariff.prices]
     )
-    _emit(study, anchors, "optimize", [f"family: {args.family}", f"mode: {args.mode}"], header, [row])
+    _emit(study, "optimize", [f"family: {args.family}", f"mode: {args.mode}"], header, [row])
     return 0
 
 
@@ -333,7 +322,7 @@ def _select_families(config: ingest.StudyConfig, labels) -> list[tuple[str, tf.T
 
 
 def cmd_pareto(args) -> int:
-    study, anchors = _load_study(args)
+    study = _load_study(args)
     families = _select_families(study.config, args.families)
     grid = tuple(args.fixed_cost_grid) if args.fixed_cost_grid else \
         ingest.resolve_fixed_cost_grid(study.config, study.fixed_cost)
@@ -341,7 +330,7 @@ def cmd_pareto(args) -> int:
     rows = []
     for label, family in families:
         front = wf.pareto_front(
-            family, study.model, study.scenario_set, tf.no_der(), grid, anchors
+            family, study.model, study.scenario_set, tf.no_der(), grid, study.anchors
         )
         rows.extend(
             [label, _fmt(cell.fixed_cost), _fmt(cell.rs_gain), _fmt(cell.cs_gain),
@@ -349,7 +338,7 @@ def cmd_pareto(args) -> int:
             for cell in front.cells
         )
     return _emit_grid(
-        study, anchors, "pareto",
+        study, "pareto",
         f"pareto: {len(families)} families x {len(grid)} F points",
         ["gains normalized by base revenue"],
         ["family", "fixed_cost_usd_per_day", "rs_gain", "cs_gain",
@@ -359,7 +348,7 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    study, anchors = _load_study(args)
+    study = _load_study(args)
     families = _select_families(study.config, args.families)
     grid = tuple(args.capacity_grid) if args.capacity_grid else study.config.capacity_grid_kw
 
@@ -371,7 +360,7 @@ def cmd_sweep(args) -> int:
         grid,
         study.config.storage_per_pv_kwh_per_kw,
         study.fixed_cost,
-        anchors,
+        study.anchors,
         pv_unit_kw=study.config.pv_unit_kw,
         storage_unit=ingest.storage_unit_spec(study.config),
     )
@@ -383,7 +372,7 @@ def cmd_sweep(args) -> int:
         for (_, label), cell in zip(itertools.product(grid, labels), cells, strict=True)
     ]
     return _emit_grid(
-        study, anchors, "sweep",
+        study, "sweep",
         f"sweep ({args.mode}): {len(grid)} capacities x {len(families)} families",
         [f"mode: {args.mode}", "gains normalized by base revenue"],
         ["capacity_kw", "family", "cs_gain", "sw_gain",
@@ -393,7 +382,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_xsub(args) -> int:
-    study, anchors = _load_study(args)
+    study = _load_study(args)
     families = _select_families(study.config, args.families)
     grid = tuple(args.capacity_grid) if args.capacity_grid else study.config.capacity_grid_kw
 
@@ -410,7 +399,7 @@ def cmd_xsub(args) -> int:
             for cell in cells
         )
     return _emit_grid(
-        study, anchors, "xsub",
+        study, "xsub",
         f"cross-subsidy: {len(families)} families x {len(grid)} capacities",
         ["subsidy normalized by required revenue F"],
         ["family", "capacity_kw", "owner_count",

@@ -32,6 +32,7 @@ import yaml
 from . import demand as dm
 from . import storage as st
 from . import tariff as tf
+from . import welfare as wf
 from .scenario import ScenarioSet, split_marginals
 
 MWH_PER_KWH = 1e-3
@@ -250,6 +251,9 @@ class StudyConfig:
                 )
         if self.fixed_cost_mode == "explicit" and self.fixed_cost_value is None:
             raise ConfigError("fixed_cost.value_usd_per_day required when mode is explicit")
+        if self.fixed_cost_mode == "derived-from-nominal" and self.fixed_cost_value is not None:
+            raise ConfigError("fixed_cost.value_usd_per_day is ignored when fixed_cost.mode is "
+                              "derived-from-nominal; set the mode to explicit or drop the value")
         labels = {_charge_label(c) for c in self.fixed_connection_charges}
         if len(labels) < len(self.fixed_connection_charges):
             raise ConfigError(
@@ -462,18 +466,6 @@ def build_scenarios(config: StudyConfig, model: dm.DemandModel, prices: np.ndarr
     return built
 
 
-def derive_fixed_cost(config: StudyConfig, model: dm.DemandModel, scenario_set: ScenarioSet) -> float:
-    """The study's required revenue F.
-
-    Explicit mode returns the configured dollar value; derived mode returns
-    the nominal tariff's expected retailer surplus with no DERs, making the
-    nominal tariff revenue-adequate by construction.
-    """
-    if config.fixed_cost_mode == "explicit":
-        return float(config.fixed_cost_value)
-    return tf.expected_retailer_surplus(nominal_tariff(config), model, scenario_set, tf.no_der())
-
-
 def _charge_label(charge: float) -> str:
     """A fixed-A family's charge as its label prints it, at the tables' 12 digits."""
     return f"{charge:.12g}"
@@ -506,21 +498,31 @@ def storage_unit_spec(config: StudyConfig) -> st.StorageSpec:
 
 @dataclass(frozen=True)
 class Study:
-    """Everything a subcommand needs, loaded and built once."""
+    """Everything a subcommand needs, loaded and built once: the required
+    revenue F and the nominal tariff's base ``anchors`` included."""
 
     config: StudyConfig
     model: dm.DemandModel
     scenario_set: ScenarioSet
     fixed_cost: float
+    anchors: wf.BaseAnchors
 
 
 def build_study(config: StudyConfig) -> Study:
-    """Load the configured inputs and assemble model, scenarios, and F."""
+    """Load the configured inputs and assemble model, scenarios, anchors and F.
+
+    The nominal tariff is settled once, with no DERs, for the anchors; in
+    derived mode F is its retailer surplus (the nominal tariff is then
+    revenue-adequate by construction), in explicit mode the configured value.
+    """
     prices, load, solar = load_inputs(config)
     model = build_model(config, load)
     scenario_set = build_scenarios(config, model, prices, load, solar)
-    fixed_cost = derive_fixed_cost(config, model, scenario_set)
-    return Study(config=config, model=model, scenario_set=scenario_set, fixed_cost=fixed_cost)
+    anchors = wf.base_anchors(model, scenario_set, nominal_tariff(config))
+    explicit = config.fixed_cost_mode == "explicit"
+    fixed_cost = float(config.fixed_cost_value) if explicit else anchors.retailer_surplus
+    return Study(config=config, model=model, scenario_set=scenario_set, fixed_cost=fixed_cost,
+                 anchors=anchors)
 
 
 def resolve_fixed_cost_grid(config: StudyConfig, fixed_cost: float) -> tuple[float, ...]:

@@ -33,9 +33,10 @@ differ only in what one function, :func:`_metered`, nets from each class's
 meter: its PV and its (C, N) storage fleet energy, when behind it.  One
 function, :func:`settle`, settles a tariff: it fetches the fleet's schedule
 once, meters once, and fills the one :class:`SurplusReport` that the
-solvers' revenue probes and surplus comparisons and ``welfare.evaluate``
-read.  Only :func:`optimal_two_part`'s independent check sums over the
-scenarios.  ``oracle.settlement_resim`` re-derives every quantity by
+solvers' revenue probes and surplus comparisons, a solve's record
+(:attr:`FamilyReport.settlement`) and ``welfare.evaluate`` read.  Only
+:func:`optimal_two_part`'s independent check sums over data rows: the
+local block's Kl rows.  ``oracle.settlement_resim`` re-derives every quantity by
 simulating settlement per (scenario, class), sharing none of this
 accounting code, and the test suite holds the two to each other.
 """
@@ -420,9 +421,9 @@ def expected_retailer_surplus(
     """Expected retailer surplus of a tariff, $ per day: :func:`settle`'s.
 
     Kept as a name of its own because the benchmark's tracer counts its
-    calls as ``tariff.revenue_probes``: the solvers' revenue probes, their
-    final residual check and ``ingest.derive_fixed_cost`` call it, while
-    ``welfare.evaluate`` reads the whole settlement.
+    calls as ``tariff.revenue_probes``: :func:`_ray_roots`' peak probe
+    calls it, while a solve's residual check and ``welfare.evaluate`` read
+    the whole settlement.
     """
     return settle(tariff, model, scenario_set, case).retailer_surplus
 
@@ -500,11 +501,11 @@ def optimal_centralized(
 class FamilyReport:
     """Solution record for one family optimization.
 
-    ``flat_roots`` carries both revenue-adequate flat prices (low, high)
-    when the family is flat; ``multiplier_t`` is the dynamic price's
-    coordinate on the Ramsey line t * choke + (1-t) * expected price, the
-    lower root of the revenue quadratic along that line; ``residual`` is the
-    settled-revenue error at the returned tariff.  For the dynamic kinds,
+    ``settlement`` is the returned tariff's one settlement (:func:`settle`),
+    which the study tables read, and ``residual`` its retailer surplus
+    less F; ``multiplier_t`` is the dynamic price's coordinate on the
+    Ramsey line t * choke + (1-t) * expected price, the lower root of the
+    revenue quadratic along that line.  For the dynamic kinds,
     ``fleet_rounds`` counts the choke-point rounds solved and
     ``cycle_length`` is the period of the fleet cycle that ended them: 1
     when the fixed point converged, 2 or more when the fleet alternated
@@ -515,9 +516,8 @@ class FamilyReport:
 
     tariff: TwoPartTariff
     kind: str
-    flat_roots: tuple[float, float] | None = None
-    root_surpluses: tuple[float, float] | None = None
     multiplier_t: float | None = None
+    settlement: SurplusReport | None = None
     residual: float = 0.0
     notes: tuple[str, ...] = ()
     fleet_rounds: int = 0
@@ -575,14 +575,15 @@ def _ray_roots(
     origin: np.ndarray,
     direction: np.ndarray,
     fleet: np.ndarray,
-) -> tuple[float, float]:
-    """Both roots x_lo <= x_hi of E[rs](origin + x direction) = F.
+) -> tuple[float, float, np.ndarray]:
+    """Both roots x_lo <= x_hi of E[rs](origin + x direction) = F, and the fleet at x_lo.
 
     Starting from ``fleet`` (C, N), the customer fleet is frozen, the quadratic
     solved, and the fleet re-frozen at its live response at the lower root
     until that response stops changing; revenue at the lower root is then
-    settled exactly.  Raises :class:`InfeasibleFamilyError` when settled
-    revenue at the quadratic's vertex falls short of F, and
+    settled exactly, and that live response is returned.  Raises
+    :class:`InfeasibleFamilyError` when settled revenue at the quadratic's
+    vertex falls short of F, and
     :class:`RevenueAdequacyError` when the response has not settled within
     ``_RAY_ROUNDS``.
     """
@@ -604,7 +605,7 @@ def _ray_roots(
         lo = vertex - half_width
         live = customer_fleet_meter(case, model.n_classes, origin + lo * direction)
         if np.array_equal(live, fleet):
-            return lo, vertex + half_width
+            return lo, vertex + half_width, live
         fleet = live
     raise RevenueAdequacyError(
         f"{label}-family storage response did not settle after {_RAY_ROUNDS} rounds"
@@ -621,15 +622,10 @@ def _solve_flat(
     """Revenue-adequate flat prices p * 1; returns the root with more surplus."""
     n = model.horizon
     no_fleet = np.zeros((model.n_classes, n))
-    roots = _ray_roots(family, model, scenario_set, case, fixed_cost, np.zeros(n), np.ones(n), no_fleet)
-    candidates = [flat_tariff(family.connection_charge, p, n) for p in roots]
+    lo, hi, _ = _ray_roots(family, model, scenario_set, case, fixed_cost, np.zeros(n), np.ones(n), no_fleet)
+    candidates = [flat_tariff(family.connection_charge, p, n) for p in (lo, hi)]
     surpluses = [settle(t, model, scenario_set, case).consumer_surplus for t in candidates]
-    return FamilyReport(
-        tariff=candidates[int(np.argmax(surpluses))],
-        kind=family.kind,
-        flat_roots=roots,
-        root_surpluses=(surpluses[0], surpluses[1]),
-    )
+    return FamilyReport(tariff=candidates[int(np.argmax(surpluses))], kind=family.kind)
 
 
 def _choke_prices(
@@ -676,9 +672,8 @@ def _solve_dynamic(
     for _ in range(_DYNAMIC_FLEET_ROUNDS):
         assumed[(fleet + 0.0).tobytes()] = len(rounds)
         direction = _choke_prices(model, scenario_set, case, fleet) - lam_bar
-        t, _ = _ray_roots(family, model, scenario_set, case, fixed_cost, lam_bar, direction, fleet)
+        t, _, fleet = _ray_roots(family, model, scenario_set, case, fixed_cost, lam_bar, direction, fleet)
         rounds.append((t, lam_bar + t * direction))
-        fleet = customer_fleet_meter(case, model.n_classes, rounds[-1][1])
         cycle_start = assumed.get((fleet + 0.0).tobytes())
         if cycle_start is not None:
             break
@@ -718,8 +713,9 @@ def optimize_family_report(
 ) -> FamilyReport:
     """Solve one family for E[rs] = F; returns the solution with diagnostics.
 
-    Every kind's tariff is settled once more here; a residual beyond
-    :func:`_adequacy_tolerance`, or a non-finite one, raises
+    Every kind's tariff is settled once more here, and the report carries
+    that settlement.  A residual beyond :func:`_adequacy_tolerance`, a
+    non-finite one, or a non-finite consumer surplus raises
     :class:`RevenueAdequacyError`.
     """
     if family.kind == OPTIMAL_TWO_PART:
@@ -728,11 +724,15 @@ def optimize_family_report(
         report = _solve_flat(family, model, scenario_set, case, fixed_cost)
     else:
         report = _solve_dynamic(family, model, scenario_set, case, fixed_cost)
-    residual = expected_retailer_surplus(report.tariff, model, scenario_set, case) - fixed_cost
+    settlement = settle(report.tariff, model, scenario_set, case)
+    residual = settlement.retailer_surplus - fixed_cost
     if not abs(residual) <= _adequacy_tolerance(model, scenario_set, case, report.tariff, fixed_cost):
         raise RevenueAdequacyError(f"{family.kind} revenue residual {residual!r} exceeds tolerance")
+    cs = settlement.consumer_surplus
+    if not math.isfinite(cs):
+        raise RevenueAdequacyError(f"{family.kind} consumer surplus {cs!r} is not finite")
     notes = report.notes
     if report.tariff.connection_charge < 0.0:
         notes += ("negative connection charge",)
-    return dataclasses.replace(report, residual=residual, notes=notes)
+    return dataclasses.replace(report, settlement=settlement, residual=residual, notes=notes)
 

@@ -203,7 +203,7 @@ class BaseAnchors:
 def base_anchors(
     model: dm.DemandModel, scenario_set: ScenarioSet, nominal_tariff: tf.TwoPartTariff
 ) -> BaseAnchors:
-    """Evaluate the nominal tariff with no DERs and freeze the anchors."""
+    """Evaluate the nominal tariff with no DERs and freeze the anchors (``Study.anchors``)."""
     report = evaluate(nominal_tariff, model, scenario_set, tf.no_der())
     return BaseAnchors(
         revenue=report.expected_revenue,
@@ -254,23 +254,23 @@ def pareto_front(
     """Trade-off between consumer surplus and collected revenue.
 
     Each grid value of F is solved within the family; gains are
-    (cs - cs_base) / revenue_base and (F - rs_base) / revenue_base.
+    (cs - cs_base) / revenue_base, cs from the solve's settlement, and
+    (F - rs_base) / revenue_base.
     """
     cells = []
     for f in fixed_cost_grid:
         f = float(f)
         try:
-            tariff = tf.optimize_family_report(family, model, scenario_set, case, f).tariff
+            solved = tf.optimize_family_report(family, model, scenario_set, case, f)
         except tf.InfeasibleFamilyError as exc:
             cells.append(ParetoPoint(f, reason=str(exc)))
             continue
-        report = evaluate(tariff, model, scenario_set, case)
         cells.append(
             ParetoPoint(
                 fixed_cost=f,
-                cs_gain=(report.consumer_surplus - anchors.consumer_surplus) / anchors.revenue,
+                cs_gain=(solved.settlement.consumer_surplus - anchors.consumer_surplus) / anchors.revenue,
                 rs_gain=(f - anchors.retailer_surplus) / anchors.revenue,
-                tariff=tariff,
+                tariff=solved.tariff,
             )
         )
     return ParetoFront(tuple(cells))
@@ -379,7 +379,7 @@ def der_sweep(
     """Re-solve each family at each installed PV capacity and report gains.
 
     Each capacity's scenario set and integration case come from
-    :func:`sweep_fixture`.
+    :func:`sweep_fixture`; each cell's gains read the solve's settlement.
     """
     if mode not in (tf.MODE_DECENTRALIZED, tf.MODE_CENTRALIZED):
         raise ValueError(f"sweep mode must be decentralized or centralized, got {mode!r}")
@@ -392,11 +392,11 @@ def der_sweep(
         )
         for family in families:
             try:
-                tariff = tf.optimize_family_report(family, model, swept, case, fixed_cost).tariff
+                solved = tf.optimize_family_report(family, model, swept, case, fixed_cost)
             except tf.InfeasibleFamilyError as exc:
                 cells.append(SweepCell(capacity, family.kind, reason=str(exc)))
                 continue
-            report = evaluate(tariff, model, swept, case)
+            report = solved.settlement
             cells.append(
                 SweepCell(
                     capacity_kw=capacity,
@@ -404,7 +404,7 @@ def der_sweep(
                     cs_gain=(report.consumer_surplus - anchors.consumer_surplus)
                     / anchors.revenue,
                     sw_gain=(report.social_welfare - base_sw) / anchors.revenue,
-                    tariff=tariff,
+                    tariff=solved.tariff,
                 )
             )
     return cells

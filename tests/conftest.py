@@ -10,7 +10,6 @@ import re
 import pytest
 
 from tariffkit import ingest
-from tariffkit import welfare as wf
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +40,7 @@ def independent_study(independent_dir):
 
 @pytest.fixture(scope="session")
 def anchors(study):
-    return wf.base_anchors(study.model, study.scenario_set, ingest.nominal_tariff(study.config))
+    return study.anchors
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,32 @@ def test_validate_names_indefinite_price_response(study_dir, tmp_path, capsys):
     assert "positive definite" in out and "-4" in out
 
 
+def test_validate_rejects_a_fixed_cost_value_the_derived_mode_ignores(study_dir, tmp_path,
+                                                                      capsys):
+    config = rewrite_config(study_dir, tmp_path, fixed_cost={"value_usd_per_day": 1000})
+    assert cli.main(["validate", str(config)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL config parses: fixed_cost.value_usd_per_day" in out
+    assert "fixed_cost.mode is derived-from-nominal" in out
+
+
+def test_a_command_settles_the_nominal_tariff_once(study_dir, out_dir, monkeypatch):
+    # build_study settles the nominal tariff once; F and the anchors both read it
+    config = ingest.load_config(study_dir / "study.yaml")
+    nominal = ingest.nominal_tariff(config)
+    settle, nominal_settlements = tf.settle, []
+
+    def counted(tariff, *args):
+        if tariff.connection_charge == nominal.connection_charge and \
+                np.array_equal(tariff.prices, nominal.prices):
+            nominal_settlements.append(tariff)
+        return settle(tariff, *args)
+
+    monkeypatch.setattr(tf, "settle", counted)
+    assert cli.main(["xsub", str(study_dir / "study.yaml")]) == 0
+    assert len(nominal_settlements) == 1
+
+
 def test_validate_rejects_a_capacity_grid_sweep_cannot_allocate(study_dir, tmp_path, out_dir,
                                                                 capsys):
     # 2.2e6 customers hold at most one 5 kW unit each, 1.1e7 kW in all: validate

@@ -11,6 +11,7 @@ from tariffkit import ingest
 from tariffkit import scenario as sc
 from tariffkit import storage as st
 from tariffkit import tariff as tf
+from tariffkit import welfare as wf
 
 
 def write(path, text):
@@ -385,21 +386,33 @@ def test_build_scenarios_length_mismatch():
         ingest.build_scenarios(config, model, PRICES[:, :1], LOAD, SOLAR)
 
 
-def test_derive_fixed_cost_modes():
-    config = ingest.StudyConfig(horizon=2, customer_classes=1, customer_count=10.0)
-    load = np.array([[5.0, 6.0]])
-    prices = np.array([[0.04, 0.05]])
-    model = ingest.build_model(config, load)
-    ss = ingest.build_scenarios(config, model, prices, load, np.zeros((1, 2)))
-    f = ingest.derive_fixed_cost(config, model, ss)
+def test_fixed_cost_value_requires_explicit_mode():
+    # derived mode would ignore the value, so setting it is an error naming both keys
+    with pytest.raises(ingest.ConfigError,
+                       match=r"fixed_cost\.value_usd_per_day .* fixed_cost\.mode is derived"):
+        ingest.StudyConfig(fixed_cost_value=1000.0)
+    ingest.StudyConfig(fixed_cost_mode="explicit", fixed_cost_value=1000.0)  # the mode reading it
+
+
+def test_build_study_fixed_cost_modes(tmp_path):
+    one_day = "date,period_index,price_usd_per_mwh\n2021-07-01,0,40\n2021-07-01,1,50\n"
+    config = replace(study_files(tmp_path, prices=one_day), customer_classes=1,
+                     customer_count=10.0)
+    study = ingest.build_study(config)
     # single scenario: F = M A + (pi - lambda)^T D(pi)
     pi = np.full(2, config.nominal_price)
-    q = dm.aggregate_demand(model, pi)
-    want = 10.0 * config.nominal_connection_charge + float((pi - prices[0]) @ q)
-    assert f == pytest.approx(want, rel=1e-12)
+    q = dm.aggregate_demand(study.model, pi)
+    want = 10.0 * config.nominal_connection_charge + float((pi - [0.04, 0.05]) @ q)
+    assert study.fixed_cost == pytest.approx(want, rel=1e-12)
+    # F is the retailer surplus of the one nominal settlement whose anchors the study keeps
+    assert study.fixed_cost == study.anchors.retailer_surplus
+    nominal = ingest.nominal_tariff(config)
+    assert study.anchors == wf.base_anchors(study.model, study.scenario_set, nominal)
 
-    explicit = replace(config, fixed_cost_mode="explicit", fixed_cost_value=123.0)
-    assert ingest.derive_fixed_cost(explicit, model, ss) == 123.0
+    explicit = ingest.build_study(replace(config, fixed_cost_mode="explicit",
+                                          fixed_cost_value=123.0))
+    assert explicit.fixed_cost == 123.0
+    assert explicit.anchors == study.anchors
 
 
 def test_configured_families_labels():

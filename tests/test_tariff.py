@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -188,21 +189,25 @@ def test_disagreeing_charge_routes_raise(monkeypatch, mode):
         tf.optimal_two_part(model, swept, case, 20.0)
 
 
+def _flat_ray_roots(family, model, ss, fixed_cost):
+    """The flat solver's two roots along p * 1, and the fleet (none) at the lower."""
+    n = model.horizon
+    return tf._ray_roots(family, model, ss, tf.no_der(), fixed_cost, np.zeros(n), np.ones(n),
+                         np.zeros((model.n_classes, n)))
+
+
 def test_flat_family_settles_and_picks_surplus_maximizing_root():
     model, ss = fixture()
     family = tf.TariffFamily(kind=tf.FLAT_FIXED_A, fixed_connection_charge=0.3)
     report = tf.optimize_family_report(family, model, ss, tf.no_der(), 20.0)
-    assert report.flat_roots is not None
-    lo, hi = report.flat_roots
+    lo, hi, _ = _flat_ray_roots(family, model, ss, 20.0)
     assert lo <= hi
     # both roots settle at F; the returned one has the larger surplus
-    for p in report.flat_roots:
-        rs = tf.expected_retailer_surplus(
-            tf.flat_tariff(0.3, p, model.horizon), model, ss, tf.no_der()
-        )
-        assert rs == pytest.approx(20.0, abs=1e-8 * 20.0)
-    assert report.root_surpluses is not None
-    assert max(report.root_surpluses) == pytest.approx(
+    roots = [tf.settle(tf.flat_tariff(0.3, p, model.horizon), model, ss, tf.no_der())
+             for p in (lo, hi)]
+    for root in roots:
+        assert root.retailer_surplus == pytest.approx(20.0, abs=1e-8 * 20.0)
+    assert max(root.consumer_surplus for root in roots) == pytest.approx(
         tf.settle(report.tariff, model, ss, tf.no_der()).consumer_surplus, rel=1e-12
     )
     # low root charges less and is the consumer-preferred one
@@ -229,8 +234,8 @@ def test_flat_roots_merge_at_tangency():
         tf.optimize_family_report(family, model, ss, tf.no_der(), 1e9)
     except tf.InfeasibleFamilyError as exc:
         peak = exc.attainable_max
-    report = tf.optimize_family_report(family, model, ss, tf.no_der(), peak)
-    lo, hi = report.flat_roots
+    tf.optimize_family_report(family, model, ss, tf.no_der(), peak)
+    lo, hi, _ = _flat_ray_roots(family, model, ss, peak)
     assert hi - lo == pytest.approx(0.0, abs=1e-4 * max(1.0, abs(hi)))
 
 
@@ -297,9 +302,33 @@ def test_negative_connection_charge_flagged():
 def test_non_finite_residual_raises(monkeypatch):
     # abs(nan) > tol is False: the adequacy test must reject NaN explicitly
     model, ss = fixture()
-    monkeypatch.setattr(tf, "expected_retailer_surplus", lambda *args: math.nan)
+    optimum = tf.optimal_two_part(model, ss, tf.no_der(), 20.0)
+    settle = tf.settle
+
+    def nan_at_optimum(tariff, *args):
+        # only the returned tariff's settlement; the generic route's, at A = 0, stays finite
+        report = settle(tariff, *args)
+        if tariff.connection_charge == optimum.connection_charge:
+            report = dataclasses.replace(report, retailer_surplus=math.nan)
+        return report
+
+    monkeypatch.setattr(tf, "settle", nan_at_optimum)
     with pytest.raises(tf.RevenueAdequacyError, match="nan"):
         tf.optimize_family_report(tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), model, ss, tf.no_der(), 20.0)
+
+
+@pytest.mark.parametrize("kind", tf.FAMILY_KINDS)
+def test_non_finite_consumer_surplus_raises(monkeypatch, kind):
+    # the solve's settlement is the one the tables read, so the solve
+    # rejects a non-finite consumer surplus as it rejects a residual
+    model, ss = fixture()
+    settle = tf.settle
+    monkeypatch.setattr(tf, "settle", lambda *args: dataclasses.replace(
+        settle(*args), consumer_surplus=math.inf))
+    charge = 0.3 if kind in (tf.FLAT_FIXED_A, tf.DYNAMIC_FIXED_A) else None
+    family = tf.TariffFamily(kind=kind, fixed_connection_charge=charge)
+    with pytest.raises(tf.RevenueAdequacyError, match="consumer surplus inf"):
+        tf.optimize_family_report(family, model, ss, tf.no_der(), 10.0)
 
 
 def test_only_the_meter_nets_customer_pv():
@@ -356,7 +385,7 @@ def test_dynamic_fleet_cycle_returns_best_member(study):
     for _ in range(report.cycle_length):
         fleet = tf.customer_fleet_meter(case, model.n_classes, members[-1])
         direction = tf._choke_prices(model, swept, case, fleet) - lam_bar
-        t, _ = tf._ray_roots(family, model, swept, case, fixed_cost, lam_bar, direction, fleet)
+        t, _, _ = tf._ray_roots(family, model, swept, case, fixed_cost, lam_bar, direction, fleet)
         members.append(lam_bar + t * direction)
     np.testing.assert_array_equal(members[-1], members[0])
     assert not np.array_equal(members[1], members[0])

@@ -430,6 +430,22 @@ def test_grid_cells_make_no_scenario_pass(study, anchors, monkeypatch):
     assert calls["metered"] == calls["optimal"]
 
 
+@pytest.mark.parametrize("kind", [tf.OPTIMAL_TWO_PART, tf.DYNAMIC_ZERO_A])
+def test_pareto_cell_settles_its_tariff_once(monkeypatch, kind):
+    # the solve settles its tariff once, and the cell reads that settlement
+    model, ss = fixture()
+    anchors = wf.base_anchors(model, ss, tf.flat_tariff(0.4, 0.21, 6))
+    settle, settled = tf.settle, []
+    monkeypatch.setattr(tf, "settle", lambda tariff, *args: settled.append(tariff) or settle(tariff, *args))
+    front = wf.pareto_front(tf.TariffFamily(kind=kind), model, ss, tf.no_der(), [10.0], anchors)
+    (cell,) = front.points
+    returned = [t for t in settled if t.connection_charge == cell.tariff.connection_charge
+                and np.array_equal(t.prices, cell.tariff.prices)]
+    assert len(returned) == 1
+    report = settle(cell.tariff, model, ss, tf.no_der())
+    assert cell.cs_gain == (report.consumer_surplus - anchors.consumer_surplus) / anchors.revenue
+
+
 @pytest.mark.parametrize("mode", [tf.MODE_DECENTRALIZED, tf.MODE_CENTRALIZED])
 def test_evaluate_is_one_settlement(study, monkeypatch, mode):
     # one evaluate fetches the fleet's unit schedule once and meters once
