@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-Each study in the library is a subcommand that loads a YAML study file,
+Each study in the library is a subcommand that loads a study file,
 runs the analysis, prints a short human summary, and writes deterministic
 CSV tables plus a JSON run manifest (config hash, input digests, derived
 required revenue, base-case anchors).  Floats in tables are formatted at 12
@@ -235,9 +235,10 @@ def cmd_validate(args) -> int:
     check("pareto F grid has no repeated value",
           lambda: ingest.resolve_fixed_cost_grid(config, study.fixed_cost))
     anchors = study.anchors
+    f_label = "explicit" if config.fixed_cost_mode == "explicit" else "derived"
     print(
         f"     base revenue {anchors.revenue:.6g} $/day, cs {anchors.consumer_surplus:.6g}, "
-        f"rs {anchors.retailer_surplus:.6g}, derived F {study.fixed_cost:.6g}"
+        f"rs {anchors.retailer_surplus:.6g}, {f_label} F {study.fixed_cost:.6g}"
     )
     if anchors.consumer_surplus <= 0.0:
         failures.append("consumer surplus positive")

@@ -5,9 +5,10 @@ Input files are small delimited-text tables, one row per period
 matrices; the three files must list the same dates.  Wholesale prices arrive
 in $/MWh and are converted to $/kWh on load; solar profiles are normalized
 to per-kW-of-capacity units.  The study configuration is a two-level YAML
-document whose defaults describe a NYC-like residential study; unknown keys
-are hard errors.  Each entry is declared once, on its ``StudyConfig`` field:
-the field's ``section.key`` and rule live in its metadata, and its
+document, read and written by :mod:`tariffkit.studyfile`, whose defaults
+describe a NYC-like residential study; unknown keys are hard errors.  Each
+entry is declared once, on its ``StudyConfig`` field: the field's
+``section.key`` and rule live in its metadata, and its
 annotation names the type the file value is coerced to.  Reading and writing
 study files, validation and the CLI number options
 (``StudyConfig.check_field``) all work from those declarations.
@@ -27,10 +28,10 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import demand as dm
 from . import storage as st
+from . import studyfile
 from . import tariff as tf
 from . import welfare as wf
 from .scenario import ScenarioSet, split_marginals
@@ -380,13 +381,13 @@ def config_to_mapping(config: StudyConfig) -> dict:
 
 
 def load_config(path) -> StudyConfig:
-    """Parse a YAML study file; input paths become absolute relative to it."""
+    """Parse a study file; input paths become absolute relative to it."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     try:
-        mapping = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
+        mapping = studyfile.read(text)
+    except studyfile.StudyFileError as exc:
+        raise ConfigError(f"{path}: invalid YAML ({exc})") from None
     config = config_from_mapping(mapping or {})
     resolved = {}
     for attr in _INPUT_PATHS:
@@ -399,9 +400,7 @@ def load_config(path) -> StudyConfig:
 
 
 def write_config(config: StudyConfig, path) -> None:
-    Path(path).write_text(
-        yaml.safe_dump(config_to_mapping(config), sort_keys=False), encoding="utf-8"
-    )
+    Path(path).write_text(studyfile.write(config_to_mapping(config)), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

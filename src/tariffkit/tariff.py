@@ -385,15 +385,8 @@ def settle(
     margin = float((pi - lam_bar) @ metered) - float(cov.sum())
     retailer_surplus = model.customers * tariff.connection_charge + margin + retailer_der
 
-    binv_b0 = model.slope_inverse @ model.base
-    quad_w = np.einsum("nm,cmn->c", model.slope_inverse, moments.disturbance_second_moment)
-    quad_v = (  # E[v^T B^-1 v] per customer, (C,)
-        sigma**2 * float(model.base @ binv_b0)
-        + 2.0 * sigma * (moments.mean_disturbance @ binv_b0)
-        + quad_w
-    )
     per_class_cs = (
-        counts * quad_v / (2.0 * sigma)
+        _free_energy_surplus(model, moments)
         - 0.5 * counts * sigma * float(pi @ (model.slope @ pi))
         - energy @ pi
         - counts * tariff.connection_charge
@@ -410,6 +403,34 @@ def settle(
         fleet_value=storage_value,
         renewable_value=renewable,
     )
+
+
+# the last (model, moments, per-class surplus) of _free_energy_surplus
+_free_energy_memo: list = [None, None, None]
+
+
+def _free_energy_surplus(model: dm.DemandModel, moments) -> np.ndarray:
+    """Per-class expected consumer surplus at zero prices and no charge, (C,).
+
+    That is E[v^T B^{-1} v] / (2 sigma) summed over a class's customers, the
+    price-independent part of :func:`settle`'s consumer surplus.  It is kept
+    for the last (model, moments) pair, matched by identity because both
+    records hold arrays, so a solve's probes compute it once.
+    """
+    if _free_energy_memo[0] is model and _free_energy_memo[1] is moments:
+        return _free_energy_memo[2]
+    sigma = model.sigma
+    binv_b0 = model.slope_inverse @ model.base
+    quad_w = np.einsum("nm,cmn->c", model.slope_inverse, moments.disturbance_second_moment)
+    quad_v = (  # E[v^T B^-1 v] per customer, (C,)
+        sigma**2 * float(model.base @ binv_b0)
+        + 2.0 * sigma * (moments.mean_disturbance @ binv_b0)
+        + quad_w
+    )
+    surplus = model.class_counts * quad_v / (2.0 * sigma)
+    surplus.setflags(write=False)
+    _free_energy_memo[:] = (model, moments, surplus)
+    return surplus
 
 
 def expected_retailer_surplus(
@@ -624,8 +645,9 @@ def _solve_flat(
     no_fleet = np.zeros((model.n_classes, n))
     lo, hi, _ = _ray_roots(family, model, scenario_set, case, fixed_cost, np.zeros(n), np.ones(n), no_fleet)
     candidates = [flat_tariff(family.connection_charge, p, n) for p in (lo, hi)]
-    surpluses = [settle(t, model, scenario_set, case).consumer_surplus for t in candidates]
-    return FamilyReport(tariff=candidates[int(np.argmax(surpluses))], kind=family.kind)
+    settlements = [settle(t, model, scenario_set, case) for t in candidates]
+    best = int(np.argmax([s.consumer_surplus for s in settlements]))
+    return FamilyReport(tariff=candidates[best], kind=family.kind, settlement=settlements[best])
 
 
 def _choke_prices(
@@ -685,19 +707,19 @@ def _solve_dynamic(
     else:
         cycle = rounds[cycle_start:]
         cycle_length = len(cycle)
-    best = 0
+    best, settlement = 0, None
     if len(cycle) > 1:
-        surpluses = [
-            settle(TwoPartTariff(charge, pi), model, scenario_set, case).consumer_surplus
-            for _, pi in cycle
-        ]
-        best = int(np.argmax(surpluses))
+        settlements = [settle(TwoPartTariff(charge, pi), model, scenario_set, case)
+                       for _, pi in cycle]
+        best = int(np.argmax([s.consumer_surplus for s in settlements]))
+        settlement = settlements[best]
         notes.append(f"storage fixed point cycles with period {cycle_length}")
     t_star, pi_star = cycle[best]
     return FamilyReport(
         tariff=TwoPartTariff(charge, pi_star),
         kind=family.kind,
         multiplier_t=t_star,
+        settlement=settlement,
         notes=tuple(notes),
         fleet_rounds=len(rounds),
         cycle_length=cycle_length,
@@ -713,10 +735,11 @@ def optimize_family_report(
 ) -> FamilyReport:
     """Solve one family for E[rs] = F; returns the solution with diagnostics.
 
-    Every kind's tariff is settled once more here, and the report carries
-    that settlement.  A residual beyond :func:`_adequacy_tolerance`, a
-    non-finite one, or a non-finite consumer surplus raises
-    :class:`RevenueAdequacyError`.
+    The report carries the tariff's one settlement: the one the solve made
+    when it compared candidates (the flat roots, a dynamic fleet cycle's
+    members), else one made here.  A residual beyond
+    :func:`_adequacy_tolerance`, a non-finite one, or a non-finite consumer
+    surplus raises :class:`RevenueAdequacyError`.
     """
     if family.kind == OPTIMAL_TWO_PART:
         report = FamilyReport(tariff=optimal_two_part(model, scenario_set, case, fixed_cost), kind=family.kind)
@@ -724,7 +747,9 @@ def optimize_family_report(
         report = _solve_flat(family, model, scenario_set, case, fixed_cost)
     else:
         report = _solve_dynamic(family, model, scenario_set, case, fixed_cost)
-    settlement = settle(report.tariff, model, scenario_set, case)
+    settlement = report.settlement
+    if settlement is None:
+        settlement = settle(report.tariff, model, scenario_set, case)
     residual = settlement.retailer_surplus - fixed_cost
     if not abs(residual) <= _adequacy_tolerance(model, scenario_set, case, report.tariff, fixed_cost):
         raise RevenueAdequacyError(f"{family.kind} revenue residual {residual!r} exceeds tolerance")

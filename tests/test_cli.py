@@ -98,6 +98,15 @@ def test_validate_passes_on_synthetic_study(study_dir, out_dir, capsys):
     assert "derived F" in out
 
 
+def test_validate_labels_an_explicit_f(study_dir, tmp_path, out_dir, capsys):
+    config = rewrite_config(study_dir, tmp_path,
+                            fixed_cost={"mode": "explicit", "value_usd_per_day": 1000.0})
+    assert cli.main(["validate", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert ", explicit F 1000\n" in out
+    assert "derived F" not in out
+
+
 def test_validate_rejects_positive_elasticity(study_dir, tmp_path, capsys):
     config = rewrite_config(study_dir, tmp_path, demand={"elasticity": 0.3})
     assert cli.main(["validate", str(config)]) == 2
@@ -414,7 +423,7 @@ def test_zero_storage_size_rejected_at_validation(study_dir, tmp_path, out_dir, 
 @pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
 def test_malformed_yaml_exits_2(tmp_path, out_dir, capsys, loader):
     # the text is malformed to libyaml's parser and to the pure-Python one alike,
-    # and load_config, which parses with yaml.safe_load only, rejects it
+    # and load_config's own reader, which reads no text differently, rejects it
     if not hasattr(yaml, loader):
         pytest.skip(f"PyYAML has no {loader}")
     text = "study:\n  output_dir: [unclosed\n"
@@ -759,8 +768,9 @@ print(codes, sorted(m for m in ("numpy.ma", "scipy") if m in sys.modules))
 
 
 def test_study_commands_load_no_openssl(tmp_path):
-    # the study commands load numpy, PyYAML and the standard library only:
-    # no OpenSSL (hashlib's _hashlib), no scipy, no numpy.ma.  The data is
+    # the study commands load numpy and the standard library only: no PyYAML
+    # (ingest reads the study file itself), no OpenSSL (hashlib's _hashlib),
+    # no scipy, no numpy.ma.  The data is
     # written here, outside the checked interpreter, because gen-synthetic
     # imports numpy.random, whose secrets import loads hashlib.
     root = tmp_path / "study"
@@ -773,7 +783,7 @@ codes = [cli.main([*command, study])
          for command in (["validate"], ["optimize"], ["pareto"],
                          ["sweep", "--mode", "decentralized"],
                          ["sweep", "--mode", "centralized"], ["xsub"])]
-print(codes, sorted(m for m in ("_hashlib", "scipy", "numpy.ma") if m in sys.modules))
+print(codes, sorted(m for m in ("_hashlib", "scipy", "numpy.ma", "yaml") if m in sys.modules))
 """
     result = subprocess.run(
         [sys.executable, "-c", script, str(root)], capture_output=True, text=True,

@@ -214,6 +214,54 @@ def test_flat_family_settles_and_picks_surplus_maximizing_root():
     assert report.tariff.prices[0] == pytest.approx(lo)
 
 
+def _settles_per_tariff(monkeypatch):
+    """Count settle calls by the tariff's prices and charge; returns the counter."""
+    settle, counts = tf.settle, {}
+
+    def counting(tariff, *args):
+        key = (tariff.connection_charge, tariff.prices.tobytes())
+        counts[key] = counts.get(key, 0) + 1
+        return settle(tariff, *args)
+
+    monkeypatch.setattr(tf, "settle", counting)
+    return counts
+
+
+def _assert_settled_once(report, counts, *args):
+    tariff = report.tariff
+    assert counts[(tariff.connection_charge, tariff.prices.tobytes())] == 1
+    fresh = tf.settle(tariff, *args)
+    for field in dataclasses.fields(fresh):
+        np.testing.assert_array_equal(getattr(report.settlement, field.name),
+                                      getattr(fresh, field.name))
+
+
+@pytest.mark.parametrize("kind", [tf.FLAT_ZERO_A, tf.FLAT_FIXED_A])
+def test_flat_solve_settles_its_tariff_once(monkeypatch, kind):
+    # the flat solve settles both roots to pick one; the report carries the
+    # winner's settlement instead of settling it again
+    model, ss = fixture()
+    counts = _settles_per_tariff(monkeypatch)
+    charge = 0.3 if kind == tf.FLAT_FIXED_A else None
+    family = tf.TariffFamily(kind=kind, fixed_connection_charge=charge)
+    report = tf.optimize_family_report(family, model, ss, tf.no_der(), 10.0)
+    _assert_settled_once(report, counts, model, ss, tf.no_der())
+
+
+def test_settle_reuses_surplus_terms_only_for_the_same_model_and_moments():
+    # the zero-price surplus is kept for the last (model, moments) pair; a
+    # different model or set recomputes it
+    tariff = tf.flat_tariff(0.3, 0.2, 6)
+    first, second = fixture(seed=2), fixture(seed=3)
+    # each step changes the model, the moments, or both
+    for model, ss in (first, (first[0], second[1]), second, (second[0], first[1]), first):
+        report = tf.settle(tariff, model, ss, tf.no_der())  # after the previous pair's
+        tf._free_energy_memo[:] = (None, None, None)
+        np.testing.assert_array_equal(report.per_class_consumer_surplus,
+                                      tf.settle(tariff, model, ss, tf.no_der())
+                                      .per_class_consumer_surplus)
+
+
 def test_flat_family_infeasible_above_revenue_peak():
     model, ss = fixture()
     family = tf.TariffFamily(kind=tf.FLAT_ZERO_A)
@@ -395,6 +443,15 @@ def test_dynamic_fleet_cycle_returns_best_member(study):
         assert best >= tf.settle(member, model, swept, case).consumer_surplus
         residual = tf.expected_retailer_surplus(member, model, swept, case) - fixed_cost
         assert abs(residual) <= tf.ADEQUACY_RTOL * fixed_cost
+
+
+def test_dynamic_fleet_cycle_settles_the_returned_member_once(study, monkeypatch):
+    swept, case = _swept(study, 550e3)
+    counts = _settles_per_tariff(monkeypatch)
+    family = tf.TariffFamily(kind=tf.DYNAMIC_ZERO_A)
+    report = tf.optimize_family_report(family, study.model, swept, case, study.fixed_cost)
+    assert report.cycle_length == 2
+    _assert_settled_once(report, counts, study.model, swept, case)
 
 
 def test_dynamic_fleet_without_storage_converges_without_lp(study):
