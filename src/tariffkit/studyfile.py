@@ -3,7 +3,8 @@
 A study file is the YAML subset that a safe dump of
 ``ingest.config_to_mapping`` writes: block mappings, with plain keys, of
 scalars and of block or one-line flow lists, with comments and an opening
-``---``.  Scalars are plain, single-quoted, or double-quoted without
+``---``.  A root that is a block list or a one-line scalar or flow list is
+read as well, so that the caller can say the root is not a mapping.  Scalars are plain, single-quoted, or double-quoted without
 escapes, and plain ones are typed as a YAML 1.1 safe loader types them.
 Whatever :func:`read` cannot read exactly as such a loader would (anchors,
 aliases, tags, block scalars, flow mappings, multi-line values, tabs,
@@ -78,8 +79,17 @@ def read(text: str):
         lines.append([lineno, len(line) - len(body), body])
     if not lines:
         return None
-    if lines[0][1]:
-        _refuse(lines[0][0], "expected a 'section:' line at the first column")
+    lineno, column, first = lines[0]
+    if column:
+        _refuse(lineno, "expected a 'section:' line at the first column")
+    # a root that is not a mapping is read too, for load_config to refuse
+    if first == "-" or first.startswith("- "):
+        value, pos = _block_sequence(lines, 0, 0)
+        if pos < len(lines):
+            _refuse(lines[pos][0], "expected '- ' (the root is a list)")
+        return value
+    if len(lines) == 1 and ": " not in first and not first.endswith(":"):
+        return _inline(first, lineno)
     return _block_mapping(lines, 0, 0)[0]
 
 

@@ -406,7 +406,7 @@ def settle(
 
 
 # the last (model, moments, per-class surplus) of _free_energy_surplus
-_free_energy_memo: list = [None, None, None]
+_free_energy_memo: tuple = (None, None, None)
 
 
 def _free_energy_surplus(model: dm.DemandModel, moments) -> np.ndarray:
@@ -415,10 +415,13 @@ def _free_energy_surplus(model: dm.DemandModel, moments) -> np.ndarray:
     That is E[v^T B^{-1} v] / (2 sigma) summed over a class's customers, the
     price-independent part of :func:`settle`'s consumer surplus.  It is kept
     for the last (model, moments) pair, matched by identity because both
-    records hold arrays, so a solve's probes compute it once.
+    records hold arrays; a study command settles on one pair, so it
+    computes this once.
     """
-    if _free_energy_memo[0] is model and _free_energy_memo[1] is moments:
-        return _free_energy_memo[2]
+    global _free_energy_memo
+    memo_model, memo_moments, surplus = _free_energy_memo
+    if memo_model is model and memo_moments is moments:
+        return surplus
     sigma = model.sigma
     binv_b0 = model.slope_inverse @ model.base
     quad_w = np.einsum("nm,cmn->c", model.slope_inverse, moments.disturbance_second_moment)
@@ -429,7 +432,7 @@ def _free_energy_surplus(model: dm.DemandModel, moments) -> np.ndarray:
     )
     surplus = model.class_counts * quad_v / (2.0 * sigma)
     surplus.setflags(write=False)
-    _free_energy_memo[:] = (model, moments, surplus)
+    _free_energy_memo = (model, moments, surplus)
     return surplus
 
 

@@ -135,7 +135,7 @@ def mutated_texts(draw):
     """A study file with one to three edits: fragments inserted, spans dropped or doubled."""
     text = draw(hst.sampled_from([STUDY_TEXT, yaml.safe_dump(
         {"study": {"horizon": 3}, "grids": {"capacity_kw": [0.0, 1.0]}},
-        sort_keys=False, default_flow_style=None)]))
+        sort_keys=False, default_flow_style=None), "- a\n- - 1\n  - [b]\n", "study\n"]))
     for _ in range(draw(hst.integers(1, 3))):
         at = draw(hst.integers(0, len(text)))
         end = min(len(text), at + draw(hst.integers(1, 6)))
@@ -180,6 +180,11 @@ READABLE = [
     ("s:\n  rows:\n  - - 1.0\n    - 2\n  -   - x\n  - []\n  -\n    - y\n  - # none\n  k: v\n",
      {"s": {"rows": [[1.0, 2], ["x"], [], ["y"], None], "k": "v"}}),
     ("\ufeffs:\n    deep:\n        - a\n    next: 1\n", {"s": {"deep": ["a"], "next": 1}}),
+    # roots that are not mappings, which load_config then refuses
+    ("study  # a comment\n", "study"),
+    ("false\n", False),
+    ("[a, 1]\n", ["a", 1]),
+    ("- a\n-\n- - 1\n  - 2\n", ["a", None, [1, 2]]),
 ]
 
 
@@ -210,6 +215,7 @@ REFUSED = [
     ("'s':\n  a: 1\n", 1),
     ("s:\n  a: 1\n...\n", 3),
     ("s:\n  a:\n  - 1\n    - 2\n", 4),
+    ("study\nmore\n", 1),
     # and PyYAML refuses these too
     ("s:\n\ta: 1\n", 2),
     ("s:\n  a: [unclosed\n", 2),
@@ -218,6 +224,7 @@ REFUSED = [
     ("s:\n  a: 1\n b: 2\n", 3),
     ("s:\n  a: 1\n---\nt:\n  b: 2\n", 3),
     ("s:\n  a: \x07\n", 2),
+    ("- a\nb: 1\n", 2),
 ]
 
 
@@ -231,6 +238,15 @@ def test_load_config_names_the_file_and_line(tmp_path):
     path = tmp_path / "study.yaml"
     path.write_text("study:\n  horizon: &h 3\n", encoding="utf-8")
     with pytest.raises(ingest.ConfigError, match=r"study\.yaml: invalid YAML \(line 2: "):
+        ingest.load_config(path)
+
+
+@pytest.mark.parametrize("text, kind", [("study\n", "str"), ("- a\n", "list"), ("[1]\n", "list"),
+                                        ("3\n", "int")])
+def test_load_config_refuses_a_root_that_is_not_a_mapping(tmp_path, text, kind):
+    path = tmp_path / "study.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ingest.ConfigError, match=f"^config root must be a mapping, got {kind}$"):
         ingest.load_config(path)
 
 

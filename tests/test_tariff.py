@@ -248,7 +248,7 @@ def test_flat_solve_settles_its_tariff_once(monkeypatch, kind):
     _assert_settled_once(report, counts, model, ss, tf.no_der())
 
 
-def test_settle_reuses_surplus_terms_only_for_the_same_model_and_moments():
+def test_settle_reuses_surplus_terms_only_for_the_same_model_and_moments(monkeypatch):
     # the zero-price surplus is kept for the last (model, moments) pair; a
     # different model or set recomputes it
     tariff = tf.flat_tariff(0.3, 0.2, 6)
@@ -256,7 +256,7 @@ def test_settle_reuses_surplus_terms_only_for_the_same_model_and_moments():
     # each step changes the model, the moments, or both
     for model, ss in (first, (first[0], second[1]), second, (second[0], first[1]), first):
         report = tf.settle(tariff, model, ss, tf.no_der())  # after the previous pair's
-        tf._free_energy_memo[:] = (None, None, None)
+        monkeypatch.setattr(tf, "_free_energy_memo", (None, None, None))
         np.testing.assert_array_equal(report.per_class_consumer_surplus,
                                       tf.settle(tariff, model, ss, tf.no_der())
                                       .per_class_consumer_surplus)
