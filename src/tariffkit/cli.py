@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from . import ingest
-from . import simplex
 from . import tariff as tf
 from . import welfare as wf
 
@@ -98,12 +97,12 @@ def build_manifest(study: ingest.Study, tables: dict[str, str]) -> dict:
     }
 
 
-def _emit(study: ingest.Study, name: str, meta: list[str], header: list[str],
-          rows: list[list[str]]) -> Path:
+def _emit(study: ingest.Study, name: str, meta: list[str], rows: list[dict[str, str]]) -> Path:
     """Write ``<name>.csv`` and ``<name>_manifest.json``; returns the table path.
 
-    The directory is ``$TARIFFKIT_OUTPUT_DIR`` if set, else the study's
-    ``output_dir``; it is created when missing.
+    Each row maps a column to its cell, and the first row's keys, in order,
+    are the header.  The directory is ``$TARIFFKIT_OUTPUT_DIR`` if set, else
+    the study's ``output_dir``; it is created when missing.
     """
     out = Path(os.environ.get(OUTPUT_DIR_ENV) or study.config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -117,8 +116,8 @@ def _emit(study: ingest.Study, name: str, meta: list[str], header: list[str],
         fh.write(f"# base_revenue_usd_per_day: {_fmt(study.anchors.revenue)}\n")
         for line in meta:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
         writer.writerows(rows)
     (out / f"{name}_manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -127,27 +126,26 @@ def _emit(study: ingest.Study, name: str, meta: list[str], header: list[str],
 
 
 def _emit_grid(study: ingest.Study, name: str, summary: str, meta: list[str],
-               header: list[str], rows: list[list[str]]) -> int:
+               rows: list[dict[str, str]]) -> int:
     """Write a (family, grid point) table with a ``reason`` column.
 
     A row with a blank reason is a feasible cell.  Prints ``summary`` with
     the feasible count; a table without one is an infeasible study.
     """
-    reason_column = header.index("reason")
-    feasible_cells = sum(not row[reason_column] for row in rows)
+    feasible_cells = sum(not row["reason"] for row in rows)
     print(f"{summary}, {feasible_cells} feasible cells")
     if feasible_cells == 0:
         raise tf.InfeasibleFamilyError(f"every {name} cell is infeasible", math.nan)
-    path = _emit(study, name, meta, header, rows)
+    path = _emit(study, name, meta, rows)
     print(f"wrote {path}")
     return 0
 
 
-def _tariff_columns(tariff: tf.TwoPartTariff | None) -> list[str]:
-    """Connection charge and mean price columns; blank without a tariff."""
-    if tariff is None:
-        return ["", ""]
-    return [_fmt(tariff.connection_charge), _fmt(tariff.prices.mean())]
+def _tariff_columns(tariff: tf.TwoPartTariff | None) -> dict[str, str]:
+    """Connection charge and mean price cells; blank without a tariff."""
+    charge, price = (None, None) if tariff is None else \
+        (tariff.connection_charge, tariff.prices.mean())
+    return {"connection_charge_usd_per_day": _fmt(charge), "mean_price_usd_per_kwh": _fmt(price)}
 
 
 def _number_option(attr: str):
@@ -181,10 +179,6 @@ class _Distinct(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _load_study(args) -> ingest.Study:
-    return ingest.build_study(ingest.load_config(args.config))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -203,10 +197,7 @@ def cmd_validate(args) -> int:
         return result
 
     config = check("config parses", lambda: ingest.load_config(args.config))
-    if config is None:
-        print("validation failed: 1 check")
-        return 2
-    study = check("inputs load and align", lambda: ingest.build_study(config))
+    study = config and check("inputs load and align", lambda: ingest.build_study(config))
     if study is None:
         print(f"validation failed: {len(failures)} check(s)")
         return 2
@@ -220,12 +211,10 @@ def cmd_validate(args) -> int:
     if eigs is not None:
         print(f"     aggregate price-response eigenvalues in [{eigs[0]:.6g}, {eigs[-1]:.6g}]")
 
-    def optimal_at_f():
-        family = tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART)
-        tf.optimize_family_report(family, study.model, study.scenario_set, tf.no_der(),
-                                  study.fixed_cost)
-
-    check("optimal two-part tariff solves and evaluates at F", optimal_at_f)
+    optimal = tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART)
+    check("optimal two-part tariff solves and evaluates at F",
+          lambda: tf.optimize_family_report(optimal, study.model, study.scenario_set,
+                                            tf.no_der(), study.fixed_cost))
 
     def pv_grid_allocates():
         # the rule sweep and xsub apply to every capacity; the largest decides
@@ -234,6 +223,10 @@ def cmd_validate(args) -> int:
     check("grids.capacity_kw allocates at most one PV unit per customer", pv_grid_allocates)
     check("pareto F grid has no repeated value",
           lambda: ingest.resolve_fixed_cost_grid(config, study.fixed_cost))
+    # on no capacity, cross_subsidy checks only its rule on F
+    check("xsub subsidy_norm is defined (F != 0)",
+          lambda: wf.cross_subsidy(optimal, study.model, study.scenario_set, (), study.fixed_cost,
+                                   pv_unit_kw=config.pv_unit_kw))
     anchors = study.anchors
     f_label = "explicit" if config.fixed_cost_mode == "explicit" else "derived"
     print(
@@ -251,21 +244,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    fixed_kinds = (tf.FLAT_FIXED_A, tf.DYNAMIC_FIXED_A)
-    if args.family not in fixed_kinds and args.fixed_connection_charge is not None:
-        raise ValueError(f"--fixed-A applies to {' and '.join(fixed_kinds)}, not {args.family}")
-    study = _load_study(args)
-    fixed_cost = study.fixed_cost if args.fixed_cost is None else args.fixed_cost
-    fixed_a = (
-        args.fixed_connection_charge
-        if args.fixed_connection_charge is not None
-        else study.config.fixed_connection_charges[0]
-    )
-    if args.family in fixed_kinds:
-        family = tf.TariffFamily(kind=args.family, fixed_connection_charge=fixed_a)
-    else:
-        family = tf.TariffFamily(kind=args.family)
+    pinned = args.family in tf.FIXED_A_KINDS
+    if not pinned and args.fixed_connection_charge is not None:
+        raise ValueError(f"--fixed-A applies to {' and '.join(tf.FIXED_A_KINDS)}, not {args.family}")
+    study = ingest.build_study(ingest.load_config(args.config))
     config = study.config
+    fixed_cost = study.fixed_cost if args.fixed_cost is None else args.fixed_cost
+    fixed_a = args.fixed_connection_charge
+    if pinned and fixed_a is None:
+        fixed_a = config.fixed_connection_charges[0]
+    family = tf.TariffFamily(kind=args.family, fixed_connection_charge=fixed_a)
     swept, case = wf.sweep_fixture(
         study.model, study.scenario_set, args.mode, args.capacity_kw,
         config.storage_per_pv_kwh_per_kw, ingest.storage_unit_spec(config), config.pv_unit_kw,
@@ -290,20 +278,19 @@ def cmd_optimize(args) -> int:
     if result.notes:
         print(f"notes: {'; '.join(result.notes)}")
 
-    header = (
-        ["family", "mode", "pv_capacity_kw", "fixed_cost_usd_per_day",
-         "connection_charge_usd_per_day", "consumer_surplus_usd_per_day",
-         "retailer_surplus_usd_per_day", "social_welfare_usd_per_day",
-         "adequacy_residual_usd_per_day"]
-        + [f"price_{k:02d}_usd_per_kwh" for k in range(study.config.horizon)]
-    )
-    row = (
-        [args.family, args.mode, _fmt(args.capacity_kw), _fmt(fixed_cost),
-         _fmt(tariff.connection_charge), _fmt(report.consumer_surplus),
-         _fmt(report.retailer_surplus), _fmt(report.social_welfare), _fmt(residual)]
-        + [_fmt(p) for p in tariff.prices]
-    )
-    _emit(study, "optimize", [f"family: {args.family}", f"mode: {args.mode}"], header, [row])
+    row = {
+        "family": args.family,
+        "mode": args.mode,
+        "pv_capacity_kw": _fmt(args.capacity_kw),
+        "fixed_cost_usd_per_day": _fmt(fixed_cost),
+        "connection_charge_usd_per_day": _fmt(tariff.connection_charge),
+        "consumer_surplus_usd_per_day": _fmt(report.consumer_surplus),
+        "retailer_surplus_usd_per_day": _fmt(report.retailer_surplus),
+        "social_welfare_usd_per_day": _fmt(report.social_welfare),
+        "adequacy_residual_usd_per_day": _fmt(residual),
+    }
+    row.update((f"price_{k:02d}_usd_per_kwh", _fmt(p)) for k, p in enumerate(tariff.prices))
+    _emit(study, "optimize", [f"family: {args.family}", f"mode: {args.mode}"], [row])
     return 0
 
 
@@ -323,7 +310,7 @@ def _select_families(config: ingest.StudyConfig, labels) -> list[tuple[str, tf.T
 
 
 def cmd_pareto(args) -> int:
-    study = _load_study(args)
+    study = ingest.build_study(ingest.load_config(args.config))
     families = _select_families(study.config, args.families)
     grid = tuple(args.fixed_cost_grid) if args.fixed_cost_grid else \
         ingest.resolve_fixed_cost_grid(study.config, study.fixed_cost)
@@ -334,22 +321,21 @@ def cmd_pareto(args) -> int:
             family, study.model, study.scenario_set, tf.no_der(), grid, study.anchors
         )
         rows.extend(
-            [label, _fmt(cell.fixed_cost), _fmt(cell.rs_gain), _fmt(cell.cs_gain),
-             *_tariff_columns(cell.tariff), cell.reason]
+            {"family": label, "fixed_cost_usd_per_day": _fmt(cell.fixed_cost),
+             "rs_gain": _fmt(cell.rs_gain), "cs_gain": _fmt(cell.cs_gain),
+             **_tariff_columns(cell.tariff), "reason": cell.reason}
             for cell in front.cells
         )
     return _emit_grid(
         study, "pareto",
         f"pareto: {len(families)} families x {len(grid)} F points",
         ["gains normalized by base revenue"],
-        ["family", "fixed_cost_usd_per_day", "rs_gain", "cs_gain",
-         "connection_charge_usd_per_day", "mean_price_usd_per_kwh", "reason"],
         rows,
     )
 
 
 def cmd_sweep(args) -> int:
-    study = _load_study(args)
+    study = ingest.build_study(ingest.load_config(args.config))
     families = _select_families(study.config, args.families)
     grid = tuple(args.capacity_grid) if args.capacity_grid else study.config.capacity_grid_kw
 
@@ -367,8 +353,9 @@ def cmd_sweep(args) -> int:
     )
     labels = [label for label, _ in families]
     rows = [
-        [_fmt(cell.capacity_kw), label, _fmt(cell.cs_gain), _fmt(cell.sw_gain),
-         *_tariff_columns(cell.tariff), cell.reason]
+        {"capacity_kw": _fmt(cell.capacity_kw), "family": label,
+         "cs_gain": _fmt(cell.cs_gain), "sw_gain": _fmt(cell.sw_gain),
+         **_tariff_columns(cell.tariff), "reason": cell.reason}
         # der_sweep returns its cells capacity-major, family-minor
         for (_, label), cell in zip(itertools.product(grid, labels), cells, strict=True)
     ]
@@ -376,14 +363,12 @@ def cmd_sweep(args) -> int:
         study, "sweep",
         f"sweep ({args.mode}): {len(grid)} capacities x {len(families)} families",
         [f"mode: {args.mode}", "gains normalized by base revenue"],
-        ["capacity_kw", "family", "cs_gain", "sw_gain",
-         "connection_charge_usd_per_day", "mean_price_usd_per_kwh", "reason"],
         rows,
     )
 
 
 def cmd_xsub(args) -> int:
-    study = _load_study(args)
+    study = ingest.build_study(ingest.load_config(args.config))
     families = _select_families(study.config, args.families)
     grid = tuple(args.capacity_grid) if args.capacity_grid else study.config.capacity_grid_kw
 
@@ -394,18 +379,17 @@ def cmd_xsub(args) -> int:
             pv_unit_kw=study.config.pv_unit_kw,
         )
         rows.extend(
-            [label, _fmt(cell.capacity_kw), _fmt(cell.owner_count),
-             _fmt(cell.contribution_net_metering), _fmt(cell.contribution_separated),
-             _fmt(cell.subsidy_norm), cell.reason]
+            {"family": label, "capacity_kw": _fmt(cell.capacity_kw),
+             "owner_count": _fmt(cell.owner_count),
+             "owner_contribution_net_metering_usd_per_day": _fmt(cell.contribution_net_metering),
+             "owner_contribution_separated_usd_per_day": _fmt(cell.contribution_separated),
+             "subsidy_norm": _fmt(cell.subsidy_norm), "reason": cell.reason}
             for cell in cells
         )
     return _emit_grid(
         study, "xsub",
         f"cross-subsidy: {len(families)} families x {len(grid)} capacities",
         ["subsidy normalized by required revenue F"],
-        ["family", "capacity_kw", "owner_count",
-         "owner_contribution_net_metering_usd_per_day",
-         "owner_contribution_separated_usd_per_day", "subsidy_norm", "reason"],
         rows,
     )
 
@@ -491,10 +475,7 @@ def main(argv=None) -> int:
     except tf.InfeasibleFamilyError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (
-        ingest.ConfigError, ingest.DataError, tf.TariffError, ValueError,
-        ArithmeticError, simplex.UnboundedError,
-    ) as exc:
+    except (tf.TariffError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

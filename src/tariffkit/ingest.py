@@ -22,6 +22,7 @@ draws) that the test suite and the example configs run against.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, fields, replace
 from datetime import date, timedelta
@@ -54,6 +55,18 @@ class ConfigError(ValueError):
 # file loading
 
 
+def _read_text(path: Path, error: type[ValueError], encoding: str = "utf-8") -> str:
+    """The file's text; bytes that are not UTF-8 raise ``error`` naming the file and line."""
+    try:
+        return path.read_bytes().decode(encoding)
+    except UnicodeDecodeError as exc:
+        # exc.start indexes exc.object, the whole file (less a utf-8-sig mark)
+        data = exc.object
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text (byte {data[exc.start]:#04x}: {exc.reason})") \
+            from None
+
+
 def _read_day_table(path, value_column: str,
                     nonnegative: str | None = None) -> tuple[list[str], np.ndarray]:
     """Parse a `date,period_index,<value_column>` file into (dates, values).
@@ -67,7 +80,7 @@ def _read_day_table(path, value_column: str,
     path = Path(path)
     days: dict[str, dict[int, float]] = {}
     # utf-8-sig drops the byte-order mark that spreadsheets' "CSV UTF-8" writes
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+    with io.StringIO(_read_text(path, DataError, "utf-8-sig"), newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         expected = ["date", "period_index", value_column]
@@ -383,7 +396,7 @@ def config_to_mapping(config: StudyConfig) -> dict:
 def load_config(path) -> StudyConfig:
     """Parse a study file; input paths become absolute relative to it."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path, ConfigError)
     try:
         mapping = studyfile.read(text)
     except studyfile.StudyFileError as exc:
@@ -474,7 +487,7 @@ def configured_families(config: StudyConfig) -> list[tuple[str, tf.TariffFamily]
     """Instantiate (label, family) pairs; fixed-A kinds once per charge."""
     out = []
     for kind in config.family_kinds:
-        if kind in (tf.FLAT_FIXED_A, tf.DYNAMIC_FIXED_A):
+        if kind in tf.FIXED_A_KINDS:
             for charge in config.fixed_connection_charges:
                 label = kind if len(config.fixed_connection_charges) == 1 else \
                     f"{kind}@{_charge_label(charge)}"

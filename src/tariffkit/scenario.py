@@ -40,7 +40,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Union
 
@@ -269,10 +269,6 @@ def _reduced_moments(ss: ScenarioSet) -> SetMoments:
     )
 
 
-# what a set stores besides its coupling and cached moments
-_STORED = ("price_block", "disturbance_block", "solar_block", "customer_kw", "retailer_kw")
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class ScenarioSet:
     """Immutable weighted collection of scenarios on a common horizon.
@@ -482,7 +478,8 @@ def split_marginals(scenario_set: ScenarioSet) -> ScenarioSet:
     """
     coupling = scenario_set.coupling
     product = ScenarioSet.__new__(ScenarioSet)
-    vars(product).update({name: getattr(scenario_set, name) for name in _STORED},
+    # the declared fields only: the moments depend on the coupling
+    vars(product).update({f.name: getattr(scenario_set, f.name) for f in fields(ScenarioSet)},
                          coupling=Product(coupling.price_weights, coupling.local_weights))
     return product
 

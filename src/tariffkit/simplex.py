@@ -17,7 +17,7 @@ MAX_ITERATIONS = 50_000
 DEGENERATE_STREAK = 200
 
 
-class UnboundedError(Exception):
+class UnboundedError(ArithmeticError):
     """The LP has unbounded objective value."""
 
 

@@ -64,6 +64,8 @@ FLAT_ZERO_A = "flat-zero-A"
 DYNAMIC_FIXED_A = "dynamic-fixed-A"
 DYNAMIC_ZERO_A = "dynamic-zero-A"
 FAMILY_KINDS = (OPTIMAL_TWO_PART, FLAT_FIXED_A, FLAT_ZERO_A, DYNAMIC_FIXED_A, DYNAMIC_ZERO_A)
+# the kinds that pin A to a given fixed_connection_charge
+FIXED_A_KINDS = (FLAT_FIXED_A, DYNAMIC_FIXED_A)
 
 # dual-route agreement required of the two connection-charge computations
 A_AGREEMENT_RTOL = 1e-8
@@ -125,7 +127,7 @@ class TariffFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind in (FLAT_FIXED_A, DYNAMIC_FIXED_A):
+        if self.kind in FIXED_A_KINDS:
             if self.fixed_connection_charge is None:
                 raise ValueError(f"{self.kind} requires fixed_connection_charge")
         elif self.fixed_connection_charge is not None:
@@ -539,7 +541,6 @@ class FamilyReport:
     """
 
     tariff: TwoPartTariff
-    kind: str
     multiplier_t: float | None = None
     settlement: SurplusReport | None = None
     residual: float = 0.0
@@ -650,7 +651,7 @@ def _solve_flat(
     candidates = [flat_tariff(family.connection_charge, p, n) for p in (lo, hi)]
     settlements = [settle(t, model, scenario_set, case) for t in candidates]
     best = int(np.argmax([s.consumer_surplus for s in settlements]))
-    return FamilyReport(tariff=candidates[best], kind=family.kind, settlement=settlements[best])
+    return FamilyReport(tariff=candidates[best], settlement=settlements[best])
 
 
 def _choke_prices(
@@ -720,7 +721,6 @@ def _solve_dynamic(
     t_star, pi_star = cycle[best]
     return FamilyReport(
         tariff=TwoPartTariff(charge, pi_star),
-        kind=family.kind,
         multiplier_t=t_star,
         settlement=settlement,
         notes=tuple(notes),
@@ -745,7 +745,7 @@ def optimize_family_report(
     surplus raises :class:`RevenueAdequacyError`.
     """
     if family.kind == OPTIMAL_TWO_PART:
-        report = FamilyReport(tariff=optimal_two_part(model, scenario_set, case, fixed_cost), kind=family.kind)
+        report = FamilyReport(tariff=optimal_two_part(model, scenario_set, case, fixed_cost))
     elif family.is_flat:
         report = _solve_flat(family, model, scenario_set, case, fixed_cost)
     else:

@@ -194,6 +194,48 @@ def test_optimize_fixed_a_family(study_dir, out_dir, capsys):
     assert float(rows[0]["connection_charge_usd_per_day"]) == 0.53
 
 
+TARIFF_COLUMNS = ["connection_charge_usd_per_day", "mean_price_usd_per_kwh"]
+TABLE_LAYOUTS = [  # (command, table, meta lines after the common five, header)
+    (["optimize"], "optimize", ["family: optimal-two-part", "mode: none"],
+     ["family", "mode", "pv_capacity_kw", "fixed_cost_usd_per_day",
+      "connection_charge_usd_per_day", "consumer_surplus_usd_per_day",
+      "retailer_surplus_usd_per_day", "social_welfare_usd_per_day",
+      "adequacy_residual_usd_per_day"] + [f"price_{k:02d}_usd_per_kwh" for k in range(24)]),
+    (["pareto", "--families", "optimal-two-part"], "pareto",
+     ["gains normalized by base revenue"],
+     ["family", "fixed_cost_usd_per_day", "rs_gain", "cs_gain", *TARIFF_COLUMNS, "reason"]),
+    (["sweep", "--mode", "decentralized", "--families", "optimal-two-part",
+      "--capacity-grid", "0"], "sweep",
+     ["mode: decentralized", "gains normalized by base revenue"],
+     ["capacity_kw", "family", "cs_gain", "sw_gain", *TARIFF_COLUMNS, "reason"]),
+    (["xsub", "--families", "optimal-two-part", "--capacity-grid", "0"], "xsub",
+     ["subsidy normalized by required revenue F"],
+     ["family", "capacity_kw", "owner_count", "owner_contribution_net_metering_usd_per_day",
+      "owner_contribution_separated_usd_per_day", "subsidy_norm", "reason"]),
+]
+
+
+@pytest.mark.parametrize("command, table, meta, header", TABLE_LAYOUTS,
+                         ids=[layout[1] for layout in TABLE_LAYOUTS])
+def test_table_layouts_are_pinned(synthetic_dir, out_dir, capsys, command, table, meta, header):
+    # readers find the columns by name: each table's comment block and
+    # header row, in order, are part of the interface
+    config = str(synthetic_dir / "study.yaml")
+    assert cli.main([command[0], config, *command[1:]]) == 0
+    manifest = json.loads((out_dir / f"{table}_manifest.json").read_text())
+    lines = (out_dir / f"{table}.csv").read_text(encoding="utf-8").splitlines()
+    comments = [
+        f"# tariffkit {table}",
+        f"# version: {manifest['version']}",
+        f"# manifest: {manifest['manifest_hash']}",
+        f"# fixed_cost_usd_per_day: {manifest['fixed_cost_usd_per_day']:.12g}",
+        f"# base_revenue_usd_per_day: {manifest['anchors']['revenue_usd_per_day']:.12g}",
+    ] + [f"# {line}" for line in meta]
+    assert lines[:len(comments)] == comments
+    assert lines[len(comments)] == ",".join(header)
+    assert all(not line.startswith("#") for line in lines[len(comments):])
+
+
 @pytest.mark.parametrize("family", ["optimal-two-part", "flat-zero-A", "dynamic-zero-A"])
 def test_optimize_rejects_fixed_a_for_other_families(study_dir, out_dir, capsys, family):
     # these families take no pinned charge, so the option would be ignored
@@ -364,6 +406,21 @@ def test_xsub_at_zero_fixed_cost_exits_2(study_dir, tmp_path, out_dir, capsys):
     assert err.startswith("error:") and "F = 0" in err
 
 
+def test_validate_checks_the_xsub_fixed_cost(study_dir, tmp_path, out_dir, capsys):
+    # validate runs xsub's F != 0 rule; a grid in dollars keeps the pareto check passing
+    check = "xsub subsidy_norm is defined (F != 0)"
+    assert cli.main(["validate", str(study_dir / "study.yaml")]) == 0
+    assert f"ok   {check}\n" in capsys.readouterr().out
+    config = rewrite_config(
+        study_dir, tmp_path, fixed_cost={"mode": "explicit", "value_usd_per_day": 0.0},
+        grids={"fixed_cost_usd_per_day": [0.0, 1000.0]},
+    )
+    assert cli.main(["validate", str(config)]) == 2
+    out = capsys.readouterr().out
+    assert f"FAIL {check}: subsidy_norm is normalized by F and is undefined at F = 0\n" in out
+    assert out.endswith("validation failed: 1 check(s)\n")
+
+
 def test_pareto_grid_at_zero_fixed_cost_exits_2(study_dir, tmp_path, out_dir, capsys):
     # every multiplier of F = 0 is F = 0, so the resolved grid would write
     # one family's row once per multiplier
@@ -516,6 +573,42 @@ def test_negative_load_cell_exits_2(tmp_path, capsys):
             assert cli.main([command[0], config, *command[1:]]) == 2, command
             assert capsys.readouterr().err == f"error: {message}\n"
     assert not results.exists()
+
+
+def latin1_e(path, line):
+    """Put a Latin-1 e-acute, not UTF-8, at the end of ``path``'s 1-based ``line``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] += "\u00e9".encode("latin-1")
+    path.write_bytes(b"\n".join(lines))
+
+
+def test_undecodable_csv_names_file_and_line(tmp_path, capsys):
+    root = tmp_path / "study"
+    assert cli.main(["gen-synthetic", "--out", str(root), "--days", "5", "--horizon", "12"]) == 0
+    latin1_e(root / "load.csv", 4)
+    config = str(root / "study.yaml")
+    message = f"{root / 'load.csv'}:4: not UTF-8 text (byte 0xe9: invalid continuation byte)"
+    capsys.readouterr()
+
+    assert cli.main(["validate", config]) == 2
+    assert f"FAIL inputs load and align: {message}\n" in capsys.readouterr().out
+    with mock.patch.dict(os.environ, {cli.OUTPUT_DIR_ENV: str(tmp_path / "results")}):
+        for command in STUDY_COMMANDS:
+            assert cli.main([command[0], config, *command[1:]]) == 2, command
+            assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "results").exists()
+
+
+def test_undecodable_study_file_names_file_and_line(study_dir, tmp_path, out_dir, capsys):
+    config = rewrite_config(study_dir, tmp_path)
+    line = config.read_text(encoding="utf-8").splitlines().index("  output_dir: out") + 1
+    latin1_e(config, line)
+    message = f"{config}:{line}: not UTF-8 text (byte 0xe9: invalid continuation byte)"
+
+    assert cli.main(["validate", str(config)]) == 2
+    assert capsys.readouterr().out == f"FAIL config parses: {message}\nvalidation failed: 1 check(s)\n"
+    assert cli.main(["optimize", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("variant", ["synthetic_dir", "independent_dir"])

@@ -392,7 +392,7 @@ def test_product_coupling_matches_explicit_rows(seed, n_days, n_classes, pv):
     optima = [tf.optimal_two_part(model, ss, case, fixed_cost) for ss in (product, explicit)]
     assert optima[0].connection_charge == pytest.approx(optima[1].connection_charge, rel=5e-12)
     np.testing.assert_allclose(optima[0].prices, optima[1].prices, rtol=5e-12, atol=0)
-    for kind in (tf.FLAT_FIXED_A, tf.DYNAMIC_FIXED_A):
+    for kind in tf.FIXED_A_KINDS:
         family = tf.TariffFamily(kind=kind, fixed_connection_charge=0.3)
         solved = []
         for ss in (product, explicit):

@@ -373,7 +373,7 @@ def test_non_finite_consumer_surplus_raises(monkeypatch, kind):
     settle = tf.settle
     monkeypatch.setattr(tf, "settle", lambda *args: dataclasses.replace(
         settle(*args), consumer_surplus=math.inf))
-    charge = 0.3 if kind in (tf.FLAT_FIXED_A, tf.DYNAMIC_FIXED_A) else None
+    charge = 0.3 if kind in tf.FIXED_A_KINDS else None
     family = tf.TariffFamily(kind=kind, fixed_connection_charge=charge)
     with pytest.raises(tf.RevenueAdequacyError, match="consumer surplus inf"):
         tf.optimize_family_report(family, model, ss, tf.no_der(), 10.0)
