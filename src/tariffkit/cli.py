@@ -143,9 +143,10 @@ def _emit_grid(study: ingest.Study, name: str, summary: str, meta: list[str],
 
 def _tariff_columns(tariff: tf.TwoPartTariff | None) -> dict[str, str]:
     """Connection charge and mean price cells; blank without a tariff."""
-    charge, price = (None, None) if tariff is None else \
-        (tariff.connection_charge, tariff.prices.mean())
-    return {"connection_charge_usd_per_day": _fmt(charge), "mean_price_usd_per_kwh": _fmt(price)}
+    if tariff is None:
+        return {"connection_charge_usd_per_day": "", "mean_price_usd_per_kwh": ""}
+    return {"connection_charge_usd_per_day": _fmt(tariff.connection_charge),
+            "mean_price_usd_per_kwh": _fmt(tariff.prices.mean())}
 
 
 def _number_option(attr: str):

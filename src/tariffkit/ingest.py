@@ -396,7 +396,8 @@ def config_to_mapping(config: StudyConfig) -> dict:
 def load_config(path) -> StudyConfig:
     """Parse a study file; input paths become absolute relative to it."""
     path = Path(path)
-    text = _read_text(path, ConfigError)
+    # universal newlines, as a text-mode read: a file saved with CRLF loads
+    text = _read_text(path, ConfigError).replace("\r\n", "\n").replace("\r", "\n")
     try:
         mapping = studyfile.read(text)
     except studyfile.StudyFileError as exc:

@@ -326,6 +326,16 @@ def test_load_config_resolves_relative_paths(tmp_path):
     assert loaded.prices_path == str(tmp_path / "inner" / "p.csv")
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_load_config_reads_crlf_and_cr_line_endings(synthetic_dir, tmp_path, newline):
+    # a study file saved on Windows, or checked out with core.autocrlf
+    text = (synthetic_dir / "study.yaml").read_bytes()
+    assert b"\r" not in text
+    (tmp_path / "lf.yaml").write_bytes(text)
+    (tmp_path / "other.yaml").write_bytes(text.replace(b"\n", newline))
+    assert ingest.load_config(tmp_path / "other.yaml") == ingest.load_config(tmp_path / "lf.yaml")
+
+
 def test_build_model_calibrates_to_mean_day():
     config = ingest.StudyConfig(horizon=3, customer_classes=2, customer_count=10.0)
     load = np.array([[9.0, 11.0, 10.0], [11.0, 13.0, 14.0]])
