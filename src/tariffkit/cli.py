@@ -9,7 +9,8 @@ command with identical inputs reproduces the files byte for byte.
 
 Exit codes: 0 success, 2 validation failure or numerical solver failure
 (a floating-point overflow, invalid operation or division by zero
-included), 3 infeasible study, 4 I/O error.
+included), 3 infeasible study, 4 I/O error; ``validate`` exits with the
+largest code among its failed checks.
 """
 
 from __future__ import annotations
@@ -31,6 +32,19 @@ from . import tariff as tf
 from . import welfare as wf
 
 OUTPUT_DIR_ENV = "TARIFFKIT_OUTPUT_DIR"
+
+# each exception family, its exit code and its stderr prefix; the first match wins
+FAILURES = (
+    (tf.InfeasibleFamilyError, 3, "infeasible"),
+    ((tf.TariffError, ValueError, ArithmeticError), 2, "error"),
+    (OSError, 4, "i/o error"),
+)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and stderr prefix of ``exc``'s first family in FAILURES, else 2."""
+    return next(((code, prefix) for family, code, prefix in FAILURES if isinstance(exc, family)),
+                (2, "error"))
 
 
 def _fmt(value) -> str:
@@ -185,13 +199,13 @@ class _Distinct(argparse.Action):
 
 
 def cmd_validate(args) -> int:
-    failures = []
+    failures = []  # each failed check's exit code
 
     def check(label, fn):
         try:
             result = fn()
         except Exception as exc:  # report every failing check, not just the first
-            failures.append(label)
+            failures.append(_failure(exc)[0])
             print(f"FAIL {label}: {exc}")
             return None
         print(f"ok   {label}")
@@ -201,7 +215,7 @@ def cmd_validate(args) -> int:
     study = config and check("inputs load and align", lambda: ingest.build_study(config))
     if study is None:
         print(f"validation failed: {len(failures)} check(s)")
-        return 2
+        return max(failures)
 
     def price_response_eigenvalues():
         # DemandModel certified Assumption 1 when build_study built it
@@ -218,7 +232,7 @@ def cmd_validate(args) -> int:
                                             tf.no_der(), study.fixed_cost))
 
     def pv_grid_allocates():
-        # the rule sweep and xsub apply to every capacity; the largest decides
+        # the rule xsub and a decentralized sweep apply to every capacity; the largest decides
         wf.allocate_pv(study.model, max(config.capacity_grid_kw), config.pv_unit_kw)
 
     check("grids.capacity_kw allocates at most one PV unit per customer", pv_grid_allocates)
@@ -235,11 +249,11 @@ def cmd_validate(args) -> int:
         f"rs {anchors.retailer_surplus:.6g}, {f_label} F {study.fixed_cost:.6g}"
     )
     if anchors.consumer_surplus <= 0.0:
-        failures.append("consumer surplus positive")
+        failures.append(2)
         print("FAIL consumer surplus positive: nominal tariff leaves cs <= 0")
     if failures:
         print(f"validation failed: {len(failures)} check(s)")
-        return 2
+        return max(failures)
     print("validation passed")
     return 0
 
@@ -473,15 +487,12 @@ def main(argv=None) -> int:
         # an overflow or invalid operation is a FloatingPointError (exit 2), not a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except tf.InfeasibleFamilyError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 3
-    except (tf.TariffError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        if not isinstance(exc, tuple(family for family, _, _ in FAILURES)):
+            raise  # not a study failure: keep the traceback
+        code, prefix = _failure(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

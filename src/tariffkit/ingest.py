@@ -518,7 +518,7 @@ class Study:
     model: dm.DemandModel
     scenario_set: ScenarioSet
     fixed_cost: float
-    anchors: wf.BaseAnchors
+    anchors: tf.SurplusReport
 
 
 def build_study(config: StudyConfig) -> Study:

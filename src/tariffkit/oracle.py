@@ -230,8 +230,8 @@ def settlement_resim(
         retailer_surplus=retailer_surplus,
         social_welfare=consumer_surplus + retailer_surplus,
         per_class_consumer_surplus=per_class_cs,
-        expected_revenue=revenue,
-        expected_energy_cost=energy_cost,
+        revenue=revenue,
+        energy_cost=energy_cost,
         fleet_value=fleet_value,
         renewable_value=renewable_value,
         negative_demand_pairs=negative_pairs,

@@ -322,8 +322,8 @@ def _metered(
 class SurplusReport:
     """Expected surpluses of one tariff under one integration case, $ per day.
 
-    ``social_welfare`` is always the computed sum cs + rs, and
-    ``expected_revenue - expected_energy_cost`` is rs up to rounding.
+    Every figure is an expectation.  ``social_welfare`` is always the
+    computed sum cs + rs, and ``revenue - energy_cost`` is rs up to rounding.
     ``fleet_value`` and ``renewable_value`` value the DERs on the case's
     side: the fleet at the prices it answers, and E[lambda^T r].
     """
@@ -332,8 +332,8 @@ class SurplusReport:
     retailer_surplus: float
     social_welfare: float
     per_class_consumer_surplus: np.ndarray
-    expected_revenue: float
-    expected_energy_cost: float
+    revenue: float
+    energy_cost: float
     fleet_value: float
     renewable_value: float
 
@@ -387,8 +387,15 @@ def settle(
     margin = float((pi - lam_bar) @ metered) - float(cov.sum())
     retailer_surplus = model.customers * tariff.connection_charge + margin + retailer_der
 
+    binv_b0 = model.slope_inverse @ model.base
+    quad_w = np.einsum("nm,cmn->c", model.slope_inverse, moments.disturbance_second_moment)
+    quad_v = (  # E[v^T B^-1 v] per customer, (C,)
+        sigma**2 * float(model.base @ binv_b0)
+        + 2.0 * sigma * (moments.mean_disturbance @ binv_b0)
+        + quad_w
+    )
     per_class_cs = (
-        _free_energy_surplus(model, moments)
+        counts * quad_v / (2.0 * sigma)
         - 0.5 * counts * sigma * float(pi @ (model.slope @ pi))
         - energy @ pi
         - counts * tariff.connection_charge
@@ -400,42 +407,11 @@ def settle(
         retailer_surplus=retailer_surplus,
         social_welfare=consumer_surplus + retailer_surplus,
         per_class_consumer_surplus=per_class_cs,
-        expected_revenue=model.customers * tariff.connection_charge + float(pi @ metered),
-        expected_energy_cost=float(lam_bar @ metered) + float(cov.sum()) - retailer_der,
+        revenue=model.customers * tariff.connection_charge + float(pi @ metered),
+        energy_cost=float(lam_bar @ metered) + float(cov.sum()) - retailer_der,
         fleet_value=storage_value,
         renewable_value=renewable,
     )
-
-
-# the last (model, moments, per-class surplus) of _free_energy_surplus
-_free_energy_memo: tuple = (None, None, None)
-
-
-def _free_energy_surplus(model: dm.DemandModel, moments) -> np.ndarray:
-    """Per-class expected consumer surplus at zero prices and no charge, (C,).
-
-    That is E[v^T B^{-1} v] / (2 sigma) summed over a class's customers, the
-    price-independent part of :func:`settle`'s consumer surplus.  It is kept
-    for the last (model, moments) pair, matched by identity because both
-    records hold arrays; a study command settles on one pair, so it
-    computes this once.
-    """
-    global _free_energy_memo
-    memo_model, memo_moments, surplus = _free_energy_memo
-    if memo_model is model and memo_moments is moments:
-        return surplus
-    sigma = model.sigma
-    binv_b0 = model.slope_inverse @ model.base
-    quad_w = np.einsum("nm,cmn->c", model.slope_inverse, moments.disturbance_second_moment)
-    quad_v = (  # E[v^T B^-1 v] per customer, (C,)
-        sigma**2 * float(model.base @ binv_b0)
-        + 2.0 * sigma * (moments.mean_disturbance @ binv_b0)
-        + quad_w
-    )
-    surplus = model.class_counts * quad_v / (2.0 * sigma)
-    surplus.setflags(write=False)
-    _free_energy_memo = (model, moments, surplus)
-    return surplus
 
 
 def expected_retailer_surplus(

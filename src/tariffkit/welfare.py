@@ -191,25 +191,12 @@ def planner_bound(
 # normalization anchors and the study analyses
 
 
-@dataclass(frozen=True)
-class BaseAnchors:
-    """Frozen base-case quantities all gains are normalized against."""
-
-    revenue: float
-    consumer_surplus: float
-    retailer_surplus: float
-
-
 def base_anchors(
     model: dm.DemandModel, scenario_set: ScenarioSet, nominal_tariff: tf.TwoPartTariff
-) -> BaseAnchors:
-    """Evaluate the nominal tariff with no DERs and freeze the anchors (``Study.anchors``)."""
-    report = evaluate(nominal_tariff, model, scenario_set, tf.no_der())
-    return BaseAnchors(
-        revenue=report.expected_revenue,
-        consumer_surplus=report.consumer_surplus,
-        retailer_surplus=report.retailer_surplus,
-    )
+) -> tf.SurplusReport:
+    """The nominal tariff's settlement with no DERs, which every gain is
+    normalized against (``Study.anchors``)."""
+    return evaluate(nominal_tariff, model, scenario_set, tf.no_der())
 
 
 @dataclass(frozen=True)
@@ -249,7 +236,7 @@ def pareto_front(
     scenario_set: ScenarioSet,
     case: tf.IntegrationCase,
     fixed_cost_grid,
-    anchors: BaseAnchors,
+    anchors: tf.SurplusReport,
 ) -> ParetoFront:
     """Trade-off between consumer surplus and collected revenue.
 
@@ -371,7 +358,7 @@ def der_sweep(
     capacity_grid_kw,
     storage_ratio: float,
     fixed_cost: float,
-    anchors: BaseAnchors,
+    anchors: tf.SurplusReport,
     *,
     pv_unit_kw: float,
     storage_unit: st.StorageSpec,
@@ -383,7 +370,6 @@ def der_sweep(
     """
     if mode not in (tf.MODE_DECENTRALIZED, tf.MODE_CENTRALIZED):
         raise ValueError(f"sweep mode must be decentralized or centralized, got {mode!r}")
-    base_sw = anchors.consumer_surplus + anchors.retailer_surplus
     cells = []
     for capacity in capacity_grid_kw:
         capacity = float(capacity)
@@ -403,7 +389,7 @@ def der_sweep(
                     family_kind=family.kind,
                     cs_gain=(report.consumer_surplus - anchors.consumer_surplus)
                     / anchors.revenue,
-                    sw_gain=(report.social_welfare - base_sw) / anchors.revenue,
+                    sw_gain=(report.social_welfare - anchors.social_welfare) / anchors.revenue,
                     tariff=solved.tariff,
                 )
             )

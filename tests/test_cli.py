@@ -156,7 +156,8 @@ def test_a_command_settles_the_nominal_tariff_once(study_dir, out_dir, monkeypat
 def test_validate_rejects_a_capacity_grid_sweep_cannot_allocate(study_dir, tmp_path, out_dir,
                                                                 capsys):
     # 2.2e6 customers hold at most one 5 kW unit each, 1.1e7 kW in all: validate
-    # applies sweep's and xsub's allocation rule to the largest grid capacity
+    # applies the allocation rule of xsub and a decentralized sweep to the
+    # largest grid capacity; a centralized sweep gives its PV to the retailer
     config = rewrite_config(study_dir, tmp_path, grids={"capacity_kw": [0.0, 2.0e7]})
     assert cli.main(["validate", str(config)]) == 2
     out = capsys.readouterr().out
@@ -164,6 +165,19 @@ def test_validate_rejects_a_capacity_grid_sweep_cannot_allocate(study_dir, tmp_p
     for command in (["sweep", "--mode", "decentralized"], ["xsub"]):
         assert cli.main([command[0], str(config), *command[1:]]) == 2
         assert "exceeds one unit per customer" in capsys.readouterr().err
+    assert cli.main(["sweep", str(config), "--mode", "centralized"]) == 0
+    assert (out_dir / "sweep.csv").exists()
+
+
+def test_validate_fails_a_nominal_tariff_that_leaves_no_consumer_surplus(study_dir, tmp_path,
+                                                                         capsys):
+    # a 1000 $/day charge leaves the nominal consumer surplus near -2.19e9 $/day
+    config = rewrite_config(study_dir, tmp_path,
+                            nominal_tariff={"connection_charge_usd_per_day": 1000})
+    assert cli.main(["validate", str(config)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL consumer surplus positive: nominal tariff leaves cs <= 0\n" in out
+    assert out.endswith("validation failed: 1 check(s)\n")
 
 
 def test_optimize_reports_and_writes_table(study_dir, out_dir, capsys):
@@ -257,7 +271,7 @@ def test_restricted_families_solve_at_zero_revenue(request, out_dir, family, dat
     tariff = tf.TwoPartTariff(float(rows[0]["connection_charge_usd_per_day"]), prices)
     study = ingest.build_study(ingest.load_config(config))
     report = oracle.settlement_resim(tariff, study.model, study.scenario_set, tf.no_der())
-    scale = max(1.0, abs(report.expected_revenue), abs(report.expected_energy_cost))
+    scale = max(1.0, abs(report.revenue), abs(report.energy_cost))
     assert abs(report.retailer_surplus) <= 1e-7 * scale
 
 
@@ -274,6 +288,23 @@ def test_optimize_missing_input_exits_4(study_dir, tmp_path, out_dir, capsys):
     (tmp_path / "gone.csv").unlink(missing_ok=True)
     assert cli.main(["optimize", str(config)]) == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "optimize"])
+@pytest.mark.parametrize("unreadable", ["study.yaml", "load.csv"])
+def test_an_unreadable_study_file_or_input_exits_4(study_dir, tmp_path, out_dir, capsys,
+                                                   command, unreadable):
+    config = rewrite_config(study_dir, tmp_path)
+    (tmp_path / unreadable).unlink()
+    assert cli.main([command, str(config)]) == 4
+    out, err = capsys.readouterr()
+    if command == "optimize":
+        assert err.startswith("i/o error: [Errno 2]")
+        return
+    # validate fails the check that reads the file and exits with that check's code
+    check = "config parses" if unreadable == "study.yaml" else "inputs load and align"
+    assert f"FAIL {check}: [Errno 2]" in out
+    assert out.endswith("validation failed: 1 check(s)\n")
 
 
 def test_pareto_writes_grid_rows(study_dir, out_dir, capsys):

@@ -248,20 +248,6 @@ def test_flat_solve_settles_its_tariff_once(monkeypatch, kind):
     _assert_settled_once(report, counts, model, ss, tf.no_der())
 
 
-def test_settle_reuses_surplus_terms_only_for_the_same_model_and_moments(monkeypatch):
-    # the zero-price surplus is kept for the last (model, moments) pair; a
-    # different model or set recomputes it
-    tariff = tf.flat_tariff(0.3, 0.2, 6)
-    first, second = fixture(seed=2), fixture(seed=3)
-    # each step changes the model, the moments, or both
-    for model, ss in (first, (first[0], second[1]), second, (second[0], first[1]), first):
-        report = tf.settle(tariff, model, ss, tf.no_der())  # after the previous pair's
-        monkeypatch.setattr(tf, "_free_energy_memo", (None, None, None))
-        np.testing.assert_array_equal(report.per_class_consumer_surplus,
-                                      tf.settle(tariff, model, ss, tf.no_der())
-                                      .per_class_consumer_surplus)
-
-
 def test_flat_family_infeasible_above_revenue_peak():
     model, ss = fixture()
     family = tf.TariffFamily(kind=tf.FLAT_ZERO_A)
