@@ -48,9 +48,7 @@ def _failure(exc: Exception) -> tuple[int, str]:
 
 
 def _fmt(value) -> str:
-    """12-significant-digit float formatting; blank for missing values."""
-    if value is None:
-        return ""
+    """12-significant-digit float formatting; blank for NaN."""
     value = float(value)
     if math.isnan(value):
         return ""

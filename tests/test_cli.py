@@ -208,6 +208,26 @@ def test_optimize_fixed_a_family(study_dir, out_dir, capsys):
     assert float(rows[0]["connection_charge_usd_per_day"]) == 0.53
 
 
+def test_optimize_notes_a_negative_connection_charge(study_dir, out_dir, capsys):
+    # "--F -1e8" would read as a missing argument, so the value is joined
+    assert cli.main(["optimize", str(study_dir / "study.yaml"), "--F=-1e8"]) == 0
+    assert "notes: negative connection charge\n" in capsys.readouterr().out
+    _, _, rows = read_table(out_dir / "optimize.csv")
+    assert float(rows[0]["connection_charge_usd_per_day"]) < 0
+
+
+@pytest.mark.parametrize("rounds, code, stream, message", [
+    ("_DYNAMIC_FLEET_ROUNDS", 0, "out", "notes: storage fixed point not converged after 1 rounds\n"),
+    ("_RAY_ROUNDS", 2, "err", "error: dynamic-family storage response did not settle after 1 rounds\n"),
+], ids=["fleet", "ray"])
+def test_storage_solves_that_run_out_of_rounds_say_so(study_dir, out_dir, capsys, monkeypatch,
+                                                      rounds, code, stream, message):
+    monkeypatch.setattr(tf, rounds, 1)
+    assert cli.main(["optimize", str(study_dir / "study.yaml"), "--mode", "decentralized",
+                     "--capacity-kw", "1.1e6", "--family", "dynamic-fixed-A"]) == code
+    assert message in getattr(capsys.readouterr(), stream)
+
+
 TARIFF_COLUMNS = ["connection_charge_usd_per_day", "mean_price_usd_per_kwh"]
 TABLE_LAYOUTS = [  # (command, table, meta lines after the common five, header)
     (["optimize"], "optimize", ["family: optimal-two-part", "mode: none"],

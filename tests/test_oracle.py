@@ -7,34 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from tariffkit import demand as dm
 from tariffkit import oracle
 from tariffkit import scenario as sc
 from tariffkit import storage as st
 from tariffkit import tariff as tf
 from tariffkit import welfare as wf
+from test_tariff import fixture as small_study, small_model
 
 
-def fixture(seed, correlated=True, horizon=6, n_classes=3):
-    rng = np.random.default_rng(seed)
-    sales = rng.uniform(8.0, 16.0, size=horizon)
-    model = dm.calibrate(
-        target_sales=sales,
-        target_price=0.2,
-        elasticity=-0.4,
-        n_classes=n_classes,
-        sigma_rule="linear",
-        total_customers=50.0,
-    )
-    prices, disturbances, solar = [], [], []
-    k = 5
-    for _ in range(k):
-        shock = rng.normal()
-        prices.append(np.clip(0.05 + 0.03 * rng.normal(size=horizon) + 0.04 * shock, 0.005, None))
-        load_dev = 0.8 * shock + 0.3 * rng.normal(size=horizon) if correlated else rng.normal(size=horizon)
-        disturbances.append(np.outer(model.sigma, load_dev / model.sigma_total))
-        solar.append(rng.uniform(0.0, 0.3, size=horizon))
-    return model, sc.ScenarioSet(np.full(k, 1.0 / k), prices, disturbances, solar_unit_matrix=solar)
+def fixture(seed, horizon=6, n_classes=3):
+    return small_study(seed=seed, horizon=horizon, n_classes=n_classes, solar_max=0.3)
 
 
 def assert_reports_agree(a: tf.SurplusReport, b: tf.SurplusReport, rtol=1e-9):
@@ -144,7 +126,7 @@ def test_planner_direct_independent_two_by_two():
 
 
 def test_planner_direct_correlated_set():
-    model, ss = fixture(10, correlated=True)
+    model, ss = fixture(10)
     swept = sc.with_pv_capacity(ss, customer_kw=np.full(3, 1.0))
     case = tf.decentralized_case(st.idealized(0.8), np.full(3, 0.5))
     got = oracle.planner_direct(model, swept, case)
@@ -180,14 +162,7 @@ def test_storage_brute_force_validation():
 def test_product_sets_settle_like_the_oracle(seed, n_days, n_classes):
     horizon = 6
     rng = np.random.default_rng(seed)
-    model = dm.calibrate(
-        target_sales=rng.uniform(8.0, 16.0, size=horizon),
-        target_price=0.2,
-        elasticity=-0.4,
-        n_classes=n_classes,
-        sigma_rule="linear",
-        total_customers=50.0,
-    )
+    model = small_model(rng, horizon, n_classes)
     price_days = np.clip(0.05 + 0.03 * rng.normal(size=(n_days, horizon)), 0.005, None)
     load_days = rng.normal(size=(n_days, horizon))
     solar_days = rng.uniform(0.0, 0.3, size=(n_days, horizon))
@@ -243,14 +218,7 @@ def test_product_sets_settle_like_the_oracle(seed, n_days, n_classes):
 def test_evaluate_matches_settlement(seed, n_days, n_classes, horizon, product, mode):
     # evaluate reads the set's moments; the oracle settles every (scenario, class) pair
     rng = np.random.default_rng(seed)
-    model = dm.calibrate(
-        target_sales=rng.uniform(8.0, 16.0, size=horizon),
-        target_price=0.2,
-        elasticity=-0.4,
-        n_classes=n_classes,
-        sigma_rule="linear",
-        total_customers=50.0,
-    )
+    model = small_model(rng, horizon, n_classes)
     shock = rng.normal(size=(n_days, 1))
     weights = rng.dirichlet(np.ones(n_days))
     days = [

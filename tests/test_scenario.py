@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from tariffkit import demand as dm
 from tariffkit import ingest
 from tariffkit import scenario as sc
 from tariffkit import tariff as tf
+from test_tariff import small_model
 
 
 def three_day_set():
@@ -355,9 +355,7 @@ def test_product_coupling_matches_explicit_rows(seed, n_days, n_classes, pv):
     # as K^2 explicit paired rows must give the same moments and tariffs
     rng = np.random.default_rng(seed)
     horizon = 4
-    model = dm.calibrate(target_sales=rng.uniform(8.0, 16.0, size=horizon), target_price=0.2,
-                         elasticity=-0.4, n_classes=n_classes, sigma_rule="linear",
-                         total_customers=50.0)
+    model = small_model(rng, horizon, n_classes)
     price_pick = rng.integers(0, 3, size=n_days)
     local_pick = rng.integers(0, 3, size=n_days)
     joint = sc.ScenarioSet(

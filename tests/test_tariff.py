@@ -19,18 +19,22 @@ from tariffkit import welfare as wf
 from test_storage import _counting_maximize
 
 
-def fixture(correlated=True, n_classes=3, horizon=6, seed=2):
-    """Small correlated or independent scenario study."""
-    rng = np.random.default_rng(seed)
-    sales = rng.uniform(8.0, 16.0, size=horizon)
-    model = dm.calibrate(
-        target_sales=sales,
+def small_model(rng, horizon, n_classes):
+    """The 50-customer demand model of the small random study, its sales drawn from ``rng``."""
+    return dm.calibrate(
+        target_sales=rng.uniform(8.0, 16.0, size=horizon),
         target_price=0.2,
         elasticity=-0.4,
         n_classes=n_classes,
         sigma_rule="linear",
         total_customers=50.0,
     )
+
+
+def fixture(correlated=True, n_classes=3, horizon=6, seed=2, solar_max=0.6):
+    """Small correlated or independent scenario study."""
+    rng = np.random.default_rng(seed)
+    model = small_model(rng, horizon, n_classes)
     prices, disturbances, solar = [], [], []
     k = 5
     for _ in range(k):
@@ -38,7 +42,7 @@ def fixture(correlated=True, n_classes=3, horizon=6, seed=2):
         prices.append(np.clip(0.05 + 0.03 * rng.normal(size=horizon) + 0.04 * shock, 0.005, None))
         load_dev = 0.8 * shock + 0.3 * rng.normal(size=horizon) if correlated else rng.normal(size=horizon)
         disturbances.append(np.outer(model.sigma, load_dev / model.sigma_total))
-        solar.append(np.clip(rng.uniform(0.0, 0.6, size=horizon), 0.0, None))
+        solar.append(rng.uniform(0.0, solar_max, size=horizon))
     built = sc.ScenarioSet(np.full(k, 1.0 / k), prices, disturbances, solar_unit_matrix=solar)
     if not correlated:
         built = sc.split_marginals(built)

@@ -11,31 +11,7 @@ from tariffkit import scenario as sc
 from tariffkit import storage as st
 from tariffkit import tariff as tf
 from tariffkit import welfare as wf
-
-
-def fixture(correlated=True, seed=2, horizon=6, n_classes=3):
-    rng = np.random.default_rng(seed)
-    sales = rng.uniform(8.0, 16.0, size=horizon)
-    model = dm.calibrate(
-        target_sales=sales,
-        target_price=0.2,
-        elasticity=-0.4,
-        n_classes=n_classes,
-        sigma_rule="linear",
-        total_customers=50.0,
-    )
-    prices, disturbances, solar = [], [], []
-    k = 5
-    for _ in range(k):
-        shock = rng.normal()
-        prices.append(np.clip(0.05 + 0.03 * rng.normal(size=horizon) + 0.04 * shock, 0.005, None))
-        load_dev = 0.8 * shock + 0.3 * rng.normal(size=horizon) if correlated else rng.normal(size=horizon)
-        disturbances.append(np.outer(model.sigma, load_dev / model.sigma_total))
-        solar.append(rng.uniform(0.0, 0.6, size=horizon))
-    built = sc.ScenarioSet(np.full(k, 1.0 / k), prices, disturbances, solar_unit_matrix=solar)
-    if not correlated:
-        built = sc.split_marginals(built)
-    return model, built
+from test_tariff import fixture
 
 
 # the DER units of the sweeps below: 5 kW PV systems and the Powerwall-like
