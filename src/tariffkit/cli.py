@@ -193,7 +193,11 @@ class _Distinct(argparse.Action):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: a study command's preflight applies its rules before any solve and returns
+# what its run reads; ``main`` builds the study once, ``validate`` runs each preflight below
+
+DEFAULT_INVOCATIONS = (("optimize",), ("pareto",), ("sweep", "--mode", tf.MODE_DECENTRALIZED),
+                       ("sweep", "--mode", tf.MODE_CENTRALIZED), ("xsub",))
 
 
 def cmd_validate(args) -> int:
@@ -224,22 +228,13 @@ def cmd_validate(args) -> int:
     if eigs is not None:
         print(f"     aggregate price-response eigenvalues in [{eigs[0]:.6g}, {eigs[-1]:.6g}]")
 
-    optimal = tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART)
     check("optimal two-part tariff solves and evaluates at F",
-          lambda: tf.optimize_family_report(optimal, study.model, study.scenario_set,
-                                            tf.no_der(), study.fixed_cost))
-
-    def pv_grid_allocates():
-        # the rule xsub and a decentralized sweep apply to every capacity; the largest decides
-        wf.allocate_pv(study.model, max(config.capacity_grid_kw), config.pv_unit_kw)
-
-    check("grids.capacity_kw allocates at most one PV unit per customer", pv_grid_allocates)
-    check("pareto F grid has no repeated value",
-          lambda: ingest.resolve_fixed_cost_grid(config, study.fixed_cost))
-    # on no capacity, cross_subsidy checks only its rule on F
-    check("xsub subsidy_norm is defined (F != 0)",
-          lambda: wf.cross_subsidy(optimal, study.model, study.scenario_set, (), study.fixed_cost,
-                                   pv_unit_kw=config.pv_unit_kw))
+          lambda: tf.optimize_family_report(tf.TariffFamily(kind=tf.OPTIMAL_TWO_PART), study.model,
+                                            study.scenario_set, tf.no_der(), study.fixed_cost))
+    parser = build_parser()
+    for command, *options in DEFAULT_INVOCATIONS:
+        parsed = parser.parse_args([command, args.config, *options])
+        check(" ".join([command, *options, "preflight"]), lambda: parsed.preflight(parsed, study))
     anchors = study.anchors
     f_label = "explicit" if config.fixed_cost_mode == "explicit" else "derived"
     print(
@@ -256,11 +251,10 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_optimize(args) -> int:
+def preflight_optimize(args, study: ingest.Study):
     pinned = args.family in tf.FIXED_A_KINDS
     if not pinned and args.fixed_connection_charge is not None:
         raise ValueError(f"--fixed-A applies to {' and '.join(tf.FIXED_A_KINDS)}, not {args.family}")
-    study = ingest.build_study(ingest.load_config(args.config))
     config = study.config
     fixed_cost = study.fixed_cost if args.fixed_cost is None else args.fixed_cost
     fixed_a = args.fixed_connection_charge
@@ -271,7 +265,10 @@ def cmd_optimize(args) -> int:
         study.model, study.scenario_set, args.mode, args.capacity_kw,
         config.storage_per_pv_kwh_per_kw, ingest.storage_unit_spec(config), config.pv_unit_kw,
     )
+    return family, fixed_cost, swept, case
 
+
+def cmd_optimize(args, study: ingest.Study, family, fixed_cost, swept, case) -> int:
     result = tf.optimize_family_report(family, study.model, swept, case, fixed_cost)
     tariff, report = result.tariff, result.settlement
     # closed-form residual of that settlement, on the set's moments;
@@ -322,12 +319,14 @@ def _select_families(config: ingest.StudyConfig, labels) -> list[tuple[str, tf.T
     return out
 
 
-def cmd_pareto(args) -> int:
-    study = ingest.build_study(ingest.load_config(args.config))
+def preflight_pareto(args, study: ingest.Study):
     families = _select_families(study.config, args.families)
     grid = tuple(args.fixed_cost_grid) if args.fixed_cost_grid else \
         ingest.resolve_fixed_cost_grid(study.config, study.fixed_cost)
+    return families, grid
 
+
+def cmd_pareto(args, study: ingest.Study, families, grid) -> int:
     rows = []
     for label, family in families:
         front = wf.pareto_front(
@@ -347,11 +346,15 @@ def cmd_pareto(args) -> int:
     )
 
 
-def cmd_sweep(args) -> int:
-    study = ingest.build_study(ingest.load_config(args.config))
+def preflight_sweep(args, study: ingest.Study):
     families = _select_families(study.config, args.families)
     grid = tuple(args.capacity_grid) if args.capacity_grid else study.config.capacity_grid_kw
+    for capacity in grid if args.mode == tf.MODE_DECENTRALIZED else ():
+        wf.allocate_pv(study.model, float(capacity), study.config.pv_unit_kw)
+    return families, grid
 
+
+def cmd_sweep(args, study: ingest.Study, families, grid) -> int:
     cells = wf.der_sweep(
         [family for _, family in families],
         study.model,
@@ -380,11 +383,17 @@ def cmd_sweep(args) -> int:
     )
 
 
-def cmd_xsub(args) -> int:
-    study = ingest.build_study(ingest.load_config(args.config))
+def preflight_xsub(args, study: ingest.Study):
     families = _select_families(study.config, args.families)
+    wf.cross_subsidy(families[0][1], study.model, study.scenario_set, (), study.fixed_cost,
+                     pv_unit_kw=study.config.pv_unit_kw)  # no capacity: only its rule on F
     grid = tuple(args.capacity_grid) if args.capacity_grid else study.config.capacity_grid_kw
+    for capacity in grid:
+        wf.allocate_pv(study.model, float(capacity), study.config.pv_unit_kw)
+    return families, grid
 
+
+def cmd_xsub(args, study: ingest.Study, families, grid) -> int:
     rows = []
     for label, family in families:
         cells = wf.cross_subsidy(
@@ -430,40 +439,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_study_command(name, func, help_text):
+    def add_study(name, func, help_text, preflight=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a YAML study file")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, preflight=preflight)
         return p
 
-    add_study_command("validate", cmd_validate, "check config, data, and model assumptions")
+    add_study("validate", cmd_validate, "check config, data, and model assumptions")
 
-    p = add_study_command("optimize", cmd_optimize, "solve one tariff family at one F")
+    p = add_study("optimize", cmd_optimize, "solve one tariff family at one F", preflight_optimize)
     p.add_argument("--family", choices=tf.FAMILY_KINDS, default=tf.OPTIMAL_TWO_PART)
     p.add_argument("--mode", choices=tf.MODES, default=tf.MODE_NONE)
-    p.add_argument("--F", dest="fixed_cost", type=_number_option("fixed_cost_value"),
-                   default=None,
-                   help="required revenue $/day, any sign (default: derived from the nominal tariff)")
+    p.add_argument("--F", dest="fixed_cost", type=_number_option("fixed_cost_value"), default=None,
+                   help="required revenue $/day, any sign; write -5e5 as --F=-5e5 "
+                        "(default: derived from the nominal tariff)")
     p.add_argument("--capacity-kw", type=_number_option("capacity_grid_kw"),
                    default=0.0, help="installed PV capacity for DER modes, kW >= 0")
     p.add_argument("--fixed-A", dest="fixed_connection_charge",
-                   type=_number_option("fixed_connection_charges"),
-                   default=None, help="connection charge for fixed-A families")
+                   type=_number_option("fixed_connection_charges"), default=None,
+                   help="connection charge for fixed-A families; write -1e3 as --fixed-A=-1e3")
 
-    p = add_study_command("pareto", cmd_pareto, "surplus trade-off across an F grid")
+    p = add_study("pareto", cmd_pareto, "surplus trade-off across an F grid", preflight_pareto)
     p.add_argument("--families", nargs="+", action=_Distinct, default=None,
                    help="family labels (default: all configured)")
     p.add_argument("--F-grid", dest="fixed_cost_grid", nargs="+", action=_Distinct,
-                   type=_number_option("fixed_cost_grid"), default=None)
+                   type=_number_option("fixed_cost_grid"), default=None,
+                   help="required revenues $/day; write -1e6 as -1000000")
 
-    p = add_study_command("sweep", cmd_sweep, "re-solve families across PV capacities")
+    p = add_study("sweep", cmd_sweep, "re-solve families across PV capacities", preflight_sweep)
     p.add_argument("--mode", choices=(tf.MODE_DECENTRALIZED, tf.MODE_CENTRALIZED),
                    required=True)
     p.add_argument("--families", nargs="+", action=_Distinct, default=None)
     p.add_argument("--capacity-grid", nargs="+", action=_Distinct, default=None,
                    type=_number_option("capacity_grid_kw"))
 
-    p = add_study_command("xsub", cmd_xsub, "net-metering cross-subsidy by capacity")
+    p = add_study("xsub", cmd_xsub, "net-metering cross-subsidy by capacity", preflight_xsub)
     p.add_argument("--families", nargs="+", action=_Distinct, default=None)
     p.add_argument("--capacity-grid", nargs="+", action=_Distinct, default=None,
                    type=_number_option("capacity_grid_kw"))
@@ -474,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=int, default=20)
     p.add_argument("--horizon", type=int, default=24)
     p.add_argument("--variant", choices=("correlated", "independent"), default="correlated")
-    p.set_defaults(func=cmd_gen_synthetic)
+    p.set_defaults(func=cmd_gen_synthetic, preflight=None)
 
     return parser
 
@@ -484,7 +494,10 @@ def main(argv=None) -> int:
     try:
         # an overflow or invalid operation is a FloatingPointError (exit 2), not a warning
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            if args.preflight is None:
+                return args.func(args)
+            study = ingest.build_study(ingest.load_config(args.config))
+            return args.func(args, study, *args.preflight(args, study))
     except Exception as exc:
         if not isinstance(exc, tuple(family for family, _, _ in FAILURES)):
             raise  # not a study failure: keep the traceback

@@ -156,12 +156,14 @@ def test_a_command_settles_the_nominal_tariff_once(study_dir, out_dir, monkeypat
 def test_validate_rejects_a_capacity_grid_sweep_cannot_allocate(study_dir, tmp_path, out_dir,
                                                                 capsys):
     # 2.2e6 customers hold at most one 5 kW unit each, 1.1e7 kW in all: validate
-    # applies the allocation rule of xsub and a decentralized sweep to the
-    # largest grid capacity; a centralized sweep gives its PV to the retailer
+    # runs the preflights of xsub and a decentralized sweep, which allocate every
+    # grid capacity; a centralized sweep gives its PV to the retailer
     config = rewrite_config(study_dir, tmp_path, grids={"capacity_kw": [0.0, 2.0e7]})
     assert cli.main(["validate", str(config)]) == 2
     out = capsys.readouterr().out
-    assert "FAIL grids.capacity_kw" in out and "exceeds one unit per customer" in out
+    assert "FAIL sweep --mode decentralized preflight" in out and "FAIL xsub preflight" in out
+    assert "exceeds one unit per customer" in out
+    assert out.endswith("validation failed: 2 check(s)\n")
     for command in (["sweep", "--mode", "decentralized"], ["xsub"]):
         assert cli.main([command[0], str(config), *command[1:]]) == 2
         assert "exceeds one unit per customer" in capsys.readouterr().err
@@ -293,6 +295,12 @@ def test_restricted_families_solve_at_zero_revenue(request, out_dir, family, dat
     report = oracle.settlement_resim(tariff, study.model, study.scenario_set, tf.no_der())
     scale = max(1.0, abs(report.revenue), abs(report.energy_cost))
     assert abs(report.retailer_surplus) <= 1e-7 * scale
+
+
+def test_optimize_takes_a_negative_exponent_f_after_an_equals_sign(study_dir, out_dir, capsys):
+    # argparse reads "--F -5e5" as two options; "--F=-5e5" is one value
+    assert cli.main(["optimize", str(study_dir / "study.yaml"), "--F=-5e5"]) == 0
+    assert "required revenue F: -500000 $/day\n" in capsys.readouterr().out
 
 
 def test_optimize_without_der_rejects_a_capacity(study_dir, out_dir, capsys):
@@ -459,7 +467,7 @@ def test_xsub_at_zero_fixed_cost_exits_2(study_dir, tmp_path, out_dir, capsys):
 
 def test_validate_checks_the_xsub_fixed_cost(study_dir, tmp_path, out_dir, capsys):
     # validate runs xsub's F != 0 rule; a grid in dollars keeps the pareto check passing
-    check = "xsub subsidy_norm is defined (F != 0)"
+    check = "xsub preflight"
     assert cli.main(["validate", str(study_dir / "study.yaml")]) == 0
     assert f"ok   {check}\n" in capsys.readouterr().out
     config = rewrite_config(
@@ -480,7 +488,8 @@ def test_pareto_grid_at_zero_fixed_cost_exits_2(study_dir, tmp_path, out_dir, ca
     ))
     assert cli.main(["validate", config]) == 2
     out = capsys.readouterr().out
-    assert "FAIL pareto F grid has no repeated value: grids.fixed_cost_multipliers" in out
+    assert "FAIL pareto preflight: grids.fixed_cost_multipliers" in out
+    assert out.endswith("validation failed: 2 check(s)\n")
     assert cli.main(["pareto", config]) == 2
     assert capsys.readouterr().err.startswith("error: grids.fixed_cost_multipliers give repeated")
     assert not out_dir.exists()
@@ -488,6 +497,59 @@ def test_pareto_grid_at_zero_fixed_cost_exits_2(study_dir, tmp_path, out_dir, ca
     assert cli.main(["pareto", config, "--families", "optimal-two-part", "--F-grid", "0", "1"]) == 0
     _, _, rows = read_table(out_dir / "pareto.csv")
     assert [row["fixed_cost_usd_per_day"] for row in rows] == ["0", "1"]
+
+
+def test_validate_runs_the_preflight_of_each_default_invocation(study_dir, monkeypatch, capsys):
+    # validate holds no command rule: each FAIL line is one command's own preflight
+    def stub(name):
+        def preflight(args, study):
+            raise ValueError(f"{name} stub, mode {getattr(args, 'mode', None)}")
+        return preflight
+
+    for name in ("optimize", "pareto", "sweep", "xsub"):
+        monkeypatch.setattr(cli, f"preflight_{name}", stub(name))
+    assert cli.main(["validate", str(study_dir / "study.yaml")]) == 2
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("FAIL ")] == [
+        "FAIL optimize preflight: optimize stub, mode none",
+        "FAIL pareto preflight: pareto stub, mode None",
+        "FAIL sweep --mode decentralized preflight: sweep stub, mode decentralized",
+        "FAIL sweep --mode centralized preflight: sweep stub, mode centralized",
+        "FAIL xsub preflight: xsub stub, mode None",
+    ]
+    assert out.endswith("validation failed: 5 check(s)\n")
+
+
+ZERO_F = {"mode": "explicit", "value_usd_per_day": 0.0}
+DECENTRALIZED = ["sweep", "--mode", "decentralized"]
+CENTRALIZED = ["sweep", "--mode", "centralized"]
+
+
+@pytest.mark.parametrize("updates, rejecting, passing", [
+    ({"grids": {"capacity_kw": [0.0, 2.0e7]}}, [DECENTRALIZED, ["xsub"]], [CENTRALIZED]),
+    ({"fixed_cost": ZERO_F}, [["pareto"], ["xsub"]], [["optimize"]]),
+    ({"fixed_cost": ZERO_F, "grids": {"fixed_cost_usd_per_day": [0.0, 1000.0]}}, [["xsub"]],
+     [["pareto"]]),
+], ids=["capacity-beyond-one-unit-each", "zero-F-multipliers", "zero-F-dollar-grid"])
+def test_validate_agrees_with_each_command(study_dir, tmp_path, out_dir, capsys, updates,
+                                           rejecting, passing):
+    # validate's line for each default invocation is that command's preflight
+    # verdict: a FAIL line carries the error the command prints, with its exit code
+    config = str(rewrite_config(study_dir, tmp_path, **updates))
+    assert cli.main(["validate", config]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"validation failed: {len(rejecting)} check(s)"
+    for command in STUDY_COMMANDS:
+        label = " ".join([*command, "preflight"])
+        if command not in rejecting:
+            assert f"ok   {label}" in out
+            continue
+        assert cli.main([command[0], config, *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+        assert f"FAIL {label}: {err.removeprefix('error: ').rstrip()}" in out
+    for command in passing:
+        assert cli.main([command[0], config, *command[1:]]) == 0, command
 
 
 def test_fixed_a_labels_keep_the_charge_digits(study_dir, tmp_path, out_dir, capsys):

@@ -76,7 +76,9 @@ def study_configs(draw):
         fixed_cost_mode="explicit" if explicit else "derived-from-nominal",
         fixed_cost_value=draw(FINITE) if explicit else None,
         family_kinds=draw(distinct(hst.sampled_from(tf.FAMILY_KINDS))),
-        fixed_connection_charges=draw(distinct(FINITE, unique_by=lambda x: f"{x:.12g}")),
+        # distinct as labels and as numbers: adding 0.0 folds -0.0, which
+        # equals 0.0, onto the label "0"
+        fixed_connection_charges=draw(distinct(FINITE, unique_by=lambda x: f"{x + 0.0:.12g}")),
         pv_unit_kw=draw(POSITIVE),
         storage_capacity_kwh=draw(POSITIVE),
         storage_power_kw=draw(POSITIVE | hst.just(math.inf)),
