@@ -1,9 +1,10 @@
 """Value a battery against a day of wholesale prices, two ways.
 
-Solves the intraday arbitrage linear program with the package's dense
-simplex and cross-checks it against a brute-force dynamic program on a
-state-of-charge lattice.  The LP is exact; the lattice is a lower bound
-that tightens as the grid refines.
+Solves the intraday arbitrage linear program exactly with the package's
+forward pass over the value of stored energy, and cross-checks it against
+a brute-force dynamic program on a state-of-charge lattice.  The exact
+solve is the LP optimum; the lattice is a lower bound that tightens as the
+grid refines.
 """
 
 import argparse

@@ -6,6 +6,11 @@ rule with deterministic tie-breaking, falling back to Bland's rule after a
 long degenerate streak to guarantee termination.  Problem sizes here are a
 few hundred columns at most, so a dense tableau is the simplest robust
 choice.
+
+No library module calls it, since ``storage`` solves each unit by an exact
+dynamic program; it stays because the benchmark's tracer imports every
+layer it times by module name, this one included, so its removal belongs
+to a change of the benchmark.
 """
 
 from __future__ import annotations

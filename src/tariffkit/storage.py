@@ -1,38 +1,35 @@
 """Storage arbitrage against a known price vector.
 
-The unit problem is a small LP: split the meter-side action into charge and
-discharge streams, track the state of charge through a one-way efficiency,
-and maximize the value of energy sold minus energy bought.  Every unit
-starts empty.  With unit efficiency and unlimited rates this reduces exactly
-to maximizing pi^T s over the set of schedules whose running withdrawals
-stay inside [0, capacity].
+A unit splits its meter-side action into charge and discharge streams,
+tracks its state of charge through a one-way efficiency, and maximizes the
+value of energy sold minus energy bought.  Every unit starts empty.  With
+unit efficiency and unlimited rates this reduces exactly to maximizing
+pi^T s over the set of schedules whose running withdrawals stay inside
+[0, capacity].
 
-Only the objective depends on the prices.  The constraint matrix and
-right-hand side are built once per (spec, horizon) and cached as read-only
-arrays; solved schedules are cached per (spec, price bytes).  A unit with
-no capacity, or one that no schedule can profit from (see ``_idle``), gets
-the zero schedule without an LP solve.
+The unit has a single state, and the best value of the energy it holds is
+concave and piecewise linear in that state, so a forward pass over slopes
+solves it exactly (Bellman 1957; Veinott 1964): see ``_dynamic_program``.
+Solved schedules are cached per (spec, price bytes).  A unit with no
+capacity, or one that no schedule can profit from (see ``_idle``), gets the
+zero schedule without a solve.
 
-Each (spec, horizon) also keeps its ``VERTEX_STORE_SIZE`` most recently
-used optimal vertices: the final basis of a simplex solve, its nonbasic
-reduced costs as a linear map of the prices (read off the final tableau)
-and its schedule.  A new price vector reuses a stored vertex when every
-nonbasic reduced cost at those prices exceeds ``simplex.PIVOT_TOL``.  That
-certifies the vertex as the unique optimum, so a cold solve would end there
-too (LP sensitivity analysis; Bertsimas and Tsitsiklis 1997, section 5.1).
-A reused vertex shares its schedule arrays and gets the value at the new
-prices; a vertex is stored only when its own prices certify it.
+Where several schedules are optimal, energy is held for the shortest time:
+on equal slopes a period's own pieces come before energy carried from
+earlier periods, and a period gives up discharge before it charges.  The
+final state of charge is the smallest optimal one, so a tie never starts a
+zero-value cycle.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from . import simplex
 from .scenario import as_price_vector
 
 POWERWALL_CAPACITY_KWH = 6.4
@@ -40,7 +37,6 @@ POWERWALL_RATE_KW = 3.3
 POWERWALL_EFFICIENCY = 0.96
 
 _ZERO_TOL = 1e-11
-VERTEX_STORE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -89,8 +85,9 @@ class StorageSchedule:
 
     ``meter_energy`` is the net meter-side energy per period, kWh,
     positive for discharge; ``state_of_charge`` has length N+1 and starts
-    at zero.  Only the value is contract-bearing: when the LP optimum is
-    degenerate the schedule is one optimal vertex among several.
+    at zero.  Where several schedules are optimal, this is the one the
+    module's tie rule picks: energy is held for the shortest time, and the
+    final state of charge is the smallest optimal one.
     """
 
     meter_energy: np.ndarray
@@ -118,37 +115,14 @@ def rate_caps(spec: StorageSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.full(n, c_cap), np.full(n, d_cap)
 
 
-@lru_cache(maxsize=64)
-def _constraints(spec: StorageSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (G, h) of the unit LP; they do not depend on the prices."""
-    theta = spec.capacity_kwh
-    eta = spec.efficiency
-    c_cap, d_cap = rate_caps(spec, n)
-    # variables x = (charge_1..N, discharge_1..N)
-    lower = np.tri(n)  # prefix-sum operator
-    soc_step = np.hstack([eta * lower, -lower / eta])
-    G = np.vstack(
-        [
-            soc_step,  # soc_k <= theta
-            -soc_step,  # -soc_k <= 0
-            np.hstack([np.eye(n), np.zeros((n, n))]),
-            np.hstack([np.zeros((n, n)), np.eye(n)]),
-        ]
-    )
-    h = np.concatenate([np.full(n, theta), np.zeros(n), c_cap, d_cap])
-    G.setflags(write=False)
-    h.setflags(write=False)
-    return G, h
-
-
 def _idle(spec: StorageSpec, prices: np.ndarray) -> bool:
     """Whether no schedule beats holding still: no price is negative, and no
     price net of the round-trip loss exceeds an earlier price,
     eta^2 p_j <= min_{i<j} p_i.
 
     Every discharged kWh then costs at least its sale value to have
-    charged, so the LP optimum is the zero schedule, which the simplex
-    reaches from x = 0 through degenerate pivots only.
+    charged, so the zero schedule is optimal, and it is the one
+    ``_dynamic_program`` picks under the tie rule.
     """
     if prices.min() < 0.0:
         return False
@@ -156,97 +130,81 @@ def _idle(spec: StorageSpec, prices: np.ndarray) -> bool:
     return bool(np.all(spec.efficiency**2 * prices[1:] <= earlier_min))
 
 
-@dataclass(frozen=True, eq=False)
-class _Vertex:
-    """An optimal basis of the unit LP, kept for reuse at other prices.
+def _dynamic_program(spec: StorageSpec, prices: np.ndarray) -> StorageSchedule:
+    """The optimal schedule under the module's tie rule, by one forward pass.
 
-    ``basis[i]`` is the column basic in tableau row i.  Its nonbasic reduced
-    costs are linear in the objective, ``obj @ pricing``, and ``x`` is the
-    LP solution (charge, discharge) behind ``schedule``.
+    Measured from full discharge, a period's reward is concave in the kWh of
+    state it adds: each kWh of discharge given up costs p eta, over d / eta,
+    and each kWh charged costs p / eta, over eta c.  The value of the energy
+    held after a period is every piece so far merged by cost (a
+    sup-convolution of concave functions), after the d / eta that full
+    discharge owes is bought from its cheapest end and with the rest cut to
+    the capacity.  The pieces bought by those debts, and at the end every
+    piece of negative cost, make the schedule.  On equal costs a piece's
+    key (-period, kind) puts newer periods first and, within a period,
+    giving up discharge before charging: the module's tie rule.
     """
+    n = prices.size
+    eta = spec.efficiency
+    c_cap, d_cap = rate_caps(spec, n)
+    bought = [[0.0, 0.0] for _ in range(n)]  # kWh of state per period: discharge given up, charge
+    # [cost per kWh of state, -period, kind: 0 gives up discharge, 1 charges, kWh], cheapest first
+    pieces: list[list] = []
+    for t, (p, c, d) in enumerate(zip(prices.tolist(), c_cap.tolist(), d_cap.tolist())):
+        bisect.insort(pieces, [p * eta, -t, 0, d / eta])
+        bisect.insort(pieces, [p / eta, -t, 1, eta * c])
+        owed = d / eta  # full discharge leaves the state this far below zero
+        while owed > 0.0:
+            piece = pieces[0]
+            step = min(owed, piece[3])
+            bought[-piece[1]][piece[2]] += step
+            owed -= step
+            piece[3] -= step
+            if piece[3] <= 0.0:
+                del pieces[0]
+        room = spec.capacity_kwh
+        for k, piece in enumerate(pieces):
+            if piece[3] >= room:
+                piece[3] = room
+                del pieces[k + 1:]
+                break
+            room -= piece[3]
+    for cost, minus_t, kind, kwh in pieces:
+        if cost >= 0.0:
+            break
+        bought[-minus_t][kind] += kwh
 
-    basis: np.ndarray
-    pricing: np.ndarray
-    x: np.ndarray
-    schedule: StorageSchedule
-
-
-def _vertex(basis: np.ndarray, rows: np.ndarray, x: np.ndarray, schedule: StorageSchedule) -> _Vertex:
-    """The vertex of a final tableau whose constraint block is ``rows``.
-
-    A column's reduced cost is c_B^T B^-1 a_j - c_j; slacks cost nothing, so
-    only rows with a structural basic column and the -c_j of structural
-    columns enter ``pricing``.
-    """
-    k = x.size
-    nonbasic = np.ones(rows.shape[1], dtype=bool)
-    nonbasic[basis] = False
-    columns = nonbasic.nonzero()[0]
-    structural = basis < k
-    pricing = np.zeros((k, columns.size))
-    pricing[basis[structural]] = rows[np.ix_(structural, nonbasic)]
-    # a nonbasic column's own row above is zero, so -c_j is a plain -1
-    own = columns < k
-    pricing[columns[own], own.nonzero()[0]] = -1.0
-    return _Vertex(basis, pricing, x, schedule)
-
-
-def _certified(vertex: _Vertex, obj: np.ndarray) -> bool:
-    """Whether every nonbasic reduced cost of ``vertex`` under objective
-    ``obj`` exceeds the pivot tolerance, so the vertex is the unique optimum."""
-    return bool((obj @ vertex.pricing).min() > simplex.PIVOT_TOL)
-
-
-@lru_cache(maxsize=64)
-def _vertex_store(spec: StorageSpec, n: int) -> list[_Vertex]:
-    """The mutable vertex store of one (spec, horizon), most recently used first."""
-    return []
+    given_up, charged = np.array(bought).T
+    # summed parts of a piece can pass its whole by rounding
+    charge = np.minimum(charged / eta, c_cap)
+    discharge = np.maximum(d_cap - eta * given_up, 0.0)
+    charge[charge < _ZERO_TOL] = 0.0
+    discharge[discharge < _ZERO_TOL] = 0.0
+    meter = discharge - charge
+    soc = np.concatenate([[0.0], np.cumsum(eta * charge - discharge / eta)])
+    if soc.min() < -1e-7 or soc.max() > spec.capacity_kwh + 1e-7:
+        raise ArithmeticError("storage dynamic program produced an out-of-bounds state of charge")
+    soc = np.clip(soc, 0.0, spec.capacity_kwh)
+    for arr in (charge, discharge, meter, soc):
+        arr.setflags(write=False)
+    return StorageSchedule(meter, charge, discharge, soc, float(prices @ meter))
 
 
 @lru_cache(maxsize=1024)
 def _solve(spec: StorageSpec, price_bytes: bytes, n: int) -> StorageSchedule:
     prices = np.frombuffer(price_bytes, dtype=float)
-    theta = spec.capacity_kwh
-    eta = spec.efficiency
-
-    if theta <= 0.0 or _idle(spec, prices):
+    if spec.capacity_kwh <= 0.0 or _idle(spec, prices):
         zero = np.zeros(n)
         zero.setflags(write=False)
         soc = np.zeros(n + 1)
         soc.setflags(write=False)
         return StorageSchedule(zero, zero, zero, soc, 0.0)
-
-    obj = np.concatenate([-prices, prices])
-    store = _vertex_store(spec, n)
-    for k, vertex in enumerate(store):
-        if _certified(vertex, obj):
-            store.insert(0, store.pop(k))
-            return replace(vertex.schedule, value=float(obj @ vertex.x))
-
-    G, h = _constraints(spec, n)
-    x, value, basis, rows = simplex.maximize(obj, G, h)
-
-    charge = np.where(np.abs(x[:n]) < _ZERO_TOL, 0.0, x[:n])
-    discharge = np.where(np.abs(x[n:]) < _ZERO_TOL, 0.0, x[n:])
-    meter = discharge - charge
-    soc = np.concatenate([[0.0], np.cumsum(eta * charge - discharge / eta)])
-    if soc.min() < -1e-7 or soc.max() > theta + 1e-7:
-        raise ArithmeticError("storage LP produced an out-of-bounds state of charge")
-    soc = np.clip(soc, 0.0, theta)
-    for arr in (charge, discharge, meter, soc):
-        arr.setflags(write=False)
-    schedule = StorageSchedule(meter, charge, discharge, soc, value)
-    vertex = _vertex(basis, rows, x, schedule)
-    if _certified(vertex, obj):
-        store.insert(0, vertex)
-        del store[VERTEX_STORE_SIZE:]
-    return schedule
+    return _dynamic_program(spec, prices)
 
 
 def clear_caches() -> None:
-    """Forget every cached schedule and stored vertex: the next call solves its LP."""
+    """Forget every cached schedule: the next call solves again."""
     _solve.cache_clear()
-    _vertex_store.cache_clear()
 
 
 def arbitrage_value(spec: StorageSpec, prices) -> tuple[float, StorageSchedule]:

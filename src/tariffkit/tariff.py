@@ -213,7 +213,7 @@ def centralized_case(storage_spec: st.StorageSpec | None = None, storage_units: 
 
 
 def _unit_schedule(case: IntegrationCase, prices: np.ndarray) -> st.StorageSchedule | None:
-    """One unit's optimal schedule at the prices; None, with no LP, for an empty fleet."""
+    """One unit's optimal schedule at the prices; None, with no solve, for an empty fleet."""
     if case.storage is None or not case.storage_units.any():
         return None
     return st.arbitrage_value(case.storage, prices)[1]
@@ -530,7 +530,7 @@ def _adequacy_tolerance(model: dm.DemandModel, scenario_set: ScenarioSet, case: 
     """Settled-revenue residual accepted at a tariff, $ per day.
 
     ``ADEQUACY_RTOL`` times the largest term the residual sums, max(1, |F|,
-    M |A|, |pi|^T |E[metered energy]|) with no fleet (it would cost an LP),
+    M |A|, |pi|^T |E[metered energy]|) with no fleet (it would cost a storage solve),
     so that rounding alone cannot fail a solve at F = 0.
     """
     energy, _ = _metered(model, scenario_set, case, tariff.prices, 0.0)

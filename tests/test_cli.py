@@ -18,7 +18,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from tariffkit import cli, ingest, oracle, simplex
+from tariffkit import cli, ingest, oracle
 from tariffkit import storage as st
 from tariffkit import tariff as tf
 
@@ -608,15 +608,15 @@ def test_malformed_yaml_exits_2(tmp_path, out_dir, capsys, loader):
 
 
 @pytest.mark.parametrize("failure", [
-    ArithmeticError("simplex iteration limit exceeded"),
-    simplex.UnboundedError("LP unbounded along column 3"),
+    ArithmeticError("storage dynamic program produced an out-of-bounds state of charge"),
+    FloatingPointError("overflow encountered in multiply"),
 ])
 def test_numerical_solver_failure_exits_2(study_dir, out_dir, capsys, monkeypatch, failure):
-    def failing(c, G, h, **kwargs):
+    def failing(spec, prices):
         raise failure
 
-    monkeypatch.setattr(simplex, "maximize", failing)
-    st.clear_caches()  # a cached schedule or stored vertex would skip the LP
+    monkeypatch.setattr(st, "_dynamic_program", failing)
+    st.clear_caches()  # a cached schedule would skip the solve
     code = cli.main(["optimize", str(study_dir / "study.yaml"), "--mode", "decentralized",
                      "--capacity-kw", "500"])
     assert code == 2
@@ -971,6 +971,16 @@ print(codes, sorted(m for m in ("numpy.ma", "scipy") if m in sys.modules))
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] []"
+
+
+def test_library_imports_no_simplex():
+    # the storage unit is solved by a dynamic program; the dense simplex stays
+    # only as a tested reference that no library module calls
+    script = "import sys, tariffkit.cli, tariffkit.oracle; print('tariffkit.simplex' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=child_env({}), timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_study_commands_load_no_openssl(tmp_path):

@@ -143,6 +143,17 @@ STORAGE_SPECS = (
 )
 
 
+def storage_lp(spec, n):
+    """(G, h) of one storage unit's arbitrage LP over x = (charge, discharge):
+    the running state of charge in [0, capacity] and the rate caps."""
+    c_cap, d_cap = st.rate_caps(spec, n)
+    lower = np.tri(n)  # prefix-sum operator
+    soc_step = np.hstack([spec.efficiency * lower, -lower / spec.efficiency])
+    G = np.vstack([soc_step, -soc_step, np.eye(2 * n)])
+    h = np.concatenate([np.full(n, spec.capacity_kwh), np.zeros(n), c_cap, d_cap])
+    return G, h
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     hst.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -154,7 +165,7 @@ def test_pivot_matches_dense_reference_on_storage_lps(seed, spec, decimals):
     # rounded prices make ratio and objective ties common
     rng = np.random.default_rng(seed)
     prices = np.round(rng.uniform(-0.05, 0.4, size=24), decimals)
-    G, h = st._constraints(spec, 24)
+    G, h = storage_lp(spec, 24)
     c = np.concatenate([-prices, prices])
     x, value, *_ = simplex.maximize(c, G, h)
     x_ref, value_ref = dense_pivot_reference(c, G, h)
